@@ -1,14 +1,15 @@
 """Free heat semigroup: closed-form kernel, spectral application, and
 Gaussian-domination constant fits.
 
-The kernel factorizes over axes for sign product groups.  Two constant modes
-exist: "normalized" scales so every kernel row has unit weighted mass (the
-operationally correct choice, used everywhere by default); "unscaled" keeps
-the alternative time power 1/(c t^(gamma+d/2)) for comparison, which differs
-by the factor 2^(gamma+d/2) that reports surface explicitly.
-"""
+For sign product groups the kernel (Rosler, CMP 192, 1998) is
 
-from dataclasses import dataclass
+    K_t(x, y) = kernel_prefactor(t) * prod_j axis_factor(x_j, y_j, t, kappa_j),
+
+with the single normalization kernel_prefactor = 1/(c_k (2t)^(gamma + d/2)),
+under which every kernel row has unit weighted mass, and the axis factor
+E_kappa(x, y/2t) e^{-(x^2+y^2)/4t} written through the overflow-safe scaled
+kernel.  Every kernel evaluation in the package goes through these two.
+"""
 
 import numpy as np
 
@@ -24,55 +25,40 @@ from .transform import (
     inverse_transform,
 )
 
-MODE_NORMALIZED = "normalized"
-MODE_UNSCALED = "unscaled"
 
-
-@dataclass(frozen=True)
-class HeatKernelEval:
-    t: float
-    value: float
-    constant_mode: str
-
-    def __post_init__(self):
-        if self.value <= 0:
-            raise InputError("heat kernel values must be strictly positive")
-
-
-def mode_factor(rs: RootSystem, t: float, mode: str) -> float:
-    """Prefactor of the closed-form kernel for the chosen constant mode."""
+def kernel_prefactor(rs: RootSystem, t):
+    """Time factor 1/(c_k (2t)^(gamma + d/2)) of the kernel; broadcasts over t."""
     expo = gamma_k(rs) + rs.dimension / 2.0
-    if mode == MODE_NORMALIZED:
-        return 1.0 / (c_k(rs) * (2.0 * t) ** expo)
-    if mode == MODE_UNSCALED:
-        return 1.0 / (c_k(rs) * t**expo)
-    raise InputError(f"unknown constant mode {mode!r}")
+    return 1.0 / (c_k(rs) * (2.0 * np.asarray(t, dtype=float)) ** expo)
 
 
-def heat_kernel(
-    rs: RootSystem, t: float, x, y, mode: str = MODE_NORMALIZED
-) -> HeatKernelEval:
-    """Pointwise closed-form kernel, overflow-safe at large |x y| / t."""
+def axis_factor(x, y, t, kappa: float):
+    """One axis of the kernel, E_kappa(x, y/2t) e^{-(x^2+y^2)/4t}, with the
+    exponents recombined so it stays finite at large |x y|/t; broadcasts
+    over x, y and t."""
+    xy = x * y
+    gauss = np.exp(-(x**2 + y**2 - 2.0 * np.abs(xy)) / (4.0 * t))
+    return scaled_e_real(xy / (2.0 * t), kappa) * gauss
+
+
+def heat_kernel(rs: RootSystem, t: float, x, y) -> np.ndarray:
+    """Closed-form kernel K_t(x, y), batched over points of shape (..., d)."""
     if t <= 0:
         raise InputError("time must be positive")
     if rs.kind != Z2_PRODUCT:
         raise InputError("closed-form kernel requires a sign product group")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    kappas = rs.multiplicities
-    val = mode_factor(rs, t, mode)
-    for xj, yj, kap in zip(x, y, kappas):
-        s = xj * yj / (2.0 * t)
-        e_scaled = float(scaled_e_real(np.array([s]), float(kap))[0])
-        val *= e_scaled * np.exp(-(xj**2 + yj**2 - 2.0 * abs(xj * yj)) / (4.0 * t))
-    return HeatKernelEval(t, float(val), mode)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    K = kernel_prefactor(rs, t)
+    for j, kap in enumerate(rs.multiplicities):
+        K = K * axis_factor(x[..., j], y[..., j], t, float(kap))
+    if np.any(K <= 0):
+        raise InputError("heat kernel values must be strictly positive")
+    return K
 
 
-def heat_kernel_matrix(
-    grid: QuadratureGrid, t: float, mode: str = MODE_NORMALIZED
-) -> np.ndarray:
-    """Kernel tabulated on all grid node pairs; exponent recombination keeps
-    the evaluation finite for sharply peaked times.
+def heat_kernel_matrix(grid: QuadratureGrid, t: float) -> np.ndarray:
+    """Kernel tabulated on all grid node pairs.
 
     Each axis factor is symmetric and depends only on the two axis
     coordinates, so it is evaluated once per unordered pair of distinct axis
@@ -80,19 +66,14 @@ def heat_kernel_matrix(
     """
     if t <= 0:
         raise InputError("time must be positive")
-    rs = grid.rs
-    kappas = rs.multiplicities
-    K = np.full((len(grid), len(grid)), mode_factor(rs, t, mode))
+    kappas = grid.rs.multiplicities
+    K = np.full((len(grid), len(grid)), kernel_prefactor(grid.rs, t))
     for j in range(grid.dimension):
         ax, idx = np.unique(grid.nodes[:, j], return_inverse=True)
         iu, ju = np.triu_indices(ax.size)
-        X, Y = ax[iu], ax[ju]
-        e = np.empty((ax.size, ax.size))
-        g = np.empty((ax.size, ax.size))
-        e[iu, ju] = e[ju, iu] = scaled_e_real(X * Y / (2.0 * t), float(kappas[j]))
-        g[iu, ju] = g[ju, iu] = np.exp(-(X**2 + Y**2 - 2.0 * np.abs(X * Y)) / (4.0 * t))
-        pairs = np.ix_(idx, idx)
-        K = K * e[pairs] * g[pairs]
+        a = np.empty((ax.size, ax.size))
+        a[iu, ju] = a[ju, iu] = axis_factor(ax[iu], ax[ju], t, float(kappas[j]))
+        K = K * a[np.ix_(idx, idx)]
     return K
 
 
@@ -166,12 +147,12 @@ def gaussian_bound_report(
         for frac in fracs:
             xa = frac * (box - r * u)
             ya = xa + r * u
-            entries.append((t, xa, ya, z, heat_kernel(rs, t, xa, ya).value))
+            entries.append((t, xa, ya, z, heat_kernel(rs, t, xa, ya)))
         sx = rng.choice([-1.0, 1.0], size=d)
         sy = rng.choice([-1.0, 1.0], size=d)
         xa = rng.uniform(0.0, 1.0) * (box - r * u)
         ya = xa + r * u
-        entries.append((t, sx * xa, sy * ya, z, heat_kernel(rs, t, sx * xa, sy * ya).value))
+        entries.append((t, sx * xa, sy * ya, z, heat_kernel(rs, t, sx * xa, sy * ya)))
     report = {
         "min_kernel_value": float(min(e[4] for e in entries)),
         "n_samples": int(n_samples),

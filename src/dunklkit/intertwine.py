@@ -112,15 +112,12 @@ def scaled_e_real(s, kappa: float) -> np.ndarray:
     if kappa == 0.0:
         return np.exp(s - np.abs(s))
     a = np.abs(s)
-    out = np.empty_like(a)
-    small = a < 1e-6
-    out[small] = (1.0 + s[small] / (2.0 * kappa + 1.0)) * np.exp(-a[small])
-    al = a[~small]
-    sl = s[~small]
+    # below 1e-6 the Taylor form; the Bessel form sees a floored argument there
+    taylor = (1.0 + s / (2.0 * kappa + 1.0)) * np.exp(-a)
+    al = np.maximum(a, 1e-6)
     even = sgamma(kappa + 0.5) * (2.0 / al) ** (kappa - 0.5) * ive(kappa - 0.5, al)
     odd = sgamma(kappa + 1.5) * (2.0 / al) ** (kappa + 0.5) * ive(kappa + 0.5, al)
-    out[~small] = even + sl / (2.0 * kappa + 1.0) * odd
-    return out
+    return np.where(a < 1e-6, taylor, even + s / (2.0 * kappa + 1.0) * odd)
 
 
 def kernel_bessel_1d(s, kappa: float) -> np.ndarray:

@@ -17,8 +17,7 @@ from scipy.linalg import svdvals
 from scipy.special import roots_laguerre, roots_legendre
 
 from .errors import CapabilityError, InputError
-from .heat import MODE_NORMALIZED, mode_factor
-from .intertwine import scaled_e_real
+from .heat import axis_factor, kernel_prefactor
 from .reflection import RootSystem, weight
 from .schrodinger import EigenDecomp, splitting_kernel, splitting_steps
 
@@ -209,15 +208,6 @@ def kato_equivalence_check(
 # heat characterization
 
 
-def _kernel_slice_1d(rs: RootSystem, t: float, x: float, ys) -> np.ndarray:
-    """Closed-form kernel K_t(x, .) on a batch of points (rank one)."""
-    ys = np.asarray(ys, dtype=float)
-    kap = float(rs.multiplicities[0])
-    s = x * ys / (2.0 * t)
-    gauss = np.exp(-((x**2 + ys**2 - 2.0 * np.abs(x * ys))) / (4.0 * t))
-    return mode_factor(rs, t, MODE_NORMALIZED) * scaled_e_real(s, kap) * gauss
-
-
 def semigroup_abs_potential(
     rs: RootSystem,
     V_fn,
@@ -232,16 +222,11 @@ def semigroup_abs_potential(
     L = abs(x) + 20.0 * math.sqrt(s) + 2.0
     kap = float(rs.multiplicities[0])
     # root length sqrt(2): the density is (sqrt(2)|y|)^(2 kappa)
-    pref = mode_factor(rs, s, MODE_NORMALIZED) * 2.0**kap
-    inv4s = 1.0 / (4.0 * s)
-    half_ratio = x / (2.0 * s)
-    x2 = x * x
+    pref = kernel_prefactor(rs, s) * 2.0**kap
 
     def fn(y):
-        u = half_ratio * y
-        g = math.exp(-(x2 + y * y - 2.0 * abs(x * y)) * inv4s)
         w = abs(y) ** (2.0 * kap) if kap else 1.0
-        return pref * float(scaled_e_real(u, kap)) * g * w * abs(V_fn(y))
+        return pref * axis_factor(x, y, s, kap) * w * abs(V_fn(y))
 
     pts = sorted({0.0, x, -x, *singular})
     pts = [p for p in pts if -L < p < L]
@@ -313,15 +298,13 @@ def heat_modulus_split(
     beta = (d * t / (2.0 * c_fit)) ** (1.0 / (2.0 * d))
     sv, sw = roots_laguerre(n_laguerre)
     kap = float(rs.multiplicities[0])
-    pref = np.array([mode_factor(rs, float(s), MODE_NORMALIZED) for s in sv])
+    pref = kernel_prefactor(rs, sv)
     out = []
     for x in np.atleast_1d(np.asarray(probes, dtype=float)):
         L = abs(x) + 25.0 + 2.0
 
         def resolvent_density(y):
-            u = x * y / (2.0 * sv)
-            gauss = np.exp(-((x - y) ** 2 + 2.0 * (x * y - abs(x * y))) / (4.0 * sv))
-            ks = pref * scaled_e_real(u, kap) * gauss
+            ks = pref * axis_factor(x, y, sv, kap)
             # root length sqrt(2): density (sqrt(2)|y|)^(2 kappa)
             w = (2.0 * y * y) ** kap if kap else 1.0
             return float((sw @ ks) * abs(V_fn(y)) * w)
@@ -342,16 +325,6 @@ def heat_modulus_split(
         out.append({"probe": float(x), "small_ball": near_val, "tail": far_val})
     worst = max(out, key=lambda r: r["small_ball"] + r["tail"])
     return {"beta": float(beta), "parts": out, "majorant_at_sup": worst}
-
-
-def _kernel_slice_1d_batch(rs: RootSystem, ts, x: float, y: float) -> np.ndarray:
-    """K_t(x, y) over a batch of times t (rank one)."""
-    ts = np.asarray(ts, dtype=float)
-    kap = float(rs.multiplicities[0])
-    s = x * y / (2.0 * ts)
-    gauss = np.exp(-((x**2 + y**2 - 2.0 * abs(x * y))) / (4.0 * ts))
-    pref = np.array([mode_factor(rs, float(t), MODE_NORMALIZED) for t in ts])
-    return pref * scaled_e_real(s, kap) * gauss
 
 
 def resolvent_decay(

@@ -538,25 +538,6 @@ def weighted_estimate_report(
     return {"normalized_lhs": normalized, "tail_fit": tail_fit, "exponent": expo}
 
 
-def matched_cap_pair(
-    grid1: QuadratureGrid,
-    grid2: QuadratureGrid,
-    t: float,
-    t0: float = DEFAULT_T0,
-) -> tuple:
-    """Free resolved ladders of the two grids truncated to a common cap.
-
-    The second grid carries the sqrt(t)-rescaled geometry; its reference time
-    is t0/t so both decompositions sample the same physical reference kernel.
-    """
-    lam1, P1, meta1 = free_resolved_modes(grid1, t0)
-    lam2, P2, meta2 = free_resolved_modes(grid2, t0 / t)
-    cap = min(lam1.max(), lam2.max() / t)
-    k1 = lam1 <= cap * (1.0 + 1e-9)
-    k2 = lam2 <= cap * t * (1.0 + 1e-9)
-    return (lam1[k1], P1[:, k1], meta1), (lam2[k2], P2[:, k2], meta2)
-
-
 def scaling_identity_gap(
     rs,
     R: float,
@@ -573,19 +554,16 @@ def scaling_identity_gap(
     rt = np.sqrt(t)
     grid1 = build_grid(rs, R, n_axis)
     grid2 = build_grid(rs, R / rt, n_axis)
-    (lam1, P1, _), (lam2, P2, _) = matched_cap_pair(grid1, grid2, t, t0)
-    v1 = V_fn(np.linalg.norm(grid1.nodes, axis=1))
-    v2 = t * V_fn(rt * np.linalg.norm(grid2.nodes, axis=1))
-
-    def kernel(grid, lam, P, v, time):
-        H = np.diag(lam) + (P.T * v) @ P
-        theta, U = eigh(0.5 * (H + H.T))
-        dh = np.sqrt(grid.mu_weights)
-        Qw = (P @ U) / dh[:, None]
-        return (Qw * np.exp(-time * theta)) @ Qw.T
-
-    W1 = kernel(grid1, lam1, P1, v1, t)
-    W2 = kernel(grid2, lam2, P2, v2, 1.0)
+    # grid2's reference time t0/t samples the same physical reference kernel;
+    # both Galerkin bases are truncated to the common cap of the two ladders
+    cap = min(
+        free_resolved_modes(grid1, t0)[0].max(),
+        free_resolved_modes(grid2, t0 / t)[0].max() / t,
+    )
+    V1 = Potential("scaled", {}, V_fn(np.linalg.norm(grid1.nodes, axis=1)))
+    V2 = Potential("scaled", {}, t * V_fn(rt * np.linalg.norm(grid2.nodes, axis=1)))
+    W1 = schrodinger_kernel(resolved_calculus(grid1, V1, t0, lam_limit=cap), t)
+    W2 = schrodinger_kernel(resolved_calculus(grid2, V2, t0 / t, lam_limit=cap * t), 1.0)
     expo = grid1.dimension / 2.0 + gamma_k(rs)
     pred = t**-expo * W2
     scale = np.max(np.abs(W1))

@@ -4,18 +4,16 @@ import math
 import unittest
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from dunklkit.errors import InputError
 from dunklkit.grids import SampledFunction, build_grid
 from dunklkit.heat import (
-    MODE_NORMALIZED,
-    MODE_UNSCALED,
     canonical_pair_distance,
     gaussian_bound_report,
     heat_apply,
     heat_kernel,
     heat_kernel_matrix,
-    mode_factor,
 )
 from dunklkit.reflection import RootSystem
 from dunklkit.transform import build_spectral_matrix
@@ -28,8 +26,8 @@ class TestPointwiseKernel(unittest.TestCase):
         for _ in range(20):
             x = rng.uniform(-4, 4, size=2)
             y = rng.uniform(-4, 4, size=2)
-            a = heat_kernel(rs, 0.7, x, y).value
-            b = heat_kernel(rs, 0.7, y, x).value
+            a = heat_kernel(rs, 0.7, x, y)
+            b = heat_kernel(rs, 0.7, y, x)
             self.assertGreater(a, 0.0)
             self.assertAlmostEqual(a, b, places=13)
 
@@ -38,26 +36,32 @@ class TestPointwiseKernel(unittest.TestCase):
         rs = RootSystem.z2_product([0.0])
         for t in (0.1, 1.0):
             for x, y in ((0.3, -1.2), (2.0, 2.5)):
-                got = heat_kernel(rs, t, [x], [y]).value
+                got = heat_kernel(rs, t, [x], [y])
                 ref = math.exp(-((x - y) ** 2) / (4 * t)) / math.sqrt(4 * math.pi * t)
                 self.assertAlmostEqual(got, ref, places=12)
-
-    def test_mode_scaling(self):
-        rs = RootSystem.z2_product([0.8])
-        a = heat_kernel(rs, 0.5, [1.0], [2.0], MODE_NORMALIZED).value
-        b = heat_kernel(rs, 0.5, [1.0], [2.0], MODE_UNSCALED).value
-        ratio = mode_factor(rs, 0.5, MODE_UNSCALED) / mode_factor(rs, 0.5, MODE_NORMALIZED)
-        self.assertAlmostEqual(b / a, ratio, places=12)
 
     def test_invalid_time(self):
         rs = RootSystem.z2_product([0.5])
         with self.assertRaises(InputError):
             heat_kernel(rs, 0.0, [1.0], [1.0])
 
-    def test_unknown_mode(self):
-        rs = RootSystem.z2_product([0.5])
-        with self.assertRaises(InputError):
-            heat_kernel(rs, 1.0, [1.0], [1.0], mode="bogus")
+    @settings(max_examples=60, deadline=None)
+    @given(
+        t=st.floats(0.1, 4.0),
+        kappas=st.lists(st.sampled_from([0.0, 0.5, 1.5]), min_size=1, max_size=3),
+        data=st.data(),
+    )
+    def test_symmetric_and_positive_under_sign_flips(self, t, kappas, data):
+        rs = RootSystem.z2_product(kappas)
+        d = len(kappas)
+        coords = st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d)
+        signs = st.lists(st.sampled_from([-1.0, 1.0]), min_size=d, max_size=d)
+        x = np.array(data.draw(coords))
+        y = np.array(data.draw(coords))
+        kxy = heat_kernel(rs, t, x, y)
+        self.assertEqual(kxy, heat_kernel(rs, t, y, x))
+        sx, sy = np.array(data.draw(signs)), np.array(data.draw(signs))
+        self.assertGreater(heat_kernel(rs, t, sx * x, sy * y), 0.0)
 
 
 class TestKernelMatrix(unittest.TestCase):
@@ -67,14 +71,11 @@ class TestKernelMatrix(unittest.TestCase):
         cls.grid = build_grid(rs, 14.0, 256)
 
     def test_matches_pointwise(self):
-        K = heat_kernel_matrix(self.grid, 0.4)
-        idx = (10, 57, 200)
-        for i in idx:
-            for j in idx:
-                ref = heat_kernel(
-                    self.grid.rs, 0.4, self.grid.nodes[i], self.grid.nodes[j]
-                ).value
-                self.assertAlmostEqual(K[i, j], ref, places=12)
+        rank_two = build_grid(RootSystem.z2_product([0.5, 1.5]), 6.0, 12)
+        for grid in (self.grid, rank_two):
+            K = heat_kernel_matrix(grid, 0.4)
+            ref = heat_kernel(grid.rs, 0.4, grid.nodes[:, None, :], grid.nodes[None, :, :])
+            np.testing.assert_allclose(K, ref, rtol=1e-14, atol=0.0)
 
     def test_mass_one(self):
         mask = self.grid.interior_mask(0.45)

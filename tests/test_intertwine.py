@@ -2,6 +2,7 @@
 
 import unittest
 
+import mpmath
 import numpy as np
 
 from dunklkit.errors import CapabilityError, InputError
@@ -77,6 +78,24 @@ class TestKernelOneDim(unittest.TestCase):
             v = scaled_e_real(s, kap)
             self.assertTrue(np.all(v > 0))
             self.assertTrue(np.all(v <= 1.0 + 1e-12))
+
+    def test_scaled_form_matches_mpmath(self):
+        # Bessel form of E(s) e^{-|s|} to 40 digits, across the Taylor switch
+        # at 1e-6; for s < 0 its two terms cancel to e^{-2|s|}, which costs
+        # about 0.87 |s| digits, so the working precision grows with |s|
+        mags = (1e-9, 9.99e-7, 1e-6, 1.001e-6, 0.37, 3.0, 40.0, 700.0)
+        s = np.array([0.0] + [m for a in mags for m in (a, -a)])
+        for kap in (0.0, 0.5, 1.5):
+            ref = [1.0]
+            for v in s[1:]:
+                with mpmath.workdps(40 + int(abs(v))):
+                    a = mpmath.mpf(abs(v))
+                    nu = mpmath.mpf(kap) - mpmath.mpf(0.5)
+                    even = mpmath.gamma(nu + 1) * (2 / a) ** nu * mpmath.besseli(nu, a)
+                    odd = mpmath.gamma(nu + 2) * (2 / a) ** (nu + 1) * mpmath.besseli(nu + 1, a)
+                    ref.append(float((even + mpmath.mpf(v) / (2 * nu + 2) * odd) * mpmath.exp(-a)))
+            # the only zero reference is e^{-1400} at kappa = 0, s = -700
+            np.testing.assert_allclose(scaled_e_real(s, kap), ref, rtol=1e-12, atol=1e-300)
 
     def test_imaginary_direction_contractive(self):
         s = np.linspace(-10, 10, 41)
