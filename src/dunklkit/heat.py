@@ -36,9 +36,8 @@ def axis_factor(x, y, t, kappa: float):
     """One axis of the kernel, E_kappa(x, y/2t) e^{-(x^2+y^2)/4t}, with the
     exponents recombined so it stays finite at large |x y|/t; broadcasts
     over x, y and t."""
-    xy = x * y
-    gauss = np.exp(-(x**2 + y**2 - 2.0 * np.abs(xy)) / (4.0 * t))
-    return scaled_e_real(xy / (2.0 * t), kappa) * gauss
+    gauss = np.exp(-((np.abs(x) - np.abs(y)) ** 2) / (4.0 * t))
+    return scaled_e_real(x * y / (2.0 * t), kappa) * gauss
 
 
 def heat_kernel(rs: RootSystem, t: float, x, y) -> np.ndarray:
@@ -52,7 +51,8 @@ def heat_kernel(rs: RootSystem, t: float, x, y) -> np.ndarray:
     K = kernel_prefactor(rs, t)
     for j, kap in enumerate(rs.multiplicities):
         K = K * axis_factor(x[..., j], y[..., j], t, float(kap))
-    if np.any(K <= 0):
+    # a NaN value fails this test too
+    if not np.all(K > 0):
         raise InputError("heat kernel values must be strictly positive")
     return K
 

@@ -106,6 +106,13 @@ def e_minus_i(s, kappa: float) -> np.ndarray:
     )
 
 
+def _ive(nu: float, a):
+    """ive(nu, a), from a = 1e9 on by its two-term expansion (scipy's is NaN
+    from 2^31 on; the expansion errs by < 1e-17 beyond 1e9)."""
+    big = (1.0 - (4.0 * nu * nu - 1.0) / (8.0 * a)) / np.sqrt(2.0 * np.pi * a)
+    return np.where(a > 1e9, big, ive(nu, a))
+
+
 def scaled_e_real(s, kappa: float) -> np.ndarray:
     """Overflow-safe E(x, y) e^{-|xy|} with s = x y, via scaled Bessel I."""
     s = np.asarray(s, dtype=float)
@@ -115,8 +122,8 @@ def scaled_e_real(s, kappa: float) -> np.ndarray:
     # below 1e-6 the Taylor form; the Bessel form sees a floored argument there
     taylor = (1.0 + s / (2.0 * kappa + 1.0)) * np.exp(-a)
     al = np.maximum(a, 1e-6)
-    even = sgamma(kappa + 0.5) * (2.0 / al) ** (kappa - 0.5) * ive(kappa - 0.5, al)
-    odd = sgamma(kappa + 1.5) * (2.0 / al) ** (kappa + 0.5) * ive(kappa + 0.5, al)
+    even = sgamma(kappa + 0.5) * (2.0 / al) ** (kappa - 0.5) * _ive(kappa - 0.5, al)
+    odd = sgamma(kappa + 1.5) * (2.0 / al) ** (kappa + 0.5) * _ive(kappa + 0.5, al)
     return np.where(a < 1e-6, taylor, even + s / (2.0 * kappa + 1.0) * odd)
 
 

@@ -2,17 +2,19 @@
 orbit-distance forms, Lebesgue measure), the heat-semigroup characterization,
 resolvent decay, the growth bound, and kernel smoothing norms.
 
+The heat characterization has one integrand, _flow_density, which sums a
+fixed time rule inside one adaptive spatial quadrature at QUAD_TOL.
+
 Verdicts are threshold-based trend classifications with an explicit
 Inconclusive band; membership in the class is a limit statement and is not
 decidable numerically.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import quad
 from scipy.linalg import svdvals
 from scipy.special import roots_laguerre, roots_legendre
 
@@ -23,6 +25,8 @@ from .schrodinger import EigenDecomp, splitting_kernel, splitting_steps
 
 QUAD_LIMIT = 200
 QUAD_TOL = 1e-12
+# Gauss-Laguerre rule in time for the resolvent integrals
+LAGUERRE = roots_laguerre(48)
 DIVERGENCE_RELERR = 1e-2
 
 CLASSICAL = "classical"
@@ -208,161 +212,118 @@ def kato_equivalence_check(
 # heat characterization
 
 
-def semigroup_abs_potential(
-    rs: RootSystem,
-    V_fn,
-    s: float,
-    x: float,
-    singular=(0.0,),
-    epsabs: float = QUAD_TOL,
-) -> float:
-    """(e^{-sA}|V|)(x) through the closed-form kernel and adaptive quadrature."""
-    if rs.dimension != 1:
-        raise CapabilityError("heat characterization implemented in rank one")
-    L = abs(x) + 20.0 * math.sqrt(s) + 2.0
+def _time_rule(t: float) -> tuple:
+    """Nodes and weights on [0, t]: 8-point Gauss-Legendre on 9 panels with
+    log-spaced edges t * 10^-4 ... t and a first panel down to 0."""
+    edges = np.concatenate([[0.0], t * np.geomspace(1e-4, 1.0, 10)])
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    gl_x, gl_w = roots_legendre(8)
+    return (mid[:, None] + half[:, None] * gl_x).ravel(), (half[:, None] * gl_w).ravel()
+
+
+def _flow_density(rs: RootSystem, V_fn, x: float, s, w):
+    """y -> sum_i w_i K_{s_i}(x, y) |V(y)| (sqrt(2)|y|)^(2 kappa), rank one.
+
+    The integrand of every time-integrated heat flow of |V| at x: its
+    integral over y is sum_i w_i (e^{-s_i A}|V|)(x).
+    """
     kap = float(rs.multiplicities[0])
     # root length sqrt(2): the density is (sqrt(2)|y|)^(2 kappa)
-    pref = kernel_prefactor(rs, s) * 2.0**kap
+    ws = w * kernel_prefactor(rs, s)
 
-    def fn(y):
-        w = abs(y) ** (2.0 * kap) if kap else 1.0
-        return pref * axis_factor(x, y, s, kap) * w * abs(V_fn(y))
+    def density(y):
+        flow = float(ws @ axis_factor(x, y, s, kap))
+        return flow * (2.0 * y * y) ** kap * abs(V_fn(y))
 
-    pts = sorted({0.0, x, -x, *singular})
-    pts = [p for p in pts if -L < p < L]
-    with warnings.catch_warnings():
-        # bounded integrand; sub-roundoff tolerance requests are intentional
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, _ = quad(
-            fn, -L, L, points=pts or None, limit=QUAD_LIMIT, epsabs=epsabs,
-            epsrel=epsabs,
-        )
+    return density
+
+
+def semigroup_abs_potential(
+    rs: RootSystem, V_fn, s, x: float, w=1.0, singular=(0.0,)
+) -> float:
+    """sum_i w_i (e^{-s_i A}|V|)(x): one quadrature of _flow_density on [-L, L].
+
+    Breakpoints are 0, +-x and the singular points, plus fences around +-x
+    from 10 sqrt(min s) outward by factors of 4, so that the narrowest kernel
+    is not stepped over.
+    """
+    if rs.dimension != 1:
+        raise CapabilityError("heat characterization implemented in rank one")
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    if not np.all(s > 0):
+        raise InputError("times must be positive")
+    L = abs(x) + 20.0 * math.sqrt(s.max()) + 2.0
+    pts = {0.0, x, -x, *singular}
+    r = 10.0 * math.sqrt(s.min())
+    while r < 2.0 * L:
+        pts |= {x - r, x + r, -x - r, -x + r}
+        r *= 4.0
+    pts = sorted(p for p in pts if -L < p < L)
+    density = _flow_density(rs, V_fn, x, s, w)
+    # positional after (): full_output 0, absolute and relative tolerance
+    val, _ = quad(density, -L, L, (), 0, QUAD_TOL, QUAD_TOL, QUAD_LIMIT, pts)
     return float(val)
 
 
-def _log_panels(t: float, n_panels: int = 9, ratio: float = 1e-4) -> list:
-    edges = [0.0] + list(t * np.geomspace(ratio, 1.0, n_panels + 1))
-    return list(zip(edges[:-1], edges[1:]))
-
-
 def heat_modulus(
-    rs: RootSystem,
-    V_fn,
-    t: float,
-    probes=(0.0,),
-    singular=(0.0,),
-    order: int = 8,
-    n_panels: int = 9,
-    epsabs: float = QUAD_TOL,
+    rs: RootSystem, V_fn, t: float, probes=(0.0,), singular=(0.0,)
 ) -> float:
-    """sup_x of int_0^t (e^{-sA}|V|)(x) ds, log-spaced composite quadrature.
-
-    Each panel uses Gauss-Legendre, so a constant potential integrates to
-    exactly t up to the spatial quadrature tolerance.  The coarse knobs
-    (order, n_panels, epsabs) trade accuracy for speed in trend checks.
-    """
+    """sup_x of int_0^t (e^{-sA}|V|)(x) ds under _time_rule(t), whose
+    Gauss-Legendre panels integrate a constant potential to exactly t."""
     if t <= 0:
         raise InputError("time must be positive")
-    gl_x, gl_w = roots_legendre(order)
-    best = -np.inf
-    for x in np.atleast_1d(np.asarray(probes, dtype=float)):
-        total = 0.0
-        for lo, hi in _log_panels(t, n_panels):
-            mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-            for xi, wi in zip(gl_x, gl_w):
-                total += half * wi * semigroup_abs_potential(
-                    rs, V_fn, mid + half * xi, float(x), singular, epsabs
-                )
-        best = max(best, total)
-    return float(best)
+    s, w = _time_rule(t)
+    return max(
+        semigroup_abs_potential(rs, V_fn, s, float(x), w, singular)
+        for x in np.atleast_1d(np.asarray(probes, dtype=float))
+    )
 
 
 def heat_modulus_split(
-    rs: RootSystem,
-    V_fn,
-    t: float,
-    c_fit: float = 0.25,
-    probes=(0.0,),
-    singular=(0.0,),
-    n_laguerre: int = 48,
+    rs: RootSystem, V_fn, t: float, c_fit: float = 0.25, probes=(0.0,), singular=(0.0,)
 ) -> dict:
     """Diagnostic small-ball / Gaussian-tail split of the damped majorant.
 
-    Integrates the a = 1 resolvent kernel (Laguerre in time) against |V| on
-    the orbit ball of radius beta = (d t / 2c)^(1/2d) and its complement; the
-    heat modulus is bounded by e^t times the sum.
+    Integrates the a = 1 resolvent density (_flow_density with the Laguerre
+    rule) against |V| on the orbit ball of radius beta = (d t / 2c)^(1/2d);
+    the tail is the whole a = 1 resolvent (as in resolvent_decay) minus the
+    ball.  The heat modulus is bounded by e^t times the sum.
     """
     d = rs.dimension
     if d != 1:
         raise CapabilityError("split diagnostic implemented in rank one")
     beta = (d * t / (2.0 * c_fit)) ** (1.0 / (2.0 * d))
-    sv, sw = roots_laguerre(n_laguerre)
-    kap = float(rs.multiplicities[0])
-    pref = kernel_prefactor(rs, sv)
+    sv, sw = LAGUERRE
     out = []
     for x in np.atleast_1d(np.asarray(probes, dtype=float)):
-        L = abs(x) + 25.0 + 2.0
-
-        def resolvent_density(y):
-            ks = pref * axis_factor(x, y, sv, kap)
-            # root length sqrt(2): density (sqrt(2)|y|)^(2 kappa)
-            w = (2.0 * y * y) ** kap if kap else 1.0
-            return float((sw @ ks) * abs(V_fn(y)) * w)
-
-        xp = abs(x)
-        near = _orbit_intervals(xp, beta)
-        near_val = 0.0
-        for lo, hi in near:
-            v, _, _ = _lebesgue_quad(resolvent_density, lo, hi, singular)
-            near_val += v
-        far_val = 0.0
-        cuts = sorted({-L, *[e for seg in near for e in seg], L})
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            if any(abs(lo - a) < 1e-15 and abs(hi - b) < 1e-15 for a, b in near):
-                continue
-            v, _, _ = _lebesgue_quad(resolvent_density, lo, hi, singular)
-            far_val += v
-        out.append({"probe": float(x), "small_ball": near_val, "tail": far_val})
+        density = _flow_density(rs, V_fn, float(x), sv, sw)
+        near = sum(
+            _lebesgue_quad(density, lo, hi, singular)[0]
+            for lo, hi in _orbit_intervals(abs(x), beta)
+        )
+        total = semigroup_abs_potential(rs, V_fn, sv, float(x), sw, singular)
+        out.append({"probe": float(x), "small_ball": near, "tail": total - near})
     worst = max(out, key=lambda r: r["small_ball"] + r["tail"])
     return {"beta": float(beta), "parts": out, "majorant_at_sup": worst}
 
 
 def resolvent_decay(
-    rs: RootSystem,
-    V_fn,
-    a_list,
-    probes=(0.0,),
-    singular=(0.0,),
-    n_laguerre: int = 48,
-    epsabs: float = QUAD_TOL,
+    rs: RootSystem, V_fn, a_list, probes=(0.0,), singular=(0.0,)
 ) -> dict:
-    """sup norm of (A + a)^{-1}|V| along a_list, via Gauss-Laguerre in time.
-
-    The Laguerre rule makes a constant potential evaluate to exactly 1/a.
-    Also records the short-time bound (1 - e^{-1})^{-1} heat_modulus(1/a).
-    """
-    sv, sw = roots_laguerre(n_laguerre)
+    """sup norm of (A + a)^{-1}|V| along a_list under the Gauss-Laguerre rule
+    (nodes s_i/a, weights w_i/a), exactly 1/a for a constant potential; also
+    records the short-time bound (1 - e^{-1})^{-1} heat_modulus(1/a)."""
+    sv, sw = LAGUERRE
     rows = []
     for a in a_list:
         if a <= 0:
             raise InputError("resolvent shifts must be positive")
-        best = -np.inf
-        for x in np.atleast_1d(np.asarray(probes, dtype=float)):
-            vals = np.array(
-                [
-                    semigroup_abs_potential(rs, V_fn, s / a, float(x), singular, epsabs)
-                    for s in sv
-                ]
-            )
-            best = max(best, float(sw @ vals) / a)
-        hm = heat_modulus(rs, V_fn, 1.0 / a, probes, singular, epsabs=epsabs)
-        rows.append(
-            {
-                "a": float(a),
-                "norm": best,
-                "bound": hm / (1.0 - math.exp(-1.0)),
-            }
+        norm = max(
+            semigroup_abs_potential(rs, V_fn, sv / a, float(x), sw / a, singular)
+            for x in np.atleast_1d(np.asarray(probes, dtype=float))
         )
+        hm = heat_modulus(rs, V_fn, 1.0 / a, probes, singular)
+        rows.append({"a": float(a), "norm": norm, "bound": hm / (1.0 - math.exp(-1.0))})
     return {"rows": rows}
 
 
@@ -480,11 +441,8 @@ def classify(
             divergent = divergent or m2.divergent
     heat_ok = None
     if d == 1 and not divergent:
-        # 4x-drop gating needs ~1e-6 accuracy; run the heat leg coarse
         for t in (1.0, 0.03):
-            hm[float(t)] = heat_modulus(
-                rs, V_fn, t, probes, singular, order=4, n_panels=6, epsabs=1e-8
-            )
+            hm[float(t)] = heat_modulus(rs, V_fn, t, probes, singular)
         heat_ok = hm[1.0] >= 4.0 * hm[0.03]
     diagnostics = {"divergent": divergent, "probe_count": len(np.atleast_1d(probes))}
     if divergent:

@@ -45,6 +45,13 @@ class TestPointwiseKernel(unittest.TestCase):
         with self.assertRaises(InputError):
             heat_kernel(rs, 0.0, [1.0], [1.0])
 
+    def test_nan_or_underflow_raises(self):
+        # x y / 2t = 1e10 (beyond scipy's ive) underflows; NaN must not pass
+        rs = RootSystem.z2_product([0.5])
+        for t, x in ((1e-9, 0.7), (1.0, np.nan)):
+            with self.assertRaises(InputError):
+                heat_kernel(rs, t, [[x]], [[30.0]])
+
     @settings(max_examples=60, deadline=None)
     @given(
         t=st.floats(0.1, 4.0),

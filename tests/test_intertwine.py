@@ -22,6 +22,16 @@ from dunklkit.intertwine import (
 from dunklkit.reflection import RootSystem, generate_group
 
 
+def _mp_scaled(v, kap, dps):
+    """Bessel form of E(s) e^{-|s|} at s = v in mpmath, at dps digits."""
+    with mpmath.workdps(dps):
+        a = mpmath.mpf(abs(v))
+        nu = mpmath.mpf(kap) - mpmath.mpf(0.5)
+        even = mpmath.gamma(nu + 1) * (2 / a) ** nu * mpmath.besseli(nu, a)
+        odd = mpmath.gamma(nu + 2) * (2 / a) ** (nu + 1) * mpmath.besseli(nu + 1, a)
+        return float((even + mpmath.mpf(v) / (2 * nu + 2) * odd) * mpmath.exp(-a))
+
+
 class TestRankOneMeasure(unittest.TestCase):
     def test_probability_and_support(self):
         nodes, wts = rank_one_measure(0.7, 2.0, 48)
@@ -86,16 +96,18 @@ class TestKernelOneDim(unittest.TestCase):
         mags = (1e-9, 9.99e-7, 1e-6, 1.001e-6, 0.37, 3.0, 40.0, 700.0)
         s = np.array([0.0] + [m for a in mags for m in (a, -a)])
         for kap in (0.0, 0.5, 1.5):
-            ref = [1.0]
-            for v in s[1:]:
-                with mpmath.workdps(40 + int(abs(v))):
-                    a = mpmath.mpf(abs(v))
-                    nu = mpmath.mpf(kap) - mpmath.mpf(0.5)
-                    even = mpmath.gamma(nu + 1) * (2 / a) ** nu * mpmath.besseli(nu, a)
-                    odd = mpmath.gamma(nu + 2) * (2 / a) ** (nu + 1) * mpmath.besseli(nu + 1, a)
-                    ref.append(float((even + mpmath.mpf(v) / (2 * nu + 2) * odd) * mpmath.exp(-a)))
+            ref = [1.0] + [_mp_scaled(v, kap, 40 + int(abs(v))) for v in s[1:]]
             # the only zero reference is e^{-1400} at kappa = 0, s = -700
             np.testing.assert_allclose(scaled_e_real(s, kap), ref, rtol=1e-12, atol=1e-300)
+
+    def test_scaled_form_at_large_arguments(self):
+        # scipy's ive is NaN from 2^31 on; s < 0 cancels to O(1/s), out of
+        # reach of double precision here, so it is only required finite
+        s = np.array([1e9, 3e9, 1e12])
+        for kap in (0.5, 1.5):
+            ref = [_mp_scaled(v, kap, 40) for v in s]
+            np.testing.assert_allclose(scaled_e_real(s, kap), ref, rtol=1e-12)
+            self.assertTrue(np.all(np.isfinite(scaled_e_real(-s, kap))))
 
     def test_imaginary_direction_contractive(self):
         s = np.linspace(-10, 10, 41)

@@ -9,13 +9,16 @@ from dunklkit.errors import CapabilityError, InputError
 from dunklkit.grids import build_grid
 from dunklkit.kato import (
     CLASSICAL,
+    LAGUERRE,
     ORBIT,
+    _time_rule,
     classify,
     growth_bound_check,
     heat_modulus,
     kato_equivalence_check,
     kato_modulus,
     resolvent_decay,
+    semigroup_abs_potential,
     smoothing_norms,
 )
 from dunklkit.reflection import RootSystem
@@ -88,17 +91,71 @@ class TestHeatModulus(unittest.TestCase):
 
     def test_monotone_in_t(self):
         soft = potential_function("soft_coulomb", a=1.0)
-        h1 = heat_modulus(self.rs, soft, 0.1, order=4, n_panels=6, epsabs=1e-8)
-        h2 = heat_modulus(self.rs, soft, 1.0, order=4, n_panels=6, epsabs=1e-8)
+        h1 = heat_modulus(self.rs, soft, 0.1)
+        h2 = heat_modulus(self.rs, soft, 1.0)
         self.assertLess(h1, h2)
 
     def test_resolvent_constant(self):
-        rep = resolvent_decay(self.rs, ONE, (1.0, 4.0), epsabs=1e-8)
+        rep = resolvent_decay(self.rs, ONE, (1.0, 4.0))
         for row in rep["rows"]:
             self.assertAlmostEqual(row["norm"], 1.0 / row["a"], places=6)
             self.assertGreaterEqual(row["bound"] * 1.001, row["norm"])
         with self.assertRaises(InputError):
             resolvent_decay(self.rs, ONE, (-1.0,))
+
+    def test_nonpositive_time_rejected(self):
+        with self.assertRaises(InputError):
+            heat_modulus(self.rs, ONE, 0.0)
+        with self.assertRaises(InputError):
+            semigroup_abs_potential(self.rs, ONE, [0.1, 0.0], 0.5)
+
+
+def _gauss(y):
+    return np.exp(-np.asarray(y, dtype=float) ** 2)
+
+
+def _gauss_flow(kap, s, x):
+    """(e^{-sA} e^{-y^2})(x) = (1 + 4s)^{-(kappa + 1/2)} e^{-x^2/(1 + 4s)}."""
+    s = np.asarray(s, dtype=float)
+    return (1.0 + 4.0 * s) ** (-(kap + 0.5)) * np.exp(-x * x / (1.0 + 4.0 * s))
+
+
+class TestGaussianOracle(unittest.TestCase):
+    """The heat flow of e^{-y^2} in closed form, from s = 1e-10 (a kernel
+    1e-4 wide) to s = 100."""
+
+    KAPPAS = (0.0, 0.5, 1.5)
+    XS = (0.0, 0.5, 2.0)
+
+    def test_single_time(self):
+        for kap in self.KAPPAS:
+            rs = RootSystem.z2_product([kap])
+            for x in self.XS:
+                for s in 10.0 ** np.arange(-10, 3):
+                    ref = _gauss_flow(kap, s, x)
+                    got = semigroup_abs_potential(rs, _gauss, s, x)
+                    self.assertLess(abs(got - ref), 1e-10 * ref, (kap, x, s))
+
+    def test_heat_modulus_is_the_time_rule(self):
+        for kap in self.KAPPAS:
+            rs = RootSystem.z2_product([kap])
+            for x in self.XS:
+                for t in (1.0, 0.3, 0.03):
+                    s, w = _time_rule(t)
+                    ref = float(w @ _gauss_flow(kap, s, x))
+                    got = heat_modulus(rs, _gauss, t, probes=(x,))
+                    self.assertLess(abs(got - ref), 1e-12 * ref, (kap, x, t))
+
+    def test_resolvent_is_the_laguerre_rule(self):
+        sv, sw = LAGUERRE
+        for kap in self.KAPPAS:
+            rs = RootSystem.z2_product([kap])
+            for x in self.XS:
+                for a in (1.0, 4.0, 64.0):
+                    ref = float(sw @ _gauss_flow(kap, sv / a, x)) / a
+                    got = resolvent_decay(rs, _gauss, (a,), probes=(x,))
+                    norm = got["rows"][0]["norm"]
+                    self.assertLess(abs(norm - ref), 1e-12 * ref, (kap, x, a))
 
 
 class TestGrowthBound(unittest.TestCase):
