@@ -25,7 +25,7 @@ def main():
     rs = RootSystem.z2_product([0.5])
     grid = build_grid(rs, 10.0, 256)
     ed = resolved_calculus(grid, potential_preset(grid, "soft_coulomb", a=1.0))
-    R = riesz_matrix(ed, axis=0, order=6)
+    R = riesz_matrix(ed, axis=0)
     xs = grid.nodes[:, 0]
 
     rng = np.random.default_rng(3)
@@ -37,7 +37,7 @@ def main():
     print("L2 ratio over 20 random functions: %.6f (<= 1 + 1e-3)" % worst)
 
     atoms = [(0.0, 1.0), (0.0, 0.5), (0.0, 0.35), (1.3, 1.0), (1.3, 0.5)]
-    rep = weak_type_report(ed, atoms, axis=0, order=6)
+    rep = weak_type_report(ed, atoms, axis=0)
     print("\ncenter  radius  weak ratio  under-resolved")
     for a in rep["atoms"]:
         print(

@@ -51,7 +51,6 @@ _EXPORTS = {
     "phi_profile": ".intertwine",
     # transform
     "SpectralMatrix": ".transform",
-    "CACHE_ENV": ".transform",
     "c_k": ".transform",
     "build_spectral_matrix": ".transform",
     "dunkl_transform": ".transform",
@@ -60,7 +59,6 @@ _EXPORTS = {
     "translate_radial": ".transform",
     "convolve": ".transform",
     # operators
-    "DunklDerivativeStencil": ".operators",
     "dunkl_derivative": ".operators",
     "dunkl_derivative_matrix": ".operators",
     "dunkl_laplacian": ".operators",
@@ -85,7 +83,6 @@ _EXPORTS = {
     "splitting_steps": ".schrodinger",
     "inv_sqrt_apply": ".schrodinger",
     "inv_sqrt_subordination": ".schrodinger",
-    "riesz_apply": ".schrodinger",
     "riesz_matrix": ".schrodinger",
     "weak_type_report": ".schrodinger",
     "weighted_estimate_report": ".schrodinger",

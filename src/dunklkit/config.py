@@ -8,6 +8,7 @@ from pathlib import Path
 import yaml
 
 from .errors import ConfigError
+from .operators import FD_ORDER
 
 GROUP_KINDS = ("z2_product", "dihedral")
 POTENTIAL_PRESETS = ("zero", "constant", "soft_coulomb", "inverse_power", "bump")
@@ -73,6 +74,12 @@ def _validate_grid(g: dict):
     _require(isinstance(R, (int, float)) and R > 0, "grid R must be positive")
     _require(isinstance(N, int) and N > 0, "grid N must be a positive integer")
     _require(N % 2 == 0, "grid N must be even")
+    width = FD_ORDER + 1
+    _require(
+        N >= width,
+        f"grid N must be at least {width + 1}: the {width}-node derivative stencil "
+        f"needs {width} nodes per axis",
+    )
     return {"R": float(R), "N": N}
 
 

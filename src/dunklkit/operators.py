@@ -1,11 +1,9 @@
-"""Deformed directional derivatives on sampled functions.
+"""The Dunkl derivative on sampled functions, one dense operator per axis.
 
-The derivative along axis j is the finite-difference partial plus the
+T_j is the finite-difference partial of order FD_ORDER along axis j plus the
 reflection difference term kappa_j (f(x) - f(sigma_j x)) / x_j; on sign-closed
 grids the reflected sample is exact, so only the partial carries stencil error.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,20 +11,7 @@ from .errors import InputError
 from .grids import QuadratureGrid, SampledFunction
 from .transform import SpectralMatrix, dunkl_transform, inverse_transform
 
-
-@dataclass(frozen=True)
-class DunklDerivativeStencil:
-    direction: np.ndarray
-    fd_order: int = 6
-    hyperplane_guard: float = 1e-9
-
-    def __post_init__(self):
-        v = np.atleast_1d(np.asarray(self.direction, dtype=float))
-        object.__setattr__(self, "direction", v)
-        if self.fd_order not in (2, 4, 6):
-            raise InputError("finite-difference order must be 2, 4, or 6")
-        if self.hyperplane_guard <= 0:
-            raise InputError("hyperplane guard must be positive")
+FD_ORDER = 6  # accuracy order of the partial: a centred 7-node stencil
 
 
 def fornberg_weights(z: float, x: np.ndarray, m: int) -> np.ndarray:
@@ -55,25 +40,24 @@ def fornberg_weights(z: float, x: np.ndarray, m: int) -> np.ndarray:
     return c[:, m]
 
 
-def diff_matrix(axis_nodes: np.ndarray, order: int = 6, deriv: int = 1) -> np.ndarray:
-    """Dense differentiation matrix on a 1D node set; one-sided at the edges."""
+def diff_matrix(axis_nodes: np.ndarray) -> np.ndarray:
+    """Dense first-derivative matrix on a 1D node set; one-sided at the edges."""
     n = len(axis_nodes)
-    width = order + 1
+    width = FD_ORDER + 1
     if n < width:
-        raise InputError("not enough nodes for the requested stencil order")
+        raise InputError(f"the {width}-node stencil needs at least {width} nodes")
     D = np.zeros((n, n))
     half = width // 2
     for i in range(n):
         lo = min(max(i - half, 0), n - width)
         sten = axis_nodes[lo : lo + width]
-        D[i, lo : lo + width] = fornberg_weights(axis_nodes[i], sten, deriv)
+        D[i, lo : lo + width] = fornberg_weights(axis_nodes[i], sten, 1)
     return D
 
 
-def axis_partial_matrix(grid: QuadratureGrid, axis: int, order: int = 6) -> np.ndarray:
+def axis_partial_matrix(grid: QuadratureGrid, axis: int) -> np.ndarray:
     """Dense matrix of the plain partial derivative along one axis."""
-    ax = np.unique(np.round(grid.nodes[:, axis], 14))
-    D1 = diff_matrix(ax, order=order, deriv=1)
+    D1 = diff_matrix(grid.axis_nodes)
     d = grid.dimension
     n = grid.n_axis
     if d == 1:
@@ -87,12 +71,10 @@ def axis_partial_matrix(grid: QuadratureGrid, axis: int, order: int = 6) -> np.n
     return out
 
 
-def dunkl_derivative_matrix(
-    grid: QuadratureGrid, axis: int, order: int = 6
-) -> np.ndarray:
+def dunkl_derivative_matrix(grid: QuadratureGrid, axis: int) -> np.ndarray:
     """Dense matrix of the deformed derivative along a coordinate axis."""
     kap = float(grid.rs.multiplicities[axis])
-    D = axis_partial_matrix(grid, axis, order)
+    D = axis_partial_matrix(grid, axis)
     if kap == 0.0:
         return D
     signs = [1] * grid.dimension
@@ -106,57 +88,17 @@ def dunkl_derivative_matrix(
 
 
 def dunkl_derivative(
-    grid: QuadratureGrid, stencil: DunklDerivativeStencil, f: SampledFunction
+    grid: QuadratureGrid, f: SampledFunction, axis: int = 0
 ) -> SampledFunction:
-    """Apply the deformed derivative in an arbitrary direction.
-
-    Linearity in the direction reduces everything to the per-axis operators;
-    nodes inside the hyperplane guard band would switch to the regularized
-    (derivative) form of the difference quotient, which sign-avoiding grids
-    never trigger.
-    """
-    if stencil.direction.size != grid.dimension:
-        raise InputError("direction dimension mismatch")
-    vals = np.asarray(f.values, dtype=float)
-    d = grid.dimension
-    n = grid.n_axis
-    shape = [n] * d
-    out = np.zeros_like(vals)
-    field = vals.reshape(shape)
-    for j, comp in enumerate(stencil.direction):
-        if comp == 0.0:
-            continue
-        ax = np.unique(np.round(grid.nodes[:, j], 14))
-        D1 = diff_matrix(ax, order=stencil.fd_order, deriv=1)
-        partial = np.moveaxis(
-            np.tensordot(D1, np.moveaxis(field, j, 0), axes=(1, 0)), 0, j
-        ).ravel()
-        kap = float(grid.rs.multiplicities[j])
-        term = partial.copy()
-        if kap != 0.0:
-            signs = [1] * d
-            signs[j] = -1
-            perm = grid.reflection_map(signs)
-            xj = grid.nodes[:, j]
-            guarded = np.abs(xj) < stencil.hyperplane_guard
-            quot = np.empty_like(vals)
-            safe = ~guarded
-            quot[safe] = (vals[safe] - vals[perm][safe]) / xj[safe]
-            if np.any(guarded):
-                # removable singularity: difference quotient tends to 2 d_j f
-                quot[guarded] = 2.0 * partial[guarded]
-            term = term + kap * quot
-        out += comp * term
-    return SampledFunction(grid, out)
+    """Apply the deformed derivative along a coordinate axis."""
+    return SampledFunction(grid, dunkl_derivative_matrix(grid, axis) @ f.values)
 
 
-def dunkl_laplacian(
-    grid: QuadratureGrid, f: SampledFunction, order: int = 6
-) -> SampledFunction:
+def dunkl_laplacian(grid: QuadratureGrid, f: SampledFunction) -> SampledFunction:
     """Sum over axes of the squared deformed derivative."""
     out = np.zeros_like(np.asarray(f.values, dtype=float))
     for j in range(grid.dimension):
-        T = dunkl_derivative_matrix(grid, j, order)
+        T = dunkl_derivative_matrix(grid, j)
         out += T @ (T @ f.values)
     return SampledFunction(grid, out)
 
@@ -172,24 +114,24 @@ def spectral_laplacian(sm: SpectralMatrix, f: SampledFunction) -> SampledFunctio
 
 
 def antisymmetry_defect(
-    grid: QuadratureGrid, f: SampledFunction, g: SampledFunction, order: int = 6
+    grid: QuadratureGrid, f: SampledFunction, g: SampledFunction
 ) -> float:
     """max over axes of |<T_j f, g> + <f, T_j g>| in the weighted inner product."""
     worst = 0.0
     for j in range(grid.dimension):
-        T = dunkl_derivative_matrix(grid, j, order)
+        T = dunkl_derivative_matrix(grid, j)
         lhs = np.sum(grid.mu_weights * (T @ f.values) * g.values)
         rhs = np.sum(grid.mu_weights * f.values * (T @ g.values))
         worst = max(worst, abs(lhs + rhs))
     return worst
 
 
-def multiplier_defect(sm: SpectralMatrix, f: SampledFunction, order: int = 6) -> float:
+def multiplier_defect(sm: SpectralMatrix, f: SampledFunction) -> float:
     """max over axes of ||F(T_j f) - i xi_j F(f)||_2."""
     F = dunkl_transform(sm, f)
     worst = 0.0
     for j in range(sm.grid.dimension):
-        T = dunkl_derivative_matrix(sm.grid, j, order)
+        T = dunkl_derivative_matrix(sm.grid, j)
         lhs = dunkl_transform(sm, SampledFunction(sm.grid, T @ f.values))
         target = 1j * sm.grid.nodes[:, j] * F.values
         defect = SampledFunction(sm.grid, lhs.values - target).norm_l2()

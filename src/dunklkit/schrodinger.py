@@ -398,28 +398,9 @@ def inv_sqrt_matrix(ed: EigenDecomp, floor: float = 1e-8) -> np.ndarray:
     return (core * dh[None, :]) / dh[:, None]
 
 
-def riesz_matrix(
-    ed: EigenDecomp, axis: int = 0, order: int = 6, floor: float = 1e-8
-) -> np.ndarray:
+def riesz_matrix(ed: EigenDecomp, axis: int = 0, floor: float = 1e-8) -> np.ndarray:
     """Dense matrix of the Riesz transform T_axis L^(-1/2) on samples."""
-    T = dunkl_derivative_matrix(ed.grid, axis, order)
-    return T @ inv_sqrt_matrix(ed, floor)
-
-
-def riesz_apply(
-    ed: EigenDecomp,
-    f: SampledFunction,
-    axis: int = 0,
-    order: int = 6,
-    floor: float = 1e-8,
-) -> SampledFunction:
-    half = inv_sqrt_apply(ed, f, floor)
-    from .operators import DunklDerivativeStencil, dunkl_derivative
-
-    direction = np.zeros(ed.grid.dimension)
-    direction[axis] = 1.0
-    sten = DunklDerivativeStencil(direction, fd_order=order)
-    return dunkl_derivative(ed.grid, sten, half)
+    return dunkl_derivative_matrix(ed.grid, axis) @ inv_sqrt_matrix(ed, floor)
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +424,6 @@ def weak_type_report(
     ed: EigenDecomp,
     atoms,
     axis: int = 0,
-    order: int = 6,
     floor: float = 1e-8,
 ) -> dict:
     """Layer-cake supremum of the Riesz image of normalized indicator atoms.
@@ -452,7 +432,7 @@ def weak_type_report(
     spacings are flagged as under-resolved rather than rejected.
     """
     grid = ed.grid
-    R = riesz_matrix(ed, axis, order, floor)
+    R = riesz_matrix(ed, axis, floor)
     spacing = float(np.max(np.diff(np.sort(np.unique(grid.nodes[:, 0])))))
     rows = []
     for center, radius in atoms:
@@ -485,7 +465,6 @@ def weighted_estimate_report(
     t_list,
     y_list,
     axis: int = 0,
-    order: int = 6,
     n_phi: int = 64,
     s_list=(0.05, 0.1, 0.2, 0.4),
     gate_t: float = 1.0,
@@ -501,7 +480,7 @@ def weighted_estimate_report(
     """
     grid = ed.grid
     rs = grid.rs
-    T = dunkl_derivative_matrix(grid, axis, order)
+    T = dunkl_derivative_matrix(grid, axis)
     expo = gamma_k(rs) + grid.dimension / 2.0 + 1.0
     xs = grid.nodes[:, 0]
     probes = [nearest_node_index(grid, y) for y in y_list]

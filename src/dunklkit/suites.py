@@ -36,7 +36,6 @@ from .intertwine import (
     rank_one_measure,
 )
 from .operators import (
-    DunklDerivativeStencil,
     antisymmetry_defect,
     dunkl_derivative,
     dunkl_derivative_matrix,
@@ -529,16 +528,15 @@ def suite_operator_identities(scene: Scene, rng) -> SuiteResult:
     grid = sm.grid
     xs = grid.nodes[:, 0]
     interior = grid.interior_mask(0.8)
-    sten = DunklDerivativeStencil(np.array([1.0]), fd_order=6)
     even = SampledFunction(grid, np.exp(-(xs**2) / 2.0))
-    deriv = dunkl_derivative(grid, sten, even)
+    deriv = dunkl_derivative(grid, even)
     target = -xs * np.exp(-(xs**2) / 2.0)
     gap_even = float(np.max(np.abs(deriv.values - target)[interior]))
     ck.check("even_function_reduction", gap_even <= 1e-4, gap_even)
 
     g = SampledFunction(grid, np.exp(-(xs**2) / 2.0) * (1.0 + 0.3 * xs))
     h = SampledFunction(grid, np.exp(-(xs**2) / 1.7) * (1.0 - 0.2 * xs))
-    anti = antisymmetry_defect(grid, g, h, order=6)
+    anti = antisymmetry_defect(grid, g, h)
     ck.check("antisymmetry_gaussian", anti <= 1e-5, anti)
     sm_small = _aux_sm(kap, 10.0, 96)
     g2 = SampledFunction(
@@ -547,13 +545,13 @@ def suite_operator_identities(scene: Scene, rng) -> SuiteResult:
     h2 = SampledFunction(
         sm_small.grid, np.exp(-(sm_small.grid.nodes[:, 0] ** 2) / 1.7) * (1.0 - 0.2 * sm_small.grid.nodes[:, 0])
     )
-    anti_small = antisymmetry_defect(sm_small.grid, g2, h2, order=6)
+    anti_small = antisymmetry_defect(sm_small.grid, g2, h2)
     ck.check("antisymmetry_improves", anti <= anti_small * 1.5, anti_small, hard=False)
 
     md = multiplier_defect(sm, g)
     ck.check("multiplier_identity", md <= 1e-4, md)
 
-    lap_sten = dunkl_laplacian(grid, g, order=6)
+    lap_sten = dunkl_laplacian(grid, g)
     lap_spec = spectral_laplacian(sm, g)
     rel = float(
         np.max(np.abs(lap_sten.values - lap_spec.values)[interior])
@@ -566,18 +564,18 @@ def suite_operator_identities(scene: Scene, rng) -> SuiteResult:
 
     phiv = phi_profile(scene.rank_one, grp1, xs, np.array([0.5]), 64)
     pf = SampledFunction(grid, phiv)
-    t2 = dunkl_derivative(grid, sten, dunkl_derivative(grid, sten, pf))
+    t2 = dunkl_derivative(grid, dunkl_derivative(grid, pf))
     ratio = float(np.max(np.abs(t2.values[interior]) / phiv[interior]))
     ck.metric("second_derivative_weight_ratio", ratio)
     ck.check("weight_ratio_finite", np.isfinite(ratio), ratio)
 
     worst = 0.0
-    tphi = dunkl_derivative(grid, sten, pf)
+    tphi = dunkl_derivative(grid, pf)
     for _ in range(20):
         f = SampledFunction(
             grid, families.random_band_limited(xs, rng, n_terms=8, max_degree=16)
         )
-        tf = dunkl_derivative(grid, sten, f)
+        tf = dunkl_derivative(grid, f)
         num = abs(np.sum(grid.mu_weights * tf.values * f.values * tphi.values))
         den = np.sum(grid.mu_weights * f.values**2 * phiv)
         worst = max(worst, float(num / den))
@@ -597,7 +595,6 @@ def suite_kernel_eigenfunction(scene: Scene, rng) -> SuiteResult:
     ck = Checks()
     curve = []
     worst_all = 0.0
-    sten = DunklDerivativeStencil(np.array([1.0]), fd_order=6)
     for kap in (0.5, 1.5):
         rs1 = RootSystem.z2_product([kap])
         grid = build_grid(rs1, 4.0, 160)
@@ -605,7 +602,7 @@ def suite_kernel_eigenfunction(scene: Scene, rng) -> SuiteResult:
         interior = grid.interior_mask(0.8)
         for y in (0.5, 1.0, 2.0):
             e = SampledFunction(grid, kernel_bessel_1d(xs * y, kap))
-            te = dunkl_derivative(grid, sten, e)
+            te = dunkl_derivative(grid, e)
             res = float(np.max(np.abs(te.values - y * e.values)[interior]))
             worst_all = max(worst_all, res)
             curve.append((y, res))
@@ -722,7 +719,6 @@ def suite_spectral_positivity(scene: Scene, rng) -> SuiteResult:
     ck.check("spectrum_nonnegative", float(ed.eigenvalues[0]) >= -1e-8, float(ed.eigenvalues[0]))
     curve = [(float(i), float(ed.eigenvalues[i])) for i in range(min(20, ed.n_modes))]
 
-    sten = DunklDerivativeStencil(np.array([1.0]), fd_order=6) if grid.dimension == 1 else None
     worst = 0.0
     xs = grid.nodes[:, 0]
     for _ in range(5):
@@ -737,7 +733,7 @@ def suite_spectral_positivity(scene: Scene, rng) -> SuiteResult:
         quad_form = float(g @ (op.matrix @ g))
         pot_part = float(np.sum(grid.mu_weights * scene.potential.values * f.values**2))
         if grid.dimension == 1:
-            tf = dunkl_derivative(grid, sten, f)
+            tf = dunkl_derivative(grid, f)
             kin = tf.norm_l2() ** 2
         else:
             lap = spectral_laplacian(sm, f)
@@ -854,7 +850,7 @@ def suite_riesz_l2(scene: Scene, rng) -> SuiteResult:
     curve = []
     for preset, params in (("zero", {}), (None, None)):
         ed = scene.kernel_resolved(preset, **(params or {})) if preset else scene.kernel_resolved()
-        R = riesz_matrix(ed, 0, order=6)
+        R = riesz_matrix(ed, 0)
         for i in range(12):
             f = SampledFunction(
                 grid, families.random_band_limited(xs, rng, n_terms=8, max_degree=16)
@@ -876,7 +872,7 @@ def suite_riesz_l2(scene: Scene, rng) -> SuiteResult:
     ck.check("subordination_gap", worst_sub <= 1e-4, worst_sub)
 
     ed = scene.kernel_resolved("zero")
-    R = riesz_matrix(ed, 0, order=6)
+    R = riesz_matrix(ed, 0)
     f1 = families.random_band_limited(xs, rng, n_terms=5, max_degree=10)
     f2 = families.random_band_limited(xs, rng, n_terms=5, max_degree=10)
     lin = float(np.max(np.abs(R @ (2.0 * f1 - 3.0 * f2) - (2.0 * (R @ f1) - 3.0 * (R @ f2)))))
@@ -905,7 +901,7 @@ def suite_weak11(scene: Scene, rng) -> SuiteResult:
         grid = build_grid(rs1, 10.0, N)
         pot = potential_preset(grid, "soft_coulomb", a=1.0)
         ed = resolved_calculus(grid, pot)
-        rep = weak_type_report(ed, atoms, axis=0, order=6)
+        rep = weak_type_report(ed, atoms, axis=0)
         sups[N] = rep["sup_ratio"]
         if N == 384:
             for row in rep["atoms"]:
@@ -1152,7 +1148,7 @@ def suite_classical_limit(scene: Scene, rng) -> SuiteResult:
     ck.check("classical_heat_kernel", worst <= 1e-8, worst)
 
     ed0 = resolved_calculus(grid, None)
-    R = riesz_matrix(ed0, 0, order=6)
+    R = riesz_matrix(ed0, 0)
     interior = grid.interior_mask(0.7)
     worst_r, worst_sq = 0.0, 0.0
     for _ in range(10):

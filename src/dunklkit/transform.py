@@ -6,8 +6,6 @@ on the same node set; inversion is the forward map followed by argument
 negation, which the sign-symmetric grid realizes as an exact permutation.
 """
 
-import hashlib
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +15,6 @@ from .errors import InputError
 from .grids import QuadratureGrid, SampledFunction, sample
 from .intertwine import e_minus_i, nu_quadrature
 from .reflection import RootSystem
-
-CACHE_ENV = "DUNKLKIT_CACHE"
 
 
 def c_k(rs: RootSystem) -> float:
@@ -41,45 +37,15 @@ class SpectralMatrix:
         return (self.kernel_table * self.grid.mu_weights[:, None]).T / self.ck
 
 
-def _cache_key(grid: QuadratureGrid) -> str:
-    rs = grid.rs
-    blob = repr(
-        (
-            rs.kind,
-            rs.dimension,
-            tuple(np.round(rs.multiplicities, 12)),
-            round(grid.half_width, 12),
-            grid.n_axis,
-        )
-    ).encode()
-    return hashlib.sha256(blob).hexdigest()[:24]
-
-
-def build_spectral_matrix(grid: QuadratureGrid, cache: bool = True) -> SpectralMatrix:
-    """Tabulate the transform kernel on the grid, optionally cached on disk.
-
-    Caching activates when the DUNKLKIT_CACHE environment variable names a
-    directory; entries are keyed by group, multiplicities, and grid shape.
-    """
-    cache_dir = os.environ.get(CACHE_ENV) if cache else None
-    path = None
-    if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
-        path = os.path.join(cache_dir, f"spectral_{_cache_key(grid)}.npz")
-        if os.path.exists(path):
-            data = np.load(path)
-            table = data["re"] + 1j * data["im"]
-            return SpectralMatrix(grid, table, c_k(grid.rs))
+def build_spectral_matrix(grid: QuadratureGrid) -> SpectralMatrix:
+    """Tabulate the transform kernel on the grid."""
     kappas = grid.rs.multiplicities
     n = len(grid)
     table = np.ones((n, n), dtype=complex)
     for j in range(grid.dimension):
         xs = grid.nodes[:, j]
         table = table * e_minus_i(np.outer(xs, xs), float(kappas[j]))
-    sm = SpectralMatrix(grid, table, c_k(grid.rs))
-    if path:
-        np.savez(path, re=table.real, im=table.imag)
-    return sm
+    return SpectralMatrix(grid, table, c_k(grid.rs))
 
 
 def dunkl_transform(sm: SpectralMatrix, f: SampledFunction) -> SampledFunction:
@@ -149,7 +115,7 @@ def refinement_defect_slope(rs: RootSystem, R: float, n_list, probe) -> float:
     defects = []
     for n in n_list:
         grid = build_grid(rs, R, n)
-        sm = build_spectral_matrix(grid, cache=False)
+        sm = build_spectral_matrix(grid)
         defects.append(max(probe(sm), 1e-16))
     ln_n = np.log(np.asarray(n_list, dtype=float))
     ln_d = np.log(np.asarray(defects))

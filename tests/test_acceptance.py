@@ -24,7 +24,7 @@ from dunklkit.intertwine import (
     kernel_series_1d,
     rank_one_measure,
 )
-from dunklkit.operators import DunklDerivativeStencil, dunkl_derivative, spectral_laplacian
+from dunklkit.operators import dunkl_derivative, spectral_laplacian
 from dunklkit.reflection import RootSystem, gamma_k, generate_group
 from dunklkit.schrodinger import (
     inv_sqrt_apply,
@@ -56,7 +56,7 @@ def _sm(kappa: float, R: float = 10.0, n: int = 128):
     key = (kappa, R, n)
     if key not in _SM:
         rs = RootSystem.z2_product([kappa])
-        _SM[key] = build_spectral_matrix(build_grid(rs, R, n), cache=False)
+        _SM[key] = build_spectral_matrix(build_grid(rs, R, n))
     return _SM[key]
 
 
@@ -133,7 +133,6 @@ class TestAcceptance(unittest.TestCase):
         )
 
     def test_criterion_03_kernel_eigenfunction(self):
-        sten = DunklDerivativeStencil(np.array([1.0]), fd_order=6)
         worst = 0.0
         for kap in (0.5, 1.5):
             grid = build_grid(RootSystem.z2_product([kap]), 4.0, 160)
@@ -141,7 +140,7 @@ class TestAcceptance(unittest.TestCase):
             interior = grid.interior_mask(0.8)
             for y in (0.5, 1.0, 2.0):
                 e = SampledFunction(grid, kernel_bessel_1d(xs * y, kap))
-                te = dunkl_derivative(grid, sten, e)
+                te = dunkl_derivative(grid, e)
                 worst = max(
                     worst, float(np.max(np.abs(te.values - y * e.values)[interior]))
                 )
@@ -262,7 +261,7 @@ class TestAcceptance(unittest.TestCase):
                 ed = _resolved(kap, preset, **params)
                 grid = ed.grid
                 xs = grid.nodes[:, 0]
-                R = riesz_matrix(ed, 0, order=6)
+                R = riesz_matrix(ed, 0)
                 for _ in range(50):
                     f = SampledFunction(
                         grid,
@@ -293,7 +292,7 @@ class TestAcceptance(unittest.TestCase):
         for N in (256, 384):
             grid = build_grid(RootSystem.z2_product([0.5]), 10.0, N)
             ed = resolved_calculus(grid, potential_preset(grid, "soft_coulomb", a=1.0))
-            sups[N] = weak_type_report(ed, atoms, axis=0, order=6)["sup_ratio"]
+            sups[N] = weak_type_report(ed, atoms, axis=0)["sup_ratio"]
         drift = abs(sups[384] - sups[256]) / sups[256]
         ok = np.isfinite(sups[384]) and drift < 0.25
         self.assertTrue(
@@ -426,7 +425,7 @@ class TestAcceptance(unittest.TestCase):
             heat_gap = max(heat_gap, float(np.max(np.abs(K0 - ref))))
 
         ed0 = resolved_calculus(grid, None)
-        R = riesz_matrix(ed0, 0, order=6)
+        R = riesz_matrix(ed0, 0)
         interior = grid.interior_mask(0.7)
         rng = np.random.default_rng(29)
         iso, square = 0.0, 0.0

@@ -101,6 +101,7 @@ class TestLoadConfig(unittest.TestCase):
             {"group": {"kind": "dihedral", "m": 1}},
             {"grid": {"R": -1.0}},
             {"grid": {"N": 33}},
+            {"grid": {"N": 6}},
             {"grid": {"N": 2.5}},
             {"potential": {"preset": "bogus"}},
             {"potential": {"preset": "inverse_power"}},

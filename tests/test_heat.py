@@ -105,7 +105,7 @@ class TestSemigroupAction(unittest.TestCase):
     def test_spectral_matches_kernel(self):
         rs = RootSystem.z2_product([0.5])
         grid = build_grid(rs, 12.0, 192)
-        sm = build_spectral_matrix(grid, cache=False)
+        sm = build_spectral_matrix(grid)
         xs = grid.nodes[:, 0]
         f = SampledFunction(grid, np.exp(-(xs**2) / 2.0) * (1.0 + 0.4 * xs))
         spec = heat_apply(sm, 0.5, f)
@@ -117,7 +117,7 @@ class TestSemigroupAction(unittest.TestCase):
     def test_zero_time_identity(self):
         rs = RootSystem.z2_product([0.5])
         grid = build_grid(rs, 8.0, 48)
-        sm = build_spectral_matrix(grid, cache=False)
+        sm = build_spectral_matrix(grid)
         f = SampledFunction(grid, np.exp(-grid.nodes[:, 0] ** 2))
         self.assertIs(heat_apply(sm, 0.0, f), f)
         with self.assertRaises(InputError):

@@ -1,13 +1,11 @@
-"""Deformed derivative stencils, antisymmetry, multiplier identity."""
+"""Deformed derivative, antisymmetry, multiplier identity."""
 
 import unittest
 
 import numpy as np
 
-from dunklkit.errors import InputError
 from dunklkit.grids import SampledFunction, build_grid
 from dunklkit.operators import (
-    DunklDerivativeStencil,
     antisymmetry_defect,
     diff_matrix,
     dunkl_derivative,
@@ -23,16 +21,8 @@ from dunklkit.transform import build_spectral_matrix
 class TestStencil(unittest.TestCase):
     def test_diff_matrix_exact_on_polynomials(self):
         xs = np.linspace(-2, 2, 17)
-        D = diff_matrix(xs, order=6, deriv=1)
+        D = diff_matrix(xs)
         np.testing.assert_allclose(D @ xs**5, 5 * xs**4, atol=1e-9)
-
-    def test_bad_order_rejected(self):
-        with self.assertRaises(InputError):
-            DunklDerivativeStencil(np.array([1.0]), fd_order=3)
-
-    def test_bad_guard_rejected(self):
-        with self.assertRaises(InputError):
-            DunklDerivativeStencil(np.array([1.0]), hyperplane_guard=0.0)
 
 
 class TestDerivative(unittest.TestCase):
@@ -61,25 +51,17 @@ class TestDerivative(unittest.TestCase):
         f = np.exp(-self.xs**2)
         np.testing.assert_allclose(self.T @ f, D @ f, atol=1e-12)
 
-    def test_directional_form_matches_matrix(self):
-        rs = RootSystem.z2_product([0.5, 1.0])
-        grid = build_grid(rs, 6.0, 24)
-        vals = np.exp(-np.sum(grid.nodes**2, axis=1) / 2.0) * (1 + grid.nodes[:, 0])
-        f = SampledFunction(grid, vals)
+    def test_rank_two_closed_form(self):
+        # f = x1^3 x2^2 + x2 with kappa = (0.5, 1):
+        # T_1 f = 3 x1^2 x2^2 + 0.5 (2 x1^3 x2^2) / x1 = 4 x1^2 x2^2
+        # T_2 f = 2 x1^3 x2 + 1 + 1 (2 x2) / x2 = 2 x1^3 x2 + 3
+        grid = build_grid(RootSystem.z2_product([0.5, 1.0]), 6.0, 24)
+        x1, x2 = grid.nodes[:, 0], grid.nodes[:, 1]
+        f = SampledFunction(grid, x1**3 * x2**2 + x2)
+        expect = (4 * x1**2 * x2**2, 2 * x1**3 * x2 + 3)
         for axis in (0, 1):
-            e = np.zeros(2)
-            e[axis] = 1.0
-            st = DunklDerivativeStencil(e)
-            got = dunkl_derivative(grid, st, f)
-            ref = dunkl_derivative_matrix(grid, axis) @ vals
-            np.testing.assert_allclose(got.values, ref, atol=1e-10)
-
-    def test_direction_mismatch(self):
-        rs = RootSystem.z2_product([0.5])
-        grid = build_grid(rs, 6.0, 24)
-        f = SampledFunction(grid, np.zeros(len(grid)))
-        with self.assertRaises(InputError):
-            dunkl_derivative(grid, DunklDerivativeStencil(np.array([1.0, 0.0])), f)
+            got = dunkl_derivative(grid, f, axis)
+            np.testing.assert_allclose(got.values, expect[axis], rtol=0, atol=1e-9)
 
 
 class TestWeightedIdentities(unittest.TestCase):
@@ -87,7 +69,7 @@ class TestWeightedIdentities(unittest.TestCase):
     def setUpClass(cls):
         rs = RootSystem.z2_product([0.5])
         cls.grid = build_grid(rs, 10.0, 128)
-        cls.sm = build_spectral_matrix(cls.grid, cache=False)
+        cls.sm = build_spectral_matrix(cls.grid)
         xs = cls.grid.nodes[:, 0]
         cls.f = SampledFunction(cls.grid, np.exp(-(xs**2) / 2.0) * (1.0 + 0.3 * xs))
         cls.g = SampledFunction(cls.grid, np.exp(-(xs**2) / 1.7) * (1.0 - 0.2 * xs))

@@ -1,8 +1,6 @@
-"""Spectral matrix, roundtrip, translation, convolution, disk cache."""
+"""Spectral matrix, roundtrip, translation, convolution."""
 
 import math
-import os
-import tempfile
 import unittest
 
 import numpy as np
@@ -27,7 +25,7 @@ from dunklkit.transform import (
 def _setup(kappa, R=10.0, n=96):
     rs = RootSystem.z2_product([kappa])
     grid = build_grid(rs, R, n)
-    return build_spectral_matrix(grid, cache=False)
+    return build_spectral_matrix(grid)
 
 
 class TestNormalization(unittest.TestCase):
@@ -109,41 +107,6 @@ class TestConvolution(unittest.TestCase):
         np.testing.assert_allclose(
             conv.values.real[mask], e3.values[mask], atol=1e-7
         )
-
-
-class TestCache(unittest.TestCase):
-    def test_cache_roundtrip(self):
-        rs = RootSystem.z2_product([0.5])
-        grid = build_grid(rs, 6.0, 32)
-        with tempfile.TemporaryDirectory() as tmp:
-            old = os.environ.get("DUNKLKIT_CACHE")
-            os.environ["DUNKLKIT_CACHE"] = tmp
-            try:
-                sm1 = build_spectral_matrix(grid)
-                files = [p for p in os.listdir(tmp) if p.endswith(".npz")]
-                self.assertEqual(len(files), 1)
-                sm2 = build_spectral_matrix(grid)
-                np.testing.assert_array_equal(sm1.kernel_table, sm2.kernel_table)
-            finally:
-                if old is None:
-                    os.environ.pop("DUNKLKIT_CACHE", None)
-                else:
-                    os.environ["DUNKLKIT_CACHE"] = old
-
-    def test_cache_opt_out(self):
-        rs = RootSystem.z2_product([0.5])
-        grid = build_grid(rs, 6.0, 32)
-        with tempfile.TemporaryDirectory() as tmp:
-            old = os.environ.get("DUNKLKIT_CACHE")
-            os.environ["DUNKLKIT_CACHE"] = tmp
-            try:
-                build_spectral_matrix(grid, cache=False)
-                self.assertEqual(os.listdir(tmp), [])
-            finally:
-                if old is None:
-                    os.environ.pop("DUNKLKIT_CACHE", None)
-                else:
-                    os.environ["DUNKLKIT_CACHE"] = old
 
 
 class TestRefinement(unittest.TestCase):
