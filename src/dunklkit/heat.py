@@ -8,14 +8,15 @@ For sign product groups the kernel (Rosler, CMP 192, 1998) is
 with the single normalization kernel_prefactor = 1/(c_k (2t)^(gamma + d/2)),
 under which every kernel row has unit weighted mass, and the axis factor
 E_kappa(x, y/2t) e^{-(x^2+y^2)/4t} written through the overflow-safe scaled
-kernel.  Every kernel evaluation in the package goes through these two.
+kernel.  Every kernel evaluation in the package goes through these two;
+even_axis_factor is the part of the axis factor even in y.
 """
 
 import numpy as np
 
 from .errors import InputError
 from .grids import QuadratureGrid, SampledFunction
-from .intertwine import scaled_e_real
+from .intertwine import scaled_e_even, scaled_e_real
 from .reflection import RootSystem, Z2_PRODUCT, gamma_k, weight, ball_comparison_quantity
 from .transform import (
     SpectralMatrix,
@@ -36,8 +37,16 @@ def axis_factor(x, y, t, kappa: float):
     """One axis of the kernel, E_kappa(x, y/2t) e^{-(x^2+y^2)/4t}, with the
     exponents recombined so it stays finite at large |x y|/t; broadcasts
     over x, y and t."""
-    gauss = np.exp(-((np.abs(x) - np.abs(y)) ** 2) / (4.0 * t))
-    return scaled_e_real(x * y / (2.0 * t), kappa) * gauss
+    return scaled_e_real(x * y / (2.0 * t), kappa) * _gauss(x, y, t)
+
+
+def even_axis_factor(x, y, t, kappa: float):
+    """The part of axis_factor even in y (and in x): one Bessel term."""
+    return scaled_e_even(x * y / (2.0 * t), kappa) * _gauss(x, y, t)
+
+
+def _gauss(x, y, t):
+    return np.exp(-((np.abs(x) - np.abs(y)) ** 2) / (4.0 * t))
 
 
 def heat_kernel(rs: RootSystem, t: float, x, y) -> np.ndarray:

@@ -113,17 +113,28 @@ def _ive(nu: float, a):
     return np.where(a > 1e9, big, ive(nu, a))
 
 
+def scaled_e_even(a, kappa: float) -> np.ndarray:
+    """Even part of E(x, y) e^{-|xy|} at a = |x y|:
+    Gamma(kappa + 1/2) (2/a)^(kappa - 1/2) ive(kappa - 1/2, a)."""
+    a = np.abs(np.asarray(a, dtype=float))
+    if kappa == 0.0:
+        return 0.5 * (1.0 + np.exp(-2.0 * a))
+    # below 1e-6 the Taylor form; the Bessel form sees a floored argument there
+    al = np.maximum(a, 1e-6)
+    even = sgamma(kappa + 0.5) * (2.0 / al) ** (kappa - 0.5) * _ive(kappa - 0.5, al)
+    return np.where(a < 1e-6, np.exp(-a), even)
+
+
 def scaled_e_real(s, kappa: float) -> np.ndarray:
     """Overflow-safe E(x, y) e^{-|xy|} with s = x y, via scaled Bessel I."""
     s = np.asarray(s, dtype=float)
     if kappa == 0.0:
         return np.exp(s - np.abs(s))
     a = np.abs(s)
-    # below 1e-6 the Taylor form; the Bessel form sees a floored argument there
     taylor = (1.0 + s / (2.0 * kappa + 1.0)) * np.exp(-a)
     al = np.maximum(a, 1e-6)
-    even = sgamma(kappa + 0.5) * (2.0 / al) ** (kappa - 0.5) * _ive(kappa - 0.5, al)
     odd = sgamma(kappa + 1.5) * (2.0 / al) ** (kappa + 0.5) * _ive(kappa + 0.5, al)
+    even = scaled_e_even(a, kappa)
     return np.where(a < 1e-6, taylor, even + s / (2.0 * kappa + 1.0) * odd)
 
 

@@ -3,7 +3,10 @@ orbit-distance forms, Lebesgue measure), the heat-semigroup characterization,
 resolvent decay, the growth bound, and kernel smoothing norms.
 
 The heat characterization has one integrand, _flow_density, which sums a
-fixed time rule inside one adaptive spatial quadrature at QUAD_TOL.
+fixed time rule inside one adaptive spatial quadrature at QUAD_TOL, over y in
+[0, L] on twice the even kernel part: V is radial and called on y >= 0, so the
+odd part integrates to zero.  Every quadrature breaks at V's `breaks`, which
+potential_function sets per preset (0 for a plain callable).
 
 Verdicts are threshold-based trend classifications with an explicit
 Inconclusive band; membership in the class is a limit statement and is not
@@ -19,7 +22,7 @@ from scipy.linalg import svdvals
 from scipy.special import roots_laguerre, roots_legendre
 
 from .errors import CapabilityError, InputError
-from .heat import axis_factor, kernel_prefactor
+from .heat import even_axis_factor, kernel_prefactor
 from .reflection import RootSystem, weight
 from .schrodinger import EigenDecomp, splitting_kernel, splitting_steps
 
@@ -71,13 +74,16 @@ def _lebesgue_quad(fn, lo: float, hi: float, singular=()) -> tuple:
     return float(val), float(err), bool(bad)
 
 
+def _breaks(V_fn) -> tuple:
+    return getattr(V_fn, "breaks", (0.0,))
+
+
 def _sphere_area(d: int) -> float:
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
 def _green_factor(d: int):
-    if d == 1:
-        return lambda r: np.ones_like(np.asarray(r, dtype=float))
+    """Green weight of the modulus for d >= 2; in rank one it is 1."""
     if d == 2:
         return lambda r: np.log(1.0 / np.maximum(np.asarray(r, dtype=float), 1e-12))
     return lambda r: np.asarray(r, dtype=float) ** (2 - d)
@@ -98,7 +104,6 @@ def kato_modulus(
     form: str = CLASSICAL,
     dimension: int = 1,
     probes=(0.0,),
-    singular=(0.0,),
     sign_group: bool = True,
 ) -> ModulusValue:
     """sup over probes of the Green-weighted mass of |V| near the probe.
@@ -111,25 +116,17 @@ def kato_modulus(
         raise InputError("window size t must be positive")
     if form not in (CLASSICAL, ORBIT):
         raise InputError(f"unknown modulus form {form!r}")
-    green = _green_factor(dimension)
+    singular = _breaks(V_fn)
     if dimension == 1:
         best, best_err, best_probe, div = -np.inf, 0.0, 0.0, False
         for x in np.atleast_1d(np.asarray(probes, dtype=float)):
             if form == ORBIT and sign_group:
                 intervals = _orbit_intervals(abs(x), t)
-
-                def fn(y, _x=abs(x)):
-                    return abs(V_fn(y)) * green(abs(_x - abs(y)))
-
             else:
                 intervals = [(x - t, x + t)]
-
-                def fn(y, _x=x):
-                    return abs(V_fn(y)) * green(abs(_x - y))
-
             tot, toterr, bad = 0.0, 0.0, False
             for lo, hi in intervals:
-                v, e, b = _lebesgue_quad(fn, lo, hi, singular)
+                v, e, b = _lebesgue_quad(lambda y: abs(V_fn(y)), lo, hi, singular)
                 tot, toterr, bad = tot + v, toterr + e, bad or b
             div = div or bad
             if tot > best:
@@ -137,6 +134,7 @@ def kato_modulus(
         return ModulusValue(
             np.inf if div else best, best_err, div, best_probe
         )
+    green = _green_factor(dimension)
     if dimension == 2 and form == CLASSICAL:
         th, wth = roots_legendre(64)
         th = math.pi * (th + 1.0)
@@ -172,7 +170,6 @@ def kato_equivalence_check(
     V_fn,
     t_list,
     probes=(0.0, 0.5, 1.0, 2.0),
-    singular=(0.0,),
     sign_group: bool = True,
 ) -> dict:
     """Sandwich classical <= orbit <= group-sum of translated classical moduli.
@@ -182,18 +179,16 @@ def kato_equivalence_check(
     """
     rows = []
     for t in t_list:
-        mc = kato_modulus(V_fn, t, CLASSICAL, 1, probes, singular, sign_group)
-        mo = kato_modulus(V_fn, t, ORBIT, 1, probes, singular, sign_group)
+        mc = kato_modulus(V_fn, t, CLASSICAL, 1, probes, sign_group)
+        mo = kato_modulus(V_fn, t, ORBIT, 1, probes, sign_group)
         upper = -np.inf
         reps = [abs(x) for x in np.atleast_1d(np.asarray(probes, float))]
         images = [(xp, -xp) for xp in reps] if sign_group else [(xp,) for xp in reps]
         for orbit_pts in images:
-            tot = 0.0
-            for c in orbit_pts:
-                v, _, _ = _lebesgue_quad(
-                    lambda y: abs(V_fn(y)), c - t, c + t, singular
-                )
-                tot += v
+            tot = sum(
+                _lebesgue_quad(lambda y: abs(V_fn(y)), c - t, c + t, _breaks(V_fn))[0]
+                for c in orbit_pts
+            )
             upper = max(upper, tot)
         rows.append(
             {
@@ -222,71 +217,69 @@ def _time_rule(t: float) -> tuple:
 
 
 def _flow_density(rs: RootSystem, V_fn, x: float, s, w):
-    """y -> sum_i w_i K_{s_i}(x, y) |V(y)| (sqrt(2)|y|)^(2 kappa), rank one.
+    """y -> 2 sum_i w_i K^even_{s_i}(x, y) |V(y)| (sqrt(2) y)^(2 kappa), y >= 0.
 
-    The integrand of every time-integrated heat flow of |V| at x: its
-    integral over y is sum_i w_i (e^{-s_i A}|V|)(x).
+    The integrand of every time-integrated heat flow of a radial |V| at x:
+    its integral over [0, inf) is sum_i w_i (e^{-s_i A}|V|)(x), as the part
+    of the rank-one kernel odd in y integrates to zero.
     """
     kap = float(rs.multiplicities[0])
     # root length sqrt(2): the density is (sqrt(2)|y|)^(2 kappa)
-    ws = w * kernel_prefactor(rs, s)
+    ws = 2.0 * w * kernel_prefactor(rs, s)
 
     def density(y):
-        flow = float(ws @ axis_factor(x, y, s, kap))
+        flow = float(ws @ even_axis_factor(x, y, s, kap))
         return flow * (2.0 * y * y) ** kap * abs(V_fn(y))
 
     return density
 
 
-def semigroup_abs_potential(
-    rs: RootSystem, V_fn, s, x: float, w=1.0, singular=(0.0,)
-) -> float:
-    """sum_i w_i (e^{-s_i A}|V|)(x): one quadrature of _flow_density on [-L, L].
+def semigroup_abs_potential(rs: RootSystem, V_fn, s, x: float, w=1.0) -> float:
+    """sum_i w_i (e^{-s_i A}|V|)(x): one quadrature of _flow_density on [0, L].
 
-    Breakpoints are 0, +-x and the singular points, plus fences around +-x
-    from 10 sqrt(min s) outward by factors of 4, so that the narrowest kernel
-    is not stepped over.
+    V is radial and called on y >= 0.  Breakpoints are |x| and V's breaks,
+    plus fences around |x| from 10 sqrt(min s) outward by factors of 4, so
+    that the narrowest kernel is not stepped over; all folded onto y >= 0.
     """
     if rs.dimension != 1:
         raise CapabilityError("heat characterization implemented in rank one")
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if not np.all(s > 0):
         raise InputError("times must be positive")
-    L = abs(x) + 20.0 * math.sqrt(s.max()) + 2.0
-    pts = {0.0, x, -x, *singular}
+    x = abs(x)
+    L = x + 20.0 * math.sqrt(s.max()) + 2.0
+    pts = [x, *_breaks(V_fn)]
     r = 10.0 * math.sqrt(s.min())
     while r < 2.0 * L:
-        pts |= {x - r, x + r, -x - r, -x + r}
+        pts += [x - r, x + r]
         r *= 4.0
-    pts = sorted(p for p in pts if -L < p < L)
+    pts = sorted({abs(p) for p in pts if 0.0 < abs(p) < L})
     density = _flow_density(rs, V_fn, x, s, w)
     # positional after (): full_output 0, absolute and relative tolerance
-    val, _ = quad(density, -L, L, (), 0, QUAD_TOL, QUAD_TOL, QUAD_LIMIT, pts)
+    val, _ = quad(density, 0.0, L, (), 0, QUAD_TOL, QUAD_TOL, QUAD_LIMIT, pts)
     return float(val)
 
 
-def heat_modulus(
-    rs: RootSystem, V_fn, t: float, probes=(0.0,), singular=(0.0,)
-) -> float:
+def heat_modulus(rs: RootSystem, V_fn, t: float, probes=(0.0,)) -> float:
     """sup_x of int_0^t (e^{-sA}|V|)(x) ds under _time_rule(t), whose
     Gauss-Legendre panels integrate a constant potential to exactly t."""
     if t <= 0:
         raise InputError("time must be positive")
     s, w = _time_rule(t)
     return max(
-        semigroup_abs_potential(rs, V_fn, s, float(x), w, singular)
+        semigroup_abs_potential(rs, V_fn, s, float(x), w)
         for x in np.atleast_1d(np.asarray(probes, dtype=float))
     )
 
 
 def heat_modulus_split(
-    rs: RootSystem, V_fn, t: float, c_fit: float = 0.25, probes=(0.0,), singular=(0.0,)
+    rs: RootSystem, V_fn, t: float, c_fit: float = 0.25, probes=(0.0,)
 ) -> dict:
     """Diagnostic small-ball / Gaussian-tail split of the damped majorant.
 
     Integrates the a = 1 resolvent density (_flow_density with the Laguerre
-    rule) against |V| on the orbit ball of radius beta = (d t / 2c)^(1/2d);
-    the tail is the whole a = 1 resolvent (as in resolvent_decay) minus the
+    rule) on the orbit ball of radius beta = (d t / 2c)^(1/2d), y >= 0; the
+    tail is the whole a = 1 resolvent (as in resolvent_decay) minus the
     ball.  The heat modulus is bounded by e^t times the sum.
     """
     d = rs.dimension
@@ -296,20 +289,16 @@ def heat_modulus_split(
     sv, sw = LAGUERRE
     out = []
     for x in np.atleast_1d(np.asarray(probes, dtype=float)):
-        density = _flow_density(rs, V_fn, float(x), sv, sw)
-        near = sum(
-            _lebesgue_quad(density, lo, hi, singular)[0]
-            for lo, hi in _orbit_intervals(abs(x), beta)
-        )
-        total = semigroup_abs_potential(rs, V_fn, sv, float(x), sw, singular)
+        density = _flow_density(rs, V_fn, abs(x), sv, sw)
+        lo, hi = max(abs(x) - beta, 0.0), abs(x) + beta
+        near = _lebesgue_quad(density, lo, hi, {abs(p) for p in _breaks(V_fn)})[0]
+        total = semigroup_abs_potential(rs, V_fn, sv, float(x), sw)
         out.append({"probe": float(x), "small_ball": near, "tail": total - near})
     worst = max(out, key=lambda r: r["small_ball"] + r["tail"])
     return {"beta": float(beta), "parts": out, "majorant_at_sup": worst}
 
 
-def resolvent_decay(
-    rs: RootSystem, V_fn, a_list, probes=(0.0,), singular=(0.0,)
-) -> dict:
+def resolvent_decay(rs: RootSystem, V_fn, a_list, probes=(0.0,)) -> dict:
     """sup norm of (A + a)^{-1}|V| along a_list under the Gauss-Laguerre rule
     (nodes s_i/a, weights w_i/a), exactly 1/a for a constant potential; also
     records the short-time bound (1 - e^{-1})^{-1} heat_modulus(1/a)."""
@@ -319,10 +308,10 @@ def resolvent_decay(
         if a <= 0:
             raise InputError("resolvent shifts must be positive")
         norm = max(
-            semigroup_abs_potential(rs, V_fn, sv / a, float(x), sw / a, singular)
+            semigroup_abs_potential(rs, V_fn, sv / a, float(x), sw / a)
             for x in np.atleast_1d(np.asarray(probes, dtype=float))
         )
-        hm = heat_modulus(rs, V_fn, 1.0 / a, probes, singular)
+        hm = heat_modulus(rs, V_fn, 1.0 / a, probes)
         rows.append({"a": float(a), "norm": norm, "bound": hm / (1.0 - math.exp(-1.0))})
     return {"rows": rows}
 
@@ -336,7 +325,6 @@ def growth_bound_check(
     r_list,
     dimension: int = 1,
     probes=(0.0,),
-    singular=(0.0,),
     extend: float = 4.0,
     sign_group: bool = True,
 ) -> dict:
@@ -346,7 +334,7 @@ def growth_bound_check(
     def fitted(rs_):
         vals = []
         for r in rs_:
-            m = kato_modulus(V_fn, r, ORBIT, dimension, probes, singular, sign_group)
+            m = kato_modulus(V_fn, r, ORBIT, dimension, probes, sign_group)
             vals.append(m.value)
         ratios = [v / (r + 1.0) ** dimension for v, r in zip(vals, rs_)]
         return vals, max(ratios)
@@ -417,7 +405,6 @@ def classify(
     rs: RootSystem,
     V_fn,
     probes=(0.0,),
-    singular=(0.0,),
     t_window=(1.0, 0.3, 0.1, 0.03, 0.01),
 ) -> KatoReport:
     """Trend-based class verdict over a shrinking window ladder.
@@ -432,17 +419,17 @@ def classify(
     mc, mo, hm = {}, {}, {}
     divergent = False
     for t in t_window:
-        m1 = kato_modulus(V_fn, t, CLASSICAL, d, probes, singular)
+        m1 = kato_modulus(V_fn, t, CLASSICAL, d, probes)
         mc[float(t)] = m1.value
         divergent = divergent or m1.divergent
         if d == 1:
-            m2 = kato_modulus(V_fn, t, ORBIT, d, probes, singular)
+            m2 = kato_modulus(V_fn, t, ORBIT, d, probes)
             mo[float(t)] = m2.value
             divergent = divergent or m2.divergent
     heat_ok = None
     if d == 1 and not divergent:
         for t in (1.0, 0.03):
-            hm[float(t)] = heat_modulus(rs, V_fn, t, probes, singular)
+            hm[float(t)] = heat_modulus(rs, V_fn, t, probes)
         heat_ok = hm[1.0] >= 4.0 * hm[0.03]
     diagnostics = {"divergent": divergent, "probe_count": len(np.atleast_1d(probes))}
     if divergent:

@@ -14,30 +14,31 @@ from .transform import SpectralMatrix, dunkl_transform, inverse_transform
 FD_ORDER = 6  # accuracy order of the partial: a centred 7-node stencil
 
 
-def fornberg_weights(z: float, x: np.ndarray, m: int) -> np.ndarray:
-    """Weights of derivative order m at z for an arbitrary node stencil x."""
-    n = len(x)
-    c = np.zeros((n, m + 1))
+def fornberg_weights(z, x: np.ndarray, m: int) -> np.ndarray:
+    """Weights of derivative order m at z for an arbitrary node stencil x;
+    batched over leading axes (z of shape (r,), x of shape (r, n))."""
+    n = x.shape[-1]
+    c = np.zeros(x.shape + (m + 1,))
     c1 = 1.0
-    c4 = x[0] - z
-    c[0, 0] = 1.0
+    c4 = x[..., 0] - z
+    c[..., 0, 0] = 1.0
     for i in range(1, n):
         mn = min(i, m)
         c2 = 1.0
         c5 = c4
-        c4 = x[i] - z
+        c4 = x[..., i] - z
         for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
+            c3 = x[..., i] - x[..., j]
+            c2 = c2 * c3
             if j == i - 1:
                 for k in range(mn, 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
+                    c[..., i, k] = c1 * (k * c[..., i - 1, k - 1] - c5 * c[..., i - 1, k]) / c2
+                c[..., i, 0] = -c1 * c5 * c[..., i - 1, 0] / c2
             for k in range(mn, 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
+                c[..., j, k] = (c4 * c[..., j, k] - k * c[..., j, k - 1]) / c3
+            c[..., j, 0] = c4 * c[..., j, 0] / c3
         c1 = c2
-    return c[:, m]
+    return c[..., m]
 
 
 def diff_matrix(axis_nodes: np.ndarray) -> np.ndarray:
@@ -47,11 +48,9 @@ def diff_matrix(axis_nodes: np.ndarray) -> np.ndarray:
     if n < width:
         raise InputError(f"the {width}-node stencil needs at least {width} nodes")
     D = np.zeros((n, n))
-    half = width // 2
-    for i in range(n):
-        lo = min(max(i - half, 0), n - width)
-        sten = axis_nodes[lo : lo + width]
-        D[i, lo : lo + width] = fornberg_weights(axis_nodes[i], sten, 1)
+    rows = np.arange(n)[:, None]
+    cols = np.clip(rows - width // 2, 0, n - width) + np.arange(width)
+    D[rows, cols] = fornberg_weights(axis_nodes, axis_nodes[cols], 1)
     return D
 
 

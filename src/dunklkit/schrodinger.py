@@ -59,16 +59,22 @@ class Potential:
         object.__setattr__(self, "values", v)
 
 
+def _radial(fn, *breaks):
+    fn.breaks = breaks or (0.0,)
+    return fn
+
+
 def potential_function(name: str, **params) -> Callable:
-    """Vectorized radial callable for a named potential preset."""
+    """Vectorized radial callable for a named potential preset; its `breaks`
+    are where it jumps (inverse_power's cutoff, bump's support edge) and 0."""
     if name == "zero":
-        return lambda r: np.zeros_like(np.asarray(r, dtype=float))
+        return _radial(lambda r: np.zeros_like(np.asarray(r, dtype=float)))
     if name == "constant":
         c = float(params.get("c", 1.0))
-        return lambda r: np.full_like(np.asarray(r, dtype=float), c)
+        return _radial(lambda r: np.full_like(np.asarray(r, dtype=float), c))
     if name == "soft_coulomb":
         a = float(params.get("a", 1.0))
-        return lambda r: 1.0 / (a + np.asarray(r, dtype=float) ** 2)
+        return _radial(lambda r: 1.0 / (a + np.asarray(r, dtype=float) ** 2))
     if name == "inverse_power":
         beta = float(params["beta"])
         cutoff = float(params.get("cutoff", 1.0))
@@ -80,7 +86,7 @@ def potential_function(name: str, **params) -> Callable:
             out[inside] = r[inside] ** (-beta)
             return out
 
-        return _inv
+        return _radial(_inv, -cutoff, 0.0, cutoff)
     if name == "bump":
         h = float(params.get("h", 1.0))
         w = float(params.get("w", 4.0))
@@ -93,7 +99,7 @@ def potential_function(name: str, **params) -> Callable:
             out[inside] = h * np.exp(1.0 - 1.0 / (1.0 - q))
             return out
 
-        return _bump
+        return _radial(_bump, -w, 0.0, w)
     raise InputError(f"unknown potential preset {name!r}")
 
 

@@ -946,7 +946,7 @@ def suite_weighted_phi(scene: Scene, rng) -> SuiteResult:
         10.0,
         128,
         potential_function("soft_coulomb", a=1.0),
-        4.0,
+        3.0,
     )
     ck.check("scaling_identity", gap <= 1e-4, gap)
     return _finish("weighted_phi", ck, {"eq01_normalized_vs_t": curve})

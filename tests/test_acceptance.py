@@ -348,8 +348,8 @@ class TestAcceptance(unittest.TestCase):
         refined = (0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0)
         verdicts_ok, stable = True, True
         for fn, expect in cases:
-            v1 = kato.classify(rs, fn, probes, (0.0,)).verdict
-            v2 = kato.classify(rs, fn, refined, (0.0,)).verdict
+            v1 = kato.classify(rs, fn, probes).verdict
+            v2 = kato.classify(rs, fn, refined).verdict
             verdicts_ok &= v1 == expect
             stable &= v1 == v2
         hm_gap = 0.0

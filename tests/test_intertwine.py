@@ -17,17 +17,21 @@ from dunklkit.intertwine import (
     phi,
     phi_lemma_defect,
     rank_one_measure,
+    scaled_e_even,
     scaled_e_real,
 )
 from dunklkit.reflection import RootSystem, generate_group
 
 
-def _mp_scaled(v, kap, dps):
-    """Bessel form of E(s) e^{-|s|} at s = v in mpmath, at dps digits."""
+def _mp_scaled(v, kap, dps, even_only=False):
+    """Bessel form of E(s) e^{-|s|} at s = v in mpmath, at dps digits; with
+    even_only, its even term alone."""
     with mpmath.workdps(dps):
         a = mpmath.mpf(abs(v))
         nu = mpmath.mpf(kap) - mpmath.mpf(0.5)
         even = mpmath.gamma(nu + 1) * (2 / a) ** nu * mpmath.besseli(nu, a)
+        if even_only:
+            return float(even * mpmath.exp(-a))
         odd = mpmath.gamma(nu + 2) * (2 / a) ** (nu + 1) * mpmath.besseli(nu + 1, a)
         return float((even + mpmath.mpf(v) / (2 * nu + 2) * odd) * mpmath.exp(-a))
 
@@ -99,6 +103,14 @@ class TestKernelOneDim(unittest.TestCase):
             ref = [1.0] + [_mp_scaled(v, kap, 40 + int(abs(v))) for v in s[1:]]
             # the only zero reference is e^{-1400} at kappa = 0, s = -700
             np.testing.assert_allclose(scaled_e_real(s, kap), ref, rtol=1e-12, atol=1e-300)
+
+    def test_even_term_matches_mpmath(self):
+        # across the Taylor switch at 1e-6, and even in its argument
+        mags = (1e-8, 1e-7, 9.99e-7, 1e-6, 1.001e-6, 1e-3, 0.37, 3.0, 40.0, 1e3)
+        a = np.array([m for v in mags for m in (v, -v)])
+        for kap in (0.0, 0.3, 0.5, 1.5):
+            ref = [_mp_scaled(v, kap, 40, even_only=True) for v in a]
+            np.testing.assert_allclose(scaled_e_even(a, kap), ref, rtol=1e-12)
 
     def test_scaled_form_at_large_arguments(self):
         # scipy's ive is NaN from 2^31 on; s < 0 cancels to O(1/s), out of

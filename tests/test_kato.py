@@ -158,6 +158,23 @@ class TestGaussianOracle(unittest.TestCase):
                     self.assertLess(abs(norm - ref), 1e-12 * ref, (kap, x, a))
 
 
+class TestNamedBreaks(unittest.TestCase):
+    def test_breaks_change_cost_not_value(self):
+        # the same function without breaks: the quadrature finds the jump
+        # at the cutoff on its own, at many more evaluations
+        rs = RootSystem.z2_product([0.5])
+        V = potential_function("inverse_power", beta=0.75)
+
+        def plain(y):
+            return V(y)
+
+        for x in (0.0, 0.5, 2.0):
+            for t in (1.0, 0.03):
+                got = heat_modulus(rs, V, t, probes=(x,))
+                ref = heat_modulus(rs, plain, t, probes=(x,))
+                self.assertLess(abs(got - ref), max(1e-10 * ref, 1e-12), (x, t))
+
+
 class TestGrowthBound(unittest.TestCase):
     def test_constant_trivial_group(self):
         rep = growth_bound_check(ONE, (0.5, 1.0, 2.0, 4.0), sign_group=False)
@@ -173,12 +190,10 @@ class TestGrowthBound(unittest.TestCase):
 class TestClassify(unittest.TestCase):
     def test_verdicts(self):
         rs = RootSystem.z2_product([0.5])
-        rep = classify(rs, ONE, (0.0, 1.0), (0.0,))
+        rep = classify(rs, ONE, (0.0, 1.0))
         self.assertEqual(rep.verdict, "Kato")
         self.assertFalse(rep.diagnostics["divergent"])
-        bad = classify(
-            rs, potential_function("inverse_power", beta=1.5), (0.0, 1.0), (0.0,)
-        )
+        bad = classify(rs, potential_function("inverse_power", beta=1.5), (0.0, 1.0))
         self.assertEqual(bad.verdict, "NotKato")
         self.assertTrue(bad.diagnostics["divergent"])
 

@@ -11,6 +11,7 @@ from dunklkit.operators import (
     dunkl_derivative,
     dunkl_derivative_matrix,
     dunkl_laplacian,
+    fornberg_weights,
     multiplier_defect,
     spectral_laplacian,
 )
@@ -23,6 +24,15 @@ class TestStencil(unittest.TestCase):
         xs = np.linspace(-2, 2, 17)
         D = diff_matrix(xs)
         np.testing.assert_allclose(D @ xs**5, 5 * xs**4, atol=1e-9)
+
+    def test_batched_rows_match_row_loop(self):
+        # one stencil per row, centred and one-sided at the edges
+        xs = np.sort(np.random.default_rng(3).uniform(-3.0, 3.0, 23))
+        ref = np.zeros((23, 23))
+        for i in range(23):
+            lo = min(max(i - 3, 0), 23 - 7)
+            ref[i, lo : lo + 7] = fornberg_weights(xs[i], xs[lo : lo + 7], 1)
+        np.testing.assert_array_equal(diff_matrix(xs), ref)
 
 
 class TestDerivative(unittest.TestCase):

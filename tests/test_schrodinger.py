@@ -51,6 +51,13 @@ class TestPotentials(unittest.TestCase):
         self.assertAlmostEqual(float(bump(np.array([0.0]))[0]), 2.0)
         self.assertEqual(float(bump(np.array([4.0]))[0]), 0.0)
 
+    def test_preset_breaks(self):
+        inv = potential_function("inverse_power", beta=0.5, cutoff=1.5)
+        self.assertEqual(inv.breaks, (-1.5, 0.0, 1.5))
+        self.assertEqual(potential_function("bump", w=3.0).breaks, (-3.0, 0.0, 3.0))
+        for name in ("zero", "constant", "soft_coulomb"):
+            self.assertEqual(potential_function(name).breaks, (0.0,))
+
     def test_unknown_preset(self):
         with self.assertRaises(InputError):
             potential_function("bogus")
