@@ -32,7 +32,7 @@ def axis_rule(R: float, n_axis: int) -> tuple:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # hashed by identity: the fields are arrays
 class QuadratureGrid:
     rs: RootSystem
     half_width: float
@@ -60,6 +60,16 @@ class QuadratureGrid:
     def reflection_map(self, signs) -> np.ndarray:
         """Node permutation realizing the diagonal sign matrix."""
         return self.sign_perms[tuple(int(s) for s in signs)]
+
+    def axis_pair_table(self, j: int, fn) -> np.ndarray:
+        """Node-pair table of a symmetric fn(a, b) of axis-j coordinates, one
+        call on the unordered pairs of distinct coordinates, then gathered."""
+        ax, idx = np.unique(self.nodes[:, j], return_inverse=True)
+        iu, ju = np.triu_indices(ax.size)
+        vals = fn(ax[iu], ax[ju])
+        a = np.empty((ax.size, ax.size), dtype=vals.dtype)
+        a[iu, ju] = a[ju, iu] = vals
+        return a[np.ix_(idx, idx)]
 
     def interior_mask(self, fraction: float = 0.8) -> np.ndarray:
         """Nodes with every coordinate inside the central fraction of [-R, R]."""

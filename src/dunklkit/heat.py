@@ -70,19 +70,13 @@ def heat_kernel_matrix(grid: QuadratureGrid, t: float) -> np.ndarray:
     """Kernel tabulated on all grid node pairs.
 
     Each axis factor is symmetric and depends only on the two axis
-    coordinates, so it is evaluated once per unordered pair of distinct axis
-    coordinates and gathered onto the node pairs.
+    coordinates, so it is tabulated per axis (QuadratureGrid.axis_pair_table).
     """
     if t <= 0:
         raise InputError("time must be positive")
-    kappas = grid.rs.multiplicities
     K = np.full((len(grid), len(grid)), kernel_prefactor(grid.rs, t))
-    for j in range(grid.dimension):
-        ax, idx = np.unique(grid.nodes[:, j], return_inverse=True)
-        iu, ju = np.triu_indices(ax.size)
-        a = np.empty((ax.size, ax.size))
-        a[iu, ju] = a[ju, iu] = axis_factor(ax[iu], ax[ju], t, float(kappas[j]))
-        K = K * a[np.ix_(idx, idx)]
+    for j, kap in enumerate(grid.rs.multiplicities):
+        K = K * grid.axis_pair_table(j, lambda x, y: axis_factor(x, y, t, float(kap)))
     return K
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.linalg import svdvals
+from scipy.linalg import eigvalsh
 from scipy.special import roots_laguerre, roots_legendre
 
 from .errors import CapabilityError, InputError
@@ -380,11 +380,17 @@ def smoothing_norms_of_kernel(grid, W, pq_list) -> SmoothingReport:
     1->inf is the kernel sup; inf->inf the max row mass; 1->1 the max column
     mass; interior (p, q) values are the log-convex corner combination.  The
     direct L2 operator norm is included for the upper-bound cross-check.
+
+    W must be entrywise nonnegative and symmetric to 1e-12 relative (splitting
+    kernels are, to 2.6e-15), else InputError; S = D^(1/2) W D^(1/2) is then
+    too, so by Perron-Frobenius ||S||_2 is its top eigenvalue, computed alone.
     """
     om = grid.mu_weights
-    n_1inf = float(np.max(np.abs(W)))
-    n_infinf = float(np.max(np.abs(W) @ om))
-    n_11 = float(np.max(om @ np.abs(W)))
+    n_1inf = float(np.max(W))
+    if np.any(W < 0) or np.max(np.abs(W - W.T)) > 1e-12 * n_1inf:
+        raise InputError("smoothing kernel must be nonnegative and symmetric to 1e-12")
+    n_infinf = float(np.max(W @ om))
+    n_11 = float(np.max(om @ W))
     corners = {(1, 1): n_11, ("inf", "inf"): n_infinf, (1, "inf"): n_1inf}
     interp = {}
     for p, q in pq_list:
@@ -393,7 +399,7 @@ def smoothing_norms_of_kernel(grid, W, pq_list) -> SmoothingReport:
         th1, th2, th3 = _theta(pv, qv)
         interp[(p, q)] = float(n_11**th1 * n_infinf**th2 * n_1inf**th3)
     dh = np.sqrt(om)
-    l2 = float(svdvals(dh[:, None] * W * dh[None, :])[0])
+    l2 = float(eigvalsh(dh[:, None] * W * dh[None, :], subset_by_index=[len(om) - 1] * 2)[0])
     return SmoothingReport(corners, interp, l2)
 
 

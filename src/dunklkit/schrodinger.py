@@ -23,6 +23,7 @@ smoothing norms measure.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -196,11 +197,13 @@ def quadrature_spectral_cap(grid: QuadratureGrid) -> float:
     return float(min(np.max(np.sum(grid.nodes**2, axis=1)), nyq))
 
 
+@lru_cache(maxsize=4)
 def free_resolved_modes(grid: QuadratureGrid, t0: float = DEFAULT_T0) -> tuple:
     """Eigenbasis of the reference free kernel with unresolved modes dropped.
 
     Returns ascending free eigenvalues, their similarity-frame modes, and a
-    metadata dict (cap, floor, kept/dropped counts, reference time).
+    metadata dict (cap, floor, kept/dropped counts, reference time), memoised
+    per grid object and t0 with read-only arrays.
     """
     dh = np.sqrt(grid.mu_weights)
     Kt = dh[:, None] * heat_kernel_matrix(grid, t0) * dh[None, :]
@@ -219,7 +222,9 @@ def free_resolved_modes(grid: QuadratureGrid, t0: float = DEFAULT_T0) -> tuple:
         "n_dropped": int((~keep).sum()),
         "t0": float(t0),
     }
-    return lam[order], P[:, order], meta
+    lam, P = lam[order], P[:, order]
+    lam.flags.writeable = P.flags.writeable = False
+    return lam, P, meta
 
 
 def resolved_calculus(
@@ -230,10 +235,11 @@ def resolved_calculus(
 ) -> EigenDecomp:
     """Eigendecomposition of L on the resolved free modes (Galerkin in V)."""
     lam, P, meta = free_resolved_modes(grid, t0)
+    meta = dict(meta)
     if lam_limit is not None:
         keep = lam <= lam_limit * (1.0 + 1e-9)
         lam, P = lam[keep], P[:, keep]
-        meta = dict(meta, lam_limit=float(lam_limit), n_kept=int(keep.sum()))
+        meta.update(lam_limit=float(lam_limit), n_kept=int(keep.sum()))
     if V is None or not np.any(V.values):
         return EigenDecomp(grid, lam, P, resolved=True, meta=meta, potential=V)
     H = np.diag(lam) + (P.T * V.values) @ P

@@ -435,7 +435,10 @@ def suite_plancherel(scene: Scene, rng) -> SuiteResult:
             for k in scene.cfg.sweeps["kappa_list"]
         ]
     for sm_k in sweep:
-        fams = families.band_limited_family(sm_k.grid.nodes[:, 0], 20, seed=seed)
+        # products of per-axis draws (axis j: seed + j) decay in every coordinate
+        axes = [families.band_limited_family(sm_k.grid.nodes[:, j], 20, seed + j)
+                for j in range(sm_k.grid.dimension)]
+        fams = [np.prod(fs, axis=0) for fs in zip(*axes)]
         for i, vals in enumerate(fams):
             f = SampledFunction(sm_k.grid, vals)
             back = inverse_transform(sm_k, dunkl_transform(sm_k, f))

@@ -4,9 +4,11 @@ Plancherel checks, radial translation, and weighted convolution.
 The forward map sends samples f(x_m) to c^-1 sum_m E(x_m, -i xi_n) f(x_m) w_m
 on the same node set; inversion is the forward map followed by argument
 negation, which the sign-symmetric grid realizes as an exact permutation.
+The kernel table is a product of per-axis n x n factors; forward is formed once.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gamma as sgamma
@@ -27,24 +29,23 @@ def c_k(rs: RootSystem) -> float:
 
 @dataclass(frozen=True)
 class SpectralMatrix:
+    """Kernel table, a product of per-axis factors; forward is formed once, kept."""
+
     grid: QuadratureGrid
     kernel_table: np.ndarray  # E(x_m, -i xi_n), complex symmetric
     ck: float
 
-    @property
+    @cached_property
     def forward(self) -> np.ndarray:
         """Dense forward matrix; row n maps samples to the value at xi_n."""
         return (self.kernel_table * self.grid.mu_weights[:, None]).T / self.ck
 
 
 def build_spectral_matrix(grid: QuadratureGrid) -> SpectralMatrix:
-    """Tabulate the transform kernel on the grid."""
-    kappas = grid.rs.multiplicities
-    n = len(grid)
-    table = np.ones((n, n), dtype=complex)
-    for j in range(grid.dimension):
-        xs = grid.nodes[:, j]
-        table = table * e_minus_i(np.outer(xs, xs), float(kappas[j]))
+    """Tabulate the transform kernel on the grid from per-axis factors."""
+    table = np.ones((len(grid), len(grid)), dtype=complex)
+    for j, kap in enumerate(grid.rs.multiplicities):
+        table = table * grid.axis_pair_table(j, lambda x, y: e_minus_i(x * y, float(kap)))
     return SpectralMatrix(grid, table, c_k(grid.rs))
 
 
@@ -79,12 +80,12 @@ def translate_radial(
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     q = nu_quadrature(rs, x, n_quad)
-    y2 = np.sum(grid.nodes**2, axis=1)
-    cross = grid.nodes @ q.nodes.T  # (N, n_nodes)
-    arg2 = y2[:, None] + (x @ x) + 2.0 * cross
-    arg2 = np.maximum(arg2, 0.0)
-    vals = f_radial(np.sqrt(arg2)) @ q.weights
-    return SampledFunction(grid, vals)
+    vals = []
+    for lo in range(0, len(grid), 64):  # row blocks bound the (rows, n_nodes) array
+        y = grid.nodes[lo : lo + 64]
+        arg2 = np.sum(y**2, axis=1)[:, None] + (x @ x) + 2.0 * (y @ q.nodes.T)
+        vals.append(f_radial(np.sqrt(np.maximum(arg2, 0.0))) @ q.weights)
+    return SampledFunction(grid, np.concatenate(vals))
 
 
 def convolve(

@@ -4,6 +4,7 @@ import math
 import unittest
 
 import numpy as np
+from scipy.linalg import svdvals
 
 from dunklkit.errors import CapabilityError, InputError
 from dunklkit.grids import build_grid
@@ -20,9 +21,16 @@ from dunklkit.kato import (
     resolvent_decay,
     semigroup_abs_potential,
     smoothing_norms,
+    smoothing_norms_of_kernel,
 )
 from dunklkit.reflection import RootSystem
-from dunklkit.schrodinger import potential_function, potential_preset, resolved_calculus
+from dunklkit.schrodinger import (
+    potential_function,
+    potential_preset,
+    resolved_calculus,
+    splitting_kernel,
+    splitting_steps,
+)
 
 ONE = potential_function("constant", c=1.0)
 
@@ -219,6 +227,35 @@ class TestSmoothing(unittest.TestCase):
             smoothing_norms(self.ed, 0.0, [])
         with self.assertRaises(InputError):
             smoothing_norms(self.ed, 0.5, [(2, 1)])
+
+    def test_l2_top_eigenvalue_matches_svd(self):
+        # the kernel grids of the smoothing suite in rank one and rank two
+        grids = (
+            build_grid(RootSystem.z2_product([0.5]), 14.0, 256),
+            build_grid(RootSystem.z2_product([0.5, 1.0]), 6.0, 32),
+        )
+        presets = (("soft_coulomb", {"a": 1.0}), ("inverse_power", {"beta": 0.5, "cutoff": 1.0}))
+        for grid in grids:
+            dh = np.sqrt(grid.mu_weights)
+            for name, params in presets:
+                pot = potential_preset(grid, name, **params)
+                for t in (0.1, 1.0):
+                    W = splitting_kernel(grid, pot, t, splitting_steps(grid, t))
+                    got = smoothing_norms_of_kernel(grid, W, []).l2_direct
+                    ref = svdvals(dh[:, None] * W * dh[None, :])[0]
+                    self.assertLessEqual(abs(got - ref), 1e-13 * ref)
+
+    def test_kernel_must_be_nonnegative_and_symmetric(self):
+        grid = self.ed.grid
+        W = splitting_kernel(grid, self.ed.potential, 0.5, 1)
+        smoothing_norms_of_kernel(grid, W, [])
+        neg = W.copy()
+        neg[3, 5] = neg[5, 3] = -1e-300
+        skew = W.copy()
+        skew[3, 5] += 1e-9 * W.max()
+        for bad in (neg, skew):
+            with self.assertRaises(InputError):
+                smoothing_norms_of_kernel(grid, bad, [])
 
 
 if __name__ == "__main__":

@@ -4,8 +4,10 @@ import math
 import os
 import tempfile
 import unittest
+from unittest import mock
 
 import numpy as np
+from scipy.linalg import eigh
 
 from dunklkit.errors import IllPosedError, InputError
 from dunklkit.grids import SampledFunction, build_grid
@@ -16,6 +18,7 @@ from dunklkit.schrodinger import (
     assemble_L,
     distribution_sup,
     eig,
+    free_resolved_modes,
     inv_sqrt_apply,
     inv_sqrt_subordination,
     nearest_node_index,
@@ -118,6 +121,19 @@ class TestResolvedCalculus(unittest.TestCase):
             mask = self.grid.interior_mask(0.5)
             gap = np.abs(W - K)[np.ix_(mask, mask)] / np.max(K)
             self.assertLess(np.max(gap), 1e-6)
+
+    def test_free_modes_memoised_read_only(self):
+        grid = build_grid(self.grid.rs, 12.0, 64)
+        with mock.patch("dunklkit.schrodinger.eigh", wraps=eigh) as solver:
+            lam, P, meta = free_resolved_modes(grid, 0.2)
+            again = free_resolved_modes(grid, 0.2)
+        self.assertEqual(solver.call_count, 1)
+        self.assertIs(again[0], lam)
+        self.assertIs(again[1], P)
+        for arr in (lam, P):
+            self.assertFalse(arr.flags.writeable)
+            with self.assertRaises(ValueError):
+                arr[0] = 0.0
 
     def test_kernel_needs_positive_time(self):
         with self.assertRaises(InputError):

@@ -8,6 +8,7 @@ import numpy as np
 from dunklkit import families
 from dunklkit.errors import InputError
 from dunklkit.grids import SampledFunction, build_grid
+from dunklkit.intertwine import e_minus_i, nu_quadrature
 from dunklkit.reflection import RootSystem
 from dunklkit.transform import (
     build_spectral_matrix,
@@ -70,7 +71,35 @@ class TestRoundtrip(unittest.TestCase):
             dunkl_transform(sm, f)
 
 
+class TestPerAxisTable(unittest.TestCase):
+    GRIDS = (((0.5, 1.0), 6.0, 24), ((0.0, 0.5), 6.0, 32), ((0.5,), 10.0, 128))
+
+    def test_matches_outer_product_formula(self):
+        for kappas, R, n in self.GRIDS:
+            grid = build_grid(RootSystem.z2_product(list(kappas)), R, n)
+            oracle = np.ones((len(grid), len(grid)), dtype=complex)
+            for j, kap in enumerate(kappas):
+                xs = grid.nodes[:, j]
+                oracle = oracle * e_minus_i(np.outer(xs, xs), kap)
+            self.assertTrue(np.array_equal(build_spectral_matrix(grid).kernel_table, oracle))
+
+    def test_forward_is_formed_once(self):
+        sm = _setup(0.5)
+        self.assertIs(sm.forward, sm.forward)
+
+
 class TestTranslation(unittest.TestCase):
+    def test_row_blocks_match_one_array(self):
+        # 100 rows: one full block of 64 and a partial one
+        sm = _setup(0.5, n=100)
+        grid, x = sm.grid, np.array([0.9])
+        prof = lambda r: np.exp(-(r**2) / 2.0)
+        q = nu_quadrature(grid.rs, x, 64)
+        arg2 = np.sum(grid.nodes**2, axis=1)[:, None] + (x @ x) + 2.0 * (grid.nodes @ q.nodes.T)
+        ref = prof(np.sqrt(np.maximum(arg2, 0.0))) @ q.weights
+        got = translate_radial(grid.rs, grid, x, prof)
+        self.assertTrue(np.array_equal(got.values, ref))
+
     def test_translate_at_origin_is_identity(self):
         sm = _setup(0.7)
         prof = lambda r: np.exp(-(r**2) / 2.0)
