@@ -382,7 +382,7 @@ def smoothing_norms_of_kernel(grid, W, pq_list) -> SmoothingReport:
     direct L2 operator norm is included for the upper-bound cross-check.
 
     W must be entrywise nonnegative and symmetric to 1e-12 relative (splitting
-    kernels are, to 2.6e-15), else InputError; S = D^(1/2) W D^(1/2) is then
+    kernels are, to about 2e-15), else InputError; S = D^(1/2) W D^(1/2) is then
     too, so by Perron-Frobenius ||S||_2 is its top eigenvalue, computed alone.
     """
     om = grid.mu_weights
