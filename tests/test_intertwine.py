@@ -99,7 +99,8 @@ class TestKernelOneDim(unittest.TestCase):
         # about 0.87 |s| digits, so the working precision grows with |s|
         mags = (1e-9, 9.99e-7, 1e-6, 1.001e-6, 0.37, 3.0, 40.0, 700.0)
         s = np.array([0.0] + [m for a in mags for m in (a, -a)])
-        for kap in (0.0, 0.5, 1.5):
+        # kappa 0.5, 1 and 1.5 cover the fast orders 0, 1/2 and 1 of _ive
+        for kap in (0.0, 0.5, 1.0, 1.5):
             ref = [1.0] + [_mp_scaled(v, kap, 40 + int(abs(v))) for v in s[1:]]
             # the only zero reference is e^{-1400} at kappa = 0, s = -700
             np.testing.assert_allclose(scaled_e_real(s, kap), ref, rtol=1e-12, atol=1e-300)
@@ -108,7 +109,7 @@ class TestKernelOneDim(unittest.TestCase):
         # across the Taylor switch at 1e-6, and even in its argument
         mags = (1e-8, 1e-7, 9.99e-7, 1e-6, 1.001e-6, 1e-3, 0.37, 3.0, 40.0, 1e3)
         a = np.array([m for v in mags for m in (v, -v)])
-        for kap in (0.0, 0.3, 0.5, 1.5):
+        for kap in (0.0, 0.3, 0.5, 1.0, 1.5):
             ref = [_mp_scaled(v, kap, 40, even_only=True) for v in a]
             np.testing.assert_allclose(scaled_e_even(a, kap), ref, rtol=1e-12)
 
@@ -116,7 +117,7 @@ class TestKernelOneDim(unittest.TestCase):
         # scipy's ive is NaN from 2^31 on; s < 0 cancels to O(1/s), out of
         # reach of double precision here, so it is only required finite
         s = np.array([1e9, 3e9, 1e12])
-        for kap in (0.5, 1.5):
+        for kap in (0.5, 1.0, 1.5):
             ref = [_mp_scaled(v, kap, 40) for v in s]
             np.testing.assert_allclose(scaled_e_real(s, kap), ref, rtol=1e-12)
             self.assertTrue(np.all(np.isfinite(scaled_e_real(-s, kap))))

@@ -6,7 +6,7 @@ import unittest
 import numpy as np
 from scipy.linalg import svdvals
 
-from dunklkit.errors import CapabilityError, InputError
+from dunklkit.errors import CapabilityError, InputError, NumericalError
 from dunklkit.grids import build_grid
 from dunklkit.kato import (
     CLASSICAL,
@@ -110,6 +110,13 @@ class TestHeatModulus(unittest.TestCase):
             self.assertGreaterEqual(row["bound"] * 1.001, row["norm"])
         with self.assertRaises(InputError):
             resolvent_decay(self.rs, ONE, (-1.0,))
+
+    def test_unconverged_flow_raises(self):
+        # y^-1.5 near 0 is not integrable: the quadrature stops at QUAD_LIMIT
+        rs = RootSystem.z2_product([0.0])
+        V = potential_function("inverse_power", beta=1.5)
+        with self.assertRaises(NumericalError):
+            semigroup_abs_potential(rs, V, 1.0, 0.0)
 
     def test_nonpositive_time_rejected(self):
         with self.assertRaises(InputError):
