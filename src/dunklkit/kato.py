@@ -26,7 +26,6 @@ from .quadrature import quad
 from .reflection import RootSystem, weight
 from .schrodinger import EigenDecomp, splitting_kernel, splitting_steps
 
-QUAD_LIMIT = 200
 QUAD_TOL = 1e-12
 # Gauss-Laguerre rule in time for the resolvent integrals
 LAGUERRE = roots_laguerre(48)
@@ -64,7 +63,7 @@ class SmoothingReport:
 
 def _lebesgue_quad(fn, lo: float, hi: float, singular=()) -> tuple:
     """Adaptive integral with singular breakpoints; flags divergence."""
-    val, err, ok = quad(fn, lo, hi, singular, limit=QUAD_LIMIT)
+    val, err, ok = quad(fn, lo, hi, singular)
     ok = ok and np.isfinite(val) and err <= DIVERGENCE_RELERR * max(abs(val), 1.0)
     return val, err, not ok
 
@@ -231,10 +230,10 @@ def _flow_density(rs: RootSystem, V_fn, x: float, s, w):
 def semigroup_abs_potential(rs: RootSystem, V_fn, s, x: float, w=1.0) -> float:
     """sum_i w_i (e^{-s_i A}|V|)(x): one quadrature of _flow_density on [0, L].
 
-    V is radial and called on arrays of y >= 0.  Breakpoints are |x| and V's
-    breaks, plus fences around |x| from 10 sqrt(min s) outward by factors of
-    4, so that the narrowest kernel is not stepped over; all folded onto
-    y >= 0.  NumericalError if unconverged at QUAD_LIMIT panels.
+    V is radial and called on arrays of y >= 0.  Breaks: |x|, V's breaks and
+    fences around |x| from 10 sqrt(min s) outward by factors of 4 (so that the
+    narrowest kernel is not stepped over), folded onto y >= 0.  NumericalError
+    if unconverged at QUAD_LIMIT panels.
     """
     if rs.dimension != 1:
         raise CapabilityError("heat characterization implemented in rank one")
@@ -250,7 +249,7 @@ def semigroup_abs_potential(rs: RootSystem, V_fn, s, x: float, w=1.0) -> float:
         r *= 4.0
     pts = {abs(p) for p in pts if abs(p) < L}
     density = _flow_density(rs, V_fn, x, s, w)
-    val, err, converged = quad(density, 0.0, L, pts, QUAD_TOL, QUAD_TOL, QUAD_LIMIT)
+    val, err, converged = quad(density, 0.0, L, pts, QUAD_TOL)
     if not converged:
         raise NumericalError("kato", f"heat flow at x = {x} unconverged, error {err:.3e}")
     return val

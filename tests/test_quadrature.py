@@ -4,7 +4,7 @@ import unittest
 
 import numpy as np
 
-from dunklkit.kato import QUAD_LIMIT, _time_rule, heat_modulus, semigroup_abs_potential
+from dunklkit.kato import _time_rule, heat_modulus, kato_modulus, semigroup_abs_potential
 from dunklkit.quadrature import GAUSS, KRONROD, NODES, quad
 from dunklkit.reflection import RootSystem
 from dunklkit.schrodinger import potential_function
@@ -38,7 +38,7 @@ class TestRule(unittest.TestCase):
             calls.append(y.shape)
             return y**-0.75
 
-        val, err, ok = quad(f, 0.0, 1.0, breaks=(0.0,), limit=QUAD_LIMIT)
+        val, err, ok = quad(f, 0.0, 1.0, breaks=(0.0,))
         self.assertTrue(ok)
         self.assertLess(abs(val - 4.0), 1e-8)
         self.assertLessEqual(err, 1.49e-8 * 4.0)
@@ -46,8 +46,14 @@ class TestRule(unittest.TestCase):
         self.assertTrue(all(len(c) == 1 and c[0] % 21 == 0 for c in calls))
 
     def test_non_integrable_is_unconverged(self):
-        _, _, ok = quad(lambda y: np.abs(y) ** -1.5, -1.0, 1.0, (0.0,), limit=QUAD_LIMIT)
+        _, _, ok = quad(lambda y: np.abs(y) ** -1.5, -1.0, 1.0, (0.0,))
         self.assertFalse(ok)
+
+    def test_smooth_at_break_keeps_rule_accuracy(self):
+        # the geometric tail is taken only where it beats the rule's own error
+        val, _, ok = quad(np.exp, 0.0, 1.0, breaks=(0.0,))
+        self.assertTrue(ok)
+        self.assertLess(abs(val - (np.e - 1.0)), 1e-15)
 
 
 class TestKatoCost(unittest.TestCase):
@@ -60,13 +66,28 @@ class TestKatoCost(unittest.TestCase):
             self.assertLessEqual(len(calls), 20)
 
     def test_inverse_power_heat_modulus(self):
-        # y^-0.75 at y = 0: each 1/8 split cuts the endpoint panel's error by
-        # 8^(1/4), 54 rounds a probe at QUAD_TOL where halving takes 154
+        # y^-0.75 at y = 0: 1/8 grading alone takes 54 rounds a probe at
+        # QUAD_TOL (halving 154); with the geometric tail, 31 for all three
         rs = RootSystem.z2_product([0.0])
         V, calls = _counted(potential_function("inverse_power", beta=0.75))
         got = heat_modulus(rs, V, 1.0, probes=(0.0, 0.5, 2.0))
         self.assertLess(abs(got - 3.8359459882260505), 1e-10 * got)
-        self.assertLessEqual(len(calls), 3 * 60)
+        self.assertLessEqual(len(calls), 40)
+
+    def test_inverse_power_near_one(self):
+        # y^-beta for beta near 1: grading alone cuts the error by 8^(beta-1)
+        # a round and hit the panel limit from beta 0.9 on; the values on the
+        # right are scipy's QAGS (Wynn extrapolation) at the same tolerances
+        rs = RootSystem.z2_product([0.0])
+        for beta, heat in ((0.9, 10.503798763714146), (0.95, 21.74246072641635),
+                           (0.99, 111.93225755670639)):
+            V = potential_function("inverse_power", beta=beta)
+            m = kato_modulus(V, 0.5, probes=(0.0,))
+            self.assertFalse(m.divergent)
+            exact = 2.0 * 0.5 ** (1.0 - beta) / (1.0 - beta)
+            self.assertLess(abs(m.value - exact), 1e-10 * exact)
+            got = heat_modulus(rs, V, 1.0, probes=(0.0, 0.5, 2.0))
+            self.assertLess(abs(got - heat), 1e-10 * heat)
 
 
 if __name__ == "__main__":
