@@ -9,9 +9,9 @@ import yaml
 
 from .errors import ConfigError
 from .operators import FD_ORDER
+from .schrodinger import PRESET_NAMES
 
 GROUP_KINDS = ("z2_product", "dihedral")
-POTENTIAL_PRESETS = ("zero", "constant", "soft_coulomb", "inverse_power", "bump")
 
 DEFAULT_GROUP = {"kind": "z2_product", "multiplicities": [0.5]}
 DEFAULT_GRID = {"R": 10.0, "N": 128}
@@ -88,7 +88,7 @@ def _validate_potential(p: dict):
     if "csv" in p:
         return {"csv": str(p["csv"])}
     preset = p.get("preset", "zero")
-    _require(preset in POTENTIAL_PRESETS, f"unknown potential preset {preset!r}")
+    _require(preset in PRESET_NAMES, f"unknown potential preset {preset!r}")
     params = p.get("params", {})
     _require(isinstance(params, dict), "potential params must be a mapping")
     if preset == "inverse_power":

@@ -8,12 +8,11 @@ interpolation error.
 
 import csv
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.special import roots_legendre
 
-from .errors import InputError
+from .errors import CapabilityError, InputError
 from .reflection import Z2_PRODUCT, RootSystem, weight
 
 
@@ -78,7 +77,10 @@ class QuadratureGrid:
 
 def build_grid(rs: RootSystem, R: float, n_axis: int) -> QuadratureGrid:
     if rs.kind != Z2_PRODUCT:
-        raise InputError("tensor grids require a sign product group")
+        raise CapabilityError(
+            f"grids, and every table built on them, require a sign product group "
+            f"(z2_product), not {rs.kind}"
+        )
     d = rs.dimension
     ax, aw = axis_rule(R, n_axis)
     mesh = np.meshgrid(*([ax] * d), indexing="ij")
@@ -180,14 +182,12 @@ def sample(grid: QuadratureGrid, fn) -> SampledFunction:
     return SampledFunction(grid, vals)
 
 
-def grid_selftest(grid: QuadratureGrid, ck_exact: Optional[float] = None) -> dict:
-    """Quadrature health check: Gaussian mass against the closed form and
-    indicator mass against the exact box integral."""
+def grid_selftest(grid: QuadratureGrid, ck_exact: float) -> dict:
+    """Quadrature health check: Gaussian mass against its closed form ck_exact
+    and indicator mass against the exact box integral."""
     x2 = np.sum(grid.nodes**2, axis=1)
     gauss = float(np.sum(grid.mu_weights * np.exp(-0.5 * x2)))
-    report = {"gaussian_mass": gauss}
-    if ck_exact is not None:
-        report["gaussian_defect"] = abs(gauss - ck_exact) / ck_exact
+    report = {"gaussian_mass": gauss, "gaussian_defect": abs(gauss - ck_exact) / ck_exact}
     box = float(np.sum(grid.mu_weights))
     kappas = grid.rs.multiplicities
     R = grid.half_width

@@ -102,6 +102,7 @@ def canonical_pair_distance(rs: RootSystem, x, y) -> float:
 
 
 BOUND_FORMS = ("polynomial", "weight_pair", "ball_volume")
+BOX = 6.0
 
 
 def _bound_normalizer(rs: RootSystem, form: str, t, x, y) -> float:
@@ -119,13 +120,7 @@ def _bound_normalizer(rs: RootSystem, form: str, t, x, y) -> float:
     raise InputError(f"unknown bound form {form!r}")
 
 
-def gaussian_bound_report(
-    rs: RootSystem,
-    t_list,
-    n_samples: int = 40,
-    seed: int = 0,
-    box: float = 6.0,
-) -> dict:
+def gaussian_bound_report(rs: RootSystem, t_list, n_samples: int = 40, seed: int = 0) -> dict:
     """Fit (C, c) per bound form so K_t * normalizer <= C e^{-c |x+-y+|^2 / t}.
 
     Each draw fixes (t, z) with z log-uniform in [0.25, 25], then scans a
@@ -148,12 +143,12 @@ def gaussian_bound_report(
         u = np.abs(rng.normal(size=d))
         u /= np.linalg.norm(u)
         for frac in fracs:
-            xa = frac * (box - r * u)
+            xa = frac * (BOX - r * u)
             ya = xa + r * u
             entries.append((t, xa, ya, z, heat_kernel(rs, t, xa, ya)))
         sx = rng.choice([-1.0, 1.0], size=d)
         sy = rng.choice([-1.0, 1.0], size=d)
-        xa = rng.uniform(0.0, 1.0) * (box - r * u)
+        xa = rng.uniform(0.0, 1.0) * (BOX - r * u)
         ya = xa + r * u
         entries.append((t, sx * xa, sy * ya, z, heat_kernel(rs, t, sx * xa, sy * ya)))
     report = {

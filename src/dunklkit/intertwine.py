@@ -39,19 +39,6 @@ class OrbitMeasureQuad:
             raise InputError("nodes must lie in the convex hull of the orbit")
 
 
-@dataclass(frozen=True)
-class PhiEvaluation:
-    value: float
-    base: np.ndarray
-    argument: np.ndarray
-    lam: float
-    clamped: int = 0  # count of radicand round-off clamps
-
-    def __post_init__(self):
-        if self.value < math.e ** self.lam - 1e-9:
-            raise InputError("phi value below its analytic floor e^lambda")
-
-
 def term_factor(n: int, kappa: float) -> float:
     """Recursion denominator for the rank-one series: n, shifted on odd n."""
     return n + 2.0 * kappa * (n % 2)
@@ -161,8 +148,9 @@ def rank_one_measure(kappa: float, x: float, n: int) -> tuple:
     return x * t, w
 
 
-def nu_quadrature(rs: RootSystem, x, n: int = 64) -> OrbitMeasureQuad:
-    """Product-group intertwining measure as a tensor quadrature rule."""
+def nu_quadrature(rs: RootSystem, x) -> OrbitMeasureQuad:
+    """Product-group intertwining measure as a tensor quadrature rule, 64 nodes
+    per axis."""
     if rs.kind != Z2_PRODUCT:
         raise CapabilityError("explicit measure known only for sign product groups")
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -170,7 +158,7 @@ def nu_quadrature(rs: RootSystem, x, n: int = 64) -> OrbitMeasureQuad:
     axis_nodes = []
     axis_weights = []
     for xj, kap in zip(x, kappas):
-        nd, wt = rank_one_measure(float(kap), float(xj), n)
+        nd, wt = rank_one_measure(float(kap), float(xj), 64)
         axis_nodes.append(nd)
         axis_weights.append(wt)
     grids = np.meshgrid(*axis_nodes, indexing="ij")
@@ -194,12 +182,12 @@ def nu_moments_oracle(kappa: float, nmax: int) -> np.ndarray:
     return np.array([math.factorial(n) * b[n] for n in range(nmax + 1)])
 
 
-def dunkl_kernel(rs: RootSystem, x, y, method: str = "bessel", n_quad: int = 64):
-    """The deformed exponential E(x, y), product over coordinates.
+def dunkl_kernel(rs: RootSystem, x, y):
+    """The deformed exponential E(x, y), product over coordinates, by the
+    Bessel closed form.
 
-    Real y: positive kernel, three methods available ("bessel", "series",
-    "quadrature").  Purely imaginary y (1j * real vector): Bessel closed form
-    only; other complex arguments are out of scope.
+    Real y: positive kernel.  Purely imaginary y (1j * real vector); other
+    complex arguments are out of scope.
     """
     if rs.kind != Z2_PRODUCT:
         raise CapabilityError("kernel evaluation requires a sign product group")
@@ -216,29 +204,18 @@ def dunkl_kernel(rs: RootSystem, x, y, method: str = "bessel", n_quad: int = 64)
     y = np.atleast_1d(np.asarray(y, dtype=float))
     out = 1.0
     for xj, yj, kap in zip(x, y, kappas):
-        s = xj * yj
-        if method == "bessel":
-            out *= float(kernel_bessel_1d(np.array([s]), float(kap))[0])
-        elif method == "series":
-            out *= float(kernel_series_1d(np.array([s]), float(kap))[0])
-        elif method == "quadrature":
-            nd, wt = rank_one_measure(float(kap), float(xj), n_quad)
-            out *= float(wt @ np.exp(nd * yj))
-        else:
-            raise InputError(f"unknown kernel method {method!r}")
+        out *= float(kernel_bessel_1d(np.array([xj * yj]), float(kap))[0])
     return out
 
 
-def averaged_orbit_measure(
-    rs: RootSystem, group: ReflectionGroup, y, n: int = 64
-) -> OrbitMeasureQuad:
+def averaged_orbit_measure(rs: RootSystem, group: ReflectionGroup, y) -> OrbitMeasureQuad:
     """The group-averaged measure |G|^-1 sum over g of nu_(g.y)."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
     all_nodes = []
     all_wts = []
     orbit = group.orbit(y)
     for gy in orbit:
-        q = nu_quadrature(rs, gy, n)
+        q = nu_quadrature(rs, gy)
         all_nodes.append(q.nodes)
         all_wts.append(q.weights / len(orbit))
     nodes = np.concatenate(all_nodes, axis=0)
@@ -247,10 +224,9 @@ def averaged_orbit_measure(
     return OrbitMeasureQuad(hull, nodes, wts)
 
 
-def phi_profile(
-    rs: RootSystem, group: ReflectionGroup, xs, y, n: int = 64
-) -> np.ndarray:
-    """phi(x, y) evaluated on many points x at once (d=1 fast path).
+def phi_profile(rs: RootSystem, group: ReflectionGroup, xs, y) -> np.ndarray:
+    """phi(x, y) evaluated on many points x at once: rows of xs, or its entries
+    in rank one.
 
     Integrates e^{sqrt(1 + A^2)} with A^2 = |y|^2 + |x|^2 - 2<x, eta> against
     the averaged orbit measure; tiny negative radicands are clamped at 0.
@@ -261,37 +237,26 @@ def phi_profile(
     else:
         pts = xs
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    q = averaged_orbit_measure(rs, group, y, n)
+    q = averaged_orbit_measure(rs, group, y)
     a2 = (y @ y) + np.sum(pts**2, axis=1)[:, None] - 2.0 * pts @ q.nodes.T
     a2 = np.maximum(a2, 0.0)
     return np.exp(np.sqrt(1.0 + a2)) @ q.weights
 
 
-def phi(
-    rs: RootSystem,
-    group: ReflectionGroup,
-    x,
-    y,
-    lam: float = 1.0,
-    n: int = 64,
-) -> PhiEvaluation:
-    """Pointwise phi_lambda(x, y); lam = 1 reproduces the base weight."""
+def phi(rs: RootSystem, group: ReflectionGroup, x, y, lam: float = 1.0) -> float:
+    """Pointwise phi_lambda(x, y) = phi_profile(x, y)^lam; lam = 1 reproduces
+    the base weight."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    q = averaged_orbit_measure(rs, group, y, n)
-    a2 = (y @ y) + (x @ x) - 2.0 * q.nodes @ x
-    clamped = int(np.sum(a2 < 0))
-    a2 = np.maximum(a2, 0.0)
-    base = float(np.exp(np.sqrt(1.0 + a2)) @ q.weights)
-    return PhiEvaluation(base**lam, y, x, lam, clamped)
+    value = float(phi_profile(rs, group, x[None, :], y)[0]) ** lam
+    if value < math.e**lam - 1e-9:
+        raise InputError("phi value below its analytic floor e^lambda")
+    return value
 
 
-def phi_lemma_defect(
-    rs: RootSystem, group: ReflectionGroup, x, y, y0, n: int = 64
-) -> float:
+def phi_lemma_defect(rs: RootSystem, group: ReflectionGroup, x, y, y0) -> float:
     """Signed slack of phi(x, y0) <= phi(y, y0) e^{|x+ - y+|} (>= 0 when it holds)."""
-    left = phi(rs, group, x, y0, n=n).value
-    right = phi(rs, group, y, y0, n=n).value
+    left = phi(rs, group, x, y0)
+    right = phi(rs, group, y, y0)
     xp = canonical_rep(group, np.atleast_1d(np.asarray(x, float)))
     yp = canonical_rep(group, np.atleast_1d(np.asarray(y, float)))
     return float(right * np.exp(np.linalg.norm(xp - yp)) - left)

@@ -1,6 +1,8 @@
 """Kato-class diagnostics for potentials: definitional moduli (classical and
 orbit-distance forms, Lebesgue measure), the heat-semigroup characterization,
-resolvent decay, the growth bound, and kernel smoothing norms.
+resolvent decay, the growth bound, and kernel smoothing norms.  All but the
+smoothing norms are rank one: the moduli integrate over the line, and classify
+and the heat leg refuse a system of another rank with CapabilityError.
 
 The heat characterization has one integrand, _flow_density, which sums a
 fixed time rule inside one adaptive spatial quadrature at QUAD_TOL, over y in
@@ -14,7 +16,7 @@ decidable numerically.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigvalsh
@@ -23,13 +25,12 @@ from scipy.special import roots_laguerre, roots_legendre
 from .errors import CapabilityError, InputError, NumericalError
 from .heat import even_axis_factor, kernel_prefactor
 from .quadrature import quad
-from .reflection import RootSystem, weight
+from .reflection import RootSystem
 from .schrodinger import EigenDecomp, splitting_kernel, splitting_steps
 
 QUAD_TOL = 1e-12
 # Gauss-Laguerre rule in time for the resolvent integrals
 LAGUERRE = roots_laguerre(48)
-DIVERGENCE_RELERR = 1e-2
 
 CLASSICAL = "classical"
 ORBIT = "orbit"
@@ -45,13 +46,11 @@ class ModulusValue:
 
 @dataclass(frozen=True)
 class KatoReport:
-    dimension: int
-    t_list: tuple
     modulus_classical: dict
     modulus_orbit: dict
     heat_modulus: dict
     verdict: str
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict
 
 
 @dataclass(frozen=True)
@@ -64,23 +63,11 @@ class SmoothingReport:
 def _lebesgue_quad(fn, lo: float, hi: float, singular=()) -> tuple:
     """Adaptive integral with singular breakpoints; flags divergence."""
     val, err, ok = quad(fn, lo, hi, singular)
-    ok = ok and np.isfinite(val) and err <= DIVERGENCE_RELERR * max(abs(val), 1.0)
-    return val, err, not ok
+    return val, err, not (ok and np.isfinite(val))
 
 
 def _breaks(V_fn) -> tuple:
     return getattr(V_fn, "breaks", (0.0,))
-
-
-def _sphere_area(d: int) -> float:
-    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-
-
-def _green_factor(d: int):
-    """Green weight of the modulus for d >= 2; in rank one it is 1."""
-    if d == 2:
-        return lambda r: np.log(1.0 / np.maximum(np.asarray(r, dtype=float), 1e-12))
-    return lambda r: np.asarray(r, dtype=float) ** (2 - d)
 
 
 def _orbit_intervals(xp: float, t: float) -> list:
@@ -96,11 +83,11 @@ def kato_modulus(
     V_fn,
     t: float,
     form: str = CLASSICAL,
-    dimension: int = 1,
     probes=(0.0,),
     sign_group: bool = True,
 ) -> ModulusValue:
-    """sup over probes of the Green-weighted mass of |V| near the probe.
+    """sup over probes of the mass of |V| near the probe, in rank one, where
+    the Green weight is 1.
 
     Distances are classical |x - y| or orbit | |x| - |y| | (sign group);
     with sign_group False the orbit form degenerates to the classical one.
@@ -111,59 +98,23 @@ def kato_modulus(
     if form not in (CLASSICAL, ORBIT):
         raise InputError(f"unknown modulus form {form!r}")
     singular = _breaks(V_fn)
-    if dimension == 1:
-        best, best_err, best_probe, div = -np.inf, 0.0, 0.0, False
-        for x in np.atleast_1d(np.asarray(probes, dtype=float)):
-            if form == ORBIT and sign_group:
-                intervals = _orbit_intervals(abs(x), t)
-            else:
-                intervals = [(x - t, x + t)]
-            tot, toterr, bad = 0.0, 0.0, False
-            for lo, hi in intervals:
-                v, e, b = _lebesgue_quad(lambda y: np.abs(V_fn(y)), lo, hi, singular)
-                tot, toterr, bad = tot + v, toterr + e, bad or b
-            div = div or bad
-            if tot > best:
-                best, best_err, best_probe = tot, toterr, float(x)
-        return ModulusValue(
-            np.inf if div else best, best_err, div, best_probe
-        )
-    green = _green_factor(dimension)
-    if dimension == 2 and form == CLASSICAL:
-        th, wth = roots_legendre(64)
-        circle, wth = np.exp(1j * math.pi * (th + 1.0)), math.pi * wth
-        best, best_err, best_probe, div = -np.inf, 0.0, 0.0, False
-        for x in np.atleast_2d(np.asarray(probes, dtype=float)):
-
-            def ring(r, _z=complex(*x)):
-                radii = np.abs(_z + r[:, None] * circle)
-                return r * green(r) * (np.abs(V_fn(radii)) @ wth)
-
-            v, e, b = _lebesgue_quad(ring, 0.0, t, singular=(1e-6,))
-            div = div or b
-            if v > best:
-                best, best_err, best_probe = v, e, float(np.linalg.norm(x))
-        return ModulusValue(np.inf if div else best, best_err, div, best_probe)
-    if dimension >= 3 and form == CLASSICAL:
-        # radial potential probed at the origin; closed-form surface factor
-        area = _sphere_area(dimension)
-
-        def fn(r):
-            return area * r ** (dimension - 1) * green(r) * np.abs(V_fn(r))
-
-        v, e, b = _lebesgue_quad(fn, 0.0, t, singular)
-        return ModulusValue(np.inf if b else v, e, b, 0.0)
-    raise CapabilityError(
-        f"modulus form {form!r} not implemented for dimension {dimension}"
-    )
+    best, best_err, best_probe, div = -np.inf, 0.0, 0.0, False
+    for x in np.atleast_1d(np.asarray(probes, dtype=float)):
+        if form == ORBIT and sign_group:
+            intervals = _orbit_intervals(abs(x), t)
+        else:
+            intervals = [(x - t, x + t)]
+        tot, toterr, bad = 0.0, 0.0, False
+        for lo, hi in intervals:
+            v, e, b = _lebesgue_quad(lambda y: np.abs(V_fn(y)), lo, hi, singular)
+            tot, toterr, bad = tot + v, toterr + e, bad or b
+        div = div or bad
+        if tot > best:
+            best, best_err, best_probe = tot, toterr, float(x)
+    return ModulusValue(np.inf if div else best, best_err, div, best_probe)
 
 
-def kato_equivalence_check(
-    V_fn,
-    t_list,
-    probes=(0.0, 0.5, 1.0, 2.0),
-    sign_group: bool = True,
-) -> dict:
+def kato_equivalence_check(V_fn, t_list, probes=(0.0, 0.5, 1.0, 2.0)) -> dict:
     """Sandwich classical <= orbit <= group-sum of translated classical moduli.
 
     Dimension-one form; the upper leg sums the classical integral over the
@@ -171,15 +122,13 @@ def kato_equivalence_check(
     """
     rows = []
     for t in t_list:
-        mc = kato_modulus(V_fn, t, CLASSICAL, 1, probes, sign_group)
-        mo = kato_modulus(V_fn, t, ORBIT, 1, probes, sign_group)
+        mc = kato_modulus(V_fn, t, CLASSICAL, probes)
+        mo = kato_modulus(V_fn, t, ORBIT, probes)
         upper = -np.inf
-        reps = [abs(x) for x in np.atleast_1d(np.asarray(probes, float))]
-        images = [(xp, -xp) for xp in reps] if sign_group else [(xp,) for xp in reps]
-        for orbit_pts in images:
+        for xp in np.abs(np.atleast_1d(np.asarray(probes, float))):
             tot = sum(
                 _lebesgue_quad(lambda y: np.abs(V_fn(y)), c - t, c + t, _breaks(V_fn))[0]
-                for c in orbit_pts
+                for c in (xp, -xp)
             )
             upper = max(upper, tot)
         rows.append(
@@ -267,20 +216,17 @@ def heat_modulus(rs: RootSystem, V_fn, t: float, probes=(0.0,)) -> float:
     )
 
 
-def heat_modulus_split(
-    rs: RootSystem, V_fn, t: float, c_fit: float = 0.25, probes=(0.0,)
-) -> dict:
+def heat_modulus_split(rs: RootSystem, V_fn, t: float, probes=(0.0,)) -> dict:
     """Diagnostic small-ball / Gaussian-tail split of the damped majorant.
 
     Integrates the a = 1 resolvent density (_flow_density with the Laguerre
-    rule) on the orbit ball of radius beta = (d t / 2c)^(1/2d), y >= 0; the
-    tail is the whole a = 1 resolvent (as in resolvent_decay) minus the
+    rule) on the orbit ball of radius beta = (t / 2c)^(1/2) with c = 1/4, y >= 0;
+    the tail is the whole a = 1 resolvent (as in resolvent_decay) minus the
     ball.  The heat modulus is bounded by e^t times the sum.
     """
-    d = rs.dimension
-    if d != 1:
+    if rs.dimension != 1:
         raise CapabilityError("split diagnostic implemented in rank one")
-    beta = (d * t / (2.0 * c_fit)) ** (1.0 / (2.0 * d))
+    beta = (2.0 * t) ** 0.5
     sv, sw = LAGUERRE
     out = []
     for x in np.atleast_1d(np.asarray(probes, dtype=float)):
@@ -315,27 +261,20 @@ def resolvent_decay(rs: RootSystem, V_fn, a_list, probes=(0.0,)) -> dict:
 # growth bound and smoothing
 
 
-def growth_bound_check(
-    V_fn,
-    r_list,
-    dimension: int = 1,
-    probes=(0.0,),
-    extend: float = 4.0,
-    sign_group: bool = True,
-) -> dict:
-    """Fit C in sup_x int_{orbit ball r} |V| dy <= C (r + 1)^d; report the
-    fit's stability when the radius list is extended by the given factor."""
+def growth_bound_check(V_fn, r_list, probes=(0.0,), sign_group: bool = True) -> dict:
+    """Fit C in sup_x int_{orbit ball r} |V| dy <= C (r + 1); report the
+    fit's stability when the radius list is extended by a factor 4."""
 
     def fitted(rs_):
         vals = []
         for r in rs_:
-            m = kato_modulus(V_fn, r, ORBIT, dimension, probes, sign_group)
+            m = kato_modulus(V_fn, r, ORBIT, probes, sign_group)
             vals.append(m.value)
-        ratios = [v / (r + 1.0) ** dimension for v, r in zip(vals, rs_)]
+        ratios = [v / (r + 1.0) for v, r in zip(vals, rs_)]
         return vals, max(ratios)
 
     base_vals, C = fitted(list(r_list))
-    _, C_ext = fitted([extend * r for r in r_list])
+    _, C_ext = fitted([4.0 * r for r in r_list])
     return {
         "r_list": [float(r) for r in r_list],
         "integrals": base_vals,
@@ -402,40 +341,33 @@ def smoothing_norms_of_kernel(grid, W, pq_list) -> SmoothingReport:
 # verdicts
 
 
-def classify(
-    rs: RootSystem,
-    V_fn,
-    probes=(0.0,),
-    t_window=(1.0, 0.3, 0.1, 0.03, 0.01),
-) -> KatoReport:
-    """Trend-based class verdict over a shrinking window ladder.
+T_WINDOW = (1.0, 0.3, 0.1, 0.03, 0.01)
+
+
+def classify(rs: RootSystem, V_fn, probes=(0.0,)) -> KatoReport:
+    """Trend-based class verdict over the shrinking window ladder T_WINDOW.
 
     Kato requires a >= 4x drop of the heat modulus from t = 1 to t = 0.03,
     a monotone definitional modulus, and a small-window ratio <= 0.40;
     NotKato on quadrature divergence or a plateau ratio >= 0.8; otherwise
-    Inconclusive.  Rank-one reports include the heat leg; higher rank uses
-    the definitional trend only.
+    Inconclusive.  Rank one only.
     """
-    d = rs.dimension
+    if rs.dimension != 1:
+        raise CapabilityError("Kato classification implemented in rank one")
     mc, mo, hm = {}, {}, {}
     divergent = False
-    for t in t_window:
-        m1 = kato_modulus(V_fn, t, CLASSICAL, d, probes)
+    for t in T_WINDOW:
+        m1 = kato_modulus(V_fn, t, CLASSICAL, probes)
         mc[float(t)] = m1.value
-        divergent = divergent or m1.divergent
-        if d == 1:
-            m2 = kato_modulus(V_fn, t, ORBIT, d, probes)
-            mo[float(t)] = m2.value
-            divergent = divergent or m2.divergent
-    heat_ok = None
-    if d == 1 and not divergent:
-        for t in (1.0, 0.03):
-            hm[float(t)] = heat_modulus(rs, V_fn, t, probes)
-        heat_ok = hm[1.0] >= 4.0 * hm[0.03]
+        m2 = kato_modulus(V_fn, t, ORBIT, probes)
+        mo[float(t)] = m2.value
+        divergent = divergent or m1.divergent or m2.divergent
     diagnostics = {"divergent": divergent, "probe_count": len(np.atleast_1d(probes))}
     if divergent:
         verdict = "NotKato"
     else:
+        for t in (1.0, 0.03):
+            hm[float(t)] = heat_modulus(rs, V_fn, t, probes)
         ts = sorted(mc)
         vals = [mc[t] for t in ts]
         monotone = all(a <= b * (1.0 + 1e-9) for a, b in zip(vals[:-1], vals[1:]))
@@ -443,8 +375,8 @@ def classify(
         diagnostics["shrink_ratio"] = ratio
         if ratio >= 0.8:
             verdict = "NotKato"
-        elif monotone and ratio <= 0.40 and heat_ok in (True, None):
+        elif monotone and ratio <= 0.40 and hm[1.0] >= 4.0 * hm[0.03]:
             verdict = "Kato"
         else:
             verdict = "Inconclusive"
-    return KatoReport(d, tuple(t_window), mc, mo, hm, verdict, diagnostics)
+    return KatoReport(mc, mo, hm, verdict, diagnostics)

@@ -136,11 +136,14 @@ def reflection_matrix(alpha: Root) -> np.ndarray:
     return np.eye(v.size) - np.outer(v, v)
 
 
-def generate_group(rs: RootSystem, size_cap: int = 1024) -> ReflectionGroup:
+GROUP_SIZE_CAP = 1024
+
+
+def generate_group(rs: RootSystem) -> ReflectionGroup:
     """Close the generating reflections into the full matrix group.
 
     Breadth-first closure with tolerance-based deduplication; raises when the
-    closure exceeds size_cap, which signals a misconfigured system.
+    closure exceeds GROUP_SIZE_CAP, which signals a misconfigured system.
     """
     d = rs.dimension
     gens = [reflection_matrix(r) for r in rs.positive_roots]
@@ -158,9 +161,9 @@ def generate_group(rs: RootSystem, size_cap: int = 1024) -> ReflectionGroup:
                 p = g @ m
                 k = key(p)
                 if k not in seen:
-                    if len(seen) >= size_cap:
+                    if len(seen) >= GROUP_SIZE_CAP:
                         raise InputError(
-                            f"group closure exceeded cap {size_cap}; "
+                            f"group closure exceeded cap {GROUP_SIZE_CAP}; "
                             "system is non-finite or misconfigured"
                         )
                     seen[k] = p
@@ -231,10 +234,12 @@ def ball_comparison_quantity(rs: RootSystem, x, r: float) -> float:
     return float(q)
 
 
-def ball_volume_quadrature(
-    rs: RootSystem, x, r: float, seed: int = 0, n_samples: int = 40000
-) -> float:
-    """Numeric mu_k(B(x, r)); exact antiderivative in d=1, Monte-Carlo in d>=2."""
+BALL_SAMPLES = 40000
+
+
+def ball_volume_quadrature(rs: RootSystem, x, r: float, seed: int = 0) -> float:
+    """Numeric mu_k(B(x, r)); exact antiderivative in d=1, Monte-Carlo over
+    BALL_SAMPLES points in d>=2."""
     x = np.asarray(x, dtype=float)
     if rs.dimension == 1:
         kap = rs.positive_roots[0].multiplicity
@@ -246,22 +251,20 @@ def ball_volume_quadrature(
         return float(anti(x[0] + r) - anti(x[0] - r))
     rng = np.random.default_rng(seed)
     d = rs.dimension
-    u = rng.standard_normal((n_samples, d))
+    u = rng.standard_normal((BALL_SAMPLES, d))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
-    rad = r * rng.random(n_samples) ** (1.0 / d)
+    rad = r * rng.random(BALL_SAMPLES) ** (1.0 / d)
     pts = x[None, :] + rad[:, None] * u
     vol_ball = np.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0) * r**d
     return float(vol_ball * np.mean(weight(rs, pts)))
 
 
-def calibrate_ball_constants(
-    rs: RootSystem, seed: int = 0, n_draws: int = 60
-) -> tuple:
+def calibrate_ball_constants(rs: RootSystem, seed: int = 0) -> tuple:
     """Fit bracket constants (c, C) so the numeric ball volume sits inside
-    c*q <= mu_k(B(x,r)) <= C*q over random centers and radii."""
+    c*q <= mu_k(B(x,r)) <= C*q over 60 random centers and radii."""
     rng = np.random.default_rng(seed)
     ratios = []
-    for i in range(n_draws):
+    for i in range(60):
         x = rng.uniform(-3.0, 3.0, size=rs.dimension)
         r = float(rng.uniform(0.05, 3.0))
         q = ball_comparison_quantity(rs, x, r)
@@ -271,18 +274,11 @@ def calibrate_ball_constants(
     return float(ratios.min() / 1.05), float(ratios.max() * 1.05)
 
 
-def ball_volume(
-    rs: RootSystem,
-    x,
-    r: float,
-    calibration: Optional[tuple] = None,
-    seed: int = 0,
-) -> BallEstimate:
-    """Two-sided bracket for mu_k(B(x, r)) via the comparison quantity."""
+def ball_volume(rs: RootSystem, x, r: float, calibration: tuple) -> BallEstimate:
+    """Two-sided bracket for mu_k(B(x, r)) via the comparison quantity, with
+    the constants of calibrate_ball_constants."""
     if r <= 0:
         raise InputError("radius must be positive")
-    if calibration is None:
-        calibration = calibrate_ball_constants(rs, seed=seed)
     c_lo, c_hi = calibration
     q = ball_comparison_quantity(rs, x, r)
     return BallEstimate(c_lo * q, c_hi * q)

@@ -134,7 +134,6 @@ class EigenDecomp:
     grid: QuadratureGrid
     eigenvalues: np.ndarray
     modes: np.ndarray
-    resolved: bool = False
     meta: dict = field(default_factory=dict)
     potential: Optional[Potential] = None
 
@@ -187,7 +186,7 @@ def eig(op: DiscreteOperator) -> EigenDecomp:
         raise NumericalError("schrodinger", f"eigenvector orthonormality {ortho:.3e}")
     if vals[0] < -1e-8:
         raise NumericalError("schrodinger", f"negative eigenvalue {vals[0]:.3e}")
-    return EigenDecomp(op.grid, vals, vecs, resolved=False, potential=op.potential)
+    return EigenDecomp(op.grid, vals, vecs, potential=op.potential)
 
 
 def quadrature_spectral_cap(grid: QuadratureGrid) -> float:
@@ -241,10 +240,10 @@ def resolved_calculus(
         lam, P = lam[keep], P[:, keep]
         meta.update(lam_limit=float(lam_limit), n_kept=int(keep.sum()))
     if V is None or not np.any(V.values):
-        return EigenDecomp(grid, lam, P, resolved=True, meta=meta, potential=V)
+        return EigenDecomp(grid, lam, P, meta=meta, potential=V)
     H = np.diag(lam) + (P.T * V.values) @ P
     theta, U = eigh(0.5 * (H + H.T))
-    return EigenDecomp(grid, theta, P @ U, resolved=True, meta=meta, potential=V)
+    return EigenDecomp(grid, theta, P @ U, meta=meta, potential=V)
 
 
 # ---------------------------------------------------------------------------
@@ -348,31 +347,31 @@ def schrodinger_kernel(ed: EigenDecomp, t: float) -> np.ndarray:
 # inverse square root and Riesz transforms
 
 
-def check_spectral_floor(ed: EigenDecomp, floor: float = 1e-8) -> float:
+SPECTRAL_FLOOR = 1e-8
+
+
+def check_spectral_floor(ed: EigenDecomp) -> float:
     lam_min = float(ed.eigenvalues[0])
-    if lam_min < floor:
+    if lam_min < SPECTRAL_FLOOR:
         raise IllPosedError(
             "schrodinger",
-            f"smallest eigenvalue {lam_min:.3e} below floor {floor:.1e}; "
+            f"smallest eigenvalue {lam_min:.3e} below floor {SPECTRAL_FLOOR:.1e}; "
             "discrete zero mode blocks the inverse square root",
         )
     return lam_min
 
 
-def inv_sqrt_apply(
-    ed: EigenDecomp, f: SampledFunction, floor: float = 1e-8
-) -> SampledFunction:
-    check_spectral_floor(ed, floor)
+def inv_sqrt_apply(ed: EigenDecomp, f: SampledFunction) -> SampledFunction:
+    check_spectral_floor(ed)
     out = ed.function_frame_apply(ed.eigenvalues**-0.5, np.asarray(f.values))
     return SampledFunction(ed.grid, out)
 
 
-def subordination_coefficients(
-    eigenvalues: np.ndarray, n_nodes: int = 200, u_lo: float = -30.0, u_hi: float = 30.0
-) -> np.ndarray:
+def subordination_coefficients(eigenvalues: np.ndarray, n_nodes: int) -> np.ndarray:
     """Trapezoid discretization of (1/sqrt(pi)) int e^{-s lambda} ds/sqrt(s)
-    under s = e^u; converges to lambda^(-1/2) for lambda above the floor."""
-    us = np.linspace(u_lo, u_hi, n_nodes)
+    under s = e^u, u in [-30, 30]; converges to lambda^(-1/2) for lambda above
+    the floor."""
+    us = np.linspace(-30.0, 30.0, n_nodes)
     du = us[1] - us[0]
     w = np.full(n_nodes, du)
     w[0] *= 0.5
@@ -382,37 +381,35 @@ def subordination_coefficients(
     return (integrand @ w) / np.sqrt(np.pi)
 
 
-def inv_sqrt_subordination(
-    ed: EigenDecomp,
-    f: SampledFunction,
-    n_nodes: int = 200,
-    floor: float = 1e-8,
-) -> tuple:
+SUBORDINATION_NODES = 200
+
+
+def inv_sqrt_subordination(ed: EigenDecomp, f: SampledFunction) -> tuple:
     """Subordination path for L^(-1/2) f; returns (result, error estimate).
 
     The error estimate is the L2 distance to a node-doubled evaluation.
     """
-    check_spectral_floor(ed, floor)
-    coef = subordination_coefficients(ed.eigenvalues, n_nodes)
+    check_spectral_floor(ed)
+    coef = subordination_coefficients(ed.eigenvalues, SUBORDINATION_NODES)
     out = ed.function_frame_apply(coef, np.asarray(f.values))
-    coef2 = subordination_coefficients(ed.eigenvalues, 2 * n_nodes - 1)
+    coef2 = subordination_coefficients(ed.eigenvalues, 2 * SUBORDINATION_NODES - 1)
     out2 = ed.function_frame_apply(coef2, np.asarray(f.values))
     res = SampledFunction(ed.grid, out)
     est = SampledFunction(ed.grid, out2 - out).norm_l2()
     return res, est
 
 
-def inv_sqrt_matrix(ed: EigenDecomp, floor: float = 1e-8) -> np.ndarray:
+def inv_sqrt_matrix(ed: EigenDecomp) -> np.ndarray:
     """Dense function-frame matrix of L^(-1/2)."""
-    check_spectral_floor(ed, floor)
+    check_spectral_floor(ed)
     dh = np.sqrt(ed.grid.mu_weights)
     core = (ed.modes * ed.eigenvalues**-0.5) @ ed.modes.T
     return (core * dh[None, :]) / dh[:, None]
 
 
-def riesz_matrix(ed: EigenDecomp, axis: int = 0, floor: float = 1e-8) -> np.ndarray:
+def riesz_matrix(ed: EigenDecomp, axis: int = 0) -> np.ndarray:
     """Dense matrix of the Riesz transform T_axis L^(-1/2) on samples."""
-    return dunkl_derivative_matrix(ed.grid, axis) @ inv_sqrt_matrix(ed, floor)
+    return dunkl_derivative_matrix(ed.grid, axis) @ inv_sqrt_matrix(ed)
 
 
 # ---------------------------------------------------------------------------
@@ -432,19 +429,14 @@ def distribution_sup(grid: QuadratureGrid, values: np.ndarray) -> float:
     return float(np.max(a_sorted * cum))
 
 
-def weak_type_report(
-    ed: EigenDecomp,
-    atoms,
-    axis: int = 0,
-    floor: float = 1e-8,
-) -> dict:
+def weak_type_report(ed: EigenDecomp, atoms, axis: int = 0) -> dict:
     """Layer-cake supremum of the Riesz image of normalized indicator atoms.
 
     atoms: iterable of (center, radius) pairs.  Radii below three grid
     spacings are flagged as under-resolved rather than rejected.
     """
     grid = ed.grid
-    R = riesz_matrix(ed, axis, floor)
+    R = riesz_matrix(ed, axis)
     spacing = float(np.max(np.diff(np.sort(np.unique(grid.nodes[:, 0])))))
     rows = []
     for center, radius in atoms:
@@ -471,24 +463,20 @@ def nearest_node_index(grid: QuadratureGrid, y) -> int:
     return int(np.argmin(np.linalg.norm(grid.nodes - y[None, :], axis=1)))
 
 
+TAIL_TIMES = (0.05, 0.1, 0.2, 0.4)
+
+
 def weighted_estimate_report(
-    ed: EigenDecomp,
-    group: ReflectionGroup,
-    t_list,
-    y_list,
-    axis: int = 0,
-    n_phi: int = 64,
-    s_list=(0.05, 0.1, 0.2, 0.4),
-    gate_t: float = 1.0,
+    ed: EigenDecomp, group: ReflectionGroup, t_list, y_list, axis: int = 0
 ) -> dict:
     """Weighted gradient-kernel quantities for the kernel W_t.
 
     Part one: for each probe y and time t, the weighted integral of
     |T W_t(., y)|^2 against phi(./sqrt t, y/sqrt t), normalized by
     t^(gamma + d/2 + 1); boundedness over t is the verification target.
-    Part two: the mass of |T W_s(., y)| outside the sqrt(gate_t)-ball of y+,
-    fitted to (C / sqrt s) e^(-c sqrt(gate_t/s)); a positive fitted c is the
-    verification target.
+    Part two: the mass of |T W_s(., y)| outside the unit ball of y+ at the
+    times s of TAIL_TIMES, fitted to (C / sqrt s) e^(-c / sqrt s); a positive
+    fitted c is the verification target.
     """
     grid = ed.grid
     rs = grid.rs
@@ -502,24 +490,24 @@ def weighted_estimate_report(
         TW = T @ W
         for y, iy in zip(y_list, probes):
             ynode = grid.nodes[iy]
-            phiv = phi_profile(rs, group, xs / np.sqrt(t), ynode / np.sqrt(t), n_phi)
+            phiv = phi_profile(rs, group, xs / np.sqrt(t), ynode / np.sqrt(t))
             lhs = float(np.sum(grid.mu_weights * TW[:, iy] ** 2 * phiv))
             normalized[(float(y), float(t))] = t**expo * lhs
     tails = {float(y): [] for y in y_list}
-    for s in s_list:
+    for s in TAIL_TIMES:
         W = schrodinger_kernel(ed, s)
         TW = T @ W
         for y, iy in zip(y_list, probes):
             ynode = grid.nodes[iy]
             dist = np.linalg.norm(np.abs(grid.nodes) - np.abs(ynode)[None, :], axis=1)
-            outside = dist > np.sqrt(gate_t)
+            outside = dist > 1.0
             tails[float(y)].append(
                 float(np.sum(grid.mu_weights[outside] * np.abs(TW[outside, iy])))
             )
     tail_fit = {}
-    zs = np.sqrt(gate_t / np.asarray(s_list))
+    zs = np.sqrt(1.0 / np.asarray(TAIL_TIMES))
     for y, vals in tails.items():
-        logs = np.log(np.maximum(np.asarray(vals), 1e-300) * np.sqrt(s_list))
+        logs = np.log(np.maximum(np.asarray(vals), 1e-300) * np.sqrt(TAIL_TIMES))
         slope, intercept = np.polyfit(zs, logs, 1)
         tail_fit[y] = {
             "c": -float(slope),
@@ -529,14 +517,7 @@ def weighted_estimate_report(
     return {"normalized_lhs": normalized, "tail_fit": tail_fit, "exponent": expo}
 
 
-def scaling_identity_gap(
-    rs,
-    R: float,
-    n_axis: int,
-    V_fn: Callable,
-    t: float,
-    t0: float = DEFAULT_T0,
-) -> float:
+def scaling_identity_gap(rs, R: float, n_axis: int, V_fn: Callable, t: float) -> float:
     """Relative gap in W_t(x, y) = t^(-d/2-gamma) W~_1(x/sqrt t, y/sqrt t).
 
     W~ is built from the rescaled potential t V(sqrt t .); node sets match
@@ -545,16 +526,16 @@ def scaling_identity_gap(
     rt = np.sqrt(t)
     grid1 = build_grid(rs, R, n_axis)
     grid2 = build_grid(rs, R / rt, n_axis)
-    # grid2's reference time t0/t samples the same physical reference kernel;
+    # grid2's reference time DEFAULT_T0 / t samples the same physical reference kernel;
     # both Galerkin bases are truncated to the common cap of the two ladders
     cap = min(
-        free_resolved_modes(grid1, t0)[0].max(),
-        free_resolved_modes(grid2, t0 / t)[0].max() / t,
+        free_resolved_modes(grid1, DEFAULT_T0)[0].max(),
+        free_resolved_modes(grid2, DEFAULT_T0 / t)[0].max() / t,
     )
     V1 = Potential("scaled", {}, V_fn(np.linalg.norm(grid1.nodes, axis=1)))
     V2 = Potential("scaled", {}, t * V_fn(rt * np.linalg.norm(grid2.nodes, axis=1)))
-    W1 = schrodinger_kernel(resolved_calculus(grid1, V1, t0, lam_limit=cap), t)
-    W2 = schrodinger_kernel(resolved_calculus(grid2, V2, t0 / t, lam_limit=cap * t), 1.0)
+    W1 = schrodinger_kernel(resolved_calculus(grid1, V1, lam_limit=cap), t)
+    W2 = schrodinger_kernel(resolved_calculus(grid2, V2, DEFAULT_T0 / t, lam_limit=cap * t), 1.0)
     expo = grid1.dimension / 2.0 + gamma_k(rs)
     pred = t**-expo * W2
     scale = np.max(np.abs(W1))

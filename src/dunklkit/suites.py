@@ -1,13 +1,13 @@
 """Named verification suites over a configured scene (group, grid, potential).
 
 Each suite bundles hard checks (invariants; they gate the exit status) and
-soft checks (fitted constants and stability reports).  Results carry labeled
-metrics and plottable curves; the runner persists one JSON summary and one
-CSV per suite.
+soft checks (fitted constants and stability reports) with labeled metrics,
+and returns them with its plottable curves; the runner adds the description
+and anchor from REGISTRY and persists one JSON summary and one CSV per suite.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Callable, Optional
@@ -192,19 +192,6 @@ class Checks:
         return all(self.soft.values()) if self.soft else None
 
 
-@dataclass
-class SuiteResult:
-    name: str
-    description: str
-    anchor: str
-    hard_pass: bool
-    soft_pass: Optional[bool]
-    hard_checks: dict
-    soft_checks: dict
-    values: dict
-    curves: dict = field(default_factory=dict)
-
-
 @dataclass(frozen=True)
 class SuiteDef:
     name: str
@@ -224,21 +211,6 @@ def suite(name: str, description: str, anchor: str):
     return wrap
 
 
-def _finish(defn_name: str, ck: Checks, curves: dict) -> SuiteResult:
-    d = REGISTRY[defn_name]
-    return SuiteResult(
-        d.name,
-        d.description,
-        d.anchor,
-        ck.hard_pass,
-        ck.soft_pass,
-        dict(ck.hard),
-        dict(ck.soft),
-        dict(ck.values),
-        curves,
-    )
-
-
 @lru_cache(maxsize=8)
 def _aux_sm(kappa: float, R: float, N: int):
     grid = build_grid(RootSystem.z2_product([kappa]), R, N)
@@ -254,7 +226,7 @@ def _aux_sm(kappa: float, R: float, N: int):
     "group generation, orbit distance, ball volume bracket, covering lemma",
     "doubling geometry of the weighted measure",
 )
-def suite_reflection_geometry(scene: Scene, rng) -> SuiteResult:
+def suite_reflection_geometry(scene: Scene, rng) -> tuple:
     ck = Checks()
     rs, grp = scene.rs, scene.group
     d = rs.dimension
@@ -303,16 +275,14 @@ def suite_reflection_geometry(scene: Scene, rng) -> SuiteResult:
         x = rng.uniform(-3, 3, size=d)
         r = float(rng.uniform(0.05, 3.0))
         est = ball_volume_quadrature(rs, x, r, seed=11 + i)
-        b = ball_volume(rs, x, r, calibration=cal)
+        b = ball_volume(rs, x, r, cal)
         bracket_ok &= b.lower <= est <= b.upper
     ck.check("ball_bracket", bracket_ok, list(cal))
     one_d = RootSystem.z2_product([1.0])
     exact = ball_volume_quadrature(one_d, np.array([0.0]), 1.0)
     ck.check("unit_ball_kappa1", abs(exact - 4.0 / 3.0) <= 1e-12, exact)
     cover_curve.sort()
-    return _finish(
-        "reflection_geometry", ck, {"cover_count_vs_r": cover_curve}
-    )
+    return ck, {"cover_count_vs_r": cover_curve}
 
 
 @suite(
@@ -320,11 +290,11 @@ def suite_reflection_geometry(scene: Scene, rng) -> SuiteResult:
     "intertwining measure: mass, support, moments, positivity, weight lemma",
     "orbit measure realizing the intertwiner",
 )
-def suite_intertwine_measure(scene: Scene, rng) -> SuiteResult:
+def suite_intertwine_measure(scene: Scene, rng) -> tuple:
     ck = Checks()
     rs1 = scene.rank_one
     kap = scene.kappa0
-    q = nu_quadrature(rs1, [1.5], 64)
+    q = nu_quadrature(rs1, [1.5])
     ck.check("mass_one", abs(q.weights.sum() - 1.0) <= 1e-10, float(q.weights.sum()))
     ck.check(
         "support_in_hull",
@@ -353,16 +323,16 @@ def suite_intertwine_measure(scene: Scene, rng) -> SuiteResult:
     ck.check("kernel_positive", pos > 0.0, pos)
     grp1 = generate_group(rs1)
     pe = phi(rs1, grp1, [0.7], [1.2])
-    ck.check("phi_at_least_e", pe.value >= math.e - 1e-9, pe.value)
+    ck.check("phi_at_least_e", pe >= math.e - 1e-9, pe)
     lam = 2.5
     pl = phi(rs1, grp1, [0.7], [1.2], lam=lam)
-    ck.check("phi_power_rule", abs(pl.value - pe.value**lam) <= 1e-10 * pe.value**lam)
+    ck.check("phi_power_rule", abs(pl - pe**lam) <= 1e-10 * pe**lam)
     worst = 0.0
     for _ in range(20):
         x, y, y0 = rng.uniform(-3, 3, size=3)
         worst = min(worst, phi_lemma_defect(rs1, grp1, [x], [y], [y0]))
     ck.check("phi_translation_lemma", worst >= -1e-8, worst)
-    return _finish("intertwine_measure", ck, {"nu_moment_error_vs_n": curve})
+    return ck, {"nu_moment_error_vs_n": curve}
 
 
 @suite(
@@ -370,7 +340,7 @@ def suite_intertwine_measure(scene: Scene, rng) -> SuiteResult:
     "kernel agreement across series, measure quadrature, and Bessel forms",
     "dual representations of the deformed exponential",
 )
-def suite_kernel_dual(scene: Scene, rng) -> SuiteResult:
+def suite_kernel_dual(scene: Scene, rng) -> tuple:
     ck = Checks()
     ss = np.linspace(-20.0, 20.0, 161)
     gap_sq, gap_sb = 0.0, 0.0
@@ -410,7 +380,7 @@ def suite_kernel_dual(scene: Scene, rng) -> SuiteResult:
         z2 = dunkl_kernel(rs1, [x], 1j * np.array([-v]))
         conj_gap = max(conj_gap, abs(z1 - np.conj(z2)))
     ck.check("imaginary_conjugation", conj_gap <= 1e-12, conj_gap)
-    return _finish("kernel_dual", ck, {"kernel_dual_gap_vs_s": curve})
+    return ck, {"kernel_dual_gap_vs_s": curve}
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +392,7 @@ def suite_kernel_dual(scene: Scene, rng) -> SuiteResult:
     "transform roundtrip, Parseval identity, and refinement convergence",
     "transform isometry on the weighted L2 space",
 )
-def suite_plancherel(scene: Scene, rng) -> SuiteResult:
+def suite_plancherel(scene: Scene, rng) -> tuple:
     ck = Checks()
     sm = scene.sm
     grid = scene.grid
@@ -468,7 +438,7 @@ def suite_plancherel(scene: Scene, rng) -> SuiteResult:
 
         slope = refinement_defect_slope(scene.rank_one, 6.0, [24, 32, 48], probe)
         ck.check("refinement_slope", slope >= 2.0, slope, hard=False)
-    return _finish("plancherel", ck, {"roundtrip_defect_vs_index": curve})
+    return ck, {"roundtrip_defect_vs_index": curve}
 
 
 @suite(
@@ -476,10 +446,8 @@ def suite_plancherel(scene: Scene, rng) -> SuiteResult:
     "generalized translation of radial profiles and semigroup convolution",
     "translation operator diagonalized by the transform",
 )
-def suite_translation_convolution(scene: Scene, rng) -> SuiteResult:
+def suite_translation_convolution(scene: Scene, rng) -> tuple:
     ck = Checks()
-    if scene.rs.kind != "z2_product":
-        raise CapabilityError("translation suite requires a sign product group")
     sm = scene.sm
     grid = scene.grid
     rs = scene.rs
@@ -512,7 +480,7 @@ def suite_translation_convolution(scene: Scene, rng) -> SuiteResult:
     k3 = heat_kernel(rs, 1.0, grid.nodes, origin)
     sgap = float(np.max(np.abs(conv.values * c_k(rs) - k3)) / np.max(np.abs(k3)))
     ck.check("heat_semigroup_convolution", sgap <= 1e-6, sgap)
-    return _finish("translation_convolution", ck, {"translation_defect_vs_x": curve})
+    return ck, {"translation_defect_vs_x": curve}
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +492,7 @@ def suite_translation_convolution(scene: Scene, rng) -> SuiteResult:
     "stencil derivative identities: even reduction, antisymmetry, multiplier",
     "first order operator with reflection difference term",
 )
-def suite_operator_identities(scene: Scene, rng) -> SuiteResult:
+def suite_operator_identities(scene: Scene, rng) -> tuple:
     ck = Checks()
     kap = scene.kappa0
     sm = _aux_sm(kap, 10.0, 128)
@@ -565,7 +533,7 @@ def suite_operator_identities(scene: Scene, rng) -> SuiteResult:
     grp1 = generate_group(scene.rank_one)
     from .intertwine import phi_profile
 
-    phiv = phi_profile(scene.rank_one, grp1, xs, np.array([0.5]), 64)
+    phiv = phi_profile(scene.rank_one, grp1, xs, np.array([0.5]))
     pf = SampledFunction(grid, phiv)
     t2 = dunkl_derivative(grid, dunkl_derivative(grid, pf))
     ratio = float(np.max(np.abs(t2.values[interior]) / phiv[interior]))
@@ -584,9 +552,7 @@ def suite_operator_identities(scene: Scene, rng) -> SuiteResult:
         worst = max(worst, float(num / den))
     ck.metric("form_bound_ratio", worst)
     ck.check("form_bound_finite", np.isfinite(worst), worst)
-    return _finish(
-        "operator_identities", ck, {"antisymmetry_vs_n": [(96.0, anti_small), (128.0, anti)]}
-    )
+    return ck, {"antisymmetry_vs_n": [(96.0, anti_small), (128.0, anti)]}
 
 
 @suite(
@@ -594,7 +560,7 @@ def suite_operator_identities(scene: Scene, rng) -> SuiteResult:
     "the kernel as joint eigenfunction of the stencil operator",
     "eigenrelation of the deformed exponential",
 )
-def suite_kernel_eigenfunction(scene: Scene, rng) -> SuiteResult:
+def suite_kernel_eigenfunction(scene: Scene, rng) -> tuple:
     ck = Checks()
     curve = []
     worst_all = 0.0
@@ -610,7 +576,7 @@ def suite_kernel_eigenfunction(scene: Scene, rng) -> SuiteResult:
             worst_all = max(worst_all, res)
             curve.append((y, res))
     ck.check("eigen_residual", worst_all <= 1e-4, worst_all)
-    return _finish("kernel_eigenfunction", ck, {"eigen_residual_vs_y": curve})
+    return ck, {"eigen_residual_vs_y": curve}
 
 
 # ---------------------------------------------------------------------------
@@ -622,10 +588,8 @@ def suite_kernel_eigenfunction(scene: Scene, rng) -> SuiteResult:
     "heat kernel identities: mass, semigroup, closed form vs spectral flow",
     "closed-form heat kernel of the rank-one operator",
 )
-def suite_heat_kernel(scene: Scene, rng) -> SuiteResult:
+def suite_heat_kernel(scene: Scene, rng) -> tuple:
     ck = Checks()
-    if scene.rs.kind != "z2_product":
-        raise CapabilityError("heat suite requires a sign product group")
     sm = scene.sm
     grid = scene.grid
     f = SampledFunction(grid, np.exp(-np.sum(grid.nodes**2, axis=1) / 2.0))
@@ -670,7 +634,7 @@ def suite_heat_kernel(scene: Scene, rng) -> SuiteResult:
     sups = [float(np.max(np.abs(heat_apply(sm, t, pos).values))) for t in (0.0, 0.1, 0.5, 1.0)]
     mono = all(a >= b - 1e-12 for a, b in zip(sups[:-1], sups[1:]))
     ck.check("sup_norm_monotone", mono, sups)
-    return _finish("heat_kernel", ck, {"heat_mass_gap_vs_t": curve})
+    return ck, {"heat_mass_gap_vs_t": curve}
 
 
 @suite(
@@ -678,7 +642,7 @@ def suite_heat_kernel(scene: Scene, rng) -> SuiteResult:
     "Gaussian-shape upper bound fits for the heat kernel in three normalizations",
     "heat kernel upper bounds in the orbit distance",
 )
-def suite_heat_gaussian_bounds(scene: Scene, rng) -> SuiteResult:
+def suite_heat_gaussian_bounds(scene: Scene, rng) -> tuple:
     ck = Checks()
     rs1 = scene.rank_one
     t_list = tuple(float(t) for t in scene.cfg.sweeps["t_list"])
@@ -700,7 +664,7 @@ def suite_heat_gaussian_bounds(scene: Scene, rng) -> SuiteResult:
         )
     ck.metric("min_kernel_value", rep["min_kernel_value"])
     ck.check("kernel_positive", rep["min_kernel_value"] > 0.0)
-    return _finish("heat_gaussian_bounds", ck, {"bound_rate_vs_form": curve})
+    return ck, {"bound_rate_vs_form": curve}
 
 
 # ---------------------------------------------------------------------------
@@ -712,7 +676,7 @@ def suite_heat_gaussian_bounds(scene: Scene, rng) -> SuiteResult:
     "operator assembly symmetry, nonnegative spectrum, quadratic form identity",
     "form sum of kinetic part and potential",
 )
-def suite_spectral_positivity(scene: Scene, rng) -> SuiteResult:
+def suite_spectral_positivity(scene: Scene, rng) -> tuple:
     ck = Checks()
     sm = scene.sm
     grid = scene.grid
@@ -759,7 +723,7 @@ def suite_spectral_positivity(scene: Scene, rng) -> SuiteResult:
     W0 = schrodinger_kernel(red0, 0.5)
     kgap = float(np.max(np.abs(W - math.exp(-0.5 * cshift) * W0)) / np.max(np.abs(W0)))
     ck.check("constant_shift_kernel", kgap <= 1e-8, kgap)
-    return _finish("spectral_positivity", ck, {"spectrum_vs_index": curve})
+    return ck, {"spectrum_vs_index": curve}
 
 
 @suite(
@@ -767,7 +731,7 @@ def suite_spectral_positivity(scene: Scene, rng) -> SuiteResult:
     "pointwise domination of the damped kernel by the free kernel",
     "semigroup sandwich between zero and the free flow",
 )
-def suite_domination(scene: Scene, rng) -> SuiteResult:
+def suite_domination(scene: Scene, rng) -> tuple:
     ck = Checks()
     grid = scene.kernel_grid
     if grid.dimension != 1:
@@ -809,7 +773,7 @@ def suite_domination(scene: Scene, rng) -> SuiteResult:
         # resolved-mode floor but far below kernel scale
         mono_worst = max(mono_worst, float(np.max(W2 - W1)))
     ck.check("potential_monotonicity", mono_worst <= 1e-7, mono_worst)
-    return _finish("domination", ck, {"domination_gap_vs_t": curve})
+    return ck, {"domination_gap_vs_t": curve}
 
 
 @suite(
@@ -817,7 +781,7 @@ def suite_domination(scene: Scene, rng) -> SuiteResult:
     "first-order splitting error against the eigencalculus reference",
     "product formula convergence for the damped semigroup",
 )
-def suite_trotter_order(scene: Scene, rng) -> SuiteResult:
+def suite_trotter_order(scene: Scene, rng) -> tuple:
     ck = Checks()
     sm = scene.sm
     grid = scene.grid
@@ -837,7 +801,7 @@ def suite_trotter_order(scene: Scene, rng) -> SuiteResult:
     ck.check("halving_ratios", ok, ratios)
     slope = float(np.polyfit(np.log([8, 16, 32, 64]), np.log(errs), 1)[0])
     ck.check("order_slope", -1.25 <= slope <= -0.75, slope, hard=False)
-    return _finish("trotter_order", ck, {"trotter_error_vs_n": curve})
+    return ck, {"trotter_error_vs_n": curve}
 
 
 @suite(
@@ -845,7 +809,7 @@ def suite_trotter_order(scene: Scene, rng) -> SuiteResult:
     "Riesz transform L2 bound, inverse square root paths, linearity",
     "derivative of the inverse square root is an L2 contraction",
 )
-def suite_riesz_l2(scene: Scene, rng) -> SuiteResult:
+def suite_riesz_l2(scene: Scene, rng) -> tuple:
     ck = Checks()
     grid = scene.kernel_grid
     xs = grid.nodes[:, 0]
@@ -886,7 +850,7 @@ def suite_riesz_l2(scene: Scene, rng) -> SuiteResult:
     back = inv_sqrt_apply(ed, inv_sqrt_apply(ed, SampledFunction(grid, Lf)))
     rt = SampledFunction(grid, back.values - f.values).norm_l2() / f.norm_l2()
     ck.check("inverse_root_roundtrip", rt <= 1e-6, float(rt))
-    return _finish("riesz_l2", ck, {"riesz_ratio_vs_index": curve})
+    return ck, {"riesz_ratio_vs_index": curve}
 
 
 @suite(
@@ -894,7 +858,7 @@ def suite_riesz_l2(scene: Scene, rng) -> SuiteResult:
     "weak type (1,1) ratio over a shrinking atom family, refinement drift",
     "distributional bound for the transform of atoms",
 )
-def suite_weak11(scene: Scene, rng) -> SuiteResult:
+def suite_weak11(scene: Scene, rng) -> tuple:
     ck = Checks()
     kap = scene.kappa0
     rs1 = RootSystem.z2_product([kap])
@@ -918,7 +882,7 @@ def suite_weak11(scene: Scene, rng) -> SuiteResult:
     ck.check("sup_ratio_finite", np.isfinite(sups[384]), sups[384])
     ck.check("refinement_drift", drift <= 0.25, drift)
     curve.sort()
-    return _finish("weak11", ck, {"weak11_ratio_vs_radius": curve})
+    return ck, {"weak11_ratio_vs_radius": curve}
 
 
 @suite(
@@ -926,7 +890,7 @@ def suite_weak11(scene: Scene, rng) -> SuiteResult:
     "weighted gradient-kernel boundedness, tail fit, and scaling identity",
     "weighted square function estimates for the damped kernel",
 )
-def suite_weighted_phi(scene: Scene, rng) -> SuiteResult:
+def suite_weighted_phi(scene: Scene, rng) -> tuple:
     ck = Checks()
     t_list = (0.25, 0.5, 1.0, 2.0, 4.0)
     curve = []
@@ -952,7 +916,7 @@ def suite_weighted_phi(scene: Scene, rng) -> SuiteResult:
         3.0,
     )
     ck.check("scaling_identity", gap <= 1e-4, gap)
-    return _finish("weighted_phi", ck, {"eq01_normalized_vs_t": curve})
+    return ck, {"eq01_normalized_vs_t": curve}
 
 
 # ---------------------------------------------------------------------------
@@ -964,7 +928,7 @@ def suite_weighted_phi(scene: Scene, rng) -> SuiteResult:
     "class verdicts for the potential presets, sandwich and growth bounds",
     "vanishing local singular mass of the potential",
 )
-def suite_kato_class(scene: Scene, rng) -> SuiteResult:
+def suite_kato_class(scene: Scene, rng) -> tuple:
     ck = Checks()
     rs1 = scene.rank_one
     probes = (0.0, 0.25, 0.5, 1.0, 2.0)
@@ -983,7 +947,7 @@ def suite_kato_class(scene: Scene, rng) -> SuiteResult:
     scene_fn = scene.V_fn
     curve = []
     for t in (0.01, 0.03, 0.1, 0.3, 1.0):
-        m = kato.kato_modulus(scene_fn, t, kato.CLASSICAL, 1, probes)
+        m = kato.kato_modulus(scene_fn, t, kato.CLASSICAL, probes)
         curve.append((t, m.value if np.isfinite(m.value) else -1.0))
     finite_vals = [v for _, v in curve if v >= 0]
     mono = all(a <= b * (1 + 1e-9) for a, b in zip(finite_vals[:-1], finite_vals[1:]))
@@ -1017,7 +981,7 @@ def suite_kato_class(scene: Scene, rng) -> SuiteResult:
         potential_function("bump", h=1.0, w=4.0), (0.5, 1.0, 2.0, 4.0), probes=probes
     )
     ck.check("growth_bump_plateau", gb3["stable"], gb3["C"])
-    return _finish("kato_class", ck, {"kato_modulus_vs_t": curve})
+    return ck, {"kato_modulus_vs_t": curve}
 
 
 @suite(
@@ -1025,7 +989,7 @@ def suite_kato_class(scene: Scene, rng) -> SuiteResult:
     "heat characterization: time-integrated kernel mass and resolvent decay",
     "semigroup characterization of the potential class",
 )
-def suite_kato_heat(scene: Scene, rng) -> SuiteResult:
+def suite_kato_heat(scene: Scene, rng) -> tuple:
     ck = Checks()
     rs1 = scene.rank_one
     one = potential_function("constant", c=1.0)
@@ -1060,7 +1024,7 @@ def suite_kato_heat(scene: Scene, rng) -> SuiteResult:
     hm = kato.heat_modulus(rs1, soft, 0.3, (0.0,))
     ck.check("split_majorizes", hm <= maj * (1 + 1e-9), [hm, maj], hard=False)
     ck.metric("split_beta", split["beta"])
-    return _finish("kato_heat", ck, {"heat_modulus_vs_t": curve})
+    return ck, {"heat_modulus_vs_t": curve}
 
 
 @suite(
@@ -1068,7 +1032,7 @@ def suite_kato_heat(scene: Scene, rng) -> SuiteResult:
     "endpoint kernel norms and their interpolated interior values",
     "boundedness of the damped semigroup between endpoint spaces",
 )
-def suite_smoothing(scene: Scene, rng) -> SuiteResult:
+def suite_smoothing(scene: Scene, rng) -> tuple:
     ck = Checks()
     ed = scene.kernel_resolved()
     ed0 = scene.kernel_resolved("zero")
@@ -1114,7 +1078,7 @@ def suite_smoothing(scene: Scene, rng) -> SuiteResult:
     ]
     ck.check("sup_norm_power_fit", max(Cs) <= 2.0 * min(Cs), Cs, hard=False)
     ck.metric("fitted_smoothing_constant", max(Cs))
-    return _finish("smoothing", ck, {"smoothing_norm_vs_t": curve})
+    return ck, {"smoothing_norm_vs_t": curve}
 
 
 @suite(
@@ -1122,7 +1086,7 @@ def suite_smoothing(scene: Scene, rng) -> SuiteResult:
     "vanishing multiplicity reduction to Fourier, Gauss, and Hilbert behavior",
     "degenerate case recovering the classical operators",
 )
-def suite_classical_limit(scene: Scene, rng) -> SuiteResult:
+def suite_classical_limit(scene: Scene, rng) -> tuple:
     ck = Checks()
     sm = _aux_sm(0.0, 10.0, 128)
     grid = sm.grid
@@ -1174,10 +1138,10 @@ def suite_classical_limit(scene: Scene, rng) -> SuiteResult:
     ck.check("hilbert_squares_to_minus_one", worst_sq <= 1e-2, worst_sq, hard=False)
 
     fn = potential_function("soft_coulomb", a=1.0)
-    mc = kato.kato_modulus(fn, 0.5, kato.CLASSICAL, 1, (0.0, 1.0), sign_group=False)
-    mo = kato.kato_modulus(fn, 0.5, kato.ORBIT, 1, (0.0, 1.0), sign_group=False)
+    mc = kato.kato_modulus(fn, 0.5, kato.CLASSICAL, (0.0, 1.0), sign_group=False)
+    mo = kato.kato_modulus(fn, 0.5, kato.ORBIT, (0.0, 1.0), sign_group=False)
     ck.check("trivial_group_moduli_coincide", mc.value == mo.value, [mc.value, mo.value])
-    return _finish("classical_limit", ck, {"classical_kernel_gap_vs_t": curve})
+    return ck, {"classical_kernel_gap_vs_t": curve}
 
 
 # ---------------------------------------------------------------------------
@@ -1227,21 +1191,21 @@ def run_suites(
     for i, name in enumerate(cfg.suites):
         defn = REGISTRY[name]
         rng = np.random.default_rng([seed, i])
-        res = defn.fn(scene, rng)
-        write_curves_csv(out_dir / f"{name}.csv", res.curves)
-        for cname in res.curves:
+        ck, curves = defn.fn(scene, rng)
+        write_curves_csv(out_dir / f"{name}.csv", curves)
+        for cname in curves:
             curve_index[cname] = name
-        all_hard &= res.hard_pass
-        if res.soft_pass is False:
+        all_hard &= ck.hard_pass
+        if ck.soft_pass is False:
             all_soft = False
         suite_block[name] = {
-            "description": res.description,
-            "anchor": res.anchor,
-            "pass": res.hard_pass,
-            "soft_pass": res.soft_pass,
-            "hard_checks": _jsonable(res.hard_checks),
-            "soft_checks": _jsonable(res.soft_checks),
-            "values": _jsonable(res.values),
+            "description": defn.description,
+            "anchor": defn.anchor,
+            "pass": ck.hard_pass,
+            "soft_pass": ck.soft_pass,
+            "hard_checks": _jsonable(ck.hard),
+            "soft_checks": _jsonable(ck.soft),
+            "values": _jsonable(ck.values),
         }
     overall = all_hard and (all_soft or not strict)
     summary = {

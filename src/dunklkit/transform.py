@@ -70,16 +70,14 @@ def parseval_defect(
     return float(abs(lhs - rhs))
 
 
-def translate_radial(
-    rs: RootSystem, grid: QuadratureGrid, x, f_radial, n_quad: int = 64
-) -> SampledFunction:
+def translate_radial(rs: RootSystem, grid: QuadratureGrid, x, f_radial) -> SampledFunction:
     """Generalized translation of a radial profile to base point x.
 
     Evaluates the profile at sqrt(|y|^2 + |x|^2 + 2 <y, eta>) averaged over
     the intertwining measure of x.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    q = nu_quadrature(rs, x, n_quad)
+    q = nu_quadrature(rs, x)
     vals = []
     for lo in range(0, len(grid), 64):  # row blocks bound the (rows, n_nodes) array
         y = grid.nodes[lo : lo + 64]

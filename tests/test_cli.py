@@ -64,15 +64,19 @@ class TestCli(unittest.TestCase):
         self.assertIn("config error", res.output)
 
     def test_capability_failure(self):
-        doc = {
-            "group": {"kind": "dihedral", "m": 3, "k_even": 0.5},
-            "suites": ["heat_kernel"],
-        }
-        cfg = self._config(doc)
-        out = os.path.join(self.tmp, "out")
-        res = self.runner.invoke(main, ["run", cfg, "--out", out])
-        self.assertEqual(res.exit_code, 3, res.output)
-        self.assertIn("numerical failure", res.output)
+        # a dihedral scene passes the config check; its grid is refused
+        for suite in ("heat_kernel", "plancherel"):
+            with self.subTest(suite=suite):
+                doc = {
+                    "group": {"kind": "dihedral", "m": 3, "k_even": 0.5},
+                    "suites": [suite],
+                }
+                cfg = self._config(doc)
+                out = os.path.join(self.tmp, "out")
+                res = self.runner.invoke(main, ["run", cfg, "--out", out])
+                self.assertEqual(res.exit_code, 3, res.output)
+                self.assertIn("numerical failure", res.output)
+                self.assertIn("require a sign product group", res.output)
 
     def test_seed_override_and_determinism(self):
         doc = dict(FAST_DOC, suites=["trotter_order"])

@@ -1,6 +1,5 @@
 """Smallness moduli, heat characterization, verdicts, smoothing norms."""
 
-import math
 import unittest
 
 import numpy as np
@@ -39,44 +38,33 @@ class TestModulus(unittest.TestCase):
     def test_constant_classical(self):
         # d = 1 Green factor is 1: the window integral is 2t
         for t in (0.5, 1.0, 2.0):
-            m = kato_modulus(ONE, t, CLASSICAL, 1)
+            m = kato_modulus(ONE, t, CLASSICAL)
             self.assertAlmostEqual(m.value, 2.0 * t, places=9)
             self.assertFalse(m.divergent)
 
     def test_orbit_doubles_off_origin(self):
         t = 0.5
-        at0 = kato_modulus(ONE, t, ORBIT, 1, probes=(0.0,))
-        off = kato_modulus(ONE, t, ORBIT, 1, probes=(2.0,))
+        at0 = kato_modulus(ONE, t, ORBIT, probes=(0.0,))
+        off = kato_modulus(ONE, t, ORBIT, probes=(2.0,))
         self.assertAlmostEqual(at0.value, 2.0 * t, places=9)
         self.assertAlmostEqual(off.value, 4.0 * t, places=9)
 
     def test_trivial_group_collapses_orbit(self):
         t = 0.5
-        off = kato_modulus(ONE, t, ORBIT, 1, probes=(2.0,), sign_group=False)
+        off = kato_modulus(ONE, t, ORBIT, probes=(2.0,), sign_group=False)
         self.assertAlmostEqual(off.value, 2.0 * t, places=9)
 
     def test_supercritical_diverges(self):
         V = potential_function("inverse_power", beta=1.5)
-        m = kato_modulus(V, 1.0, CLASSICAL, 1)
+        m = kato_modulus(V, 1.0, CLASSICAL)
         self.assertTrue(m.divergent)
         self.assertEqual(m.value, np.inf)
-
-    def test_three_dim_examples(self):
-        # radial |y|^-1: area factor 4 pi, integrand collapses to a constant
-        m = kato_modulus(lambda r: 1.0 / np.maximum(r, 1e-300), 1.0, CLASSICAL, 3)
-        self.assertAlmostEqual(m.value, 4.0 * math.pi, places=7)
-        m2 = kato_modulus(
-            lambda r: np.maximum(r, 1e-300) ** -2.0, 1.0, CLASSICAL, 3
-        )
-        self.assertTrue(m2.divergent)
 
     def test_input_validation(self):
         with self.assertRaises(InputError):
             kato_modulus(ONE, 0.0)
         with self.assertRaises(InputError):
             kato_modulus(ONE, 1.0, form="bogus")
-        with self.assertRaises(CapabilityError):
-            kato_modulus(ONE, 1.0, ORBIT, dimension=2)
 
     def test_equivalence_sandwich(self):
         soft = potential_function("soft_coulomb", a=1.0)
@@ -211,6 +199,10 @@ class TestClassify(unittest.TestCase):
         bad = classify(rs, potential_function("inverse_power", beta=1.5), (0.0, 1.0))
         self.assertEqual(bad.verdict, "NotKato")
         self.assertTrue(bad.diagnostics["divergent"])
+
+    def test_rank_two_refused(self):
+        with self.assertRaises(CapabilityError):
+            classify(RootSystem.z2_product([0.5, 1.0]), ONE)
 
 
 class TestSmoothing(unittest.TestCase):

@@ -94,7 +94,7 @@ class TestTranslation(unittest.TestCase):
         sm = _setup(0.5, n=100)
         grid, x = sm.grid, np.array([0.9])
         prof = lambda r: np.exp(-(r**2) / 2.0)
-        q = nu_quadrature(grid.rs, x, 64)
+        q = nu_quadrature(grid.rs, x)
         arg2 = np.sum(grid.nodes**2, axis=1)[:, None] + (x @ x) + 2.0 * (grid.nodes @ q.nodes.T)
         ref = prof(np.sqrt(np.maximum(arg2, 0.0))) @ q.weights
         got = translate_radial(grid.rs, grid, x, prof)
@@ -115,7 +115,7 @@ class TestTranslation(unittest.TestCase):
         prof = lambda r: np.exp(-(r**2) / 2.0)
         f = SampledFunction(sm.grid, prof(np.abs(sm.grid.nodes[:, 0])))
         x = [1.3]
-        tau = translate_radial(sm.grid.rs, sm.grid, x, prof, n_quad=96)
+        tau = translate_radial(sm.grid.rs, sm.grid, x, prof)
         lhs = dunkl_transform(sm, tau)
         phase = np.array([dunkl_kernel(sm.grid.rs, x, 1j * xi) for xi in sm.grid.nodes])
         rhs = phase * dunkl_transform(sm, f).values
