@@ -60,15 +60,15 @@ class QuadratureGrid:
         """Node permutation realizing the diagonal sign matrix."""
         return self.sign_perms[tuple(int(s) for s in signs)]
 
-    def axis_pair_table(self, j: int, fn) -> np.ndarray:
-        """Node-pair table of a symmetric fn(a, b) of axis-j coordinates, one
-        call on the unordered pairs of distinct coordinates, then gathered."""
-        ax, idx = np.unique(self.nodes[:, j], return_inverse=True)
+    def axis_table(self, fn) -> np.ndarray:
+        """n x n table of a symmetric fn(a, b) on the ascending axis rule,
+        which every axis shares; one call on the unordered pairs."""
+        ax = np.unique(self.nodes[:, 0])
         iu, ju = np.triu_indices(ax.size)
         vals = fn(ax[iu], ax[ju])
         a = np.empty((ax.size, ax.size), dtype=vals.dtype)
         a[iu, ju] = a[ju, iu] = vals
-        return a[np.ix_(idx, idx)]
+        return a
 
     def interior_mask(self, fraction: float = 0.8) -> np.ndarray:
         """Nodes with every coordinate inside the central fraction of [-R, R]."""

@@ -9,7 +9,8 @@ with the single normalization kernel_prefactor = 1/(c_k (2t)^(gamma + d/2)),
 under which every kernel row has unit weighted mass, and the axis factor
 E_kappa(x, y/2t) e^{-(x^2+y^2)/4t} written through the overflow-safe scaled
 kernel.  Every kernel evaluation in the package goes through these two;
-even_axis_factor is the part of the axis factor even in y.
+even_axis_factor is the part of the axis factor even in y.  A grid table is
+the prefactor times the Kronecker product of the n x n per-axis tables.
 """
 
 import numpy as np
@@ -70,13 +71,14 @@ def heat_kernel_matrix(grid: QuadratureGrid, t: float) -> np.ndarray:
     """Kernel tabulated on all grid node pairs.
 
     Each axis factor is symmetric and depends only on the two axis
-    coordinates, so it is tabulated per axis (QuadratureGrid.axis_pair_table).
+    coordinates, so the table is the prefactor times the Kronecker product of
+    n x n axis tables (QuadratureGrid.axis_table), in row-major node order.
     """
     if t <= 0:
         raise InputError("time must be positive")
-    K = np.full((len(grid), len(grid)), kernel_prefactor(grid.rs, t))
-    for j, kap in enumerate(grid.rs.multiplicities):
-        K = K * grid.axis_pair_table(j, lambda x, y: axis_factor(x, y, t, float(kap)))
+    K = np.full((1, 1), kernel_prefactor(grid.rs, t))
+    for kap in grid.rs.multiplicities:
+        K = np.kron(K, grid.axis_table(lambda x, y: axis_factor(x, y, t, float(kap))))
     return K
 
 

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh
 from scipy.special import roots_laguerre, roots_legendre
 
 from .errors import CapabilityError, InputError, NumericalError
@@ -317,7 +316,8 @@ def smoothing_norms_of_kernel(grid, W, pq_list) -> SmoothingReport:
 
     W must be entrywise nonnegative and symmetric to 1e-12 relative (splitting
     kernels are, to about 2e-15), else InputError; S = D^(1/2) W D^(1/2) is then
-    too, so by Perron-Frobenius ||S||_2 is its top eigenvalue, computed alone.
+    too, so by Perron-Frobenius ||S||_2 is its top eigenvalue, found by Lanczos
+    to machine precision from D^(1/2) 1, which no Perron vector is orthogonal to.
     """
     om = grid.mu_weights
     n_1inf = float(np.max(W))
@@ -332,8 +332,10 @@ def smoothing_norms_of_kernel(grid, W, pq_list) -> SmoothingReport:
         qv = np.inf if q in ("inf", np.inf) else float(q)
         th1, th2, th3 = _theta(pv, qv)
         interp[(p, q)] = float(n_11**th1 * n_infinf**th2 * n_1inf**th3)
+    from scipy.sparse.linalg import eigsh
+
     dh = np.sqrt(om)
-    l2 = float(eigvalsh(dh[:, None] * W * dh[None, :], subset_by_index=[len(om) - 1] * 2)[0])
+    l2 = float(eigsh(dh[:, None] * W * dh[None, :], k=1, which="LA", v0=dh, tol=0)[0][0])
     return SmoothingReport(corners, interp, l2)
 
 

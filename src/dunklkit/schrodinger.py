@@ -23,7 +23,7 @@ smoothing norms measure.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Optional
 
 import numpy as np
@@ -34,7 +34,7 @@ from .grids import QuadratureGrid, SampledFunction, build_grid
 from .heat import heat_apply, heat_kernel_matrix
 from .intertwine import phi_profile
 from .operators import dunkl_derivative_matrix
-from .reflection import ReflectionGroup, gamma_k
+from .reflection import ReflectionGroup, RootSystem, gamma_k
 from .transform import SpectralMatrix
 
 DEFAULT_T0 = 0.1
@@ -196,23 +196,39 @@ def quadrature_spectral_cap(grid: QuadratureGrid) -> float:
     return float(min(np.max(np.sum(grid.nodes**2, axis=1)), nyq))
 
 
+@lru_cache(maxsize=8)
+def _axis_free_modes(kappa: float, R: float, n_axis: int, t0: float) -> tuple:
+    """Eigenpairs (ascending, read-only) of D^(1/2) K_t0 D^(1/2) on the rank-one
+    grid of one axis, memoised per (kappa, R, n_axis, t0)."""
+    grid = build_grid(RootSystem.z2_product([kappa]), R, n_axis)
+    dh = np.sqrt(grid.mu_weights)
+    Kt = dh[:, None] * heat_kernel_matrix(grid, t0) * dh[None, :]
+    mu, Q = eigh(0.5 * (Kt + Kt.T))
+    mu.flags.writeable = Q.flags.writeable = False
+    return mu, Q
+
+
 @lru_cache(maxsize=4)
 def free_resolved_modes(grid: QuadratureGrid, t0: float = DEFAULT_T0) -> tuple:
     """Eigenbasis of the reference free kernel with unresolved modes dropped.
+
+    The kernel is a tensor product, so it is decomposed per axis
+    (_axis_free_modes): eigenvalues mu = mu_1 ... mu_d (lambda = lambda_1 +
+    ... + lambda_d), to which the floor applies, and modes the Kronecker
+    products of axis modes in the grid's row-major node order.
 
     Returns ascending free eigenvalues, their similarity-frame modes, and a
     metadata dict (cap, floor, kept/dropped counts, reference time), memoised
     per grid object and t0 with read-only arrays.
     """
-    dh = np.sqrt(grid.mu_weights)
-    Kt = dh[:, None] * heat_kernel_matrix(grid, t0) * dh[None, :]
-    Kt = 0.5 * (Kt + Kt.T)
-    mu, Q = eigh(Kt)
+    mus, Qs = zip(*(_axis_free_modes(float(k), grid.half_width, grid.n_axis, t0)
+                    for k in grid.rs.multiplicities))
+    mu = reduce(np.kron, mus)
     lam_cap = quadrature_spectral_cap(grid)
     floor = max(np.exp(-t0 * lam_cap), 10.0 * abs(min(mu.min(), 0.0)), 1e-13)
     keep = mu >= floor
     lam = -np.log(mu[keep]) / t0
-    P = Q[:, keep]
+    P = reduce(np.kron, Qs)[:, keep]
     order = np.argsort(lam)
     meta = {
         "lam_cap": lam_cap,

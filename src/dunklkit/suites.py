@@ -16,8 +16,8 @@ import numpy as np
 
 from . import families, kato
 from .config import RunConfig
-from .errors import CapabilityError, ConfigError, InputError
-from .grids import SampledFunction, build_grid, grid_selftest, sample
+from .errors import CapabilityError
+from .grids import SampledFunction, build_grid, grid_selftest
 from .heat import (
     gaussian_bound_report,
     heat_apply,
@@ -26,7 +26,6 @@ from .heat import (
 )
 from .intertwine import (
     dunkl_kernel,
-    e_minus_i,
     kernel_bessel_1d,
     kernel_series_1d,
     nu_moments_oracle,
@@ -38,7 +37,6 @@ from .intertwine import (
 from .operators import (
     antisymmetry_defect,
     dunkl_derivative,
-    dunkl_derivative_matrix,
     dunkl_laplacian,
     multiplier_defect,
     spectral_laplacian,
@@ -50,13 +48,11 @@ from .reflection import (
     ball_volume,
     ball_volume_quadrature,
     calibrate_ball_constants,
-    canonical_rep,
     gamma_k,
     generate_group,
     orbit_distance,
     orbit_distance_bruteforce,
     unit_ball_cover,
-    weight,
 )
 from .schrodinger import (
     Potential,

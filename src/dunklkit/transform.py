@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import gamma as sgamma
 
 from .errors import InputError
-from .grids import QuadratureGrid, SampledFunction, sample
+from .grids import QuadratureGrid, SampledFunction
 from .intertwine import e_minus_i, nu_quadrature
 from .reflection import RootSystem
 
@@ -45,7 +45,8 @@ def build_spectral_matrix(grid: QuadratureGrid) -> SpectralMatrix:
     """Tabulate the transform kernel on the grid from per-axis factors."""
     table = np.ones((len(grid), len(grid)), dtype=complex)
     for j, kap in enumerate(grid.rs.multiplicities):
-        table = table * grid.axis_pair_table(j, lambda x, y: e_minus_i(x * y, float(kap)))
+        i = np.unique(grid.nodes[:, j], return_inverse=True)[1]  # node -> axis-j index
+        table = table * grid.axis_table(lambda x, y: e_minus_i(x * y, float(kap)))[np.ix_(i, i)]
     return SpectralMatrix(grid, table, c_k(grid.rs))
 
 

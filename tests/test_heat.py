@@ -9,11 +9,13 @@ from hypothesis import given, settings, strategies as st
 from dunklkit.errors import InputError
 from dunklkit.grids import SampledFunction, build_grid
 from dunklkit.heat import (
+    axis_factor,
     canonical_pair_distance,
     gaussian_bound_report,
     heat_apply,
     heat_kernel,
     heat_kernel_matrix,
+    kernel_prefactor,
 )
 from dunklkit.reflection import RootSystem
 from dunklkit.transform import build_spectral_matrix
@@ -99,6 +101,20 @@ class TestKernelMatrix(unittest.TestCase):
         comp = (K1 * self.grid.mu_weights[None, :]) @ K2
         gap = np.abs(comp - K3)[np.ix_(mask, mask)] / np.max(K3)
         self.assertLess(np.max(gap), 1e-6)
+
+
+class TestPerAxisTable(unittest.TestCase):
+    GRIDS = (((0.5, 1.0), 6.0, 32), ((0.0, 0.5), 6.0, 24), ((0.5,), 14.0, 256))
+
+    def test_matches_outer_product_formula(self):
+        for kappas, R, n in self.GRIDS:
+            grid = build_grid(RootSystem.z2_product(list(kappas)), R, n)
+            for t in (0.1, 0.7):
+                oracle = np.full((len(grid), len(grid)), kernel_prefactor(grid.rs, t))
+                for j, kap in enumerate(kappas):
+                    xs = grid.nodes[:, j]
+                    oracle = oracle * axis_factor(xs[:, None], xs[None, :], t, kap)
+                self.assertTrue(np.array_equal(heat_kernel_matrix(grid, t), oracle))
 
 
 class TestSemigroupAction(unittest.TestCase):

@@ -228,10 +228,14 @@ class TestSmoothing(unittest.TestCase):
             smoothing_norms(self.ed, 0.5, [(2, 1)])
 
     def test_l2_top_eigenvalue_matches_svd(self):
-        # the kernel grids of the smoothing suite in rank one and rank two
+        # the kernel grids of the smoothing suite in rank one and rank two, and
+        # rank-one grids of 2, 4 and 12 nodes, near Lanczos's k = 1 < n limit
         grids = (
             build_grid(RootSystem.z2_product([0.5]), 14.0, 256),
             build_grid(RootSystem.z2_product([0.5, 1.0]), 6.0, 32),
+            build_grid(RootSystem.z2_product([0.5]), 2.0, 2),
+            build_grid(RootSystem.z2_product([0.5]), 3.0, 4),
+            build_grid(RootSystem.z2_product([0.5]), 4.0, 12),
         )
         presets = (("soft_coulomb", {"a": 1.0}), ("inverse_power", {"beta": 0.5, "cutoff": 1.0}))
         for grid in grids:

@@ -135,6 +135,36 @@ class TestResolvedCalculus(unittest.TestCase):
             with self.assertRaises(ValueError):
                 arr[0] = 0.0
 
+    def test_kronecker_free_modes_match_dense(self):
+        def dense(grid, t0):
+            dh = np.sqrt(grid.mu_weights)
+            Kt = dh[:, None] * heat_kernel_matrix(grid, t0) * dh[None, :]
+            mu, Q = eigh(0.5 * (Kt + Kt.T))
+            cap = quadrature_spectral_cap(grid)
+            floor = max(np.exp(-t0 * cap), 10.0 * abs(min(mu.min(), 0.0)), 1e-13)
+            keep = mu >= floor
+            lam = -np.log(mu[keep]) / t0
+            order = np.argsort(lam)
+            meta = {"n_kept": int(keep.sum()), "n_dropped": int((~keep).sum()), "floor": floor}
+            return lam[order], Q[:, keep][:, order], meta
+
+        rank_two = RootSystem.z2_product([0.5, 1.0])
+        for n in (24, 32):
+            grid = build_grid(rank_two, 6.0, n)
+            lam, P, meta = free_resolved_modes(grid, 0.1)
+            lam_d, P_d, meta_d = dense(grid, 0.1)
+            for key, val in meta_d.items():
+                self.assertEqual(meta[key], val, msg=f"{key} at n={n}")
+            np.testing.assert_allclose(lam, lam_d, rtol=1e-13, atol=0.0)
+            for t in (0.1, 1.0):
+                got = (P * np.exp(-t * lam)) @ P.T
+                ref = (P_d * np.exp(-t * lam_d)) @ P_d.T
+                self.assertLess(np.max(np.abs(got - ref)), 1e-13)
+        grid = build_grid(RootSystem.z2_product([0.5]), 14.0, 256)
+        lam, P, _ = free_resolved_modes(grid, 0.1)
+        lam_d, P_d, _ = dense(grid, 0.1)
+        self.assertTrue(np.array_equal(lam, lam_d) and np.array_equal(P, P_d))
+
     def test_kernel_needs_positive_time(self):
         with self.assertRaises(InputError):
             schrodinger_kernel(self.ed, 0.0)
