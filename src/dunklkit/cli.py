@@ -50,7 +50,10 @@ def run(config_path, out_dir, seed, threads, strict):
     seed_val = cfg.seed if seed is None else seed
     try:
         summary = run_suites(cfg, out, seed_val, strict=strict)
-    except (NumericalError, CapabilityError) as exc:
+    except CapabilityError as exc:
+        click.echo(f"refused: {exc}", err=True)
+        sys.exit(3)
+    except NumericalError as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(3)
     for name in summary["suite_order"]:

@@ -18,8 +18,6 @@ DEFAULT_GRID = {"R": 10.0, "N": 128}
 DEFAULT_POTENTIAL = {"preset": "soft_coulomb", "params": {"a": 1.0}}
 DEFAULT_SWEEPS = {
     "t_list": [0.1, 0.5, 1.0],
-    "p_list": [1, 2],
-    "q_list": [2, "inf"],
     "kappa_list": [0.0, 0.5, 1.5],
 }
 

@@ -19,13 +19,7 @@ from .errors import InputError
 from .grids import QuadratureGrid, SampledFunction
 from .intertwine import scaled_e_even, scaled_e_real
 from .reflection import RootSystem, Z2_PRODUCT, gamma_k, weight, ball_comparison_quantity
-from .transform import (
-    SpectralMatrix,
-    c_k,
-    dunkl_transform,
-    heat_multiplier_profile,
-    inverse_transform,
-)
+from .transform import SpectralMatrix, c_k, multiplier_apply
 
 
 def kernel_prefactor(rs: RootSystem, t):
@@ -88,19 +82,7 @@ def heat_apply(sm: SpectralMatrix, t: float, f: SampledFunction) -> SampledFunct
         raise InputError("time must be nonnegative")
     if t == 0.0:
         return f
-    F = dunkl_transform(sm, f)
-    damped = SampledFunction(sm.grid, heat_multiplier_profile(sm.grid, t) * F.values)
-    out = inverse_transform(sm, damped)
-    if not np.iscomplexobj(f.values):
-        return SampledFunction(sm.grid, out.values.real)
-    return out
-
-
-def canonical_pair_distance(rs: RootSystem, x, y) -> float:
-    """Chamber distance |x+ - y+| for sign product groups (coordinate absolutes)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    return float(np.linalg.norm(np.abs(x) - np.abs(y)))
+    return multiplier_apply(sm, np.exp(-t * np.sum(sm.grid.nodes**2, axis=1)), f)
 
 
 BOUND_FORMS = ("polynomial", "weight_pair", "ball_volume")

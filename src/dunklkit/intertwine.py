@@ -170,12 +170,6 @@ def nu_quadrature(rs: RootSystem, x) -> OrbitMeasureQuad:
     return OrbitMeasureQuad(x, nodes, wts)
 
 
-def intertwining_apply(m: OrbitMeasureQuad, f) -> float:
-    """Quadrature of f against the measure; f maps (n, d) node rows to values."""
-    vals = np.asarray(f(m.nodes), dtype=float)
-    return float(m.weights @ vals)
-
-
 def nu_moments_oracle(kappa: float, nmax: int) -> np.ndarray:
     """Exact moments int t^n dnu for base point 1: n! b_n from the recursion."""
     b = series_coefficients(kappa, nmax)

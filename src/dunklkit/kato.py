@@ -17,6 +17,7 @@ decidable numerically.
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.special import roots_laguerre, roots_legendre
@@ -25,7 +26,7 @@ from .errors import CapabilityError, InputError, NumericalError
 from .heat import even_axis_factor, kernel_prefactor
 from .quadrature import quad
 from .reflection import RootSystem
-from .schrodinger import EigenDecomp, splitting_kernel, splitting_steps
+from .schrodinger import Potential, splitting_kernel, splitting_steps
 
 QUAD_TOL = 1e-12
 # Gauss-Laguerre rule in time for the resolvent integrals
@@ -291,8 +292,8 @@ def _theta(p: float, q: float) -> tuple:
     return iq, 1.0 - ip, ip - iq
 
 
-def smoothing_norms(ed: EigenDecomp, t: float, pq_list) -> SmoothingReport:
-    """Corner norms of e^{-tL} at time t, L built with ed's grid and potential.
+def smoothing_norms(grid, V: Optional[Potential], t: float, pq_list) -> SmoothingReport:
+    """Corner norms of e^{-tL} at time t, L = A + V on the grid (V None: free).
 
     The kernel is the symmetric splitting product (splitting_kernel) with as
     many steps as the grid resolves (splitting_steps), not the eigencalculus
@@ -303,8 +304,8 @@ def smoothing_norms(ed: EigenDecomp, t: float, pq_list) -> SmoothingReport:
     """
     if t <= 0:
         raise InputError("time must be positive")
-    W = splitting_kernel(ed.grid, ed.potential, t, splitting_steps(ed.grid, t))
-    return smoothing_norms_of_kernel(ed.grid, W, pq_list)
+    W = splitting_kernel(grid, V, t, splitting_steps(grid, t))
+    return smoothing_norms_of_kernel(grid, W, pq_list)
 
 
 def smoothing_norms_of_kernel(grid, W, pq_list) -> SmoothingReport:

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import InputError
 from .grids import QuadratureGrid, SampledFunction
-from .transform import SpectralMatrix, dunkl_transform, inverse_transform
+from .transform import SpectralMatrix, dunkl_transform, multiplier_apply
 
 FD_ORDER = 6  # accuracy order of the partial: a centred 7-node stencil
 
@@ -104,12 +104,7 @@ def dunkl_laplacian(grid: QuadratureGrid, f: SampledFunction) -> SampledFunction
 
 def spectral_laplacian(sm: SpectralMatrix, f: SampledFunction) -> SampledFunction:
     """Multiplier form -|xi|^2 on the spectral side; reference for the stencil."""
-    F = dunkl_transform(sm, f)
-    x2 = np.sum(sm.grid.nodes**2, axis=1)
-    out = inverse_transform(sm, SampledFunction(sm.grid, -x2 * F.values))
-    if not np.iscomplexobj(f.values):
-        return SampledFunction(sm.grid, out.values.real)
-    return out
+    return multiplier_apply(sm, -np.sum(sm.grid.nodes**2, axis=1), f)
 
 
 def antisymmetry_defect(

@@ -123,7 +123,6 @@ def potential_from_csv(grid: QuadratureGrid, path) -> Potential:
 class DiscreteOperator:
     matrix: np.ndarray
     grid: QuadratureGrid
-    potential: Optional[Potential]
     symmetrization_defect: float
 
 
@@ -135,7 +134,6 @@ class EigenDecomp:
     eigenvalues: np.ndarray
     modes: np.ndarray
     meta: dict = field(default_factory=dict)
-    potential: Optional[Potential] = None
 
     @property
     def n_modes(self) -> int:
@@ -171,7 +169,7 @@ def assemble_L(sm: SpectralMatrix, V: Optional[Potential] = None) -> DiscreteOpe
     H = 0.5 * (H + H.T)
     if V is not None:
         H = H + np.diag(V.values)
-    return DiscreteOperator(H, grid, V, defect)
+    return DiscreteOperator(H, grid, defect)
 
 
 def eig(op: DiscreteOperator) -> EigenDecomp:
@@ -186,7 +184,7 @@ def eig(op: DiscreteOperator) -> EigenDecomp:
         raise NumericalError("schrodinger", f"eigenvector orthonormality {ortho:.3e}")
     if vals[0] < -1e-8:
         raise NumericalError("schrodinger", f"negative eigenvalue {vals[0]:.3e}")
-    return EigenDecomp(op.grid, vals, vecs, potential=op.potential)
+    return EigenDecomp(op.grid, vals, vecs)
 
 
 def quadrature_spectral_cap(grid: QuadratureGrid) -> float:
@@ -256,10 +254,10 @@ def resolved_calculus(
         lam, P = lam[keep], P[:, keep]
         meta.update(lam_limit=float(lam_limit), n_kept=int(keep.sum()))
     if V is None or not np.any(V.values):
-        return EigenDecomp(grid, lam, P, meta=meta, potential=V)
+        return EigenDecomp(grid, lam, P, meta=meta)
     H = np.diag(lam) + (P.T * V.values) @ P
     theta, U = eigh(0.5 * (H + H.T))
-    return EigenDecomp(grid, theta, P @ U, meta=meta, potential=V)
+    return EigenDecomp(grid, theta, P @ U, meta=meta)
 
 
 # ---------------------------------------------------------------------------

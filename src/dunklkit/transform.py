@@ -87,23 +87,25 @@ def translate_radial(rs: RootSystem, grid: QuadratureGrid, x, f_radial) -> Sampl
     return SampledFunction(grid, np.concatenate(vals))
 
 
+def multiplier_apply(sm: SpectralMatrix, m: np.ndarray, f: SampledFunction) -> SampledFunction:
+    """The spectral multiplier F^-1(m F f), m sampled on the nodes; real
+    samples when f and m are real."""
+    out = inverse_transform(sm, SampledFunction(sm.grid, dunkl_transform(sm, f).values * m))
+    if np.iscomplexobj(f.values) or np.iscomplexobj(m):
+        return out
+    return SampledFunction(sm.grid, out.values.real)
+
+
 def convolve(
     sm: SpectralMatrix, f: SampledFunction, g: SampledFunction
 ) -> SampledFunction:
     """Weighted convolution via the product rule on the spectral side."""
-    ff = dunkl_transform(sm, f)
-    gg = dunkl_transform(sm, g)
-    prod = SampledFunction(sm.grid, ff.values * gg.values)
-    return inverse_transform(sm, prod)
-
-
-def heat_multiplier_profile(grid: QuadratureGrid, t: float) -> np.ndarray:
-    return np.exp(-t * np.sum(grid.nodes**2, axis=1))
+    return multiplier_apply(sm, dunkl_transform(sm, g).values, f)
 
 
 def spectral_heat_sample(sm: SpectralMatrix, t: float) -> SampledFunction:
     """The function with spectral profile e^{-t |xi|^2}, sampled on the grid."""
-    prof = SampledFunction(sm.grid, heat_multiplier_profile(sm.grid, t).astype(complex))
+    prof = SampledFunction(sm.grid, np.exp(-t * np.sum(sm.grid.nodes**2, axis=1)).astype(complex))
     out = inverse_transform(sm, prof)
     return SampledFunction(sm.grid, out.values.real)
 

@@ -377,10 +377,11 @@ class TestAcceptance(unittest.TestCase):
         ]
         finite, contract, interp_ok = True, 0.0, True
         sup_entries = []
+        grid = _kgrid(0.5)
         for name, params in presets:
-            ed = _resolved(0.5, name, **params)
+            pot = potential_preset(grid, name, **params)
             for t in (0.1, 1.0):
-                rep = kato.smoothing_norms(ed, t, [(2, 2)])
+                rep = kato.smoothing_norms(grid, pot, t, [(2, 2)])
                 finite &= all(np.isfinite(v) for v in rep.corner_norms.values())
                 contract = max(contract, rep.corner_norms[("inf", "inf")])
                 interp_ok &= rep.interpolated[(2, 2)] >= rep.l2_direct - 1e-10
@@ -389,8 +390,8 @@ class TestAcceptance(unittest.TestCase):
         C_fit = max(v * t ** (d / 2.0 + gam) for (_, _, t, v) in sup_entries)
         power_ok = True
         for name, params, _, _ in sup_entries[::2]:
-            ed = _resolved(0.5, name, **params)
-            rep = kato.smoothing_norms(ed, 0.5, [])
+            pot = potential_preset(grid, name, **params)
+            rep = kato.smoothing_norms(grid, pot, 0.5, [])
             bound = C_fit * 0.5 ** -(d / 2.0 + gam)
             power_ok &= rep.corner_norms[(1, "inf")] <= bound * (1 + 1e-9)
         ok = finite and contract <= 1.0 + 1e-6 and interp_ok and power_ok

@@ -75,8 +75,8 @@ class TestCli(unittest.TestCase):
                 out = os.path.join(self.tmp, "out")
                 res = self.runner.invoke(main, ["run", cfg, "--out", out])
                 self.assertEqual(res.exit_code, 3, res.output)
-                self.assertIn("numerical failure", res.output)
-                self.assertIn("require a sign product group", res.output)
+                self.assertIn("refused", res.output)
+                self.assertIn("z2_product", res.output)
 
     def test_seed_override_and_determinism(self):
         doc = dict(FAST_DOC, suites=["trotter_order"])

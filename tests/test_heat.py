@@ -10,7 +10,6 @@ from dunklkit.errors import InputError
 from dunklkit.grids import SampledFunction, build_grid
 from dunklkit.heat import (
     axis_factor,
-    canonical_pair_distance,
     gaussian_bound_report,
     heat_apply,
     heat_kernel,
@@ -141,15 +140,6 @@ class TestSemigroupAction(unittest.TestCase):
 
 
 class TestGaussianBounds(unittest.TestCase):
-    def test_chamber_distance(self):
-        rs = RootSystem.z2_product([0.5, 0.5])
-        self.assertAlmostEqual(
-            canonical_pair_distance(rs, [1.0, -2.0], [-1.0, 2.0]), 0.0
-        )
-        self.assertAlmostEqual(
-            canonical_pair_distance(rs, [3.0, 0.0], [0.0, 4.0]), 5.0
-        )
-
     def test_fits_finite_and_stable(self):
         rs = RootSystem.z2_product([0.5])
         rep = gaussian_bound_report(rs, (0.25, 1.0), n_samples=40, seed=5)

@@ -9,7 +9,6 @@ from dunklkit.errors import CapabilityError, InputError
 from dunklkit.intertwine import (
     dunkl_kernel,
     e_minus_i,
-    intertwining_apply,
     kernel_bessel_1d,
     kernel_series_1d,
     nu_moments_oracle,
@@ -65,7 +64,6 @@ class TestTensorMeasure(unittest.TestCase):
         rs = RootSystem.z2_product([0.5, 1.0])
         q = nu_quadrature(rs, [1.0, -2.0])
         self.assertAlmostEqual(q.weights.sum(), 1.0, places=12)
-        self.assertAlmostEqual(intertwining_apply(q, lambda p: np.ones(len(p))), 1.0)
 
     def test_dihedral_rejected(self):
         rs = RootSystem.dihedral(3, 0.5)

@@ -26,7 +26,6 @@ from dunklkit.reflection import RootSystem
 from dunklkit.schrodinger import (
     potential_function,
     potential_preset,
-    resolved_calculus,
     splitting_kernel,
     splitting_steps,
 )
@@ -209,12 +208,11 @@ class TestSmoothing(unittest.TestCase):
     @classmethod
     def setUpClass(cls):
         rs = RootSystem.z2_product([0.5])
-        grid = build_grid(rs, 10.0, 96)
-        pot = potential_preset(grid, "soft_coulomb", a=1.0)
-        cls.ed = resolved_calculus(grid, pot)
+        cls.grid = build_grid(rs, 10.0, 96)
+        cls.pot = potential_preset(cls.grid, "soft_coulomb", a=1.0)
 
     def test_corner_norms(self):
-        rep = smoothing_norms(self.ed, 0.5, [(1, 2), (2, 2), (2, "inf")])
+        rep = smoothing_norms(self.grid, self.pot, 0.5, [(1, 2), (2, 2), (2, "inf")])
         for v in rep.corner_norms.values():
             self.assertTrue(np.isfinite(v))
             self.assertGreater(v, 0.0)
@@ -223,9 +221,9 @@ class TestSmoothing(unittest.TestCase):
 
     def test_invalid_inputs(self):
         with self.assertRaises(InputError):
-            smoothing_norms(self.ed, 0.0, [])
+            smoothing_norms(self.grid, self.pot, 0.0, [])
         with self.assertRaises(InputError):
-            smoothing_norms(self.ed, 0.5, [(2, 1)])
+            smoothing_norms(self.grid, self.pot, 0.5, [(2, 1)])
 
     def test_l2_top_eigenvalue_matches_svd(self):
         # the kernel grids of the smoothing suite in rank one and rank two, and
@@ -249,8 +247,8 @@ class TestSmoothing(unittest.TestCase):
                     self.assertLessEqual(abs(got - ref), 1e-13 * ref)
 
     def test_kernel_must_be_nonnegative_and_symmetric(self):
-        grid = self.ed.grid
-        W = splitting_kernel(grid, self.ed.potential, 0.5, 1)
+        grid = self.grid
+        W = splitting_kernel(grid, self.pot, 0.5, 1)
         smoothing_norms_of_kernel(grid, W, [])
         neg = W.copy()
         neg[3, 5] = neg[5, 3] = -1e-300

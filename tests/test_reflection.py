@@ -82,6 +82,11 @@ class TestOrbitGeometry(unittest.TestCase):
                 places=10,
             )
 
+    def test_orbit_distance_sign_chambers(self):
+        # on a sign group the orbit distance is |x+ - y+|, x+ the coordinate absolutes
+        self.assertAlmostEqual(orbit_distance(self.g, [1.0, -2.0], [-1.0, 2.0]), 0.0)
+        self.assertAlmostEqual(orbit_distance(self.g, [3.0, 0.0], [0.0, 4.0]), 5.0)
+
     def test_unit_ball_cover_covers(self):
         x = np.array([0.8, -0.3])
         r = 1.4

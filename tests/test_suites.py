@@ -1,13 +1,14 @@
 """Suite registry and the batch runner's file outputs."""
 
 import json
+import math
 import os
 import tempfile
 import unittest
 from pathlib import Path
 
 from dunklkit.config import load_config
-from dunklkit.suites import REGISTRY, run_suites
+from dunklkit.suites import REGISTRY, Checks, run_suites
 
 import yaml
 
@@ -35,6 +36,37 @@ class TestRegistry(unittest.TestCase):
             self.assertTrue(defn.description)
             self.assertTrue(defn.anchor)
             self.assertTrue(callable(defn.fn))
+
+
+class TestChecks(unittest.TestCase):
+    def test_repeated_calls_keep_the_worst(self):
+        ck = Checks()
+        for v in (0.2, 0.7, 0.1):
+            ck.at_most("up", v, 1.0)
+            ck.at_least("down", v, 0.0, hard=False)
+        self.assertEqual(ck.values["up"], 0.7)
+        self.assertEqual(ck.values["down"], 0.1)
+        self.assertEqual(ck.bounds, {"up": ["<=", 1.0], "down": [">=", 0.0]})
+        self.assertEqual(ck.hard, {"up": True})
+        self.assertEqual(ck.soft, {"down": True})
+        ck.at_most("up", 1.5, 1.0)
+        self.assertEqual(ck.values["up"], 1.5)
+        self.assertFalse(ck.hard["up"])
+
+    def test_nan_sample_sticks_and_fails(self):
+        ck = Checks()
+        for v in (1e-12, float("nan"), 0.0, 1e-13):
+            ck.at_most("gap", v, 1e-10)
+            ck.at_least("slack", -v, -1e-10)
+        for name in ("gap", "slack"):
+            self.assertTrue(math.isnan(ck.values[name]), name)
+            self.assertFalse(ck.hard[name], name)
+
+    def test_bound_fixed_per_name(self):
+        ck = Checks()
+        ck.at_most("gap", 0.1, 1.0)
+        with self.assertRaises(ValueError):
+            ck.at_most("gap", 0.1, 2.0)
 
 
 class TestRunner(unittest.TestCase):
@@ -69,6 +101,22 @@ class TestRunner(unittest.TestCase):
             persisted = json.loads((out1 / "summary.json").read_text())
             self.assertEqual(persisted["seed"], 5)
             self.assertEqual(persisted["config"]["grid"]["N"], 96)
+
+    def test_written_verdicts_match_written_bounds(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = _load(tmp, FAST_DOC)
+            run_suites(cfg, Path(tmp) / "run", cfg.seed)
+            summary = json.loads((Path(tmp) / "run" / "summary.json").read_text())
+        n_bounds = 0
+        for block in summary["suites"].values():
+            verdicts = {**block["hard_checks"], **block["soft_checks"]}
+            for name, (op, bound) in block["bounds"].items():
+                self.assertIn(name, verdicts)
+                value = block["values"][name]
+                held = value <= bound if op == "<=" else value >= bound
+                self.assertEqual(verdicts[name], held, name)
+                n_bounds += 1
+        self.assertGreater(n_bounds, 0)
 
     def test_seed_changes_draws(self):
         doc = dict(FAST_DOC, suites=["riesz_l2"], grid={"R": 10.0, "N": 48})
