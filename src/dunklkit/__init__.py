@@ -39,7 +39,6 @@ _EXPORTS = {
     "QuadratureGrid": ".grids",
     "SampledFunction": ".grids",
     "build_grid": ".grids",
-    "sample": ".grids",
     # intertwine
     "OrbitMeasureQuad": ".intertwine",
     "nu_quadrature": ".intertwine",

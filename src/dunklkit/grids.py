@@ -1,13 +1,16 @@
 """Symmetric quadrature grids for the weighted measure and sampled functions.
 
-Grids are per-axis composite Gauss-Legendre rules on [-R, R], symmetric under
-sign flips and avoiding zero, tensorized over axes.  Sign-flip group elements
-act on node indices by exact permutations, so reflected samples carry no
-interpolation error.
+A grid is one axis rule, a composite Gauss-Legendre rule on [-R, R] that is
+ascending, symmetric under x -> -x and avoids zero, shared by every axis and
+tensorized in row-major order (tensor_rule).  The layout is stated once:
+node m has coordinate axis[axis_index[j, m]] on axis j, so per-axis tables
+and operators lift to the grid by index gathers or Kronecker products, and
+the negation x -> -x is the reversed node order, an exact permutation.
 """
 
 import csv
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy.special import roots_legendre
@@ -17,7 +20,7 @@ from .reflection import Z2_PRODUCT, RootSystem, weight
 
 
 def axis_rule(R: float, n_axis: int) -> tuple:
-    """Symmetric zero-avoiding Gauss-Legendre rule on [-R, R]."""
+    """Ascending, symmetric, zero-avoiding Gauss-Legendre rule on [-R, R]."""
     if n_axis % 2 != 0 or n_axis < 2:
         raise InputError("per-axis node count must be even and >= 2")
     if R <= 0:
@@ -31,15 +34,20 @@ def axis_rule(R: float, n_axis: int) -> tuple:
     )
 
 
+def tensor_rule(node_sets, weight_sets) -> tuple:
+    """Row-major tensor product of one rule per axis: nodes (N, d), weights (N,)."""
+    mesh = np.meshgrid(*node_sets, indexing="ij")
+    nodes = np.stack([m.ravel() for m in mesh], axis=-1)
+    return nodes, reduce(np.multiply.outer, weight_sets).ravel()
+
+
 @dataclass(frozen=True, eq=False)  # hashed by identity: the fields are arrays
 class QuadratureGrid:
     rs: RootSystem
     half_width: float
-    n_axis: int
-    nodes: np.ndarray  # (N, d)
-    lebesgue_weights: np.ndarray
+    axis: np.ndarray  # (n,) ascending symmetric axis rule, shared by every axis
+    nodes: np.ndarray  # (N, d) = tensor_rule of d copies of axis
     mu_weights: np.ndarray
-    sign_perms: dict  # sign pattern tuple -> node index permutation
 
     def __len__(self):
         return self.nodes.shape[0]
@@ -49,24 +57,26 @@ class QuadratureGrid:
         return self.rs.dimension
 
     @property
-    def axis_nodes(self) -> np.ndarray:
-        return np.unique(np.round(self.nodes[:, 0], 14))
+    def n_axis(self) -> int:
+        return self.axis.size
+
+    @property
+    def axis_index(self) -> np.ndarray:
+        """(d, N): axis_index[j, m] indexes node m's coordinate j in axis."""
+        return np.indices((self.n_axis,) * self.dimension).reshape(self.dimension, -1)
 
     @property
     def negation_perm(self) -> np.ndarray:
-        return self.sign_perms[tuple([-1] * self.dimension)]
-
-    def reflection_map(self, signs) -> np.ndarray:
-        """Node permutation realizing the diagonal sign matrix."""
-        return self.sign_perms[tuple(int(s) for s in signs)]
+        """Node permutation of x -> -x: the axis is symmetric, so it reverses
+        every axis index, hence the row-major node order."""
+        return np.arange(len(self))[::-1]
 
     def axis_table(self, fn) -> np.ndarray:
-        """n x n table of a symmetric fn(a, b) on the ascending axis rule,
-        which every axis shares; one call on the unordered pairs."""
-        ax = np.unique(self.nodes[:, 0])
-        iu, ju = np.triu_indices(ax.size)
-        vals = fn(ax[iu], ax[ju])
-        a = np.empty((ax.size, ax.size), dtype=vals.dtype)
+        """n x n table of a symmetric fn(a, b) on the axis rule; one call on
+        the unordered pairs."""
+        iu, ju = np.triu_indices(self.n_axis)
+        vals = fn(self.axis[iu], self.axis[ju])
+        a = np.empty((self.n_axis, self.n_axis), dtype=vals.dtype)
         a[iu, ju] = a[ju, iu] = vals
         return a
 
@@ -81,27 +91,9 @@ def build_grid(rs: RootSystem, R: float, n_axis: int) -> QuadratureGrid:
             f"grids, and every table built on them, require a sign product group "
             f"(z2_product), not {rs.kind}"
         )
-    d = rs.dimension
     ax, aw = axis_rule(R, n_axis)
-    mesh = np.meshgrid(*([ax] * d), indexing="ij")
-    nodes = np.stack([m.ravel() for m in mesh], axis=-1)
-    wmesh = np.meshgrid(*([aw] * d), indexing="ij")
-    leb = np.ones(nodes.shape[0])
-    for wm in wmesh:
-        leb = leb * wm.ravel()
-    mu = leb * weight(rs, nodes)
-
-    # sign-flip permutations by index arithmetic on the row-major multi-index
-    idx = np.arange(nodes.shape[0]).reshape([n_axis] * d)
-    perms = {}
-    for bits in range(2**d):
-        signs = tuple(1 - 2 * ((bits >> j) & 1) for j in range(d))
-        view = idx
-        for j, s in enumerate(signs):
-            if s < 0:
-                view = np.flip(view, axis=j)
-        perms[signs] = view.ravel().copy()
-    return QuadratureGrid(rs, float(R), int(n_axis), nodes, leb, mu, perms)
+    nodes, leb = tensor_rule([ax] * rs.dimension, [aw] * rs.dimension)
+    return QuadratureGrid(rs, float(R), ax, nodes, leb * weight(rs, nodes))
 
 
 @dataclass
@@ -171,15 +163,6 @@ class SampledFunction:
         else:
             vals = np.array([float(row[d + 1]) for row in rows])
         return SampledFunction(grid, vals)
-
-
-def sample(grid: QuadratureGrid, fn) -> SampledFunction:
-    """Sample a vectorized callable of the node rows onto the grid."""
-    if grid.dimension == 1:
-        vals = np.asarray(fn(grid.nodes[:, 0]))
-    else:
-        vals = np.asarray(fn(grid.nodes))
-    return SampledFunction(grid, vals)
 
 
 def grid_selftest(grid: QuadratureGrid, ck_exact: float) -> dict:

@@ -15,6 +15,7 @@ import numpy as np
 from scipy.special import gamma as sgamma, i0e, i1e, ive, jv, roots_jacobi
 
 from .errors import CapabilityError, InputError, RangeError
+from .grids import tensor_rule
 from .reflection import Z2_PRODUCT, ReflectionGroup, RootSystem, canonical_rep
 
 SERIES_BOUND = 200.0
@@ -154,20 +155,8 @@ def nu_quadrature(rs: RootSystem, x) -> OrbitMeasureQuad:
     if rs.kind != Z2_PRODUCT:
         raise CapabilityError("explicit measure known only for sign product groups")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    kappas = rs.multiplicities
-    axis_nodes = []
-    axis_weights = []
-    for xj, kap in zip(x, kappas):
-        nd, wt = rank_one_measure(float(kap), float(xj), 64)
-        axis_nodes.append(nd)
-        axis_weights.append(wt)
-    grids = np.meshgrid(*axis_nodes, indexing="ij")
-    nodes = np.stack([g.ravel() for g in grids], axis=-1)
-    wgrids = np.meshgrid(*axis_weights, indexing="ij")
-    wts = np.ones(nodes.shape[0])
-    for wg in wgrids:
-        wts = wts * wg.ravel()
-    return OrbitMeasureQuad(x, nodes, wts)
+    rules = [rank_one_measure(float(kap), float(xj), 64) for xj, kap in zip(x, rs.multiplicities)]
+    return OrbitMeasureQuad(x, *tensor_rule(*zip(*rules)))
 
 
 def nu_moments_oracle(kappa: float, nmax: int) -> np.ndarray:

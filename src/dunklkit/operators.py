@@ -1,9 +1,15 @@
 """The Dunkl derivative on sampled functions, one dense operator per axis.
 
 T_j is the finite-difference partial of order FD_ORDER along axis j plus the
-reflection difference term kappa_j (f(x) - f(sigma_j x)) / x_j; on sign-closed
-grids the reflected sample is exact, so only the partial carries stencil error.
+reflection difference term kappa_j (f(x) - f(sigma_j x)) / x_j.  Both act on
+coordinate j alone, so on the tensor grid T_j = I x ... x T x ... x I
+(Kronecker product, T at slot j) with the one-axis operator
+T = D + kappa_j (I - J) / x on the grid's axis rule, J the axis reversal:
+the axis is symmetric, so the reflected sample is exact and only the partial
+carries stencil error.
 """
+
+from functools import reduce
 
 import numpy as np
 
@@ -41,49 +47,27 @@ def fornberg_weights(z, x: np.ndarray, m: int) -> np.ndarray:
     return c[..., m]
 
 
-def diff_matrix(axis_nodes: np.ndarray) -> np.ndarray:
+def diff_matrix(xs: np.ndarray) -> np.ndarray:
     """Dense first-derivative matrix on a 1D node set; one-sided at the edges."""
-    n = len(axis_nodes)
+    n = len(xs)
     width = FD_ORDER + 1
     if n < width:
         raise InputError(f"the {width}-node stencil needs at least {width} nodes")
     D = np.zeros((n, n))
     rows = np.arange(n)[:, None]
     cols = np.clip(rows - width // 2, 0, n - width) + np.arange(width)
-    D[rows, cols] = fornberg_weights(axis_nodes, axis_nodes[cols], 1)
+    D[rows, cols] = fornberg_weights(xs, xs[cols], 1)
     return D
-
-
-def axis_partial_matrix(grid: QuadratureGrid, axis: int) -> np.ndarray:
-    """Dense matrix of the plain partial derivative along one axis."""
-    D1 = diff_matrix(grid.axis_nodes)
-    d = grid.dimension
-    n = grid.n_axis
-    if d == 1:
-        return D1
-    # kron structure: identity on the other axes
-    mats = [np.eye(n)] * d
-    mats[axis] = D1
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
 
 
 def dunkl_derivative_matrix(grid: QuadratureGrid, axis: int) -> np.ndarray:
     """Dense matrix of the deformed derivative along a coordinate axis."""
     kap = float(grid.rs.multiplicities[axis])
-    D = axis_partial_matrix(grid, axis)
-    if kap == 0.0:
-        return D
-    signs = [1] * grid.dimension
-    signs[axis] = -1
-    perm = grid.reflection_map(signs)
-    n = len(grid)
-    P = np.zeros((n, n))
-    P[np.arange(n), perm] = 1.0
-    xj = grid.nodes[:, axis]
-    return D + kap * (np.eye(n) - P) / xj[:, None]
+    n, x = grid.n_axis, grid.axis
+    T = diff_matrix(x) + kap * (np.eye(n) - np.eye(n)[::-1]) / x[:, None]
+    mats = [np.eye(n)] * grid.dimension
+    mats[axis] = T
+    return reduce(np.kron, mats)
 
 
 def dunkl_derivative(

@@ -296,7 +296,7 @@ def semigroup_trotter(
 def splitting_steps(grid: QuadratureGrid, t: float) -> int:
     """Most symmetric splitting steps over time t whose heat step the grid
     resolves: sqrt(2 t / n) >= 1.2 h, h the widest axis spacing; at least 1."""
-    h = float(np.max(np.diff(grid.axis_nodes)))
+    h = float(np.max(np.diff(grid.axis)))
     return max(1, int(2.0 * t / (1.2 * h) ** 2))
 
 
@@ -451,7 +451,7 @@ def weak_type_report(ed: EigenDecomp, atoms, axis: int = 0) -> dict:
     """
     grid = ed.grid
     R = riesz_matrix(ed, axis)
-    spacing = float(np.max(np.diff(np.sort(np.unique(grid.nodes[:, 0])))))
+    spacing = float(np.max(np.diff(grid.axis)))
     rows = []
     for center, radius in atoms:
         center = np.atleast_1d(np.asarray(center, dtype=float))

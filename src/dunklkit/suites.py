@@ -266,39 +266,33 @@ def suite_reflection_geometry(scene: Scene, rng) -> tuple:
         ck.at_most("orbit_distance_oracle", gap, 1e-10)
 
     cover_curve = []
-    count_ok = True
     for _ in range(30):
         x = rng.uniform(-5, 5, size=d)
         r = float(rng.uniform(0.01, 10.0))
         centers = unit_ball_cover(x, r)
-        count_ok &= centers.shape[0] <= (2 * d) ** d * (r + 1.0) ** d
+        ck.at_most("cover_count_bound", centers.shape[0] / ((2 * d) ** d * (r + 1.0) ** d), 1.0)
         u = rng.standard_normal((150, d))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         pts = x[None, :] + (r * rng.random(150) ** (1.0 / d))[:, None] * u
         dist = np.linalg.norm(pts[:, None, :] - centers[None, :, :], axis=2).min(axis=1)
         ck.at_most("cover_is_covering", float(np.max(dist)), 1.0 + 1e-9)
         cover_curve.append((r, float(centers.shape[0])))
-    ck.check("cover_count_bound", count_ok)
 
-    doubling_ok = True
     dbl = 2.0 ** (d + 2.0 * gamma_k(rs))
     for _ in range(30):
         x = rng.uniform(-3, 3, size=d)
         r = float(rng.uniform(0.05, 3.0))
         q1 = ball_comparison_quantity(rs, x, r)
         q2 = ball_comparison_quantity(rs, x, 2.0 * r)
-        doubling_ok &= q2 <= dbl * q1 * (1.0 + 1e-12)
-    ck.check("doubling_factor", doubling_ok, dbl)
+        ck.at_most("doubling_factor", q2 / (dbl * q1), 1.0 + 1e-12)
 
     cal = calibrate_ball_constants(rs, seed=7)
-    bracket_ok = True
     for i in range(20):
         x = rng.uniform(-3, 3, size=d)
         r = float(rng.uniform(0.05, 3.0))
         est = ball_volume_quadrature(rs, x, r, seed=11 + i)
         b = ball_volume(rs, x, r, cal)
-        bracket_ok &= b.lower <= est <= b.upper
-    ck.check("ball_bracket", bracket_ok, list(cal))
+        ck.at_most("ball_bracket", float(np.maximum(b.lower / est, est / b.upper)), 1.0)
     one_d = RootSystem.z2_product([1.0])
     exact = ball_volume_quadrature(one_d, np.array([0.0]), 1.0)
     ck.at_most("unit_ball_kappa1", abs(exact - 4.0 / 3.0), 1e-12)
@@ -509,18 +503,16 @@ def suite_operator_identities(scene: Scene, rng) -> tuple:
     gap_even = float(np.max(np.abs(deriv.values - target)[interior]))
     ck.at_most("even_function_reduction", gap_even, 1e-4)
 
-    g = SampledFunction(grid, np.exp(-(xs**2) / 2.0) * (1.0 + 0.3 * xs))
-    h = SampledFunction(grid, np.exp(-(xs**2) / 1.7) * (1.0 - 0.2 * xs))
+    def g_h(gr):
+        x = gr.nodes[:, 0]
+        return (SampledFunction(gr, np.exp(-(x**2) / 2.0) * (1.0 + 0.3 * x)),
+                SampledFunction(gr, np.exp(-(x**2) / 1.7) * (1.0 - 0.2 * x)))
+
+    g, h = g_h(grid)
     anti = antisymmetry_defect(grid, g, h)
     ck.at_most("antisymmetry_gaussian", anti, 1e-5)
-    sm_small = _aux_sm(kap, 10.0, 96)
-    g2 = SampledFunction(
-        sm_small.grid, np.exp(-(sm_small.grid.nodes[:, 0] ** 2) / 2.0) * (1.0 + 0.3 * sm_small.grid.nodes[:, 0])
-    )
-    h2 = SampledFunction(
-        sm_small.grid, np.exp(-(sm_small.grid.nodes[:, 0] ** 2) / 1.7) * (1.0 - 0.2 * sm_small.grid.nodes[:, 0])
-    )
-    anti_small = antisymmetry_defect(sm_small.grid, g2, h2)
+    grid_small = _aux_sm(kap, 10.0, 96).grid
+    anti_small = antisymmetry_defect(grid_small, *g_h(grid_small))
     ck.at_most("antisymmetry_improves", anti, anti_small * 1.5, hard=False)
 
     md = multiplier_defect(sm, g)
@@ -739,8 +731,8 @@ def suite_domination(scene: Scene, rng) -> tuple:
         for name, params in presets:
             ed = scene.kernel_resolved(name, **params)
             W = schrodinger_kernel(ed, t)
-            neg = max(0.0, -float(np.min(W)))
-            over = max(0.0, float(np.max(W - K)))
+            neg = float(np.maximum(0.0, -np.min(W)))
+            over = float(np.maximum(0.0, np.max(W - K)))
             ck.at_most("kernel_nonnegative", neg, 1e-6)
             ck.at_most("kernel_below_free", over, 1e-6)
             if name == "soft_coulomb":
@@ -804,6 +796,8 @@ def suite_riesz_l2(scene: Scene, rng) -> tuple:
     for preset, params in (("zero", {}), (None, None)):
         ed = scene.kernel_resolved(preset, **(params or {})) if preset else scene.kernel_resolved()
         R = riesz_matrix(ed, 0)
+        if preset == "zero":
+            ed0, R0 = ed, R
         for i in range(12):
             f = SampledFunction(
                 grid, families.random_band_limited(xs, rng, n_terms=8, max_degree=16)
@@ -822,16 +816,14 @@ def suite_riesz_l2(scene: Scene, rng) -> tuple:
         ck.at_most("subordination_gap", float(gap), 1e-4)
         ck.metric(f"subordination_self_estimate_{preset or 'scene'}", est)
 
-    ed = scene.kernel_resolved("zero")
-    R = riesz_matrix(ed, 0)
     f1 = families.random_band_limited(xs, rng, n_terms=5, max_degree=10)
     f2 = families.random_band_limited(xs, rng, n_terms=5, max_degree=10)
-    lin = float(np.max(np.abs(R @ (2.0 * f1 - 3.0 * f2) - (2.0 * (R @ f1) - 3.0 * (R @ f2)))))
-    ck.at_most("linearity", lin, 1e-10 * max(1.0, float(np.max(np.abs(R @ f1)))))
+    lin = float(np.max(np.abs(R0 @ (2.0 * f1 - 3.0 * f2) - (2.0 * (R0 @ f1) - 3.0 * (R0 @ f2)))))
+    ck.at_most("linearity", lin, 1e-10 * max(1.0, float(np.max(np.abs(R0 @ f1)))))
 
     f = SampledFunction(grid, np.exp(-(xs**2) / 2.0))
-    Lf = ed.function_frame_apply(ed.eigenvalues, f.values)
-    back = inv_sqrt_apply(ed, inv_sqrt_apply(ed, SampledFunction(grid, Lf)))
+    Lf = ed0.function_frame_apply(ed0.eigenvalues, f.values)
+    back = inv_sqrt_apply(ed0, inv_sqrt_apply(ed0, SampledFunction(grid, Lf)))
     rt = SampledFunction(grid, back.values - f.values).norm_l2() / f.norm_l2()
     ck.at_most("inverse_root_roundtrip", float(rt), 1e-6)
     return ck, {"riesz_ratio_vs_index": curve}
@@ -989,11 +981,8 @@ def suite_kato_heat(scene: Scene, rng) -> tuple:
     rd2 = kato.resolvent_decay(rs1, soft, (1.0, 4.0, 16.0, 64.0), probes=(0.0, 1.0))
     norms = [r["norm"] for r in rd2["rows"]]
     ck.check("resolvent_decreasing", all(a > b for a, b in zip(norms[:-1], norms[1:])), norms)
-    ck.check(
-        "resolvent_below_bound",
-        all(r["norm"] <= r["bound"] * (1 + 1e-9) for r in rd2["rows"]),
-        [r["bound"] for r in rd2["rows"]],
-    )
+    for r in rd2["rows"]:
+        ck.at_most("resolvent_below_bound", r["norm"] / r["bound"], 1.0 + 1e-9)
 
     split = kato.heat_modulus_split(rs1, soft, 0.3, probes=(0.0,))
     parts = split["majorant_at_sup"]

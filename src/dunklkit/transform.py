@@ -44,8 +44,7 @@ class SpectralMatrix:
 def build_spectral_matrix(grid: QuadratureGrid) -> SpectralMatrix:
     """Tabulate the transform kernel on the grid from per-axis factors."""
     table = np.ones((len(grid), len(grid)), dtype=complex)
-    for j, kap in enumerate(grid.rs.multiplicities):
-        i = np.unique(grid.nodes[:, j], return_inverse=True)[1]  # node -> axis-j index
+    for i, kap in zip(grid.axis_index, grid.rs.multiplicities):
         table = table * grid.axis_table(lambda x, y: e_minus_i(x * y, float(kap)))[np.ix_(i, i)]
     return SpectralMatrix(grid, table, c_k(grid.rs))
 

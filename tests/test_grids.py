@@ -1,0 +1,35 @@
+"""The grid's tensor layout: one axis rule, row-major nodes, exact negation."""
+
+import unittest
+
+import numpy as np
+
+from dunklkit.grids import build_grid, tensor_rule
+from dunklkit.reflection import RootSystem
+
+GRIDS = (([0.7], 8.0, 64), ([0.5, 1.0], 6.0, 24), ([0.5, 0.0, 1.5], 4.0, 12))
+
+
+class TestLayout(unittest.TestCase):
+    def test_nodes_read_the_axis_rule(self):
+        for kappas, R, n in GRIDS:
+            grid = build_grid(RootSystem.z2_product(kappas), R, n)
+            self.assertEqual(grid.n_axis, n)
+            self.assertTrue(np.all(np.diff(grid.axis) > 0))
+            for j in range(len(kappas)):
+                self.assertTrue(np.array_equal(grid.nodes[:, j], grid.axis[grid.axis_index[j]]))
+
+    def test_negation_is_reversed_order(self):
+        for kappas, R, n in GRIDS:
+            grid = build_grid(RootSystem.z2_product(kappas), R, n)
+            self.assertTrue(np.array_equal(grid.nodes[grid.negation_perm], -grid.nodes))
+
+    def test_tensor_weights_are_products(self):
+        nodes, weights = tensor_rule([np.array([1.0, 2.0]), np.array([3.0, 4.0, 5.0])],
+                                     [np.array([0.5, 0.25]), np.array([1.0, 2.0, 4.0])])
+        self.assertTrue(np.array_equal(nodes[4], [2.0, 4.0]))
+        self.assertTrue(np.array_equal(weights, [0.5, 1.0, 2.0, 0.25, 0.5, 1.0]))
+
+
+if __name__ == "__main__":
+    unittest.main()

@@ -74,6 +74,26 @@ class TestDerivative(unittest.TestCase):
             np.testing.assert_allclose(got.values, expect[axis], rtol=0, atol=1e-9)
 
 
+class TestKroneckerDerivative(unittest.TestCase):
+    def test_matches_dense_oracle(self):
+        # partial along axis j plus kappa_j (I - P) / x_j, P the node
+        # permutation found by matching sign-flipped coordinates
+        for kappas in ([0.7], [0.5, 1.0], [0.5, 0.0, 1.5]):
+            grid = build_grid(RootSystem.z2_product(kappas), 4.0, 12)
+            n, N = grid.n_axis, len(grid)
+            index = {tuple(p): i for i, p in enumerate(grid.nodes)}
+            for j, kap in enumerate(kappas):
+                D = np.ones((1, 1))
+                for k in range(len(kappas)):
+                    D = np.kron(D, diff_matrix(grid.axis) if k == j else np.eye(n))
+                flipped = grid.nodes.copy()
+                flipped[:, j] *= -1.0
+                P = np.zeros((N, N))
+                P[np.arange(N), [index[tuple(p)] for p in flipped]] = 1.0
+                oracle = D + kap * (np.eye(N) - P) / grid.nodes[:, j][:, None]
+                self.assertTrue(np.array_equal(dunkl_derivative_matrix(grid, j), oracle))
+
+
 class TestWeightedIdentities(unittest.TestCase):
     @classmethod
     def setUpClass(cls):

@@ -6,9 +6,13 @@ import os
 import tempfile
 import unittest
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
+
+from dunklkit import suites
 from dunklkit.config import load_config
-from dunklkit.suites import REGISTRY, Checks, run_suites
+from dunklkit.suites import REGISTRY, Checks, Scene, run_suites
 
 import yaml
 
@@ -67,6 +71,20 @@ class TestChecks(unittest.TestCase):
         ck.at_most("gap", 0.1, 1.0)
         with self.assertRaises(ValueError):
             ck.at_most("gap", 0.1, 2.0)
+
+
+class TestDomination(unittest.TestCase):
+    def test_nan_kernel_fails_the_sample_checks(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            scene = Scene(_load(tmp, FAST_DOC))
+        n = len(scene.kernel_grid)
+        nan_kernel = lambda ed, t: np.full((n, n), np.nan)
+        with mock.patch.object(Scene, "kernel_resolved", lambda self, *a, **k: None):
+            with mock.patch.object(suites, "schrodinger_kernel", nan_kernel):
+                ck, _ = REGISTRY["domination"].fn(scene, np.random.default_rng(0))
+        for name in ("kernel_nonnegative", "kernel_below_free"):
+            self.assertFalse(ck.hard[name], name)
+            self.assertTrue(math.isnan(ck.values[name]), name)
 
 
 class TestRunner(unittest.TestCase):
