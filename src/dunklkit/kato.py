@@ -61,7 +61,9 @@ class SmoothingReport:
 
 
 def _lebesgue_quad(fn, lo: float, hi: float, singular=()) -> tuple:
-    """Adaptive integral with singular breakpoints; flags divergence."""
+    """(value, error, divergent) of quad over [lo, hi] with breaks at the
+    singular points: divergent when quad stops unconverged, at a
+    non-integrable break or at QUAD_LIMIT panels, or the value is not finite."""
     val, err, ok = quad(fn, lo, hi, singular)
     return val, err, not (ok and np.isfinite(val))
 
@@ -118,25 +120,25 @@ def kato_equivalence_check(V_fn, t_list, probes=(0.0, 0.5, 1.0, 2.0)) -> dict:
     """Sandwich classical <= orbit <= group-sum of translated classical moduli.
 
     Dimension-one form; the upper leg sums the classical integral over the
-    sign orbit of each probe's chamber representative.
+    sign orbit of each probe's chamber representative.  A divergent
+    quadrature makes its leg inf and the row's `divergent` True.
     """
     rows = []
     for t in t_list:
         mc = kato_modulus(V_fn, t, CLASSICAL, probes)
         mo = kato_modulus(V_fn, t, ORBIT, probes)
-        upper = -np.inf
+        upper, div = -np.inf, mc.divergent or mo.divergent
         for xp in np.abs(np.atleast_1d(np.asarray(probes, float))):
-            tot = sum(
-                _lebesgue_quad(lambda y: np.abs(V_fn(y)), c - t, c + t, _breaks(V_fn))[0]
-                for c in (xp, -xp)
-            )
-            upper = max(upper, tot)
+            legs = [kato_modulus(V_fn, t, CLASSICAL, (c,)) for c in (xp, -xp)]
+            upper = max(upper, sum(m.value for m in legs))
+            div = div or any(m.divergent for m in legs)
         rows.append(
             {
                 "t": float(t),
                 "classical": mc.value,
                 "orbit": mo.value,
                 "upper": float(upper),
+                "divergent": div,
                 "lower_slack": mo.value - mc.value,
                 "upper_slack": float(upper) - mo.value,
             }
@@ -182,7 +184,7 @@ def semigroup_abs_potential(rs: RootSystem, V_fn, s, x: float, w=1.0) -> float:
     V is radial and called on arrays of y >= 0.  Breaks: |x|, V's breaks and
     fences around |x| from 10 sqrt(min s) outward by factors of 4 (so that the
     narrowest kernel is not stepped over), folded onto y >= 0.  NumericalError
-    if unconverged at QUAD_LIMIT panels.
+    if quad stops unconverged: at a non-integrable break or QUAD_LIMIT panels.
     """
     if rs.dimension != 1:
         raise CapabilityError("heat characterization implemented in rank one")

@@ -1,6 +1,14 @@
 """Adaptive Gauss-Kronrod quadrature that calls its integrand on arrays: QUADPACK's
 qk21 rule and error estimate (Piessens et al., QUADPACK, Springer 1983), refined
-in rounds that evaluate all new panels in one call."""
+in rounds that evaluate all new panels in one call.
+
+A quadrature ends unconverged at QUAD_LIMIT panels, or as soon as one panel has
+been split DIVERGE_SPLITS times in a row at a break with a piece next to the
+break whose rule value is at least that of the whole panel.  The rule is
+scale-covariant, so for |y - p|^-beta next to the break p that ratio is exactly
+8^(beta - 1) on every split: at least 1 just when the integral diverges.  The
+stop assumes that the integrand keeps one sign next to a break; an integrand
+that changes sign there can cancel a panel's value below its near piece's."""
 
 import numpy as np
 
@@ -20,6 +28,9 @@ KRONROD = np.concatenate([_WK[:-1], _WK[::-1]])
 GAUSS = np.zeros(21)
 GAUSS[1:10:2] = GAUSS[19:10:-2] = _WG
 GRADE = 0.125
+# graded splits in a row at which a panel's near piece outweighs it, after
+# which quad gives up on the integral as divergent
+DIVERGE_SPLITS = 3
 QUAD_LIMIT = 200
 
 
@@ -44,16 +55,20 @@ def quad(f, a, b, breaks=(), tol=1.49e-8) -> tuple:
     The piece at the break takes the geometric tail S r / (1 - r) of its
     neighbour S, r its rule value over the panel's, exact for powers of the
     distance to the break, if the change from the panel's own tail is below the
-    rule's error.  At QUAD_LIMIT panels it stops with converged False."""
+    rule's error.  It stops with converged False at QUAD_LIMIT panels, or when
+    the piece at a break has had r >= 1 on DIVERGE_SPLITS splits in a row, as
+    |y|^-beta has for beta >= 1: f, of one sign next to the break, is then
+    taken as not integrable there."""
     marks = np.array([float(p) for p in breaks])
     edges = np.array(sorted({float(a), float(b), *(p for p in marks if a < p < b)}))
     lo, hi = edges[:-1], edges[1:]
     raw, err = _qk21(f, lo, hi)
     ext = val = raw
+    grow = np.zeros(len(lo), dtype=int)
     while True:
         total, toterr = float(val.sum()), float(err.sum())
         goal = tol * max(1.0, abs(total))
-        if toterr <= goal or len(lo) >= QUAD_LIMIT:
+        if toterr <= goal or len(lo) >= QUAD_LIMIT or grow.max() >= DIVERGE_SPLITS:
             return total, toterr, toterr <= goal
         order = np.argsort(-err)
         rest = toterr - np.cumsum(err[order])
@@ -68,11 +83,13 @@ def quad(f, a, b, breaks=(), tol=1.49e-8) -> tuple:
         near, far = np.arange(k) + k * at_hi, np.arange(k) + k * ~at_hi
         graded = (at_lo != at_hi) & (raw[pick] != 0)
         r = np.divide(q[near], raw[pick], out=np.zeros(k), where=graded)
+        g = np.zeros(2 * k, dtype=int)
+        g[near] = np.where(r >= 1.0, grow[pick] + 1, 0)
         r = np.where((r > 0) & (r < 1), r, 0.0)
         x, v = q.copy(), q.copy()
         x[near] = np.where(r > 0, q[far] * r / (1.0 - r), q[near])
         change = np.abs(ext[pick] - q[far] - x[near])
         use = near[(r > 0) & (change < e[near])]
         v[use], e[use] = x[use], change[use % k]
-        old, new = (lo, hi, raw, ext, val, err), (nlo, nhi, q, x, v, e)
-        lo, hi, raw, ext, val, err = (np.concatenate([o[keep], n]) for o, n in zip(old, new))
+        old, new = (lo, hi, raw, ext, val, err, grow), (nlo, nhi, q, x, v, e, g)
+        lo, hi, raw, ext, val, err, grow = (np.concatenate([o[keep], n]) for o, n in zip(old, new))

@@ -71,6 +71,17 @@ class TestModulus(unittest.TestCase):
         for row in rep["rows"]:
             self.assertGreaterEqual(row["lower_slack"], -1e-10)
             self.assertGreaterEqual(row["upper_slack"], -1e-10)
+            self.assertFalse(row["divergent"])
+
+    def test_equivalence_divergent_upper_leg(self):
+        # the upper leg of a non-integrable |V| is inf, not the partial sum
+        # at which the quadrature stopped
+        V = potential_function("inverse_power", beta=1.5)
+        (row,) = kato_equivalence_check(V, (0.25,), probes=(0.0,))["rows"]
+        self.assertTrue(row["divergent"])
+        self.assertEqual(row["upper"], np.inf)
+        self.assertEqual(row["classical"], np.inf)
+        self.assertEqual(row["orbit"], np.inf)
 
 
 class TestHeatModulus(unittest.TestCase):
@@ -99,7 +110,7 @@ class TestHeatModulus(unittest.TestCase):
             resolvent_decay(self.rs, ONE, (-1.0,))
 
     def test_unconverged_flow_raises(self):
-        # y^-1.5 near 0 is not integrable: the quadrature stops at QUAD_LIMIT
+        # y^-1.5 near 0 is not integrable: the quadrature stops at its break
         rs = RootSystem.z2_product([0.0])
         V = potential_function("inverse_power", beta=1.5)
         with self.assertRaises(NumericalError):

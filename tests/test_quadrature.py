@@ -1,8 +1,10 @@
 """Adaptive qk21 quadrature on arrays, and its cost in the Kato heat leg."""
 
+import math
 import unittest
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from dunklkit.kato import _time_rule, heat_modulus, kato_modulus, semigroup_abs_potential
 from dunklkit.quadrature import GAUSS, KRONROD, NODES, quad
@@ -48,6 +50,44 @@ class TestRule(unittest.TestCase):
     def test_non_integrable_is_unconverged(self):
         _, _, ok = quad(lambda y: np.abs(y) ** -1.5, -1.0, 1.0, (0.0,))
         self.assertFalse(ok)
+
+    def test_non_integrable_stops_early(self):
+        # every graded split at 0 finds the near piece 8^(beta-1) >= 1 times
+        # its panel: the quadrature gives up in a few rounds, not QUAD_LIMIT
+        for beta in (1.0, 1.5, 3.0):
+            calls = []
+
+            def f(y, beta=beta):
+                calls.append(y.shape)
+                return np.abs(y) ** -beta
+
+            _, _, ok = quad(f, -1.0, 1.0, (0.0,))
+            self.assertFalse(ok)
+            self.assertLessEqual(len(calls), 8)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        beta=st.floats(0.0, 0.99),
+        a=st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
+        b=st.floats(1e-3, 10.0),
+    )
+    def test_integrable_power_converges(self, beta, a, b):
+        # |y|^-beta on [-a, b] around its break 0, for beta below 1
+        val, _, ok = quad(lambda y: np.abs(y) ** -beta, -a, b, (0.0,), 1e-12)
+        exact = (a ** (1.0 - beta) + b ** (1.0 - beta)) / (1.0 - beta)
+        self.assertTrue(ok)
+        self.assertLess(abs(val - exact), 1e-10 * exact)
+
+    def test_spike_next_to_break_converges(self):
+        # y^-0.5 with a narrow spike 2e-3 from the break: graded splits
+        # resolve it to 1e-12 instead of giving up on it as divergent
+        def f(y):
+            return y**-0.5 + 1e3 * np.exp(-(((y - 2e-3) / 1e-4) ** 2))
+
+        val, _, ok = quad(f, 0.0, 1.0, (0.0,), 1e-12)
+        exact = 2.0 + 0.05 * math.sqrt(math.pi) * (1.0 + math.erf(20.0))
+        self.assertTrue(ok)
+        self.assertLess(abs(val - exact), 1e-12 * exact)
 
     def test_smooth_at_break_keeps_rule_accuracy(self):
         # the geometric tail is taken only where it beats the rule's own
