@@ -56,14 +56,19 @@ def run(config_path, out_dir, seed, threads, strict):
     except NumericalError as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(3)
+    refused = False
     for name in summary["suite_order"]:
         block = summary["suites"][name]
+        if "refused" in block:
+            refused = True
+            click.echo(f"refused: {name}: {block['refused']}", err=True)
+            continue
         status = "pass" if block["pass"] else "FAIL"
         soft = block["soft_pass"]
         soft_txt = "" if soft is None else (" soft=ok" if soft else " soft=FAIL")
         click.echo(f"{status:4s}  {name}{soft_txt}")
     click.echo(f"summary: {out / 'summary.json'}")
-    sys.exit(0 if summary["overall_pass"] else 1)
+    sys.exit(3 if refused else 0 if summary["overall_pass"] else 1)
 
 
 @main.command("list-suites")

@@ -41,6 +41,21 @@ def tensor_rule(node_sets, weight_sets) -> tuple:
     return nodes, reduce(np.multiply.outer, weight_sets).ravel()
 
 
+def kron_apply(mats, values: np.ndarray) -> np.ndarray:
+    """(mats[0] x ... x mats[d-1]) @ values without forming the Kronecker
+    product (Van Loan, JCAM 123, 2000): values, (n**d, ...) in row-major node
+    order, is viewed as (n**j, n, rest) and factor j multiplies its middle
+    axis, one batched matmul per axis.  Factors are n x n; None is the
+    identity."""
+    n = next(M.shape[1] for M in mats if M is not None)
+    values = np.asarray(values)
+    x = values
+    for j, M in enumerate(mats):
+        if M is not None:
+            x = np.matmul(M, x.reshape(n**j, n, -1))
+    return x.reshape(values.shape)
+
+
 @dataclass(frozen=True, eq=False)  # hashed by identity: the fields are arrays
 class QuadratureGrid:
     rs: RootSystem

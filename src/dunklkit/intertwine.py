@@ -167,28 +167,29 @@ def nu_moments_oracle(kappa: float, nmax: int) -> np.ndarray:
 
 def dunkl_kernel(rs: RootSystem, x, y):
     """The deformed exponential E(x, y), product over coordinates, by the
-    Bessel closed form.
+    Bessel closed form; batched over points of shape (..., d), and a scalar
+    for one pair.
 
     Real y: positive kernel.  Purely imaginary y (1j * real vector); other
     complex arguments are out of scope.
     """
     if rs.kind != Z2_PRODUCT:
         raise CapabilityError("kernel evaluation requires a sign product group")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
     kappas = rs.multiplicities
     if np.iscomplexobj(y):
-        y = np.atleast_1d(np.asarray(y))
+        y = np.asarray(y)
         if np.max(np.abs(y.real)) > 1e-14:
             raise CapabilityError("complex arguments supported only on i * R^d")
         out = 1.0 + 0.0j
-        for xj, vj, kap in zip(x, y.imag, kappas):
-            out = out * np.conj(e_minus_i(np.array([xj * vj]), float(kap))[0])
-        return complex(out)
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    out = 1.0
-    for xj, yj, kap in zip(x, y, kappas):
-        out *= float(kernel_bessel_1d(np.array([xj * yj]), float(kap))[0])
-    return out
+        for j, kap in enumerate(kappas):
+            out = out * np.conj(e_minus_i(x[..., j] * y.imag[..., j], float(kap)))
+    else:
+        y = np.asarray(y, dtype=float)
+        out = 1.0
+        for j, kap in enumerate(kappas):
+            out = out * kernel_bessel_1d(x[..., j] * y[..., j], float(kap))
+    return out.item() if out.ndim == 0 else out
 
 
 def averaged_orbit_measure(rs: RootSystem, group: ReflectionGroup, y) -> OrbitMeasureQuad:

@@ -1,4 +1,4 @@
-"""The Dunkl derivative on sampled functions, one dense operator per axis.
+"""The Dunkl derivative on sampled functions, one n x n factor per axis.
 
 T_j is the finite-difference partial of order FD_ORDER along axis j plus the
 reflection difference term kappa_j (f(x) - f(sigma_j x)) / x_j.  Both act on
@@ -6,15 +6,16 @@ coordinate j alone, so on the tensor grid T_j = I x ... x T x ... x I
 (Kronecker product, T at slot j) with the one-axis operator
 T = D + kappa_j (I - J) / x on the grid's axis rule, J the axis reversal:
 the axis is symmetric, so the reflected sample is exact and only the partial
-carries stencil error.
+carries stencil error.  T is memoised per (kappa, R, n) and applied along its
+axis by kron_apply; the N x N matrix of T_j is never formed.
 """
 
-from functools import reduce
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import InputError
-from .grids import QuadratureGrid, SampledFunction
+from .grids import QuadratureGrid, SampledFunction, axis_rule, kron_apply
 from .transform import SpectralMatrix, dunkl_transform, multiplier_apply
 
 FD_ORDER = 6  # accuracy order of the partial: a centred 7-node stencil
@@ -60,29 +61,41 @@ def diff_matrix(xs: np.ndarray) -> np.ndarray:
     return D
 
 
+@lru_cache(maxsize=2)  # both axes of a rank-two grid; a larger cache keeps big T alive
+def _axis_derivative(kappa: float, R: float, n_axis: int) -> np.ndarray:
+    """T = D + kappa (I - J) / x on the axis rule of (R, n_axis); read-only."""
+    x = axis_rule(R, n_axis)[0]
+    T = diff_matrix(x) + kappa * (np.eye(n_axis) - np.eye(n_axis)[::-1]) / x[:, None]
+    T.flags.writeable = False
+    return T
+
+
 def dunkl_derivative_matrix(grid: QuadratureGrid, axis: int) -> np.ndarray:
-    """Dense matrix of the deformed derivative along a coordinate axis."""
+    """The n x n one-axis factor T of the deformed derivative along a
+    coordinate axis, memoised per (kappa, R, n); T_axis is T at slot axis."""
     kap = float(grid.rs.multiplicities[axis])
-    n, x = grid.n_axis, grid.axis
-    T = diff_matrix(x) + kap * (np.eye(n) - np.eye(n)[::-1]) / x[:, None]
-    mats = [np.eye(n)] * grid.dimension
-    mats[axis] = T
-    return reduce(np.kron, mats)
+    return _axis_derivative(kap, grid.half_width, grid.n_axis)
+
+
+def derivative_apply(grid: QuadratureGrid, values: np.ndarray, axis: int = 0) -> np.ndarray:
+    """T_axis applied to samples of shape (N, ...), along the node axis."""
+    mats = [None] * grid.dimension
+    mats[axis] = dunkl_derivative_matrix(grid, axis)
+    return kron_apply(mats, values)
 
 
 def dunkl_derivative(
     grid: QuadratureGrid, f: SampledFunction, axis: int = 0
 ) -> SampledFunction:
     """Apply the deformed derivative along a coordinate axis."""
-    return SampledFunction(grid, dunkl_derivative_matrix(grid, axis) @ f.values)
+    return SampledFunction(grid, derivative_apply(grid, f.values, axis))
 
 
 def dunkl_laplacian(grid: QuadratureGrid, f: SampledFunction) -> SampledFunction:
     """Sum over axes of the squared deformed derivative."""
     out = np.zeros_like(np.asarray(f.values, dtype=float))
     for j in range(grid.dimension):
-        T = dunkl_derivative_matrix(grid, j)
-        out += T @ (T @ f.values)
+        out += derivative_apply(grid, derivative_apply(grid, f.values, j), j)
     return SampledFunction(grid, out)
 
 
@@ -97,9 +110,8 @@ def antisymmetry_defect(
     """max over axes of |<T_j f, g> + <f, T_j g>| in the weighted inner product."""
     worst = 0.0
     for j in range(grid.dimension):
-        T = dunkl_derivative_matrix(grid, j)
-        lhs = np.sum(grid.mu_weights * (T @ f.values) * g.values)
-        rhs = np.sum(grid.mu_weights * f.values * (T @ g.values))
+        lhs = np.sum(grid.mu_weights * derivative_apply(grid, f.values, j) * g.values)
+        rhs = np.sum(grid.mu_weights * f.values * derivative_apply(grid, g.values, j))
         worst = max(worst, abs(lhs + rhs))
     return worst
 
@@ -109,8 +121,7 @@ def multiplier_defect(sm: SpectralMatrix, f: SampledFunction) -> float:
     F = dunkl_transform(sm, f)
     worst = 0.0
     for j in range(sm.grid.dimension):
-        T = dunkl_derivative_matrix(sm.grid, j)
-        lhs = dunkl_transform(sm, SampledFunction(sm.grid, T @ f.values))
+        lhs = dunkl_transform(sm, dunkl_derivative(sm.grid, f, j))
         target = 1j * sm.grid.nodes[:, j] * F.values
         defect = SampledFunction(sm.grid, lhs.values - target).norm_l2()
         worst = max(worst, defect)

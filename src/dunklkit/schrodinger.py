@@ -33,9 +33,9 @@ from .errors import IllPosedError, InputError, NumericalError
 from .grids import QuadratureGrid, SampledFunction, build_grid
 from .heat import heat_apply, heat_kernel_matrix
 from .intertwine import phi_profile
-from .operators import dunkl_derivative_matrix
+from .operators import derivative_apply
 from .reflection import ReflectionGroup, RootSystem, gamma_k
-from .transform import SpectralMatrix
+from .transform import SpectralMatrix, axis_tables
 
 DEFAULT_T0 = 0.1
 NYQUIST_FACTOR = 1.7
@@ -150,15 +150,25 @@ class EigenDecomp:
 def assemble_L(sm: SpectralMatrix, V: Optional[Potential] = None) -> DiscreteOperator:
     """Similarity-symmetrized free operator plus the diagonal potential.
 
-    The free part is assembled as a congruence (1/c^2) B* B with
-    B = diag(sqrt(|xi|^2 w)) E~ diag(sqrt(w)), which is positive semidefinite
-    by construction; the residual imaginary/asymmetric parts are recorded.
+    The free part is the Kronecker sum sum_j G_1 x ... x A_j x ... x G_d of
+    per-axis congruences (1/c_j^2) B* B with B = diag(sqrt(m w_j)) E_j
+    diag(sqrt(w_j)), m = xi^2 for A_j and m = 1 for G_j (the axis's
+    discrete identity, which is not I on an under-resolved axis).  Each term
+    is a product of positive semidefinite factors, so the sum is positive
+    semidefinite by construction; the residual imaginary/asymmetric parts
+    are recorded.
     """
     grid = sm.grid
-    omega = grid.mu_weights
-    x2 = np.sum(grid.nodes**2, axis=1)
-    B = (np.sqrt(x2 * omega)[:, None] * sm.kernel_table) * np.sqrt(omega)[None, :]
-    M = (B.conj().T @ B) / sm.ck**2
+
+    def congruence(E, omega, c, m):
+        B = (np.sqrt(m * omega)[:, None] * E) * np.sqrt(omega)[None, :]
+        return (B.conj().T @ B) / c**2
+
+    axes = axis_tables(grid)
+    A = [congruence(*ax, grid.axis**2) for ax in axes]
+    # G_j enters only beside another axis
+    G = [congruence(*ax, 1.0) for ax in axes] if len(axes) > 1 else []
+    M = reduce(np.add, (reduce(np.kron, G[:j] + [A[j]] + G[j + 1:]) for j in range(len(A))))
     defect = float(np.max(np.abs(M.imag)))
     H = M.real
     defect = max(defect, float(np.max(np.abs(H - H.T))))
@@ -422,8 +432,9 @@ def inv_sqrt_matrix(ed: EigenDecomp) -> np.ndarray:
 
 
 def riesz_matrix(ed: EigenDecomp, axis: int = 0) -> np.ndarray:
-    """Dense matrix of the Riesz transform T_axis L^(-1/2) on samples."""
-    return dunkl_derivative_matrix(ed.grid, axis) @ inv_sqrt_matrix(ed)
+    """Dense matrix of the Riesz transform T_axis L^(-1/2) on samples; T_axis
+    is applied along its axis."""
+    return derivative_apply(ed.grid, inv_sqrt_matrix(ed), axis)
 
 
 # ---------------------------------------------------------------------------
@@ -494,14 +505,13 @@ def weighted_estimate_report(
     """
     grid = ed.grid
     rs = grid.rs
-    T = dunkl_derivative_matrix(grid, axis)
     expo = gamma_k(rs) + grid.dimension / 2.0 + 1.0
     xs = grid.nodes[:, 0]
     probes = [nearest_node_index(grid, y) for y in y_list]
     normalized = {}
     for t in t_list:
         W = schrodinger_kernel(ed, t)
-        TW = T @ W
+        TW = derivative_apply(grid, W, axis)
         for y, iy in zip(y_list, probes):
             ynode = grid.nodes[iy]
             phiv = phi_profile(rs, group, xs / np.sqrt(t), ynode / np.sqrt(t))
@@ -510,7 +520,7 @@ def weighted_estimate_report(
     tails = {float(y): [] for y in y_list}
     for s in TAIL_TIMES:
         W = schrodinger_kernel(ed, s)
-        TW = T @ W
+        TW = derivative_apply(grid, W, axis)
         for y, iy in zip(y_list, probes):
             ynode = grid.nodes[iy]
             dist = np.linalg.norm(np.abs(grid.nodes) - np.abs(ynode)[None, :], axis=1)

@@ -12,7 +12,7 @@ raises, bounds that move with the sample) pass their verdict to Checks.check.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -234,10 +234,9 @@ def suite(name: str, description: str, anchor: str):
     return wrap
 
 
-@lru_cache(maxsize=8)
 def _aux_sm(kappa: float, R: float, N: int):
-    grid = build_grid(RootSystem.z2_product([kappa]), R, N)
-    return build_spectral_matrix(grid)
+    """Rank-one transform; its axis tables are memoised in transform."""
+    return build_spectral_matrix(build_grid(RootSystem.z2_product([kappa]), R, N))
 
 
 # ---------------------------------------------------------------------------
@@ -460,9 +459,7 @@ def suite_translation_convolution(scene: Scene, rng) -> tuple:
         x = np.full(rs.dimension, xval / math.sqrt(rs.dimension))
         tau = translate_radial(rs, grid, x, prof)
         lhs = dunkl_transform(sm, tau)
-        phase = np.array(
-            [dunkl_kernel(rs, x, 1j * xi) for xi in grid.nodes]
-        )
+        phase = dunkl_kernel(rs, x, 1j * grid.nodes)
         gap = float(
             np.max(np.abs(lhs.values - phase * base_ft.values))
             / max(np.max(np.abs(base_ft.values)), 1e-300)
@@ -1123,7 +1120,9 @@ def run_suites(
 ) -> dict:
     """Execute the configured suites in order; write summary and curve files.
 
-    Returns the summary mapping (also persisted as summary.json).
+    A suite that raises CapabilityError is recorded as refused, with the
+    reason and pass false, and the rest still run.  Returns the summary
+    mapping (also persisted as summary.json).
     """
     import json
 
@@ -1137,23 +1136,27 @@ def run_suites(
     for i, name in enumerate(cfg.suites):
         defn = REGISTRY[name]
         rng = np.random.default_rng([seed, i])
-        ck, curves = defn.fn(scene, rng)
+        block = suite_block[name] = {"description": defn.description, "anchor": defn.anchor}
+        try:
+            ck, curves = defn.fn(scene, rng)
+        except CapabilityError as exc:
+            all_hard = False
+            block.update({"pass": False, "soft_pass": None, "refused": str(exc)})
+            continue
         write_curves_csv(out_dir / f"{name}.csv", curves)
         for cname in curves:
             curve_index[cname] = name
         all_hard &= ck.hard_pass
         if ck.soft_pass is False:
             all_soft = False
-        suite_block[name] = {
-            "description": defn.description,
-            "anchor": defn.anchor,
+        block.update({
             "pass": ck.hard_pass,
             "soft_pass": ck.soft_pass,
             "hard_checks": _jsonable(ck.hard),
             "soft_checks": _jsonable(ck.soft),
             "values": _jsonable(ck.values),
             "bounds": _jsonable(ck.bounds),
-        }
+        })
     overall = all_hard and (all_soft or not strict)
     summary = {
         "seed": int(seed),

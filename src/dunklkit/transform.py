@@ -1,20 +1,23 @@
-"""Dense spectral transform on weighted grids: forward/inverse maps,
-Plancherel checks, radial translation, and weighted convolution.
+"""Spectral transform on weighted grids, held as per-axis factors: forward and
+inverse maps, Plancherel checks, radial translation, and weighted convolution.
 
 The forward map sends samples f(x_m) to c^-1 sum_m E(x_m, -i xi_n) f(x_m) w_m
 on the same node set; inversion is the forward map followed by argument
 negation, which the sign-symmetric grid realizes as an exact permutation.
-The kernel table is a product of per-axis n x n factors; forward is formed once.
+For a sign product group the kernel, the weights and c factor over the axes,
+so the forward map is F_1 x ... x F_d with F_j the rank-one forward matrix of
+axis j, formed from the axis's kernel table (memoised per (kappa, R, n)) and
+applied by kron_apply; the N x N matrix is never formed.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gamma as sgamma
 
 from .errors import InputError
-from .grids import QuadratureGrid, SampledFunction
+from .grids import QuadratureGrid, SampledFunction, build_grid, kron_apply
 from .intertwine import e_minus_i, nu_quadrature
 from .reflection import RootSystem
 
@@ -27,38 +30,48 @@ def c_k(rs: RootSystem) -> float:
     return float(out)
 
 
+@lru_cache(maxsize=8)
+def _axis_spectral(kappa: float, R: float, n_axis: int) -> tuple:
+    """Kernel table E(x_a, -i xi_b), mu-weights and c_k of the rank-one grid
+    of one axis; memoised per (kappa, R, n_axis), read-only."""
+    grid = build_grid(RootSystem.z2_product([kappa]), R, n_axis)
+    E = grid.axis_table(lambda x, y: e_minus_i(x * y, kappa))
+    E.flags.writeable = grid.mu_weights.flags.writeable = False
+    return E, grid.mu_weights, c_k(grid.rs)
+
+
+def axis_tables(grid: QuadratureGrid) -> list:
+    """(E_j, w_j, c_j) per axis: the kernel table, mu-weights and c_k of the
+    axis's rank-one grid."""
+    return [_axis_spectral(float(k), grid.half_width, grid.n_axis) for k in grid.rs.multiplicities]
+
+
 @dataclass(frozen=True)
 class SpectralMatrix:
-    """Kernel table, a product of per-axis factors; forward is formed once, kept."""
+    """The transform on a grid as one n x n forward factor per axis."""
 
     grid: QuadratureGrid
-    kernel_table: np.ndarray  # E(x_m, -i xi_n), complex symmetric
+    factors: np.ndarray  # (d, n, n): axis j's forward matrix, row b at xi_b
     ck: float
-
-    @cached_property
-    def forward(self) -> np.ndarray:
-        """Dense forward matrix; row n maps samples to the value at xi_n."""
-        return (self.kernel_table * self.grid.mu_weights[:, None]).T / self.ck
 
 
 def build_spectral_matrix(grid: QuadratureGrid) -> SpectralMatrix:
-    """Tabulate the transform kernel on the grid from per-axis factors."""
-    table = np.ones((len(grid), len(grid)), dtype=complex)
-    for i, kap in zip(grid.axis_index, grid.rs.multiplicities):
-        table = table * grid.axis_table(lambda x, y: e_minus_i(x * y, float(kap)))[np.ix_(i, i)]
-    return SpectralMatrix(grid, table, c_k(grid.rs))
+    """The per-axis forward factors (E_j w_j).T / c_j of the transform."""
+    factors = np.stack([(E * w[:, None]).T / c for E, w, c in axis_tables(grid)])
+    factors.flags.writeable = False
+    return SpectralMatrix(grid, factors, c_k(grid.rs))
 
 
 def dunkl_transform(sm: SpectralMatrix, f: SampledFunction) -> SampledFunction:
     if f.grid is not sm.grid:
         raise InputError("sample grid does not match the transform grid")
-    return SampledFunction(sm.grid, sm.forward @ f.values)
+    return SampledFunction(sm.grid, kron_apply(sm.factors, f.values))
 
 
 def inverse_transform(sm: SpectralMatrix, g: SampledFunction) -> SampledFunction:
     if g.grid is not sm.grid:
         raise InputError("sample grid does not match the transform grid")
-    out = (sm.forward @ g.values)[sm.grid.negation_perm]
+    out = kron_apply(sm.factors, g.values)[sm.grid.negation_perm]
     return SampledFunction(sm.grid, out)
 
 
@@ -111,8 +124,6 @@ def spectral_heat_sample(sm: SpectralMatrix, t: float) -> SampledFunction:
 
 def refinement_defect_slope(rs: RootSystem, R: float, n_list, probe) -> float:
     """log-log slope of a defect functional across per-axis refinements."""
-    from .grids import build_grid
-
     defects = []
     for n in n_list:
         grid = build_grid(rs, R, n)

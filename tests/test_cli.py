@@ -64,19 +64,36 @@ class TestCli(unittest.TestCase):
         self.assertIn("config error", res.output)
 
     def test_capability_failure(self):
-        # a dihedral scene passes the config check; its grid is refused
-        for suite in ("heat_kernel", "plancherel"):
-            with self.subTest(suite=suite):
-                doc = {
-                    "group": {"kind": "dihedral", "m": 3, "k_even": 0.5},
-                    "suites": [suite],
-                }
+        # a refused suite is recorded and the run goes on: summary.json is
+        # written, the other suites keep their results, and the exit code is 3
+        dihedral = {"kind": "dihedral", "m": 3, "k_even": 0.5}
+        rank_two = {"kind": "z2_product", "multiplicities": [0.5, 1.0]}
+        cases = (
+            (dihedral, ["heat_kernel"], "z2_product"),
+            (dihedral, ["plancherel"], "z2_product"),
+            (rank_two, ["plancherel", "domination"], "rank-one"),
+        )
+        for group, suites, reason in cases:
+            with self.subTest(group=group["kind"], suites=suites):
+                doc = {"group": group, "grid": {"R": 6.0, "N": 24}, "suites": suites}
                 cfg = self._config(doc)
-                out = os.path.join(self.tmp, "out")
+                out = os.path.join(self.tmp, "out_" + "_".join(suites))
                 res = self.runner.invoke(main, ["run", cfg, "--out", out])
                 self.assertEqual(res.exit_code, 3, res.output)
                 self.assertIn("refused", res.output)
-                self.assertIn("z2_product", res.output)
+                self.assertIn(reason, res.output)
+                summary = json.loads((Path(out) / "summary.json").read_text())
+                self.assertEqual(summary["suite_order"], suites)
+                self.assertFalse(summary["overall_pass"])
+                refused = summary["suites"][suites[-1]]
+                self.assertFalse(refused["pass"])
+                self.assertIn(reason, refused["refused"])
+                self.assertFalse((Path(out) / f"{suites[-1]}.csv").exists())
+                if len(suites) > 1:
+                    ran = summary["suites"][suites[0]]
+                    self.assertNotIn("refused", ran)
+                    self.assertIn("hard_checks", ran)
+                    self.assertTrue((Path(out) / f"{suites[0]}.csv").exists())
 
     def test_seed_override_and_determinism(self):
         doc = dict(FAST_DOC, suites=["trotter_order"])

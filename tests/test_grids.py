@@ -1,10 +1,12 @@
-"""The grid's tensor layout: one axis rule, row-major nodes, exact negation."""
+"""The grid's tensor layout: one axis rule, row-major nodes, exact negation,
+and Kronecker factors applied mode-wise."""
 
 import unittest
+from functools import reduce
 
 import numpy as np
 
-from dunklkit.grids import build_grid, tensor_rule
+from dunklkit.grids import build_grid, kron_apply, tensor_rule
 from dunklkit.reflection import RootSystem
 
 GRIDS = (([0.7], 8.0, 64), ([0.5, 1.0], 6.0, 24), ([0.5, 0.0, 1.5], 4.0, 12))
@@ -29,6 +31,27 @@ class TestLayout(unittest.TestCase):
                                      [np.array([0.5, 0.25]), np.array([1.0, 2.0, 4.0])])
         self.assertTrue(np.array_equal(nodes[4], [2.0, 4.0]))
         self.assertTrue(np.array_equal(weights, [0.5, 1.0, 2.0, 0.25, 0.5, 1.0]))
+
+
+class TestKronApply(unittest.TestCase):
+    def test_matches_dense_kronecker_product(self):
+        # real and complex factors and values, identity slots, samples and matrices
+        rng = np.random.default_rng(8)
+        n = 5
+        for d in (1, 2, 3):
+            for dtype in (float, complex):
+                mats = [rng.standard_normal((n, n)).astype(dtype) for _ in range(d)]
+                if dtype is complex:
+                    mats = [M + 1j * rng.standard_normal((n, n)) for M in mats]
+                for slots in (mats, [None] * (d - 1) + mats[-1:]):
+                    dense = reduce(np.kron, [np.eye(n) if M is None else M for M in slots])
+                    for shape in ((n**d,), (n**d, 4)):
+                        v = rng.standard_normal(shape)
+                        if dtype is complex:
+                            v = v + 1j * rng.standard_normal(shape)
+                        got = kron_apply(slots, v)
+                        self.assertEqual(got.shape, shape)
+                        np.testing.assert_allclose(got, dense @ v, rtol=1e-13, atol=1e-13)
 
 
 if __name__ == "__main__":

@@ -169,6 +169,29 @@ class TestKernel(unittest.TestCase):
         z = dunkl_kernel(self.rs, x, 1j * v)
         self.assertLessEqual(abs(z), 1.0 + 1e-12)
 
+    def test_batched_matches_point_loop(self):
+        # points of shape (..., d) against one call per pair; rank one is
+        # the same arithmetic
+        rng = np.random.default_rng(11)
+        for kappas in ([0.5], [0.0], [0.5, 1.5], [0.5, 0.0, 1.0]):
+            rs = RootSystem.z2_product(kappas)
+            x = rng.uniform(-2, 2, size=len(kappas))
+            ys = rng.uniform(-3, 3, size=(4, 5, len(kappas)))
+            for y in (ys, 1j * ys):
+                got = dunkl_kernel(rs, x, y)
+                loop = np.array([[dunkl_kernel(rs, x, yy) for yy in row] for row in y])
+                self.assertEqual(got.shape, (4, 5))
+                self.assertIsInstance(dunkl_kernel(rs, x, y[0, 0]), (float, complex))
+                if len(kappas) == 1:
+                    self.assertTrue(np.array_equal(got, loop))
+                else:
+                    np.testing.assert_allclose(got, loop, rtol=1e-15, atol=1e-15)
+            xs = rng.uniform(-2, 2, size=(6, len(kappas)))
+            pairs = dunkl_kernel(rs, xs, ys[0, :1])
+            np.testing.assert_allclose(
+                pairs, [dunkl_kernel(rs, xx, ys[0, 0]) for xx in xs], rtol=1e-15, atol=0
+            )
+
 
 class TestPhi(unittest.TestCase):
     @classmethod

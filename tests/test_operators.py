@@ -1,12 +1,14 @@
 """Deformed derivative, antisymmetry, multiplier identity."""
 
 import unittest
+from functools import reduce
 
 import numpy as np
 
 from dunklkit.grids import SampledFunction, build_grid
 from dunklkit.operators import (
     antisymmetry_defect,
+    derivative_apply,
     diff_matrix,
     dunkl_derivative,
     dunkl_derivative_matrix,
@@ -91,7 +93,39 @@ class TestKroneckerDerivative(unittest.TestCase):
                 P = np.zeros((N, N))
                 P[np.arange(N), [index[tuple(p)] for p in flipped]] = 1.0
                 oracle = D + kap * (np.eye(N) - P) / grid.nodes[:, j][:, None]
-                self.assertTrue(np.array_equal(dunkl_derivative_matrix(grid, j), oracle))
+                T = dunkl_derivative_matrix(grid, j)
+                self.assertEqual(T.shape, (n, n))
+                slots = [T if k == j else np.eye(n) for k in range(len(kappas))]
+                self.assertTrue(np.array_equal(reduce(np.kron, slots), oracle))
+
+    def test_apply_matches_dense_oracle(self):
+        # T_j along its axis against the dense Kronecker matrix, on samples
+        # and on the columns of a matrix
+        rng = np.random.default_rng(4)
+        for kappas in ([0.7], [0.5, 1.0], [0.5, 0.0, 1.5]):
+            grid = build_grid(RootSystem.z2_product(kappas), 4.0, 12)
+            n, N = grid.n_axis, len(grid)
+            v = rng.standard_normal((N, 3))
+            for j in range(len(kappas)):
+                T = dunkl_derivative_matrix(grid, j)
+                dense = reduce(np.kron, [T if k == j else np.eye(n) for k in range(len(kappas))])
+                ref = dense @ v
+                scale = np.max(np.abs(ref))
+                np.testing.assert_allclose(
+                    derivative_apply(grid, v, j) / scale, ref / scale, rtol=0, atol=1e-14
+                )
+                f = SampledFunction(grid, v[:, 0])
+                np.testing.assert_allclose(
+                    dunkl_derivative(grid, f, j).values / scale, ref[:, 0] / scale,
+                    rtol=0, atol=1e-14,
+                )
+
+    def test_factor_is_memoised(self):
+        grid = build_grid(RootSystem.z2_product([0.5, 1.0]), 6.0, 24)
+        other = build_grid(RootSystem.z2_product([1.0]), 6.0, 24)
+        T = dunkl_derivative_matrix(grid, 1)
+        self.assertIs(T, dunkl_derivative_matrix(other, 0))
+        self.assertFalse(T.flags.writeable)
 
 
 class TestWeightedIdentities(unittest.TestCase):

@@ -13,7 +13,8 @@ from scipy.linalg import eigh
 from dunklkit.errors import IllPosedError, InputError
 from dunklkit.grids import SampledFunction, build_grid
 from dunklkit.heat import heat_kernel_matrix
-from dunklkit.operators import dunkl_derivative
+from dunklkit.intertwine import e_minus_i
+from dunklkit.operators import dunkl_derivative, dunkl_derivative_matrix
 from dunklkit.reflection import RootSystem
 from dunklkit.schrodinger import (
     assemble_L,
@@ -21,6 +22,7 @@ from dunklkit.schrodinger import (
     eig,
     free_resolved_modes,
     inv_sqrt_apply,
+    inv_sqrt_matrix,
     inv_sqrt_subordination,
     nearest_node_index,
     potential_from_csv,
@@ -37,7 +39,7 @@ from dunklkit.schrodinger import (
     splitting_steps,
     weak_type_report,
 )
-from dunklkit.transform import build_spectral_matrix
+from dunklkit.transform import build_spectral_matrix, c_k
 
 
 class TestPotentials(unittest.TestCase):
@@ -100,6 +102,38 @@ class TestAssembly(unittest.TestCase):
         np.testing.assert_allclose(
             shifted.eigenvalues, free.eigenvalues + 3.0, atol=1e-8
         )
+
+
+def _dense_free_operator(grid):
+    """The free operator as the dense congruence (1/c^2) B* B, symmetrized."""
+    table = np.ones((len(grid), len(grid)), dtype=complex)
+    for j, kap in enumerate(grid.rs.multiplicities):
+        xs = grid.nodes[:, j]
+        table = table * e_minus_i(np.outer(xs, xs), float(kap))
+    omega = grid.mu_weights
+    x2 = np.sum(grid.nodes**2, axis=1)
+    B = (np.sqrt(x2 * omega)[:, None] * table) * np.sqrt(omega)[None, :]
+    H = ((B.conj().T @ B) / c_k(grid.rs) ** 2).real
+    return 0.5 * (H + H.T)
+
+
+class TestKroneckerAssembly(unittest.TestCase):
+    def test_rank_two_matches_dense_congruence(self):
+        for kappas in ([0.5, 1.0], [0.0, 0.5]):
+            grid = build_grid(RootSystem.z2_product(kappas), 6.0, 24)
+            op = assemble_L(build_spectral_matrix(grid))
+            ref = _dense_free_operator(grid)
+            scale = np.max(np.abs(ref))
+            np.testing.assert_allclose(op.matrix / scale, ref / scale, rtol=0, atol=1e-14)
+            self.assertLess(op.symmetrization_defect, 1e-12)
+            self.assertGreaterEqual(np.linalg.eigvalsh(op.matrix)[0], -1e-10 * scale)
+
+    def test_rank_one_is_the_dense_congruence(self):
+        grid = build_grid(RootSystem.z2_product([0.5]), 10.0, 96)
+        pot = potential_preset(grid, "soft_coulomb", a=1.0)
+        op = assemble_L(build_spectral_matrix(grid), pot)
+        ref = _dense_free_operator(grid) + np.diag(pot.values)
+        self.assertTrue(np.array_equal(op.matrix, ref))
 
 
 class TestResolvedCalculus(unittest.TestCase):
@@ -262,6 +296,21 @@ class TestInverseSquareRoot(unittest.TestCase):
         ed0 = dataclasses.replace(self.ed, eigenvalues=ev - ev[0])
         with self.assertRaises(IllPosedError):
             inv_sqrt_apply(ed0, self.f)
+
+    def test_riesz_matches_dense_kronecker(self):
+        # T_j applied along its axis against kron(T, I) @ L^(-1/2), on the
+        # rank-two kernel grid of a scene
+        grid = build_grid(RootSystem.z2_product([0.5, 1.0]), 6.0, 32)
+        ed = resolved_calculus(grid, potential_preset(grid, "soft_coulomb", a=1.0))
+        eye = np.eye(grid.n_axis)
+        for axis in (0, 1):
+            T = dunkl_derivative_matrix(grid, axis)
+            dense = np.kron(T, eye) if axis == 0 else np.kron(eye, T)
+            ref = dense @ inv_sqrt_matrix(ed)
+            scale = np.max(np.abs(ref))
+            np.testing.assert_allclose(
+                riesz_matrix(ed, axis) / scale, ref / scale, rtol=0, atol=1e-14
+            )
 
     def test_riesz_paths_agree(self):
         # the dense inverse root against the one applied mode by mode

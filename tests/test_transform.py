@@ -2,6 +2,7 @@
 
 import math
 import unittest
+from functools import reduce
 
 import numpy as np
 
@@ -11,6 +12,7 @@ from dunklkit.grids import SampledFunction, build_grid
 from dunklkit.intertwine import e_minus_i, nu_quadrature
 from dunklkit.reflection import RootSystem
 from dunklkit.transform import (
+    _axis_spectral,
     build_spectral_matrix,
     c_k,
     convolve,
@@ -75,17 +77,35 @@ class TestPerAxisTable(unittest.TestCase):
     GRIDS = (((0.5, 1.0), 6.0, 24), ((0.0, 0.5), 6.0, 32), ((0.5,), 10.0, 128))
 
     def test_matches_outer_product_formula(self):
+        # each factor against E(x, -i xi) on the axis's rank-one grid, and
+        # their Kronecker product against the dense forward matrix
         for kappas, R, n in self.GRIDS:
             grid = build_grid(RootSystem.z2_product(list(kappas)), R, n)
-            oracle = np.ones((len(grid), len(grid)), dtype=complex)
+            sm = build_spectral_matrix(grid)
+            self.assertEqual(sm.factors.shape, (len(kappas), n, n))
+            for j, kap in enumerate(kappas):
+                axis_grid = build_grid(RootSystem.z2_product([kap]), R, n)
+                E = e_minus_i(np.outer(grid.axis, grid.axis), kap)
+                oracle = (E * axis_grid.mu_weights[:, None]).T / c_k(axis_grid.rs)
+                self.assertTrue(np.array_equal(sm.factors[j], oracle))
+            table = np.ones((len(grid), len(grid)), dtype=complex)
             for j, kap in enumerate(kappas):
                 xs = grid.nodes[:, j]
-                oracle = oracle * e_minus_i(np.outer(xs, xs), kap)
-            self.assertTrue(np.array_equal(build_spectral_matrix(grid).kernel_table, oracle))
+                table = table * e_minus_i(np.outer(xs, xs), kap)
+            dense = (table * grid.mu_weights[:, None]).T / sm.ck
+            kron = reduce(np.kron, sm.factors)
+            scale = np.max(np.abs(dense))
+            np.testing.assert_allclose(kron / scale, dense / scale, rtol=0, atol=1e-14)
 
     def test_forward_is_formed_once(self):
+        # the axis table is memoised per (kappa, R, n): a second grid reuses it
         sm = _setup(0.5)
-        self.assertIs(sm.forward, sm.forward)
+        E, w, c = _axis_spectral(0.5, 10.0, 96)
+        self.assertIs(E, _axis_spectral(0.5, 10.0, 96)[0])
+        self.assertFalse(E.flags.writeable or w.flags.writeable)
+        self.assertFalse(sm.factors.flags.writeable)
+        self.assertTrue(np.array_equal(sm.factors[0], (E * w[:, None]).T / c))
+        self.assertTrue(np.array_equal(_setup(0.5).factors, sm.factors))
 
 
 class TestTranslation(unittest.TestCase):
@@ -117,7 +137,7 @@ class TestTranslation(unittest.TestCase):
         x = [1.3]
         tau = translate_radial(sm.grid.rs, sm.grid, x, prof)
         lhs = dunkl_transform(sm, tau)
-        phase = np.array([dunkl_kernel(sm.grid.rs, x, 1j * xi) for xi in sm.grid.nodes])
+        phase = dunkl_kernel(sm.grid.rs, x, 1j * sm.grid.nodes)
         rhs = phase * dunkl_transform(sm, f).values
         scale = np.max(np.abs(rhs))
         np.testing.assert_allclose(lhs.values / scale, rhs / scale, atol=1e-7)
