@@ -34,6 +34,9 @@ _EXPORTS = {
     "orbit_distance": ".reflection",
     "ball_comparison_quantity": ".reflection",
     "ball_volume": ".reflection",
+    "ball_volumes": ".reflection",
+    "cube_volumes": ".reflection",
+    "calibrate_ball_constants": ".reflection",
     "unit_ball_cover": ".reflection",
     # grids
     "QuadratureGrid": ".grids",

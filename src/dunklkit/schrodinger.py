@@ -147,17 +147,10 @@ class EigenDecomp:
         return out / dh
 
 
-def assemble_L(sm: SpectralMatrix, V: Optional[Potential] = None) -> DiscreteOperator:
-    """Similarity-symmetrized free operator plus the diagonal potential.
-
-    The free part is the Kronecker sum sum_j G_1 x ... x A_j x ... x G_d of
-    per-axis congruences (1/c_j^2) B* B with B = diag(sqrt(m w_j)) E_j
-    diag(sqrt(w_j)), m = xi^2 for A_j and m = 1 for G_j (the axis's
-    discrete identity, which is not I on an under-resolved axis).  Each term
-    is a product of positive semidefinite factors, so the sum is positive
-    semidefinite by construction; the residual imaginary/asymmetric parts
-    are recorded.
-    """
+@lru_cache(maxsize=1)  # spectral_positivity assembles three operators on one sm
+def _free_operator(sm: SpectralMatrix) -> tuple:
+    """The symmetrized free part of assemble_L (read-only) and its defect,
+    memoised per SpectralMatrix."""
     grid = sm.grid
 
     def congruence(E, omega, c, m):
@@ -177,9 +170,26 @@ def assemble_L(sm: SpectralMatrix, V: Optional[Potential] = None) -> DiscreteOpe
             "schrodinger", f"symmetrization defect {defect:.3e} exceeds 1e-6"
         )
     H = 0.5 * (H + H.T)
+    H.flags.writeable = False
+    return H, defect
+
+
+def assemble_L(sm: SpectralMatrix, V: Optional[Potential] = None) -> DiscreteOperator:
+    """Similarity-symmetrized free operator plus the diagonal potential.
+
+    The free part is the Kronecker sum sum_j G_1 x ... x A_j x ... x G_d of
+    per-axis congruences (1/c_j^2) B* B with B = diag(sqrt(m w_j)) E_j
+    diag(sqrt(w_j)), m = xi^2 for A_j and m = 1 for G_j (the axis's
+    discrete identity, which is not I on an under-resolved axis).  Each term
+    is a product of positive semidefinite factors, so the sum is positive
+    semidefinite by construction; the residual imaginary/asymmetric parts
+    are recorded.  The free part is built once per sm; without V the
+    operator's matrix is that read-only array.
+    """
+    H, defect = _free_operator(sm)
     if V is not None:
         H = H + np.diag(V.values)
-    return DiscreteOperator(H, grid, defect)
+    return DiscreteOperator(H, sm.grid, defect)
 
 
 def eig(op: DiscreteOperator) -> EigenDecomp:

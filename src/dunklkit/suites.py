@@ -50,8 +50,9 @@ from .reflection import (
     RootSystem,
     ball_comparison_quantity,
     ball_volume,
-    ball_volume_quadrature,
+    ball_volumes,
     calibrate_ball_constants,
+    cube_volumes,
     gamma_k,
     generate_group,
     orbit_distance,
@@ -285,15 +286,19 @@ def suite_reflection_geometry(scene: Scene, rng) -> tuple:
         q2 = ball_comparison_quantity(rs, x, 2.0 * r)
         ck.at_most("doubling_factor", q2 / (dbl * q1), 1.0 + 1e-12)
 
-    cal = calibrate_ball_constants(rs, seed=7)
-    for i in range(20):
-        x = rng.uniform(-3, 3, size=d)
-        r = float(rng.uniform(0.05, 3.0))
-        est = ball_volume_quadrature(rs, x, r, seed=11 + i)
+    cal = calibrate_ball_constants(rs)
+    balls = [(rng.uniform(-3, 3, size=d), float(rng.uniform(0.05, 3.0))) for _ in range(20)]
+    X = np.array([x for x, _ in balls])
+    R = np.array([r for _, r in balls])
+    est = ball_volumes(rs, X, R)
+    for (x, r), v in zip(balls, est):
         b = ball_volume(rs, x, r, cal)
-        ck.at_most("ball_bracket", float(np.maximum(b.lower / est, est / b.upper)), 1.0)
+        ck.at_most("ball_bracket", float(np.maximum(b.lower / v, v / b.upper)), 1.0)
+    # Q(x, r / sqrt(d)) inside B(x, r) inside Q(x, r); one set in rank one
+    inner, outer = cube_volumes(rs, X, R / math.sqrt(d)), cube_volumes(rs, X, R)
+    ck.at_most("ball_cube_bracket", float(np.max(np.maximum(inner / est, est / outer))), 1.0 + 1e-12)
     one_d = RootSystem.z2_product([1.0])
-    exact = ball_volume_quadrature(one_d, np.array([0.0]), 1.0)
+    exact = float(ball_volumes(one_d, np.zeros((1, 1)), 1.0)[0])
     ck.at_most("unit_ball_kappa1", abs(exact - 4.0 / 3.0), 1e-12)
     cover_curve.sort()
     return ck, {"cover_count_vs_r": cover_curve}

@@ -46,7 +46,7 @@ def axis_tables(grid: QuadratureGrid) -> list:
     return [_axis_spectral(float(k), grid.half_width, grid.n_axis) for k in grid.rs.multiplicities]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # hashed by identity: the fields are arrays
 class SpectralMatrix:
     """The transform on a grid as one n x n forward factor per axis."""
 

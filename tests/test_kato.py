@@ -1,10 +1,12 @@
 """Smallness moduli, heat characterization, verdicts, smoothing norms."""
 
 import unittest
+from unittest import mock
 
 import numpy as np
 from scipy.linalg import svdvals
 
+from dunklkit import kato
 from dunklkit.errors import CapabilityError, InputError, NumericalError
 from dunklkit.grids import build_grid
 from dunklkit.kato import (
@@ -72,6 +74,23 @@ class TestModulus(unittest.TestCase):
             self.assertGreaterEqual(row["lower_slack"], -1e-10)
             self.assertGreaterEqual(row["upper_slack"], -1e-10)
             self.assertFalse(row["divergent"])
+
+    def test_equivalence_takes_each_window_once(self):
+        # the probes' classical windows are also the upper leg's, and -0.0 is 0.0
+        soft = potential_function("soft_coulomb", a=1.0)
+        probes = (0.0, 0.25, 0.5, 1.0, 2.0)
+        with mock.patch.object(kato, "quad", wraps=kato.quad) as q:
+            (row,) = kato_equivalence_check(soft, (0.25,), probes=probes)["rows"]
+        # 9 classical windows at 0, +-0.25, +-0.5, +-1, +-2 and 8 orbit intervals
+        self.assertEqual(q.call_count, 17)
+        self.assertEqual(row["classical"], kato_modulus(soft, 0.25, CLASSICAL, probes).value)
+        self.assertEqual(row["orbit"], kato_modulus(soft, 0.25, ORBIT, probes).value)
+        upper = max(
+            kato_modulus(soft, 0.25, CLASSICAL, (p,)).value
+            + kato_modulus(soft, 0.25, CLASSICAL, (-p,)).value
+            for p in probes
+        )
+        self.assertEqual(row["upper"], upper)
 
     def test_equivalence_divergent_upper_leg(self):
         # the upper leg of a non-integrable |V| is inf, not the partial sum

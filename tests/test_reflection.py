@@ -3,15 +3,17 @@
 import math
 import unittest
 
+import mpmath as mp
 import numpy as np
 
-from dunklkit.errors import InputError
+from dunklkit.errors import CapabilityError, InputError
 from dunklkit.reflection import (
     RootSystem,
     ball_comparison_quantity,
     ball_volume,
-    ball_volume_quadrature,
+    ball_volumes,
     calibrate_ball_constants,
+    cube_volumes,
     canonical_rep,
     gamma_k,
     generate_group,
@@ -98,11 +100,34 @@ class TestOrbitGeometry(unittest.TestCase):
         self.assertTrue(np.all(d.min(axis=1) <= 1.0 + 1e-9))
 
 
+def _mp_ball(kappas, x, r):
+    """mu_k(B(x, r)) in rank two as one mpmath quadrature over y_1 of the
+    closed-form axis-2 mass of the chord, split at its breaks."""
+    mp.mp.dps = 20
+    k1, k2 = (mp.mpf(k) for k in kappas)
+    x1, x2, r = mp.mpf(x[0]), mp.mpf(x[1]), mp.mpf(r)
+
+    def anti(y):
+        return mp.sign(y) * 2**k2 / (2 * k2 + 1) * abs(y) ** (2 * k2 + 1)
+
+    def chord(y1):
+        s = mp.sqrt(max(r * r - (y1 - x1) ** 2, 0))
+        return 2**k1 * abs(y1) ** (2 * k1) * (anti(x2 + s) - anti(x2 - s))
+
+    pts = {x1 - r, x1 + r}
+    if abs(x1) < r:
+        pts.add(mp.mpf(0))
+    if abs(x2) < r:
+        h = mp.sqrt(r * r - x2 * x2)
+        pts |= {x1 - h, x1 + h}
+    return float(mp.quad(chord, sorted(pts)))
+
+
 class TestBallVolume(unittest.TestCase):
     def test_rank_one_exact(self):
         # kappa = 1: mu(B(0, 1)) = int_{-1}^{1} 2 y^2 dy = 4/3
         rs = RootSystem.z2_product([1.0])
-        v = ball_volume_quadrature(rs, np.array([0.0]), 1.0)
+        v = ball_volumes(rs, np.zeros((1, 1)), 1.0)[0]
         self.assertAlmostEqual(v, 4.0 / 3.0, places=12)
 
     def test_bracket_contains_quadrature(self):
@@ -113,7 +138,7 @@ class TestBallVolume(unittest.TestCase):
             x = rng.uniform(-4, 4, size=1)
             r = float(rng.uniform(0.2, 2.0))
             est = ball_volume(rs, x, r, cal)
-            v = ball_volume_quadrature(rs, x, r)
+            v = ball_volumes(rs, x[None], r)[0]
             self.assertLessEqual(est.lower, v * (1 + 1e-9))
             self.assertGreaterEqual(est.upper, v * (1 - 1e-9))
 
@@ -127,6 +152,96 @@ class TestBallVolume(unittest.TestCase):
             v1 = ball_comparison_quantity(rs, x, r)
             v2 = ball_comparison_quantity(rs, x, 2 * r)
             self.assertLessEqual(v2, bound * v1 * (1 + 1e-9))
+
+
+class TestExactBallVolumes(unittest.TestCase):
+    """ball_volumes against independent oracles."""
+
+    @staticmethod
+    def _balls(d, m, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-3, 3, size=(m, d))
+        R = rng.uniform(0.05, 3.0, size=m)
+        # centres on an axis, on the sphere's edge and at the origin
+        X[0], X[1, 0], X[2] = 0.0, R[1], R[2]
+        return X, R
+
+    def test_polynomial_weights_closed_forms(self):
+        X, R = self._balls(2, 40, 1)
+        x1, x2 = X[:, 0] ** 2, X[:, 1] ** 2
+        cases = {
+            (0.0, 0.0): np.pi * R**2,
+            (1.0, 0.0): 2 * np.pi * (R**4 / 4 + x1 * R**2),
+            (1.0, 1.0): 4 * np.pi * (R**6 / 24 + (x1 + x2) * R**4 / 4 + x1 * x2 * R**2),
+        }
+        for kappas, exact in cases.items():
+            v = ball_volumes(RootSystem.z2_product(kappas), X, R)
+            np.testing.assert_allclose(v, exact, rtol=1e-12, atol=0, err_msg=str(kappas))
+
+    def test_matches_mpmath(self):
+        X, R = self._balls(2, 6, 2)
+        for kappas in ((0.5, 1.0), (0.3, 0.7)):
+            v = ball_volumes(RootSystem.z2_product(kappas), X, R)
+            ref = [_mp_ball(kappas, x, r) for x, r in zip(X, R)]
+            np.testing.assert_allclose(v, ref, rtol=1e-12, atol=0, err_msg=str(kappas))
+
+    def test_scale_covariance(self):
+        # mu(lam x, lam r) = lam^(d + 2 gamma) mu(x, r)
+        for kappas in ((0.5, 1.0), (0.3, 0.7, 1.2)):
+            rs = RootSystem.z2_product(kappas)
+            X, R = self._balls(len(kappas), 8, 3)
+            v = ball_volumes(rs, X, R)
+            for lam in (0.1, 3.0):
+                scaled = ball_volumes(rs, lam * X, lam * R)
+                power = len(kappas) + 2 * gamma_k(rs)
+                np.testing.assert_allclose(scaled, lam**power * v, rtol=1e-12, atol=0)
+
+    def test_rank_three_matches_monte_carlo(self):
+        rs = RootSystem.z2_product([0.5, 1.0, 0.3])
+        X, R = self._balls(3, 3, 4)
+        v = ball_volumes(rs, X, R)
+        rng = np.random.default_rng(5)
+        n = 200_000
+        for x, r, vol in zip(X, R, v):
+            u = rng.standard_normal((n, 3))
+            u /= np.linalg.norm(u, axis=1, keepdims=True)
+            pts = x + (r * rng.random(n) ** (1 / 3))[:, None] * u
+            vals = 4 / 3 * np.pi * r**3 * weight(rs, pts)
+            se = vals.std() / math.sqrt(n)
+            self.assertLess(abs(vol - vals.mean()), 4 * se)
+
+    def test_cube_bracket(self):
+        # Q(x, r / sqrt(d)) lies inside B(x, r), which lies inside Q(x, r)
+        for kappas in ((0.6,), (0.5, 1.0), (0.0, 0.4), (0.5, 1.0, 0.3)):
+            rs = RootSystem.z2_product(kappas)
+            d = len(kappas)
+            X, R = self._balls(d, 30 if d < 3 else 8, 6)
+            v = ball_volumes(rs, X, R)
+            self.assertTrue(np.all(cube_volumes(rs, X, R / math.sqrt(d)) <= v * (1 + 1e-12)))
+            self.assertTrue(np.all(v <= cube_volumes(rs, X, R) * (1 + 1e-12)))
+
+    def test_rank_one_is_the_interval(self):
+        rs = RootSystem.z2_product([0.7])
+        X, R = self._balls(1, 20, 7)
+        self.assertTrue(np.array_equal(ball_volumes(rs, X, R), cube_volumes(rs, X, R)))
+
+    def test_calibration_brackets_a_fine_scan(self):
+        # the 41-point scan with its 5 % pad holds a 161-point scan of mu/q
+        rs = RootSystem.z2_product([0.5, 1.0])
+        c_lo, c_hi = calibrate_ball_constants(rs)
+        ladder = np.concatenate([[0.0], np.geomspace(1e-3, 60.0, 160)])
+        X = np.stack(np.meshgrid(ladder, ladder, indexing="ij"), axis=-1).reshape(-1, 2)
+        ratios = ball_volumes(rs, X, 1.0) / ball_comparison_quantity(rs, X, 1.0)
+        self.assertLessEqual(c_lo, ratios.min())
+        self.assertGreaterEqual(c_hi, ratios.max())
+
+    def test_refusals(self):
+        with self.assertRaises(CapabilityError):
+            ball_volumes(RootSystem.dihedral(3, 0.5), np.zeros((1, 2)), 1.0)
+        with self.assertRaises(CapabilityError):
+            ball_volumes(RootSystem.z2_product([0.5] * 4), np.zeros((1, 4)), 1.0)
+        with self.assertRaises(InputError):
+            ball_volumes(RootSystem.z2_product([0.5]), np.zeros((2, 1)), [1.0, 0.0])
 
 
 if __name__ == "__main__":

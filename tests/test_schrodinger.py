@@ -128,6 +128,17 @@ class TestKroneckerAssembly(unittest.TestCase):
             self.assertLess(op.symmetrization_defect, 1e-12)
             self.assertGreaterEqual(np.linalg.eigvalsh(op.matrix)[0], -1e-10 * scale)
 
+    def test_free_part_is_built_once(self):
+        grid = build_grid(RootSystem.z2_product([0.5, 1.0]), 6.0, 24)
+        sm = build_spectral_matrix(grid)
+        free = assemble_L(sm)
+        self.assertFalse(free.matrix.flags.writeable)
+        self.assertIs(assemble_L(sm).matrix, free.matrix)
+        pot = potential_preset(grid, "soft_coulomb", a=1.0)
+        op = assemble_L(sm, pot)
+        self.assertTrue(np.array_equal(op.matrix, free.matrix + np.diag(pot.values)))
+        self.assertEqual(op.symmetrization_defect, free.symmetrization_defect)
+
     def test_rank_one_is_the_dense_congruence(self):
         grid = build_grid(RootSystem.z2_product([0.5]), 10.0, 96)
         pot = potential_preset(grid, "soft_coulomb", a=1.0)

@@ -151,6 +151,25 @@ class TestRunner(unittest.TestCase):
             self.assertNotEqual(v1, v2)
 
 
+class TestReflectionGeometry(unittest.TestCase):
+    def test_ball_brackets_hold_at_every_seed(self):
+        # the exact volumes and the scanned calibration hold at seeds whose
+        # draws fell outside the old random calibration (1404-1406)
+        doc = dict(FAST_DOC, group={"kind": "z2_product", "multiplicities": [0.5, 1.0]},
+                   grid={"R": 6.0, "N": 24}, suites=["reflection_geometry"])
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = _load(tmp, doc)
+            for seed in (7, 1401, 1402, 1403, 1404, 1405, 1406):
+                block = run_suites(cfg, Path(tmp) / str(seed), seed)["suites"]["reflection_geometry"]
+                self.assertTrue(block["hard_checks"]["ball_bracket"], seed)
+                self.assertTrue(block["hard_checks"]["ball_cube_bracket"], seed)
+            run_suites(cfg, Path(tmp) / "again", 1406)
+            self.assertEqual(
+                (Path(tmp) / "1406" / "summary.json").read_bytes(),
+                (Path(tmp) / "again" / "summary.json").read_bytes(),
+            )
+
+
 class TestCurveFiles(unittest.TestCase):
     def test_csv_layout(self):
         with tempfile.TemporaryDirectory() as tmp:
