@@ -14,6 +14,7 @@ scan of mu/q (calibrate_ball_constants).
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -252,20 +253,26 @@ def _axis_mass(kap: float, x, s):
     return anti(x + s) - anti(x - s)
 
 
-def _tanh_sinh(half: int, t_max: float = 3.0) -> tuple:
-    """Nodes s in (0, 1) and weights of the tanh-sinh rule on [0, 1] with
-    2 half + 1 points on t in [-t_max, t_max], s = (1 + tanh(pi/2 sinh t)) / 2.
-    Its nodes cluster doubly exponentially at both ends, so an integrand with
-    |.|^(2 kappa) behaviour there keeps the rule's accuracy."""
-    h = t_max / half
-    t = h * np.arange(-half, half + 1)
+# tanh-sinh rule of 2 * 30 + 1 = 61 points per piece: 2e-13 relative to
+# adaptive quadrature at 1e-13 in rank two, also for balls whose breaks sit
+# 1e-12 from a piece's end
+BALL_RULE_HALF = 30
+
+
+@lru_cache(maxsize=1)  # built on first use: its ufunc calls at import add 0.2 MiB RSS
+def _ball_rule() -> tuple:
+    """Read-only nodes s in (0, 1) and weights of the tanh-sinh rule on
+    [0, 1], s = (1 + tanh(pi/2 sinh t)) / 2 at 2 BALL_RULE_HALF + 1 steps t in
+    [-3, 3].  Its nodes cluster doubly exponentially at both ends, so an
+    integrand with |.|^(2 kappa) behaviour there keeps the rule's accuracy."""
+    h = 3.0 / BALL_RULE_HALF
+    t = h * np.arange(-BALL_RULE_HALF, BALL_RULE_HALF + 1)
     u = 0.5 * np.pi * np.sinh(t)
-    return 1.0 / (1.0 + np.exp(-2.0 * u)), h * 0.25 * np.pi * np.cosh(t) / np.cosh(u) ** 2
+    s, w = 1.0 / (1.0 + np.exp(-2.0 * u)), h * 0.25 * np.pi * np.cosh(t) / np.cosh(u) ** 2
+    s.flags.writeable = w.flags.writeable = False
+    return s, w
 
 
-# 61 points per piece: 2e-13 relative to adaptive quadrature at 1e-13 in
-# rank two, also for balls whose breaks sit 1e-12 from a piece's end
-BALL_RULE = _tanh_sinh(30)
 # largest rank of an exact ball volume: a rank-three ball takes 4.5e4 points
 BALL_RANK_CAP = 3
 # points per batch of balls, which keeps each transient array near 1 MiB
@@ -294,7 +301,7 @@ def _ball(kappas, A, R) -> np.ndarray:
     recursion over axis 1 in polar form (see ball_volumes)."""
     if A.shape[1] == 1:
         return _axis_mass(kappas[0], A[:, 0], R)
-    m, (s, w) = A.shape[0], BALL_RULE
+    m, (s, w) = A.shape[0], _ball_rule()
     ratio = np.minimum(A / R[:, None], 1.0)
     ends = np.concatenate(
         [np.zeros((m, 1)), np.arcsin(ratio[:, :1]), np.arccos(ratio[:, 1:]),
@@ -323,7 +330,7 @@ def ball_volumes(rs: RootSystem, X, R) -> np.ndarray:
 
     folded onto [0, pi/2] (mu is even in every coordinate) and split where
     the integrand is not smooth: r sin t = |x_1| and r cos t = |x_j|, j >= 2.
-    Every piece takes the tanh-sinh rule BALL_RULE, which absorbs the
+    Every piece takes the same tanh-sinh rule, which absorbs the
     |.|^(2 kappa) behaviour at the breaks.  Balls go through in batches of
     about BALL_BATCH points.
     """
@@ -335,7 +342,7 @@ def ball_volumes(rs: RootSystem, X, R) -> np.ndarray:
     R = np.broadcast_to(np.asarray(R, dtype=float), A.shape[:1])
     if np.any(~(R > 0)):
         raise InputError("radius must be positive")
-    points = math.prod((k + 1) * BALL_RULE[0].size for k in range(2, d + 1))
+    points = math.prod((k + 1) * (2 * BALL_RULE_HALF + 1) for k in range(2, d + 1))
     step = max(1, BALL_BATCH // points)
     return np.concatenate(
         [_ball(kappas, A[i:i + step], R[i:i + step]) for i in range(0, A.shape[0], step)]
