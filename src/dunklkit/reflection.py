@@ -7,14 +7,13 @@ degree twice the multiplicity sum.
 
 Ball volumes mu_k(B(x, r)) of sign-product groups are exact (ball_volumes):
 the rank-one antiderivative, and in ranks two and three a fixed quadrature
-in polar form; the comparison bracket's constants come from a deterministic
-scan of mu/q (calibrate_ball_constants).
+over the ball's slices; the comparison bracket's constants come from a
+deterministic scan of mu/q (calibrate_ball_constants).
 """
 
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -253,26 +252,24 @@ def _axis_mass(kap: float, x, s):
     return anti(x + s) - anti(x - s)
 
 
-# tanh-sinh rule of 2 * 30 + 1 = 61 points per piece: 2e-13 relative to
-# adaptive quadrature at 1e-13 in rank two, also for balls whose breaks sit
-# 1e-12 from a piece's end
-BALL_RULE_HALF = 30
-
-
-@lru_cache(maxsize=1)  # built on first use: its ufunc calls at import add 0.2 MiB RSS
-def _ball_rule() -> tuple:
+def _tanh_sinh(half: int) -> tuple:
     """Read-only nodes s in (0, 1) and weights of the tanh-sinh rule on
-    [0, 1], s = (1 + tanh(pi/2 sinh t)) / 2 at 2 BALL_RULE_HALF + 1 steps t in
-    [-3, 3].  Its nodes cluster doubly exponentially at both ends, so an
-    integrand with |.|^(2 kappa) behaviour there keeps the rule's accuracy."""
-    h = 3.0 / BALL_RULE_HALF
-    t = h * np.arange(-BALL_RULE_HALF, BALL_RULE_HALF + 1)
-    u = 0.5 * np.pi * np.sinh(t)
-    s, w = 1.0 / (1.0 + np.exp(-2.0 * u)), h * 0.25 * np.pi * np.cosh(t) / np.cosh(u) ** 2
+    [0, 1], s = (1 + tanh(pi/2 sinh t)) / 2 at 2 half + 1 steps t in [-3, 3].
+    Its nodes cluster doubly exponentially at both ends, so an integrand with
+    |.|^(2 kappa) or square-root behaviour there keeps the rule's accuracy.
+    Scalar math: numpy's sinh, cosh and exp loops would add their code pages
+    to the peak RSS of every run."""
+    h = 3.0 / half
+    u = [(h * k, 0.5 * math.pi * math.sinh(h * k)) for k in range(-half, half + 1)]
+    s = np.array([1.0 / (1.0 + math.exp(-2.0 * v)) for _, v in u])
+    w = np.array([h * 0.25 * math.pi * math.cosh(t) / math.cosh(v) ** 2 for t, v in u])
     s.flags.writeable = w.flags.writeable = False
     return s, w
 
 
+# 61 points per piece: 2e-13 relative to adaptive quadrature at 1e-13 in
+# rank two, also for balls whose breaks sit 1e-12 from a piece's end
+BALL_RULE = _tanh_sinh(30)
 # largest rank of an exact ball volume: a rank-three ball takes 4.5e4 points
 BALL_RANK_CAP = 3
 # points per batch of balls, which keeps each transient array near 1 MiB
@@ -298,24 +295,24 @@ def cube_volumes(rs: RootSystem, X, S) -> np.ndarray:
 
 def _ball(kappas, A, R) -> np.ndarray:
     """mu_k(B(a, r)) for centres A >= 0 (m, d) and radii R (m,), by the
-    recursion over axis 1 in polar form (see ball_volumes)."""
+    recursion over axis 1 (see ball_volumes)."""
     if A.shape[1] == 1:
         return _axis_mass(kappas[0], A[:, 0], R)
-    m, (s, w) = A.shape[0], _ball_rule()
-    ratio = np.minimum(A / R[:, None], 1.0)
+    m, (s, w) = A.shape[0], BALL_RULE
+    # |a_j| / r clipped to 1; 0 for the empty slice at u = 1 of an inner level
+    ratio = np.minimum(A, R[:, None]) / np.maximum(R[:, None], np.finfo(float).tiny)
     ends = np.concatenate(
-        [np.zeros((m, 1)), np.arcsin(ratio[:, :1]), np.arccos(ratio[:, 1:]),
-         np.full((m, 1), 0.5 * np.pi)],
+        [np.zeros((m, 1)), ratio[:, :1], np.sqrt(1.0 - ratio[:, 1:] ** 2), np.ones((m, 1))],
         axis=1,
     )
     ends.sort(axis=1)
     lo, width = ends[:, :-1, None], np.diff(ends, axis=1)[:, :, None]
-    theta = lo + width * s  # (m, d + 1 pieces, nodes)
-    rs_in, rho = R[:, None, None] * np.sin(theta), R[:, None, None] * np.cos(theta)
+    u = lo + width * s  # (m, d + 1 pieces, nodes)
+    ru, rho = R[:, None, None] * u, R[:, None, None] * np.sqrt((1.0 - u) * (1.0 + u))
     a1, k1 = A[:, :1, None], kappas[0]
-    w1 = 2.0**k1 * (np.abs(a1 + rs_in) ** (2.0 * k1) + np.abs(a1 - rs_in) ** (2.0 * k1))
-    inner = _ball(kappas[1:], np.repeat(A[:, 1:], theta[0].size, axis=0), rho.ravel())
-    return np.sum(width * w * w1 * inner.reshape(rho.shape) * rho, axis=(1, 2))
+    w1 = 2.0**k1 * (np.abs(a1 + ru) ** (2.0 * k1) + np.abs(a1 - ru) ** (2.0 * k1))
+    inner = _ball(kappas[1:], np.repeat(A[:, 1:], u[0].size, axis=0), rho.ravel())
+    return R * np.sum(width * w * w1 * inner.reshape(rho.shape), axis=(1, 2))
 
 
 def ball_volumes(rs: RootSystem, X, R) -> np.ndarray:
@@ -323,15 +320,16 @@ def ball_volumes(rs: RootSystem, X, R) -> np.ndarray:
     sign-product group of rank at most BALL_RANK_CAP.
 
     Rank one is the difference of the axis antiderivative.  Rank d peels off
-    axis 1 in polar form,
+    axis 1: with y_1 = x_1 + r u, the slice of the ball is a ball of radius
+    r sqrt(1 - u^2) about x', so
 
-        mu_d(x, r) = int_{-pi/2}^{pi/2} w_1(x_1 + r sin t)
-                     mu_{d-1}(x', r cos t) r cos t dt,
+        mu_d(x, r) = r int_{-1}^{1} w_1(x_1 + r u) mu_{d-1}(x', r sqrt(1 - u^2)) du
 
-    folded onto [0, pi/2] (mu is even in every coordinate) and split where
-    the integrand is not smooth: r sin t = |x_1| and r cos t = |x_j|, j >= 2.
-    Every piece takes the same tanh-sinh rule, which absorbs the
-    |.|^(2 kappa) behaviour at the breaks.  Balls go through in batches of
+    (the polar form in u = sin t).  It is folded onto u in [0, 1] (mu is even
+    in every coordinate) and split where the integrand is not smooth:
+    r u = |x_1| and r sqrt(1 - u^2) = |x_j|, j >= 2.  Every piece takes the
+    tanh-sinh rule BALL_RULE, which absorbs the |.|^(2 kappa) behaviour at
+    the breaks and the square root at u = 1.  Balls go through in batches of
     about BALL_BATCH points.
     """
     kappas = _sign_product_kappas(rs, "exact ball volume")
@@ -342,7 +340,7 @@ def ball_volumes(rs: RootSystem, X, R) -> np.ndarray:
     R = np.broadcast_to(np.asarray(R, dtype=float), A.shape[:1])
     if np.any(~(R > 0)):
         raise InputError("radius must be positive")
-    points = math.prod((k + 1) * (2 * BALL_RULE_HALF + 1) for k in range(2, d + 1))
+    points = math.prod((k + 1) * BALL_RULE[0].size for k in range(2, d + 1))
     step = max(1, BALL_BATCH // points)
     return np.concatenate(
         [_ball(kappas, A[i:i + step], R[i:i + step]) for i in range(0, A.shape[0], step)]
