@@ -36,7 +36,6 @@ _EXPORTS = {
     "ball_volume": ".reflection",
     "ball_volumes": ".reflection",
     "cube_volumes": ".reflection",
-    "calibrate_ball_constants": ".reflection",
     "unit_ball_cover": ".reflection",
     # grids
     "QuadratureGrid": ".grids",

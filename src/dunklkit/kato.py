@@ -124,16 +124,18 @@ def kato_equivalence_check(V_fn, t_list, probes=(0.0, 0.5, 1.0, 2.0)) -> dict:
     quadrature makes its leg inf and the row's `divergent` True.
     """
     rows = []
-    pts = np.atleast_1d(np.asarray(probes, float))
-    # + 0.0 folds -0.0 onto 0.0: one classical window per centre
-    centres = sorted({float(c) + 0.0 for c in np.concatenate([pts, np.abs(pts), -np.abs(pts)])})
+    # one classical window per centre, the probes and the upper leg's +-|p|;
+    # + 0.0 folds -0.0 onto 0.0
+    pts = np.atleast_1d(np.asarray(probes, float)) + 0.0
+    legs = np.abs(pts), -np.abs(pts) + 0.0
+    centres = sorted({float(c) for c in np.concatenate([pts, *legs])})
     for t in t_list:
         win = {c: kato_modulus(V_fn, t, CLASSICAL, (c,)) for c in centres}
-        mc = max(win[float(p) + 0.0].value for p in pts)
+        mc = max(win[p].value for p in pts)
         mo = kato_modulus(V_fn, t, ORBIT, probes)
         upper, div = -np.inf, mo.divergent or any(m.divergent for m in win.values())
-        for xp in np.abs(pts):
-            upper = max(upper, win[float(xp) + 0.0].value + win[float(-xp) + 0.0].value)
+        for a, b in zip(*legs):
+            upper = max(upper, win[a].value + win[b].value)
         rows.append(
             {
                 "t": float(t),

@@ -103,24 +103,24 @@ class TestOrbitGeometry(unittest.TestCase):
 def _mp_ball(kappas, x, r):
     """mu_k(B(x, r)) in rank two as one mpmath quadrature over y_1 of the
     closed-form axis-2 mass of the chord, split at its breaks."""
-    mp.mp.dps = 20
-    k1, k2 = (mp.mpf(k) for k in kappas)
-    x1, x2, r = mp.mpf(x[0]), mp.mpf(x[1]), mp.mpf(r)
+    with mp.workdps(20):
+        k1, k2 = (mp.mpf(k) for k in kappas)
+        x1, x2, r = mp.mpf(x[0]), mp.mpf(x[1]), mp.mpf(r)
 
-    def anti(y):
-        return mp.sign(y) * 2**k2 / (2 * k2 + 1) * abs(y) ** (2 * k2 + 1)
+        def anti(y):
+            return mp.sign(y) * 2**k2 / (2 * k2 + 1) * abs(y) ** (2 * k2 + 1)
 
-    def chord(y1):
-        s = mp.sqrt(max(r * r - (y1 - x1) ** 2, 0))
-        return 2**k1 * abs(y1) ** (2 * k1) * (anti(x2 + s) - anti(x2 - s))
+        def chord(y1):
+            s = mp.sqrt(max(r * r - (y1 - x1) ** 2, 0))
+            return 2**k1 * abs(y1) ** (2 * k1) * (anti(x2 + s) - anti(x2 - s))
 
-    pts = {x1 - r, x1 + r}
-    if abs(x1) < r:
-        pts.add(mp.mpf(0))
-    if abs(x2) < r:
-        h = mp.sqrt(r * r - x2 * x2)
-        pts |= {x1 - h, x1 + h}
-    return float(mp.quad(chord, sorted(pts)))
+        pts = {x1 - r, x1 + r}
+        if abs(x1) < r:
+            pts.add(mp.mpf(0))
+        if abs(x2) < r:
+            h = mp.sqrt(r * r - x2 * x2)
+            pts |= {x1 - h, x1 + h}
+        return float(mp.quad(chord, sorted(pts)))
 
 
 class TestBallVolume(unittest.TestCase):
@@ -162,7 +162,8 @@ class TestExactBallVolumes(unittest.TestCase):
         rng = np.random.default_rng(seed)
         X = rng.uniform(-3, 3, size=(m, d))
         R = rng.uniform(0.05, 3.0, size=m)
-        # centres on an axis, on the sphere's edge and at the origin
+        # the origin, and centres at distance r from coordinate hyperplanes,
+        # where a break meets the end of a piece
         X[0], X[1, 0], X[2] = 0.0, R[1], R[2]
         return X, R
 
