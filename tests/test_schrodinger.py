@@ -17,6 +17,7 @@ from dunklkit.intertwine import e_minus_i
 from dunklkit.operators import dunkl_derivative, dunkl_derivative_matrix
 from dunklkit.reflection import RootSystem
 from dunklkit.schrodinger import (
+    KERNEL_FLOOR,
     assemble_L,
     distribution_sup,
     eig,
@@ -272,6 +273,29 @@ class TestSplittingKernel(unittest.TestCase):
             ref = math.exp(-c * t) * heat_kernel_matrix(self.grid, t)
             gap = np.abs(self.kernel(pot, t) - ref)
             self.assertLessEqual(float(np.max(gap[np.ix_(self.mask, self.mask)])), 1e-10)
+
+    def test_floor_drops_only_what_no_norm_sees(self):
+        # the same repeated squaring without the floor: the floored kernel has
+        # no entry in (0, KERNEL_FLOOR) and the same sup and row masses
+        pot = potential_preset(self.grid, "inverse_power", beta=0.5, cutoff=1.0)
+        om = self.grid.mu_weights
+        for t in (0.1, 1.0):
+            n = splitting_steps(self.grid, t)
+            damp = np.exp(-0.5 * (t / n) * pot.values)
+            step = damp[:, None] * heat_kernel_matrix(self.grid, t / n) * damp[None, :]
+            ref = None
+            while True:
+                if n & 1:
+                    ref = step if ref is None else (ref * om[None, :]) @ step
+                n >>= 1
+                if not n:
+                    break
+                step = (step * om[None, :]) @ step
+            W = self.kernel(pot, t)
+            self.assertTrue(np.all((W == 0.0) | (W >= KERNEL_FLOOR)))
+            self.assertLessEqual(float(np.max(np.abs(W - ref))), 1e-140)
+            self.assertEqual(np.max(W), np.max(ref))
+            self.assertEqual(np.max(W @ om), np.max(ref @ om))
 
     def test_step_below_resolution_floor_rejected(self):
         pot = potential_preset(self.grid, "soft_coulomb", a=1.0)
