@@ -10,7 +10,7 @@ the negation x -> -x is the reversed node order, an exact permutation.
 
 import csv
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 from scipy.special import roots_legendre
@@ -19,8 +19,11 @@ from .errors import CapabilityError, InputError
 from .reflection import Z2_PRODUCT, RootSystem, weight
 
 
+@lru_cache(maxsize=16)
 def axis_rule(R: float, n_axis: int) -> tuple:
-    """Ascending, symmetric, zero-avoiding Gauss-Legendre rule on [-R, R]."""
+    """Ascending, symmetric, zero-avoiding Gauss-Legendre rule on [-R, R];
+    the arrays are read-only, as every call with the same arguments shares
+    them."""
     if n_axis % 2 != 0 or n_axis < 2:
         raise InputError("per-axis node count must be even and >= 2")
     if R <= 0:
@@ -28,10 +31,10 @@ def axis_rule(R: float, n_axis: int) -> tuple:
     xg, wg = roots_legendre(n_axis // 2)
     xp = 0.5 * R * (xg + 1.0)
     wp = 0.5 * R * wg
-    return (
-        np.concatenate([-xp[::-1], xp]),
-        np.concatenate([wp[::-1], wp]),
-    )
+    x = np.concatenate([-xp[::-1], xp])
+    w = np.concatenate([wp[::-1], wp])
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def tensor_rule(node_sets, weight_sets) -> tuple:

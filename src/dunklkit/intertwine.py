@@ -10,6 +10,7 @@ form) that cross-validate each other.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gamma as sgamma, i0e, i1e, ive, jv, roots_jacobi
@@ -143,10 +144,18 @@ def rank_one_measure(kappa: float, x: float, n: int) -> tuple:
         raise InputError("need at least two quadrature nodes")
     if kappa == 0.0 or x == 0.0:
         return np.array([x]), np.array([1.0])
-    # density (1+t)(1-t^2)^(kappa-1) = (1-t)^(kappa-1) (1+t)^kappa
+    t, w = _jacobi_rule(n, kappa)
+    return x * t, w
+
+
+@lru_cache(maxsize=16)
+def _jacobi_rule(n: int, kappa: float) -> tuple:
+    """Read-only Gauss-Jacobi nodes and unit-sum weights for the density
+    (1+t)(1-t^2)^(kappa-1) = (1-t)^(kappa-1) (1+t)^kappa on [-1, 1]."""
     t, w = roots_jacobi(n, kappa - 1.0, kappa)
     w = w / w.sum()
-    return x * t, w
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
 
 
 def nu_quadrature(rs: RootSystem, x) -> OrbitMeasureQuad:
