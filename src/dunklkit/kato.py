@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import roots_laguerre, roots_legendre
 
 from .errors import CapabilityError, InputError, NumericalError
@@ -339,11 +340,32 @@ def smoothing_norms_of_kernel(grid, W, pq_list) -> SmoothingReport:
         qv = np.inf if q in ("inf", np.inf) else float(q)
         th1, th2, th3 = _theta(pv, qv)
         interp[(p, q)] = float(n_11**th1 * n_infinf**th2 * n_1inf**th3)
-    from scipy.sparse.linalg import eigsh
-
     dh = np.sqrt(om)
-    l2 = float(eigsh(dh[:, None] * W * dh[None, :], k=1, which="LA", v0=dh, tol=0)[0][0])
+    l2 = _top_eigenvalue(dh[:, None] * W * dh[None, :], dh)
     return SmoothingReport(corners, interp, l2)
+
+
+def _top_eigenvalue(S: np.ndarray, v0: np.ndarray) -> float:
+    """Largest eigenvalue of the symmetric S by Lanczos from v0 with full
+    reorthogonalisation, once the Ritz residual is at most 4 eps times the
+    Ritz value; NumericalError if that takes more than len(v0) steps."""
+    n = len(v0)
+    Q = np.empty((n, n))  # row k is the k-th Lanczos vector
+    Q[0] = v0 / math.sqrt(v0 @ v0)
+    alpha, beta = [], []
+    for k in range(n):
+        w = S @ Q[k]
+        alpha.append(float(Q[k] @ w))
+        for _ in range(2):  # against every earlier vector; twice is enough
+            w -= Q[: k + 1].T @ (Q[: k + 1] @ w)
+        theta, y = eigh_tridiagonal(alpha, beta, select="i", select_range=(k, k))
+        b = math.sqrt(w @ w)
+        if b * abs(y[-1, 0]) <= 4.0 * np.finfo(float).eps * abs(theta[0]):
+            return float(theta[0])
+        if k + 1 < n:
+            beta.append(b)
+            Q[k + 1] = w / b
+    raise NumericalError("kato", f"Lanczos top eigenvalue unconverged after {n} steps")
 
 
 # ---------------------------------------------------------------------------
