@@ -45,6 +45,17 @@ class TestPointwiseKernel(unittest.TestCase):
         rs = RootSystem.z2_product([0.5])
         with self.assertRaises(InputError):
             heat_kernel(rs, 0.0, [1.0], [1.0])
+        with self.assertRaises(InputError):
+            heat_kernel(rs, np.array([0.5, 0.0]), [[1.0], [1.0]], [[1.0], [1.0]])
+
+    def test_batched_times_match_pointwise(self):
+        rs = RootSystem.z2_product([0.5, 1.0])
+        rng = np.random.default_rng(3)
+        ts = rng.choice([0.1, 0.5, 1.0], size=30)
+        x, y = rng.uniform(-4, 4, size=(2, 30, 2))
+        got = heat_kernel(rs, ts, x, y)
+        ref = [heat_kernel(rs, t, xi, yi) for t, xi, yi in zip(ts, x, y)]
+        np.testing.assert_array_equal(got, ref)
 
     def test_nan_or_underflow_raises(self):
         # x y / 2t = 1e10 (beyond scipy's ive) underflows; NaN must not pass
