@@ -84,6 +84,7 @@ _EXPORTS = {
     "splitting_steps": ".schrodinger",
     "inv_sqrt_apply": ".schrodinger",
     "inv_sqrt_subordination": ".schrodinger",
+    "riesz_apply": ".schrodinger",
     "riesz_matrix": ".schrodinger",
     "weak_type_report": ".schrodinger",
     "weighted_estimate_report": ".schrodinger",

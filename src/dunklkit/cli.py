@@ -43,13 +43,12 @@ def run(config_path, out_dir, seed, threads, strict):
 
     try:
         cfg = load_config(config_path, known_suites=set(REGISTRY))
+        out = Path(out_dir) if out_dir else Path(cfg.out_dir)
+        seed_val = cfg.seed if seed is None else seed
+        summary = run_suites(cfg, out, seed_val, strict=strict)
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
-    out = Path(out_dir) if out_dir else Path(cfg.out_dir)
-    seed_val = cfg.seed if seed is None else seed
-    try:
-        summary = run_suites(cfg, out, seed_val, strict=strict)
     except CapabilityError as exc:
         click.echo(f"refused: {exc}", err=True)
         sys.exit(3)

@@ -128,11 +128,6 @@ class SampledFunction:
     def norm_l2(self) -> float:
         return float(np.sqrt(np.sum(self.grid.mu_weights * np.abs(self.values) ** 2)))
 
-    def norm_lp(self, p: float) -> float:
-        if np.isinf(p):
-            return float(np.max(np.abs(self.values)))
-        return float(np.sum(self.grid.mu_weights * np.abs(self.values) ** p) ** (1.0 / p))
-
     def inner(self, other: "SampledFunction") -> complex:
         if other.grid is not self.grid:
             raise InputError("inner product requires a shared grid")

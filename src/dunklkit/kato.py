@@ -48,7 +48,6 @@ class ModulusValue:
 @dataclass(frozen=True)
 class KatoReport:
     modulus_classical: dict
-    modulus_orbit: dict
     heat_modulus: dict
     verdict: str
     diagnostics: dict
@@ -271,17 +270,16 @@ def resolvent_decay(rs: RootSystem, V_fn, a_list, probes=(0.0,)) -> dict:
 def growth_bound_check(V_fn, r_list, probes=(0.0,), sign_group: bool = True) -> dict:
     """Fit C in sup_x int_{orbit ball r} |V| dy <= C (r + 1); report the
     fit's stability when the radius list is extended by a factor 4."""
+    ext_list = [4.0 * r for r in r_list]
+    # one quadrature per radius: the ladders share some (2 and 4 of 0.5 ... 4)
+    mod = {r: kato_modulus(V_fn, r, ORBIT, probes, sign_group).value
+           for r in dict.fromkeys([*r_list, *ext_list])}
 
     def fitted(rs_):
-        vals = []
-        for r in rs_:
-            m = kato_modulus(V_fn, r, ORBIT, probes, sign_group)
-            vals.append(m.value)
-        ratios = [v / (r + 1.0) for v, r in zip(vals, rs_)]
-        return vals, max(ratios)
+        return max(mod[r] / (r + 1.0) for r in rs_)
 
-    base_vals, C = fitted(list(r_list))
-    _, C_ext = fitted([4.0 * r for r in r_list])
+    base_vals = [mod[r] for r in r_list]
+    C, C_ext = fitted(r_list), fitted(ext_list)
     return {
         "r_list": [float(r) for r in r_list],
         "integrals": base_vals,
@@ -385,14 +383,12 @@ def classify(rs: RootSystem, V_fn, probes=(0.0,)) -> KatoReport:
     """
     if rs.dimension != 1:
         raise CapabilityError("Kato classification implemented in rank one")
-    mc, mo, hm = {}, {}, {}
+    mc, hm = {}, {}
     divergent = False
     for t in T_WINDOW:
-        m1 = kato_modulus(V_fn, t, CLASSICAL, probes)
-        mc[float(t)] = m1.value
-        m2 = kato_modulus(V_fn, t, ORBIT, probes)
-        mo[float(t)] = m2.value
-        divergent = divergent or m1.divergent or m2.divergent
+        m = kato_modulus(V_fn, t, CLASSICAL, probes)
+        mc[float(t)] = m.value
+        divergent = divergent or m.divergent
     diagnostics = {"divergent": divergent, "probe_count": len(np.atleast_1d(probes))}
     if divergent:
         verdict = "NotKato"
@@ -410,4 +406,4 @@ def classify(rs: RootSystem, V_fn, probes=(0.0,)) -> KatoReport:
             verdict = "Kato"
         else:
             verdict = "Inconclusive"
-    return KatoReport(mc, mo, hm, verdict, diagnostics)
+    return KatoReport(mc, hm, verdict, diagnostics)

@@ -129,13 +129,6 @@ class BallEstimate:
             raise InputError("ball estimate bracket must satisfy lower <= upper")
 
 
-def reflect(alpha: Root, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != alpha.vector.shape[0]:
-        raise InputError("dimension mismatch in reflect")
-    return x - np.tensordot(x, alpha.vector, axes=([-1], [0]))[..., None] * alpha.vector
-
-
 def reflection_matrix(alpha: Root) -> np.ndarray:
     v = alpha.vector
     return np.eye(v.size) - np.outer(v, v)

@@ -140,10 +140,11 @@ class EigenDecomp:
         return self.modes.shape[1]
 
     def function_frame_apply(self, scalars: np.ndarray, values: np.ndarray):
-        """D^(-1/2) Q diag(scalars) Q^T D^(1/2) applied to function samples."""
-        dh = np.sqrt(self.grid.mu_weights)
-        g = dh * values
-        out = self.modes @ (scalars * (self.modes.T @ g))
+        """D^(-1/2) Q diag(scalars) Q^T D^(1/2) applied to function samples of
+        shape (N,) or (N, k), one function per column."""
+        tail = (1,) * (np.ndim(values) - 1)
+        dh = np.sqrt(self.grid.mu_weights).reshape(-1, *tail)
+        out = self.modes @ (scalars.reshape(-1, *tail) * (self.modes.T @ (dh * values)))
         return out / dh
 
 
@@ -456,18 +457,17 @@ def inv_sqrt_subordination(ed: EigenDecomp, f: SampledFunction) -> tuple:
     return res, est
 
 
-def inv_sqrt_matrix(ed: EigenDecomp) -> np.ndarray:
-    """Dense function-frame matrix of L^(-1/2)."""
+def riesz_apply(ed: EigenDecomp, values: np.ndarray, axis: int = 0) -> np.ndarray:
+    """The Riesz transform T_axis L^(-1/2) of samples of shape (N,) or (N, k),
+    one function per column: L^(-1/2) mode by mode, then T_axis along its
+    axis."""
     check_spectral_floor(ed)
-    dh = np.sqrt(ed.grid.mu_weights)
-    core = (ed.modes * ed.eigenvalues**-0.5) @ ed.modes.T
-    return (core * dh[None, :]) / dh[:, None]
+    return derivative_apply(ed.grid, ed.function_frame_apply(ed.eigenvalues**-0.5, values), axis)
 
 
 def riesz_matrix(ed: EigenDecomp, axis: int = 0) -> np.ndarray:
-    """Dense matrix of the Riesz transform T_axis L^(-1/2) on samples; T_axis
-    is applied along its axis."""
-    return derivative_apply(ed.grid, inv_sqrt_matrix(ed), axis)
+    """Dense N x N matrix of T_axis L^(-1/2): riesz_apply to the identity."""
+    return riesz_apply(ed, np.eye(len(ed.grid)), axis)
 
 
 # ---------------------------------------------------------------------------
@@ -494,25 +494,25 @@ def weak_type_report(ed: EigenDecomp, atoms, axis: int = 0) -> dict:
     spacings are flagged as under-resolved rather than rejected.
     """
     grid = ed.grid
-    R = riesz_matrix(ed, axis)
-    spacing = float(np.max(np.diff(grid.axis)))
-    rows = []
+    atoms = [(np.atleast_1d(np.asarray(c, dtype=float)), float(r)) for c, r in atoms]
+    cols = []
     for center, radius in atoms:
-        center = np.atleast_1d(np.asarray(center, dtype=float))
         mask = np.linalg.norm(grid.nodes - center[None, :], axis=1) <= radius
         mass = float(np.sum(grid.mu_weights[mask]))
         if mass <= 0:
             raise InputError("atom ball contains no grid nodes")
-        b = np.where(mask, 1.0 / mass, 0.0)
-        ratio = distribution_sup(grid, R @ b)  # ||b||_1 = 1 by construction
-        rows.append(
-            {
-                "center": float(center[0]),
-                "radius": float(radius),
-                "ratio": ratio,
-                "under_resolved": bool(radius < 3.0 * spacing),
-            }
-        )
+        cols.append(np.where(mask, 1.0 / mass, 0.0))
+    images = riesz_apply(ed, np.stack(cols, axis=1), axis)
+    spacing = float(np.max(np.diff(grid.axis)))
+    rows = [
+        {
+            "center": float(center[0]),
+            "radius": radius,
+            "ratio": distribution_sup(grid, images[:, i]),  # ||b||_1 = 1 by construction
+            "under_resolved": bool(radius < 3.0 * spacing),
+        }
+        for i, (center, radius) in enumerate(atoms)
+    ]
     return {"atoms": rows, "sup_ratio": max(r["ratio"] for r in rows)}
 
 

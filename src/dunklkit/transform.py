@@ -115,13 +115,6 @@ def convolve(
     return multiplier_apply(sm, dunkl_transform(sm, g).values, f)
 
 
-def spectral_heat_sample(sm: SpectralMatrix, t: float) -> SampledFunction:
-    """The function with spectral profile e^{-t |xi|^2}, sampled on the grid."""
-    prof = SampledFunction(sm.grid, np.exp(-t * np.sum(sm.grid.nodes**2, axis=1)).astype(complex))
-    out = inverse_transform(sm, prof)
-    return SampledFunction(sm.grid, out.values.real)
-
-
 def refinement_defect_slope(rs: RootSystem, R: float, n_list, probe) -> float:
     """log-log slope of a defect functional across per-axis refinements."""
     defects = []

@@ -6,10 +6,13 @@ import tempfile
 import unittest
 from pathlib import Path
 
+import numpy as np
 import yaml
 from click.testing import CliRunner
 
 from dunklkit.cli import main
+from dunklkit.grids import SampledFunction, build_grid
+from dunklkit.reflection import RootSystem
 
 FAST_DOC = {
     "group": {"kind": "z2_product", "multiplicities": [0.5]},
@@ -62,6 +65,25 @@ class TestCli(unittest.TestCase):
         res = self.runner.invoke(main, ["run", cfg])
         self.assertEqual(res.exit_code, 2)
         self.assertIn("config error", res.output)
+
+    def test_bad_csv_potential_is_a_config_error(self):
+        # a missing file, samples of another grid and unparsable rows are
+        # refused before the first suite runs and before the output
+        # directory is made
+        other = build_grid(RootSystem.z2_product([0.5]), 10.0, 24)
+        mismatched = os.path.join(self.tmp, "other_grid.csv")
+        SampledFunction(other, np.ones(len(other))).to_csv(mismatched)
+        garbled = os.path.join(self.tmp, "garbled.csv")
+        with open(garbled, "w") as fh:
+            fh.write("x1,mu_weight,value\n" + "a,b,c\n" * FAST_DOC["grid"]["N"])
+        for path in (os.path.join(self.tmp, "missing.csv"), mismatched, garbled):
+            with self.subTest(csv=os.path.basename(path)):
+                cfg = self._config(dict(FAST_DOC, potential={"csv": path}))
+                out = os.path.join(self.tmp, "out_csv")
+                res = self.runner.invoke(main, ["run", cfg, "--out", out])
+                self.assertEqual(res.exit_code, 2, res.output)
+                self.assertIn("config error", res.output)
+                self.assertFalse(os.path.exists(out))
 
     def test_capability_failure(self):
         # a refused suite is recorded and the run goes on: summary.json is

@@ -23,7 +23,6 @@ from dunklkit.schrodinger import (
     eig,
     free_resolved_modes,
     inv_sqrt_apply,
-    inv_sqrt_matrix,
     inv_sqrt_subordination,
     nearest_node_index,
     potential_from_csv,
@@ -31,6 +30,7 @@ from dunklkit.schrodinger import (
     potential_preset,
     quadrature_spectral_cap,
     resolved_calculus,
+    riesz_apply,
     riesz_matrix,
     scaling_identity_gap,
     schrodinger_kernel,
@@ -338,14 +338,31 @@ class TestInverseSquareRoot(unittest.TestCase):
         grid = build_grid(RootSystem.z2_product([0.5, 1.0]), 6.0, 32)
         ed = resolved_calculus(grid, potential_preset(grid, "soft_coulomb", a=1.0))
         eye = np.eye(grid.n_axis)
+        inv_sqrt = ed.function_frame_apply(ed.eigenvalues**-0.5, np.eye(len(grid)))
         for axis in (0, 1):
             T = dunkl_derivative_matrix(grid, axis)
             dense = np.kron(T, eye) if axis == 0 else np.kron(eye, T)
-            ref = dense @ inv_sqrt_matrix(ed)
+            ref = dense @ inv_sqrt
             scale = np.max(np.abs(ref))
             np.testing.assert_allclose(
                 riesz_matrix(ed, axis) / scale, ref / scale, rtol=0, atol=1e-14
             )
+
+    def test_riesz_batch_matches_columns(self):
+        # a stacked batch and its columns one at a time, on a rank-one grid
+        # and on the rank-two kernel grid of a scene, along every axis
+        rng = np.random.default_rng(11)
+        for mult, R, n in (([0.5], 10.0, 96), ([0.5, 1.0], 6.0, 32)):
+            grid = build_grid(RootSystem.z2_product(mult), R, n)
+            ed = resolved_calculus(grid, potential_preset(grid, "soft_coulomb", a=1.0))
+            envelope = np.exp(-np.sum(grid.nodes**2, axis=1) / 4.0)
+            X = rng.normal(size=(len(grid), 5)) * envelope[:, None]
+            for axis in range(grid.dimension):
+                with self.subTest(dimension=grid.dimension, axis=axis):
+                    batch = riesz_apply(ed, X, axis)
+                    cols = np.stack([riesz_apply(ed, x, axis) for x in X.T], axis=1)
+                    scale = np.max(np.abs(cols))
+                    np.testing.assert_allclose(batch / scale, cols / scale, rtol=0, atol=1e-13)
 
     def test_riesz_paths_agree(self):
         # the dense inverse root against the one applied mode by mode
@@ -375,6 +392,20 @@ class TestWeakType(unittest.TestCase):
         self.assertGreater(rep["sup_ratio"], 0.0)
         with self.assertRaises(InputError):
             weak_type_report(ed, [(100.0, 0.01)])
+
+    def test_report_matches_atoms_one_at_a_time(self):
+        rs = RootSystem.z2_product([0.5])
+        grid = build_grid(rs, 8.0, 64)
+        ed = resolved_calculus(grid, potential_preset(grid, "soft_coulomb", a=1.0))
+        atoms = [(0.0, 1.5), (0.0, 0.05), (1.3, 0.5), (-2.0, 0.8)]
+        rep = weak_type_report(ed, atoms)
+        alone = []
+        for center, radius in atoms:
+            mask = np.abs(grid.nodes[:, 0] - center) <= radius
+            b = np.where(mask, 1.0 / np.sum(grid.mu_weights[mask]), 0.0)
+            alone.append(distribution_sup(grid, riesz_apply(ed, b)))
+        np.testing.assert_allclose([r["ratio"] for r in rep["atoms"]], alone, rtol=1e-13)
+        self.assertEqual(rep["sup_ratio"], max(r["ratio"] for r in rep["atoms"]))
 
     def test_nearest_node(self):
         rs = RootSystem.z2_product([0.5])

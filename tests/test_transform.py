@@ -20,7 +20,6 @@ from dunklkit.transform import (
     inverse_transform,
     parseval_defect,
     refinement_defect_slope,
-    spectral_heat_sample,
     translate_radial,
 )
 
@@ -141,6 +140,12 @@ class TestTranslation(unittest.TestCase):
         rhs = phase * dunkl_transform(sm, f).values
         scale = np.max(np.abs(rhs))
         np.testing.assert_allclose(lhs.values / scale, rhs / scale, atol=1e-7)
+
+
+def spectral_heat_sample(sm, t):
+    """The function with spectral profile e^{-t |xi|^2}, sampled on the grid."""
+    prof = SampledFunction(sm.grid, np.exp(-t * np.sum(sm.grid.nodes**2, axis=1)).astype(complex))
+    return SampledFunction(sm.grid, inverse_transform(sm, prof).values.real)
 
 
 class TestConvolution(unittest.TestCase):
