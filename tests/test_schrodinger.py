@@ -365,7 +365,7 @@ class TestInverseSquareRoot(unittest.TestCase):
                     np.testing.assert_allclose(batch / scale, cols / scale, rtol=0, atol=1e-13)
 
     def test_riesz_paths_agree(self):
-        # the dense inverse root against the one applied mode by mode
+        # riesz_matrix, riesz_apply of the identity, against T of inv_sqrt_apply
         via_matrix = riesz_matrix(self.ed) @ self.f.values
         via_apply = dunkl_derivative(self.grid, inv_sqrt_apply(self.ed, self.f))
         np.testing.assert_allclose(via_apply.values, via_matrix, atol=1e-9)
