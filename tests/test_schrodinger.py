@@ -10,7 +10,7 @@ from unittest import mock
 import numpy as np
 from scipy.linalg import eigh
 
-from dunklkit.errors import IllPosedError, InputError
+from dunklkit.errors import IllPosedError, InputError, NumericalError
 from dunklkit.grids import SampledFunction, build_grid
 from dunklkit.heat import heat_kernel_matrix
 from dunklkit.intertwine import e_minus_i
@@ -18,6 +18,7 @@ from dunklkit.operators import dunkl_derivative, dunkl_derivative_matrix
 from dunklkit.reflection import RootSystem
 from dunklkit.schrodinger import (
     KERNEL_FLOOR,
+    DiscreteOperator,
     assemble_L,
     distribution_sup,
     eig,
@@ -90,19 +91,33 @@ class TestAssembly(unittest.TestCase):
     def test_free_operator_invariants(self):
         op = assemble_L(self.sm)
         self.assertLess(op.symmetrization_defect, 1e-6)
-        ed = eig(op)
-        self.assertGreaterEqual(ed.eigenvalues[0], -1e-8)
-        self.assertTrue(np.all(np.diff(ed.eigenvalues) >= 0))
-        gram = ed.modes.T @ ed.modes
-        np.testing.assert_allclose(gram, np.eye(ed.n_modes), atol=1e-10)
+        lam = eig(op)
+        self.assertGreaterEqual(lam[0], -1e-8)
+        self.assertTrue(np.all(np.diff(lam) >= 0))
+        # the norm and trace invariants catch a wrong spectrum
+        with mock.patch("dunklkit.schrodinger.eigh", return_value=lam * (1.0 + 1e-6)):
+            with self.assertRaises(NumericalError):
+                eig(op)
+        with self.assertRaises(NumericalError):
+            eig(DiscreteOperator(np.diag([-1.0, 1.0]), self.grid, 0.0))
+
+    def test_eigenvalues_match_another_lapack_driver(self):
+        # numpy's eigvalsh (syevd) against scipy's eigh without vectors
+        rank_two = build_grid(RootSystem.z2_product([0.5, 1.0]), 6.0, 24)
+        for sm in (self.sm, build_spectral_matrix(rank_two)):
+            for pot in (None, potential_preset(sm.grid, "soft_coulomb", a=1.0)):
+                with self.subTest(rank=sm.grid.dimension, potential=pot is not None):
+                    op = assemble_L(sm, pot)
+                    np.testing.assert_allclose(
+                        eig(op), np.linalg.eigvalsh(op.matrix),
+                        rtol=0, atol=1e-10 * np.linalg.norm(op.matrix),
+                    )
 
     def test_potential_shifts_spectrum(self):
         pot = potential_preset(self.grid, "constant", c=3.0)
         free = eig(assemble_L(self.sm))
         shifted = eig(assemble_L(self.sm, pot))
-        np.testing.assert_allclose(
-            shifted.eigenvalues, free.eigenvalues + 3.0, atol=1e-8
-        )
+        np.testing.assert_allclose(shifted, free + 3.0, atol=1e-8)
 
 
 def _dense_free_operator(grid):
@@ -275,27 +290,36 @@ class TestSplittingKernel(unittest.TestCase):
             self.assertLessEqual(float(np.max(gap[np.ix_(self.mask, self.mask)])), 1e-10)
 
     def test_floor_drops_only_what_no_norm_sees(self):
-        # the same repeated squaring without the floor: the floored kernel has
-        # no entry in (0, KERNEL_FLOOR) and the same sup and row masses
-        pot = potential_preset(self.grid, "inverse_power", beta=0.5, cutoff=1.0)
-        om = self.grid.mu_weights
-        for t in (0.1, 1.0):
-            n = splitting_steps(self.grid, t)
-            damp = np.exp(-0.5 * (t / n) * pot.values)
-            step = damp[:, None] * heat_kernel_matrix(self.grid, t / n) * damp[None, :]
-            ref = None
-            while True:
-                if n & 1:
-                    ref = step if ref is None else (ref * om[None, :]) @ step
-                n >>= 1
-                if not n:
-                    break
-                step = (step * om[None, :]) @ step
-            W = self.kernel(pot, t)
-            self.assertTrue(np.all((W == 0.0) | (W >= KERNEL_FLOOR)))
-            self.assertLessEqual(float(np.max(np.abs(W - ref))), 1e-140)
-            self.assertEqual(np.max(W), np.max(ref))
-            self.assertEqual(np.max(W @ om), np.max(ref @ om))
+        # the same product of steps by repeated squaring without the floor:
+        # the floored kernel has no entry in (0, KERNEL_FLOOR); rank one
+        # squares too and keeps the same sup and row masses, rank two steps
+        # axis by axis and agrees to rounding
+        rank_two = build_grid(RootSystem.z2_product([0.5, 1.0]), 6.0, 32)
+        for grid, times in ((self.grid, (0.1, 1.0)), (rank_two, (0.5, 1.0))):
+            pot = potential_preset(grid, "inverse_power", beta=0.5, cutoff=1.0)
+            om = grid.mu_weights
+            for t in times:
+                n = splitting_steps(grid, t)
+                damp = np.exp(-0.5 * (t / n) * pot.values)
+                step = damp[:, None] * heat_kernel_matrix(grid, t / n) * damp[None, :]
+                ref = None
+                while True:
+                    if n & 1:
+                        ref = step if ref is None else (ref * om[None, :]) @ step
+                    n >>= 1
+                    if not n:
+                        break
+                    step = (step * om[None, :]) @ step
+                W = splitting_kernel(grid, pot, t, splitting_steps(grid, t))
+                self.assertTrue(np.all((W == 0.0) | (W >= KERNEL_FLOOR)))
+                if grid is self.grid:
+                    self.assertLessEqual(float(np.max(np.abs(W - ref))), 1e-140)
+                    self.assertEqual(np.max(W), np.max(ref))
+                    self.assertEqual(np.max(W @ om), np.max(ref @ om))
+                else:
+                    self.assertLessEqual(float(np.max(np.abs(W - ref))), 1e-13 * np.max(ref))
+                    self.assertLessEqual(float(np.max(np.abs(W - W.T))), 1e-12 * np.max(W))
+                    self.assertLessEqual(float(np.max(W @ om)), 1.0 + 1e-12)
 
     def test_step_below_resolution_floor_rejected(self):
         pot = potential_preset(self.grid, "soft_coulomb", a=1.0)
