@@ -2,6 +2,7 @@
 (group, grid, potential), the suite list, sweep axes, and output settings."""
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import yaml
 
 from .errors import ConfigError
 from .operators import FD_ORDER
-from .schrodinger import PRESET_NAMES
+from .schrodinger import PRESET_PARAMS
 
 GROUP_KINDS = ("z2_product", "dihedral")
 
@@ -86,9 +87,15 @@ def _validate_potential(p: dict):
     if "csv" in p:
         return {"csv": str(p["csv"])}
     preset = p.get("preset", "zero")
-    _require(preset in PRESET_NAMES, f"unknown potential preset {preset!r}")
+    _require(preset in tuple(PRESET_PARAMS), f"unknown potential preset {preset!r}")
     params = p.get("params", {})
     _require(isinstance(params, dict), "potential params must be a mapping")
+    names = PRESET_PARAMS[preset]
+    for k, v in params.items():
+        _require(k in names, f"{preset} takes no parameter {k!r}, only {list(names)}")
+        ok = isinstance(v, (int, float)) and abs(v) <= sys.float_info.max  # not nan or inf
+        _require(ok, f"potential parameter {k} must be a finite number")
+        _require(v >= 0 or k not in ("a", "c", "h"), f"potential parameter {k} must be >= 0")
     if preset == "inverse_power":
         _require("beta" in params, "inverse_power requires a beta parameter")
     return {"preset": preset, "params": {k: float(v) for k, v in params.items()}}

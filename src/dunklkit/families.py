@@ -3,31 +3,34 @@
 import numpy as np
 
 
-def hermite_function(n: int, x) -> np.ndarray:
-    """Orthonormal Hermite function h_n; stable weighted three-term recurrence."""
+def hermite_functions(n: int, x) -> np.ndarray:
+    """Orthonormal Hermite functions h_0 ... h_n on a new first axis; one
+    stable weighted three-term recurrence."""
     x = np.asarray(x, dtype=float)
-    h_prev = np.pi ** (-0.25) * np.exp(-0.5 * x**2)
-    if n == 0:
-        return h_prev
-    h = np.sqrt(2.0) * x * h_prev
+    h = np.empty((n + 1,) + x.shape)
+    h[0] = np.pi ** (-0.25) * np.exp(-0.5 * x**2)
+    if n > 0:
+        h[1] = np.sqrt(2.0) * x * h[0]
     for m in range(2, n + 1):
-        h, h_prev = (
-            np.sqrt(2.0 / m) * x * h - np.sqrt((m - 1.0) / m) * h_prev,
-            h,
-        )
+        h[m] = np.sqrt(2.0 / m) * x * h[m - 1] - np.sqrt((m - 1.0) / m) * h[m - 2]
     return h
+
+
+def hermite_function(n: int, x) -> np.ndarray:
+    """Orthonormal Hermite function h_n."""
+    return hermite_functions(n, x)[-1]
 
 
 def random_band_limited(
     x, rng: np.random.Generator, n_terms: int = 12, max_degree: int = 24
 ) -> np.ndarray:
     """Random combination of low-order Hermite functions; unit-scale amplitude."""
-    x = np.asarray(x, dtype=float)
+    h = hermite_functions(max_degree, x)
     degrees = rng.integers(0, max_degree + 1, size=n_terms)
     coeffs = rng.standard_normal(n_terms)
-    out = np.zeros_like(x)
+    out = np.zeros_like(h[0])
     for deg, c in zip(degrees, coeffs):
-        out += c * hermite_function(int(deg), x)
+        out += c * h[deg]
     return out
 
 

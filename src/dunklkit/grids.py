@@ -6,6 +6,8 @@ tensorized in row-major order (tensor_rule).  The layout is stated once:
 node m has coordinate axis[axis_index[j, m]] on axis j, so per-axis tables
 and operators lift to the grid by index gathers or Kronecker products, and
 the negation x -> -x is the reversed node order, an exact permutation.
+Per-axis kernel tables (axis_table) take functions symmetric in their two
+arguments and even under the joint sign flip, so half the axis gives all.
 """
 
 import csv
@@ -90,13 +92,17 @@ class QuadratureGrid:
         return np.arange(len(self))[::-1]
 
     def axis_table(self, fn) -> np.ndarray:
-        """n x n table of a symmetric fn(a, b) on the axis rule; one call on
-        the unordered pairs."""
-        iu, ju = np.triu_indices(self.n_axis)
-        vals = fn(self.axis[iu], self.axis[ju])
-        a = np.empty((self.n_axis, self.n_axis), dtype=vals.dtype)
-        a[iu, ju] = a[ju, iu] = vals
-        return a
+        """n x n table of fn(a, b) on the axis rule.  fn must satisfy fn(a, b)
+        = fn(b, a) = fn(-a, -b) bit for bit, as any fn of a b, |a| and |b| does:
+        one call on the unordered pairs (xp_i, xp_j) and (-xp_i, xp_j) of the
+        positive half-axis xp, and the mirrored axis gives the other blocks."""
+        h = self.n_axis // 2
+        xp = self.axis[h:]
+        iu, ju = np.triu_indices(h)
+        vals = fn(np.concatenate([xp[iu], -xp[iu]]), np.tile(xp[ju], 2))
+        P, M = b = np.empty((2, h, h), dtype=vals.dtype)
+        b[:, iu, ju] = b[:, ju, iu] = vals.reshape(2, -1)
+        return np.block([[P[::-1, ::-1], M[::-1]], [M[:, ::-1], P]])
 
     def interior_mask(self, fraction: float = 0.8) -> np.ndarray:
         """Nodes with every coordinate inside the central fraction of [-R, R]."""

@@ -45,7 +45,13 @@ NYQUIST_FACTOR = 1.7
 # ---------------------------------------------------------------------------
 # potentials
 
-PRESET_NAMES = ("zero", "constant", "soft_coulomb", "inverse_power", "bump")
+PRESET_PARAMS = {
+    "zero": (),
+    "constant": ("c",),
+    "soft_coulomb": ("a",),
+    "inverse_power": ("beta", "cutoff"),
+    "bump": ("h", "w"),
+}
 
 
 @dataclass(frozen=True)

@@ -686,10 +686,8 @@ def suite_spectral_positivity(scene: Scene, rng) -> tuple:
     xs = grid.nodes[:, 0]
     if grid.dimension == 1:
         # smooth decaying combos keep the stencil-vs-spectral gap sharp
-        samples = [
-            sum(c * families.hermite_function(n, xs) for n, c in enumerate(rng.normal(size=6)))
-            for _ in range(5)
-        ]
+        herm = families.hermite_functions(5, xs)
+        samples = [sum(c * h for c, h in zip(rng.normal(size=6), herm)) for _ in range(5)]
     else:
         samples = [np.exp(-np.sum(grid.nodes**2, axis=1))]
     for vals in samples:
@@ -1078,10 +1076,10 @@ def suite_classical_limit(scene: Scene, rng) -> tuple:
     interior = grid.interior_mask(0.7)
     # apply the flow generator first: a double transform-side zero at the
     # origin keeps the nonlocal 1/x tail of Rf inside the box
+    herm = families.hermite_functions(5, xs)
     fs = []
     for _ in range(10):
-        coef = rng.normal(size=6)
-        g = SampledFunction(grid, sum(c * families.hermite_function(n, xs) for n, c in enumerate(coef)))
+        g = SampledFunction(grid, sum(c * h for c, h in zip(rng.normal(size=6), herm)))
         fs.append(spectral_laplacian(sm, g).values)
     fs = np.stack(fs, axis=1)
     rfs = riesz_apply(ed0, fs)

@@ -66,6 +66,18 @@ class TestCli(unittest.TestCase):
         self.assertEqual(res.exit_code, 2)
         self.assertIn("config error", res.output)
 
+    def test_bad_preset_parameter_is_a_config_error(self):
+        # refused before the first suite: no traceback, no summary.json
+        for params in ({"a": -1.0}, {"b": 2.0}, {"a": "x"}):
+            with self.subTest(params=params):
+                potential = {"preset": "soft_coulomb", "params": params}
+                cfg = self._config(dict(FAST_DOC, potential=potential))
+                out = os.path.join(self.tmp, "out_preset")
+                res = self.runner.invoke(main, ["run", cfg, "--out", out])
+                self.assertEqual(res.exit_code, 2, res.output)
+                self.assertIn("config error", res.output)
+                self.assertFalse((Path(out) / "summary.json").exists())
+
     def test_bad_csv_potential_is_a_config_error(self):
         # a missing file, samples of another grid and unparsable rows are
         # refused before the first suite runs and before the output

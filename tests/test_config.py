@@ -105,6 +105,15 @@ class TestLoadConfig(unittest.TestCase):
             {"grid": {"N": 2.5}},
             {"potential": {"preset": "bogus"}},
             {"potential": {"preset": "inverse_power"}},
+            {"potential": {"preset": "soft_coulomb", "params": {"a": -1}}},
+            {"potential": {"preset": "constant", "params": {"c": -1}}},
+            {"potential": {"preset": "bump", "params": {"h": -1}}},
+            {"potential": {"preset": "constant", "params": {"c": float("nan")}}},
+            {"potential": {"preset": "inverse_power", "params": {"beta": float("inf")}}},
+            {"potential": {"preset": "soft_coulomb", "params": {"a": "x"}}},
+            {"potential": {"preset": "soft_coulomb", "params": {"a": [1]}}},
+            {"potential": {"preset": "soft_coulomb", "params": {"b": 2.0}}},
+            {"potential": {"preset": "soft_coulomb", "params": {"a": 10**400}}},
             {"suites": "plancherel"},
             {"sweeps": {"t_list": ["x"]}},
             {"seed": -3},
@@ -114,6 +123,15 @@ class TestLoadConfig(unittest.TestCase):
             path = _write(self.tmp, f"bad{i}.yaml", doc)
             with self.assertRaises(ConfigError, msg=f"doc {i}: {doc}"):
                 load_config(path)
+
+    def test_preset_params_at_their_limits(self):
+        # zero a, zero w and a cutoff at or below zero give a potential >= 0
+        for preset, params in (("soft_coulomb", {"a": 0}), ("bump", {"h": 0, "w": 0}),
+                               ("inverse_power", {"beta": 0.5, "cutoff": -1.0}),
+                               ("constant", {"c": 0.0}), ("zero", {})):
+            path = _write(self.tmp, "run.yaml", {"potential": {"preset": preset, "params": params}})
+            cfg = load_config(path)
+            self.assertEqual(cfg.potential["params"], {k: float(v) for k, v in params.items()})
 
     def test_unknown_suite(self):
         path = _write(self.tmp, "run.yaml", {"suites": ["nope"]})

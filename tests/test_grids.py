@@ -5,8 +5,11 @@ import unittest
 from functools import reduce
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from dunklkit.grids import build_grid, kron_apply, tensor_rule
+from dunklkit.heat import axis_factor
+from dunklkit.intertwine import e_minus_i
 from dunklkit.reflection import RootSystem
 
 GRIDS = (([0.7], 8.0, 64), ([0.5, 1.0], 6.0, 24), ([0.5, 0.0, 1.5], 4.0, 12))
@@ -52,6 +55,45 @@ class TestKronApply(unittest.TestCase):
                         got = kron_apply(slots, v)
                         self.assertEqual(got.shape, shape)
                         np.testing.assert_allclose(got, dense @ v, rtol=1e-13, atol=1e-13)
+
+
+def _all_pairs_table(grid, fn):
+    """Reference: fn on every unordered pair of the whole axis."""
+    iu, ju = np.triu_indices(grid.n_axis)
+    vals = fn(grid.axis[iu], grid.axis[ju])
+    table = np.empty((grid.n_axis, grid.n_axis), dtype=vals.dtype)
+    table[iu, ju] = table[ju, iu] = vals
+    return table
+
+
+class TestAxisTable(unittest.TestCase):
+    def test_half_axis_equals_all_pairs(self):
+        # the heat factor and the transform factor on the grids the suites build
+        cases = (([0.5], 14.0, 256), ([0.0], 10.0, 128), ([1.5], 10.0, 128),
+                 ([0.5], 4.0, 160), ([0.5, 1.0], 6.0, 32))
+        for kappas, R, n in cases:
+            grid = build_grid(RootSystem.z2_product(kappas), R, n)
+            for k in kappas:
+                fns = [lambda x, y, t=t: axis_factor(x, y, t, k) for t in (0.02, 0.1, 1.0)]
+                fns.append(lambda x, y: e_minus_i(x * y, k))
+                for fn in fns:
+                    with self.subTest(kappa=k, R=R, n=n):
+                        got = grid.axis_table(fn)
+                        self.assertTrue(np.array_equal(got, _all_pairs_table(grid, fn)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        half=st.integers(1, 48),
+        R=st.floats(0.5, 20.0),
+        kappa=st.floats(0.0, 2.0),
+        t=st.floats(0.01, 4.0),
+    )
+    def test_table_is_symmetric_and_even(self, half, R, kappa, t):
+        grid = build_grid(RootSystem.z2_product([kappa]), R, 2 * half)
+        for fn in (lambda x, y: axis_factor(x, y, t, kappa), lambda x, y: e_minus_i(x * y, kappa)):
+            T = grid.axis_table(fn)
+            self.assertTrue(np.array_equal(T, T.T))
+            self.assertTrue(np.array_equal(T, T[::-1, ::-1]))
 
 
 if __name__ == "__main__":
