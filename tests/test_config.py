@@ -114,6 +114,7 @@ class TestLoadConfig(unittest.TestCase):
             {"potential": {"preset": "soft_coulomb", "params": {"a": [1]}}},
             {"potential": {"preset": "soft_coulomb", "params": {"b": 2.0}}},
             {"potential": {"preset": "soft_coulomb", "params": {"a": 10**400}}},
+            {"potential": {"preset": ["soft_coulomb"]}},
             {"suites": "plancherel"},
             {"sweeps": {"t_list": ["x"]}},
             {"seed": -3},
