@@ -9,6 +9,7 @@ from pathlib import Path
 import yaml
 
 from .errors import ConfigError
+from .intertwine import KAPPA_MAX
 from .operators import FD_ORDER
 from .schrodinger import PRESET_PARAMS
 
@@ -39,6 +40,13 @@ def _require(cond: bool, msg: str):
         raise ConfigError(msg)
 
 
+def _kappa(v, what: str) -> float:
+    """A multiplicity in [0, KAPPA_MAX], the Bessel kernels' tested range."""
+    _require(isinstance(v, (int, float)) and 0 <= v <= KAPPA_MAX,
+             f"{what} must be numbers in [0, KAPPA_MAX = {KAPPA_MAX}], not {v!r}")
+    return float(v)
+
+
 def _validate_group(g: dict):
     _require(isinstance(g, dict), "group section must be a mapping")
     kind = g.get("kind", "z2_product")
@@ -49,20 +57,13 @@ def _validate_group(g: dict):
             isinstance(mult, list) and len(mult) >= 1,
             "multiplicities must be a nonempty list",
         )
-        for m in mult:
-            _require(
-                isinstance(m, (int, float)) and m >= 0,
-                "multiplicities must be nonnegative numbers",
-            )
-        return {"kind": kind, "multiplicities": [float(m) for m in mult]}
+        return {"kind": kind, "multiplicities": [_kappa(m, "multiplicities") for m in mult]}
     m = g.get("m", 3)
     _require(isinstance(m, int) and m >= 2, "dihedral order parameter m must be >= 2")
-    k_even = float(g.get("k_even", 0.5))
+    k_even = _kappa(g.get("k_even", 0.5), "k_even")
     k_odd = g.get("k_odd", None)
-    _require(k_even >= 0, "multiplicities must be nonnegative")
     if k_odd is not None:
-        _require(float(k_odd) >= 0, "multiplicities must be nonnegative")
-        k_odd = float(k_odd)
+        k_odd = _kappa(k_odd, "k_odd")
     return {"kind": kind, "m": m, "k_even": k_even, "k_odd": k_odd}
 
 
@@ -70,7 +71,7 @@ def _validate_grid(g: dict):
     _require(isinstance(g, dict), "grid section must be a mapping")
     R = g.get("R", DEFAULT_GRID["R"])
     N = g.get("N", DEFAULT_GRID["N"])
-    _require(isinstance(R, (int, float)) and R > 0, "grid R must be positive")
+    _require(isinstance(R, (int, float)) and 0 < R <= sys.float_info.max, "grid R must be finite, > 0")
     _require(isinstance(N, int) and N > 0, "grid N must be a positive integer")
     _require(N % 2 == 0, "grid N must be even")
     width = FD_ORDER + 1
@@ -132,10 +133,11 @@ def load_config(path, known_suites=None) -> RunConfig:
     _require(isinstance(user_sweeps, dict), "sweeps must be a mapping")
     sweeps.update(user_sweeps)
     for key in ("t_list", "kappa_list"):
-        _require(
-            all(isinstance(v, (int, float)) for v in sweeps[key]),
-            f"{key} entries must be numbers",
-        )
+        _require(isinstance(sweeps[key], list), f"{key} must be a list")
+    ok = all(isinstance(v, (int, float)) and 0 < v <= sys.float_info.max for v in sweeps["t_list"])
+    _require(ok, "t_list entries must be finite positive numbers")
+    for k in sweeps["kappa_list"]:
+        _kappa(k, "kappa_list entries")
     out_dir = str(data.get("out_dir", "runs/latest"))
     seed = data.get("seed", 0)
     _require(isinstance(seed, int) and seed >= 0, "seed must be a nonnegative integer")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
-from scipy.special import roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 from .errors import CapabilityError, InputError
 from .reflection import Z2_PRODUCT, RootSystem, weight
@@ -30,7 +30,7 @@ def axis_rule(R: float, n_axis: int) -> tuple:
         raise InputError("per-axis node count must be even and >= 2")
     if R <= 0:
         raise InputError("half-width must be positive")
-    xg, wg = roots_legendre(n_axis // 2)
+    xg, wg = leggauss(n_axis // 2)
     xp = 0.5 * R * (xg + 1.0)
     wp = 0.5 * R * wg
     x = np.concatenate([-xp[::-1], xp])

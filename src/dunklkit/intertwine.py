@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gamma as sgamma, i0e, i1e, ive, jv, roots_jacobi
 
 from .errors import CapabilityError, InputError, RangeError
 from .grids import tensor_rule
@@ -71,17 +70,121 @@ def kernel_series_1d(s, kappa: float) -> np.ndarray:
     return out
 
 
+# The kernels are normalized Bessel functions of order kappa -+ 1/2 (Rosler, CMP
+# 192, 1998), each one fixed rule per range of the argument with its term count
+# set at the range's edge: a value never depends on the rest of its array.
+KAPPA_MAX = 10.0  # the largest multiplicity the oracle tests cover
+_TAIL = 1e-17  # size, relative to the sum, of the first term left out at an edge
+
+
+@lru_cache(maxsize=32)
+def _power_terms(nu: float, sign: float, edge: float) -> tuple:
+    """sum_k (sign (a/2)^2)^k / (k! (nu+1)_k) for a < edge as sum_k terms[k]
+    y^(2k), y = a scale < 1 exact (scale a power of 2), up to the first term
+    below _TAIL at the edge.  RangeError unless -1 < nu <= KAPPA_MAX + 1/2."""
+    if not -1.0 < nu <= KAPPA_MAX + 0.5:
+        raise RangeError(f"Bessel order {nu} outside (-1, {KAPPA_MAX + 0.5}]")
+    scale = 2.0 ** -math.ceil(math.log2(edge))
+    terms, term, total = [1.0], 1.0, 1.0
+    while term > _TAIL * total:
+        k = len(terms)
+        terms.append(terms[-1] * sign * 0.25 / (scale * scale * k * (nu + k)))
+        term *= 0.25 * edge * edge / (k * (nu + k))
+        total += term
+    return tuple(terms), scale
+
+
+@lru_cache(maxsize=32)
+def _hankel_terms(nu: float, edge: float) -> tuple:
+    """a_k(nu) = prod_{j <= k} (4 nu^2 - (2j - 1)^2) / (8j) of the Hankel
+    expansions (DLMF 10.17.5, 10.40.1), up to the first with |a_k| edge^-k
+    below _TAIL; for z >= edge >= nu^2 the terms fall from there on."""
+    a = [1.0]
+    while abs(a[-1]) * edge ** (1 - len(a)) >= _TAIL:
+        k = len(a)
+        a.append(a[-1] * (4.0 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k))
+    return tuple(a)
+
+
+def _horner(c, x, even=False) -> np.ndarray:
+    """sum_k c[k] x^k, or with even, sum_k c[k] x^(2k) (x is not squared first,
+    which would round it once for every term)."""
+    out = np.full_like(x, c[-1])
+    for ck in c[-2::-1]:
+        out *= x
+        if even:
+            out *= x
+        out += ck
+    return out
+
+
+@lru_cache(maxsize=16)
+def _miller_terms(nu: float, edge: float) -> tuple:
+    """The least order top with top arccosh(top/edge) - sqrt(top^2 - edge^2) >=
+    36, so that J_top / Y_top < e^-72 below the edge, and norm[k] = (mu + 2k)
+    Gamma(mu + k) / k! of (z/2)^mu = sum_k norm[k] J_{mu+2k}(z) (DLMF 10.23)."""
+    top = math.ceil(edge)
+    while top * math.acosh(top / edge) - math.sqrt(top * top - edge * edge) < 36.0:
+        top += 1
+    mu = nu - math.floor(nu)
+    g = math.gamma(mu + 1.0)
+    norm = [g]
+    for k in range(1, top // 2 + 1):
+        norm.append((mu + 2 * k) * g)  # g = Gamma(mu + k) / k!
+        g *= (mu + k) / (k + 1)
+    return top, tuple(norm)
+
+
+def _miller(nu: float, edge: float, z) -> np.ndarray:
+    """Gamma(nu+1) (2/z)^nu J_nu(z) for 2 <= z < edge by Miller's recurrence
+    J_{m-1} = (2m/z) J_m - J_{m+1} down from J_top = 1e-280 (it grows by top! <
+    1e298 at most), normalized by the sum of _miller_terms."""
+    top, norm = _miller_terms(nu, edge)
+    n = math.floor(nu)
+    mu, inv = nu - n, 2.0 / z
+    prev, cur, total = np.zeros_like(z), np.full_like(z, 1e-280), np.zeros_like(z)
+    for m in range(top, min(n, 0) - 1, -1):  # cur is J_{mu+m} up to a factor
+        if m == n:
+            want = cur
+        if m >= 0 and m % 2 == 0:
+            total += norm[m // 2] * cur
+        prev, cur = cur, (mu + m) * inv * cur - prev
+    return math.gamma(nu + 1.0) * inv**n * want / total
+
+
 def njbessel(nu: float, z) -> np.ndarray:
-    """Normalized Bessel function Gamma(nu+1) (2/z)^nu J_nu(z); even in z."""
+    """Normalized Bessel function Gamma(nu+1) (2/z)^nu J_nu(z), even in z, for
+    -1 < nu <= KAPPA_MAX + 1/2: the power series below z = 2, _miller below
+    max(25, nu^2), and from there J = Re H^(1), by the Hankel expansion of
+    H^(1) (DLMF 10.17.5) with e^{i z} taken whole (z - phase would round)."""
+    terms, scale = _power_terms(nu, -1.0, 2.0)
     z = np.abs(np.asarray(z, dtype=float))
+    edge = max(25.0, nu * nu)
     out = np.empty_like(z)
-    small = z < 1e-6
-    zs = z[small]
-    out[small] = 1.0 - zs**2 / (4.0 * (nu + 1.0)) + zs**4 / (
-        32.0 * (nu + 1.0) * (nu + 2.0)
-    )
-    zl = z[~small]
-    out[~small] = sgamma(nu + 1.0) * (2.0 / zl) ** nu * jv(nu, zl)
+    low, high = z < 2.0, z >= edge
+    mid = ~(low | high)
+    out[low] = _horner(terms, z[low] * scale, even=True)
+    out[mid] = _miller(nu, edge, z[mid])
+    zh = z[high]
+    h = _horner(_hankel_terms(nu, edge), 1j / zh) * np.exp(-0.5j * math.pi * (nu + 0.5))
+    const = math.gamma(nu + 1.0) * 2.0**nu * math.sqrt(2.0 / math.pi)
+    out[high] = const * zh ** (-nu - 0.5) * (np.cos(zh) * h.real - np.sin(zh) * h.imag)
+    return out
+
+
+def scaled_nibessel(nu: float, a) -> np.ndarray:
+    """Normalized, scaled Bessel function Gamma(nu+1) (2/a)^nu e^{-a} I_nu(a),
+    even in a, for -1 < nu <= KAPPA_MAX + 1/2: the series of positive terms
+    below max(30, 2 nu^2), and from there the Hankel expansion (DLMF 10.40.1)."""
+    edge = max(30.0, 2.0 * nu * nu)
+    terms, scale = _power_terms(nu, 1.0, edge)
+    a = np.abs(np.asarray(a, dtype=float))
+    out = np.empty_like(a)
+    low = a < edge
+    al, ah = a[low], a[~low]
+    out[low] = _horner(terms, al * scale, even=True) * np.exp(-al)
+    const = math.gamma(nu + 1.0) * 2.0**nu / math.sqrt(2.0 * math.pi)
+    out[~low] = const * ah ** (-nu - 0.5) * _horner(_hankel_terms(nu, edge), -1.0 / ah)
     return out
 
 
@@ -95,28 +198,12 @@ def e_minus_i(s, kappa: float) -> np.ndarray:
     )
 
 
-def _ive(nu: float, a):
-    """ive(nu, a); for orders 0, 1 and 1/2 i0e, i1e or the closed form, 3-30x faster
-    (order 3/2's closed form cancels at small a), else from a = 1e9 on its two-term
-    expansion (scipy's is NaN from 2^31 on; the expansion errs by < 1e-17 there)."""
-    if nu == 0.5:
-        return -np.expm1(-2.0 * a) / np.sqrt(2.0 * np.pi * a)
-    if nu in (0.0, 1.0):
-        return (i0e if nu == 0.0 else i1e)(a)
-    big = (1.0 - (4.0 * nu * nu - 1.0) / (8.0 * a)) / np.sqrt(2.0 * np.pi * a)
-    return np.where(a > 1e9, big, ive(nu, a))
-
-
 def scaled_e_even(a, kappa: float) -> np.ndarray:
-    """Even part of E(x, y) e^{-|xy|} at a = |x y|:
-    Gamma(kappa + 1/2) (2/a)^(kappa - 1/2) ive(kappa - 1/2, a)."""
+    """Even part of E(x, y) e^{-|xy|} at a = |x y|: scaled_nibessel(kappa - 1/2, a)."""
     a = np.abs(np.asarray(a, dtype=float))
     if kappa == 0.0:
         return 0.5 * (1.0 + np.exp(-2.0 * a))
-    # below 1e-6 the Taylor form; the Bessel form sees a floored argument there
-    al = np.maximum(a, 1e-6)
-    even = sgamma(kappa + 0.5) * (2.0 / al) ** (kappa - 0.5) * _ive(kappa - 0.5, al)
-    return np.where(a < 1e-6, np.exp(-a), even)
+    return scaled_nibessel(kappa - 0.5, a)
 
 
 def scaled_e_real(s, kappa: float) -> np.ndarray:
@@ -125,11 +212,8 @@ def scaled_e_real(s, kappa: float) -> np.ndarray:
     if kappa == 0.0:
         return np.exp(s - np.abs(s))
     a = np.abs(s)
-    taylor = (1.0 + s / (2.0 * kappa + 1.0)) * np.exp(-a)
-    al = np.maximum(a, 1e-6)
-    odd = sgamma(kappa + 1.5) * (2.0 / al) ** (kappa + 0.5) * _ive(kappa + 0.5, al)
-    even = scaled_e_even(a, kappa)
-    return np.where(a < 1e-6, taylor, even + s / (2.0 * kappa + 1.0) * odd)
+    odd = scaled_nibessel(kappa + 0.5, a)
+    return scaled_e_even(a, kappa) + s / (2.0 * kappa + 1.0) * odd
 
 
 def kernel_bessel_1d(s, kappa: float) -> np.ndarray:
@@ -151,9 +235,16 @@ def rank_one_measure(kappa: float, x: float, n: int) -> tuple:
 @lru_cache(maxsize=16)
 def _jacobi_rule(n: int, kappa: float) -> tuple:
     """Read-only Gauss-Jacobi nodes and unit-sum weights for the density
-    (1+t)(1-t^2)^(kappa-1) = (1-t)^(kappa-1) (1+t)^kappa on [-1, 1]."""
-    t, w = roots_jacobi(n, kappa - 1.0, kappa)
-    w = w / w.sum()
+    (1+t)(1-t^2)^(kappa-1) = (1-t)^(kappa-1) (1+t)^kappa on [-1, 1], kappa > 0, by
+    Golub-Welsch (Math. Comp. 23, 1969): eigenvalues and squared first
+    eigenvector components of the Jacobi matrix, whose first diagonal entry
+    is taken in closed form (the general one is 0/0 at kappa = 1/2)."""
+    k = np.arange(1, n)
+    s = 2.0 * k + 2.0 * kappa - 1.0  # 2k + alpha + beta
+    diag = np.concatenate([[1.0 / (2.0 * kappa + 1.0)], (2.0 * kappa - 1.0) / (s * (s + 2.0))])
+    off = np.sqrt(4.0 * k * (k + kappa - 1.0) * (k + kappa) * (s - k) / (s * s * (s + 1.0) * (s - 1.0)))
+    t, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    w = v[0] ** 2 / (v[0] @ v[0])
     t.flags.writeable = w.flags.writeable = False
     return t, w
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import roots_laguerre, roots_legendre
+from numpy.polynomial.laguerre import laggauss
+from numpy.polynomial.legendre import leggauss
 
 from .errors import CapabilityError, InputError, NumericalError
 from .heat import even_axis_factor, kernel_prefactor
@@ -31,7 +31,7 @@ from .schrodinger import Potential, splitting_kernel, splitting_steps
 
 QUAD_TOL = 1e-12
 # Gauss-Laguerre rule in time for the resolvent integrals
-LAGUERRE = roots_laguerre(48)
+LAGUERRE = laggauss(48)
 
 CLASSICAL = "classical"
 ORBIT = "orbit"
@@ -159,7 +159,7 @@ def _time_rule(t: float) -> tuple:
     log-spaced edges t * 10^-4 ... t and a first panel down to 0."""
     edges = np.concatenate([[0.0], t * np.geomspace(1e-4, 1.0, 10)])
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
-    gl_x, gl_w = roots_legendre(8)
+    gl_x, gl_w = leggauss(8)
     return (mid[:, None] + half[:, None] * gl_x).ravel(), (half[:, None] * gl_w).ravel()
 
 
@@ -356,10 +356,10 @@ def _top_eigenvalue(S: np.ndarray, v0: np.ndarray) -> float:
         alpha.append(float(Q[k] @ w))
         for _ in range(2):  # against every earlier vector; twice is enough
             w -= Q[: k + 1].T @ (Q[: k + 1] @ w)
-        theta, y = eigh_tridiagonal(alpha, beta, select="i", select_range=(k, k))
+        theta, y = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
         b = math.sqrt(w @ w)
-        if b * abs(y[-1, 0]) <= 4.0 * np.finfo(float).eps * abs(theta[0]):
-            return float(theta[0])
+        if b * abs(y[-1, -1]) <= 4.0 * np.finfo(float).eps * abs(theta[-1]):
+            return float(theta[-1])
         if k + 1 < n:
             beta.append(b)
             Q[k + 1] = w / b

@@ -8,7 +8,11 @@ break whose rule value is at least that of the whole panel.  The rule is
 scale-covariant, so for |y - p|^-beta next to the break p that ratio is exactly
 8^(beta - 1) on every split: at least 1 just when the integral diverges.  The
 stop assumes that the integrand keeps one sign next to a break; an integrand
-that changes sign there can cancel a panel's value below its near piece's."""
+that changes sign there can cancel a panel's value below its near piece's.
+It also ends unconverged when a panel at a break p != 0 narrower than
+RESOLVE |p| is due for a split: its nodes' distances to p are rounded by about
+eps |p|, which moves the rule values of |y - p|^-beta there by up to about
+eps / RESOLVE = 3.6e-12 relative, and the geometric tail amplifies that."""
 
 import numpy as np
 
@@ -32,6 +36,7 @@ GRADE = 0.125
 # which quad gives up on the integral as divergent
 DIVERGE_SPLITS = 3
 QUAD_LIMIT = 200
+RESOLVE = 2.0**-14
 
 
 def _qk21(f, lo, hi) -> tuple:
@@ -58,7 +63,7 @@ def quad(f, a, b, breaks=(), tol=1.49e-8) -> tuple:
     rule's error.  It stops with converged False at QUAD_LIMIT panels, or when
     the piece at a break has had r >= 1 on DIVERGE_SPLITS splits in a row, as
     |y|^-beta has for beta >= 1: f, of one sign next to the break, is then
-    taken as not integrable there."""
+    taken as not integrable there; or at a break p != 0 below RESOLVE |p|."""
     marks = np.array([float(p) for p in breaks])
     edges = np.array(sorted({float(a), float(b), *(p for p in marks if a < p < b)}))
     lo, hi = edges[:-1], edges[1:]
@@ -76,6 +81,8 @@ def quad(f, a, b, breaks=(), tol=1.49e-8) -> tuple:
         pick, keep = order[:k], order[k:]
         pl, ph = lo[pick], hi[pick]
         at_lo, at_hi = np.isin(pl, marks), np.isin(ph, marks)
+        if np.any((at_lo != at_hi) & (ph - pl < RESOLVE * np.abs(np.where(at_lo, pl, ph)))):
+            return total, toterr, False
         frac = np.where(at_lo & ~at_hi, GRADE, np.where(at_hi & ~at_lo, 1.0 - GRADE, 0.5))
         nlo = np.concatenate([pl, pl + frac * (ph - pl)])
         nhi = np.concatenate([nlo[k:], ph])

@@ -28,7 +28,7 @@ from functools import lru_cache, reduce
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import eigh
+from numpy.linalg import eigh, eigvalsh
 
 from .errors import IllPosedError, InputError, NumericalError
 from .grids import QuadratureGrid, SampledFunction, build_grid, kron_apply
@@ -202,7 +202,7 @@ def eig(op: DiscreteOperator) -> np.ndarray:
     Checked in O(N^2) against 1e-8 max(||H||_F, 1): the eigenvalues' 2-norm
     against ||H||_F and their sum against tr H, both unitary invariants.
     """
-    vals = eigh(op.matrix, eigvals_only=True)
+    vals = eigvalsh(op.matrix)
     scale = float(np.linalg.norm(op.matrix))
     gap = max(abs(np.linalg.norm(vals) - scale), abs(np.sum(vals) - np.trace(op.matrix)))
     if gap > 1e-8 * max(scale, 1.0):

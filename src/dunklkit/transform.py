@@ -10,11 +10,11 @@ axis j, formed from the axis's kernel table (memoised per (kappa, R, n)) and
 applied by kron_apply; the N x N matrix is never formed.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gamma as sgamma
 
 from .errors import InputError
 from .grids import QuadratureGrid, SampledFunction, build_grid, kron_apply
@@ -26,7 +26,7 @@ def c_k(rs: RootSystem) -> float:
     """Gaussian mass of the weighted measure, int e^{-|x|^2/2} dmu."""
     out = 1.0
     for kap in rs.multiplicities:
-        out *= 2.0 ** (2.0 * float(kap) + 0.5) * sgamma(float(kap) + 0.5)
+        out *= 2.0 ** (2.0 * float(kap) + 0.5) * math.gamma(float(kap) + 0.5)
     return float(out)
 
 

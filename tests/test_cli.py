@@ -78,6 +78,25 @@ class TestCli(unittest.TestCase):
                 self.assertIn("config error", res.output)
                 self.assertFalse((Path(out) / "summary.json").exists())
 
+    def test_bad_sweep_or_multiplicity_is_a_config_error(self):
+        # these ended in a traceback inside the heat suite or load_config
+        # (exit 1, no summary.json), or ran beyond the tested Bessel orders
+        docs = {
+            "negative time": dict(FAST_DOC, sweeps={"t_list": [-0.1]}),
+            "nan time": dict(FAST_DOC, sweeps={"t_list": [float("nan")]}),
+            "scalar t_list": dict(FAST_DOC, sweeps={"t_list": 0.1}),
+            "kappa above KAPPA_MAX": dict(FAST_DOC, group={"kind": "z2_product", "multiplicities": [12.0]}),
+            "kappa_list entry inf": dict(FAST_DOC, sweeps={"kappa_list": [float("inf")]}),
+        }
+        for name, doc in docs.items():
+            with self.subTest(name):
+                cfg = self._config(doc)
+                out = os.path.join(self.tmp, "out_sweep")
+                res = self.runner.invoke(main, ["run", cfg, "--out", out])
+                self.assertEqual(res.exit_code, 2, res.output)
+                self.assertIn("config error", res.output)
+                self.assertFalse((Path(out) / "summary.json").exists())
+
     def test_bad_csv_potential_is_a_config_error(self):
         # a missing file, samples of another grid and unparsable rows are
         # refused before the first suite runs and before the output

@@ -9,6 +9,7 @@ import yaml
 
 from dunklkit.config import DEFAULT_SWEEPS, load_config
 from dunklkit.errors import ConfigError
+from dunklkit.intertwine import KAPPA_MAX
 
 
 def _write(tmp, name, payload):
@@ -133,6 +134,40 @@ class TestLoadConfig(unittest.TestCase):
             path = _write(self.tmp, "run.yaml", {"potential": {"preset": preset, "params": params}})
             cfg = load_config(path)
             self.assertEqual(cfg.potential["params"], {k: float(v) for k, v in params.items()})
+
+    def test_multiplicities_outside_the_tested_range(self):
+        # every place a multiplicity enters, with each kind of bad value; the
+        # message names the limit
+        places = {
+            "multiplicities": lambda v: {"group": {"kind": "z2_product", "multiplicities": [0.5, v]}},
+            "k_even": lambda v: {"group": {"kind": "dihedral", "m": 3, "k_even": v}},
+            "k_odd": lambda v: {"group": {"kind": "dihedral", "m": 4, "k_odd": v}},
+            "kappa_list": lambda v: {"sweeps": {"kappa_list": [0.0, v]}},
+        }
+        for name, doc in places.items():
+            for v in ("x", "0.5", [1.0], float("inf"), float("nan"), -0.5, KAPPA_MAX + 0.01, 1e300):
+                with self.subTest(place=name, value=v):
+                    path = _write(self.tmp, "run.yaml", doc(v))
+                    with self.assertRaisesRegex(ConfigError, f"KAPPA_MAX = {KAPPA_MAX}"):
+                        load_config(path)
+            path = _write(self.tmp, "run.yaml", doc(KAPPA_MAX))
+            load_config(path)
+
+    def test_t_list_must_be_positive_finite_times(self):
+        for t_list in ([-0.1], [float("nan")], 0.1, [0.5, 0.0], [float("inf")], [True, "x"]):
+            with self.subTest(t_list=t_list):
+                path = _write(self.tmp, "run.yaml", {"sweeps": {"t_list": t_list}})
+                with self.assertRaises(ConfigError):
+                    load_config(path)
+        path = _write(self.tmp, "run.yaml", {"sweeps": {"kappa_list": 0.5}})
+        with self.assertRaises(ConfigError):
+            load_config(path)
+
+    def test_grid_half_width_must_be_finite(self):
+        for R in (float("inf"), float("nan"), 0.0):
+            path = _write(self.tmp, "run.yaml", {"grid": {"R": R, "N": 32}})
+            with self.assertRaises(ConfigError, msg=R):
+                load_config(path)
 
     def test_unknown_suite(self):
         path = _write(self.tmp, "run.yaml", {"suites": ["nope"]})

@@ -24,6 +24,17 @@ class TestExports(unittest.TestCase):
         self.assertEqual(out.returncode, 0, out.stderr)
         self.assertEqual(out.stdout.strip(), "False")
 
+    def test_run_imports_no_scipy(self):
+        # the package needs only numpy, PyYAML and click; scipy, when
+        # installed, is a test oracle, and its import was half the start-up
+        src = os.path.dirname(os.path.dirname(dunklkit.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = ("import dunklkit.cli, dunklkit.suites, sys; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        self.assertEqual(out.returncode, 0, out.stderr)
+        self.assertEqual(out.stdout.strip(), "[]")
+
     def test_every_export_resolves(self):
         for name, module in dunklkit._EXPORTS.items():
             mod = importlib.import_module(module, dunklkit.__name__)

@@ -58,7 +58,7 @@ class TestPointwiseKernel(unittest.TestCase):
         np.testing.assert_array_equal(got, ref)
 
     def test_nan_or_underflow_raises(self):
-        # x y / 2t = 1e10 (beyond scipy's ive) underflows; NaN must not pass
+        # x y / 2t = 1e10 underflows; NaN must not pass
         rs = RootSystem.z2_product([0.5])
         for t, x in ((1e-9, 0.7), (1.0, np.nan)):
             with self.assertRaises(InputError):

@@ -5,12 +5,15 @@ import unittest
 import mpmath
 import numpy as np
 
-from dunklkit.errors import CapabilityError, InputError
+from dunklkit.errors import CapabilityError, InputError, RangeError
 from dunklkit.intertwine import (
+    KAPPA_MAX,
+    _jacobi_rule,
     dunkl_kernel,
     e_minus_i,
     kernel_bessel_1d,
     kernel_series_1d,
+    njbessel,
     nu_moments_oracle,
     nu_quadrature,
     phi,
@@ -18,6 +21,7 @@ from dunklkit.intertwine import (
     rank_one_measure,
     scaled_e_even,
     scaled_e_real,
+    scaled_nibessel,
 )
 from dunklkit.reflection import RootSystem, generate_group
 
@@ -33,6 +37,43 @@ def _mp_scaled(v, kap, dps, even_only=False):
             return float(even * mpmath.exp(-a))
         odd = mpmath.gamma(nu + 2) * (2 / a) ** (nu + 1) * mpmath.besseli(nu + 1, a)
         return float((even + mpmath.mpf(v) / (2 * nu + 2) * odd) * mpmath.exp(-a))
+
+
+class TestBesselOracles(unittest.TestCase):
+    """The normalized Bessel functions against mpmath at 40 digits, on both
+    sides of every range edge and at random points."""
+
+    def test_njbessel(self):
+        rng = np.random.default_rng(21)
+        for nu in (-0.2, 0.0, 0.5, 1.0, 1.5, 2.0, KAPPA_MAX + 0.5):
+            edge = max(25.0, nu * nu)
+            z = np.concatenate([[0.0, 1e-9, 1.0, np.nextafter(2.0, 0.0), 2.0, 3.0,
+                                 np.nextafter(edge, 0.0), edge, 250.0],
+                                rng.uniform(0.0, 250.0, 40), rng.uniform(0.0, 30.0, 20)])
+            with mpmath.workdps(40):
+                ref = [mpmath.gamma(nu + 1) * (2 / mpmath.mpf(v)) ** nu * mpmath.besselj(nu, v)
+                       if v else 1.0 for v in z]
+            got = njbessel(nu, z)
+            np.testing.assert_allclose(got, np.array(ref, float), rtol=0, atol=5e-15, err_msg=nu)
+            self.assertTrue(np.array_equal(njbessel(nu, -z), got))
+
+    def test_scaled_nibessel(self):
+        rng = np.random.default_rng(22)
+        for nu in (-0.5, -0.2, 0.0, 0.5, 1.0, 1.5, 2.0, KAPPA_MAX - 0.5, KAPPA_MAX + 0.5):
+            edge = max(30.0, 2.0 * nu * nu)
+            a = np.concatenate([[0.0, 1e-9, 1.0, np.nextafter(edge, 0.0), edge, 1.2e8, 1e12],
+                                10.0 ** rng.uniform(-3.0, 12.0, 30), rng.uniform(0.0, 1.2 * edge, 30)])
+            with mpmath.workdps(40):
+                ref = [mpmath.gamma(nu + 1) * (2 / mpmath.mpf(v)) ** nu * mpmath.besseli(nu, v)
+                       * mpmath.exp(-mpmath.mpf(v)) if v else 1.0 for v in a]
+            np.testing.assert_allclose(scaled_nibessel(nu, a), np.array(ref, float), rtol=1e-14,
+                                       err_msg=nu)
+
+    def test_orders_outside_the_tested_range(self):
+        for nu in (-1.0, KAPPA_MAX + 0.51):
+            for fn in (njbessel, scaled_nibessel):
+                with self.assertRaises(RangeError):
+                    fn(nu, np.array([1.0]))
 
 
 class TestRankOneMeasure(unittest.TestCase):
@@ -53,6 +94,17 @@ class TestRankOneMeasure(unittest.TestCase):
             oracle = nu_moments_oracle(kap, 8)
             got = np.array([wts @ nodes**n for n in range(9)])
             np.testing.assert_allclose(got, oracle, atol=1e-12)
+
+    def test_jacobi_rule_matches_oracle(self):
+        # Golub-Welsch against the exact moments n! b_n through degree 40,
+        # kappa = 1/2 included (alpha + beta = 0 there); 1.3e-14 off at
+        # kappa = 0.05, where the previous Gauss-Jacobi rule was 4.6e-12 off
+        for kap in (0.05, 0.3, 0.5, 1.0, 1.5, 4.0, KAPPA_MAX):
+            t, w = _jacobi_rule(64, kap)
+            got = np.array([w @ t**n for n in range(41)])
+            np.testing.assert_allclose(got, nu_moments_oracle(kap, 40), rtol=0, atol=2e-14,
+                                       err_msg=kap)
+            self.assertTrue(np.all(np.diff(t) > 0) and np.all(w > 0))
 
     def test_needs_two_nodes(self):
         with self.assertRaises(InputError):
@@ -92,19 +144,19 @@ class TestKernelOneDim(unittest.TestCase):
             self.assertTrue(np.all(v <= 1.0 + 1e-12))
 
     def test_scaled_form_matches_mpmath(self):
-        # Bessel form of E(s) e^{-|s|} to 40 digits, across the Taylor switch
-        # at 1e-6; for s < 0 its two terms cancel to e^{-2|s|}, which costs
+        # Bessel form of E(s) e^{-|s|} to 40 digits, near 0 and across the
+        # series-Hankel switch; for s < 0 its two terms cancel to e^{-2|s|}, which costs
         # about 0.87 |s| digits, so the working precision grows with |s|
         mags = (1e-9, 9.99e-7, 1e-6, 1.001e-6, 0.37, 3.0, 40.0, 700.0)
         s = np.array([0.0] + [m for a in mags for m in (a, -a)])
-        # kappa 0.5, 1 and 1.5 cover the fast orders 0, 1/2 and 1 of _ive
+        # kappa 0.5, 1 and 1.5: the orders 0 to 2 of the Bessel terms
         for kap in (0.0, 0.5, 1.0, 1.5):
             ref = [1.0] + [_mp_scaled(v, kap, 40 + int(abs(v))) for v in s[1:]]
             # the only zero reference is e^{-1400} at kappa = 0, s = -700
             np.testing.assert_allclose(scaled_e_real(s, kap), ref, rtol=1e-12, atol=1e-300)
 
     def test_even_term_matches_mpmath(self):
-        # across the Taylor switch at 1e-6, and even in its argument
+        # near 0, across the series-Hankel switch, and even in its argument
         mags = (1e-8, 1e-7, 9.99e-7, 1e-6, 1.001e-6, 1e-3, 0.37, 3.0, 40.0, 1e3)
         a = np.array([m for v in mags for m in (v, -v)])
         for kap in (0.0, 0.3, 0.5, 1.0, 1.5):
@@ -112,8 +164,8 @@ class TestKernelOneDim(unittest.TestCase):
             np.testing.assert_allclose(scaled_e_even(a, kap), ref, rtol=1e-12)
 
     def test_scaled_form_at_large_arguments(self):
-        # scipy's ive is NaN from 2^31 on; s < 0 cancels to O(1/s), out of
-        # reach of double precision here, so it is only required finite
+        # the Hankel range; s < 0 cancels to O(1/s), out of reach of double
+        # precision here, so it is only required finite
         s = np.array([1e9, 3e9, 1e12])
         for kap in (0.5, 1.0, 1.5):
             ref = [_mp_scaled(v, kap, 40) for v in s]

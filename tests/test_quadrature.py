@@ -4,7 +4,7 @@ import math
 import unittest
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dunklkit.kato import _time_rule, heat_modulus, kato_modulus, semigroup_abs_potential
 from dunklkit.quadrature import GAUSS, KRONROD, NODES, quad
@@ -85,6 +85,10 @@ class TestRule(unittest.TestCase):
         a=st.floats(1e-3, 10.0),
         b=st.floats(1e-3, 10.0),
     )
+    # the geometric tail on panels 6e-11 wide at p = 0.25, whose node
+    # distances to p are rounded by 1e-17, was off by 4.3e-11 here, against
+    # an error estimate of 1.5e-12
+    @example(beta=0.46875, p=0.25, a=1.0, b=0.001)
     def test_break_off_zero_never_converges_wrong(self, beta, p, a, b):
         # |y - p|^-beta on [p - a, p + b]: away from p = 0 quad often ends
         # unconverged at tol 1e-12 (a known defect, ROADMAP item 8),
@@ -120,7 +124,7 @@ class TestRule(unittest.TestCase):
 
 class TestKatoCost(unittest.TestCase):
     def test_soft_coulomb_flow_calls(self):
-        # scipy's scalar quad made about 390 calls at one time
+        # a scalar adaptive quadrature (QUADPACK's QAGS) made about 390 calls
         rs = RootSystem.z2_product([0.5])
         for s, w in ((1.0, 1.0), _time_rule(1.0)):
             V, calls = _counted(potential_function("soft_coulomb", a=1.0))
@@ -139,7 +143,7 @@ class TestKatoCost(unittest.TestCase):
     def test_inverse_power_near_one(self):
         # y^-beta for beta near 1: grading alone cuts the error by 8^(beta-1)
         # a round and hit the panel limit from beta 0.9 on; the values on the
-        # right are scipy's QAGS (Wynn extrapolation) at the same tolerances
+        # right are QUADPACK's QAGS (Wynn extrapolation) at the same tolerances
         rs = RootSystem.z2_product([0.0])
         for beta, heat in ((0.9, 10.503798763714146), (0.95, 21.74246072641635),
                            (0.99, 111.93225755670639)):
