@@ -13,27 +13,28 @@ import unittest
 import dunklkit
 
 
+def _run(code: str) -> str:
+    """stdout of code run in a fresh interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(dunklkit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip()
+
+
 class TestExports(unittest.TestCase):
     def test_cli_does_not_import_scipy_integrate(self):
         # scipy.integrate pulls in scipy.optimize and scipy.sparse.linalg,
         # about a quarter of the command line's start-up
-        src = os.path.dirname(os.path.dirname(dunklkit.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         code = "import dunklkit.cli, sys; print('scipy.integrate' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-        self.assertEqual(out.returncode, 0, out.stderr)
-        self.assertEqual(out.stdout.strip(), "False")
+        self.assertEqual(_run(code), "False")
 
     def test_run_imports_no_scipy(self):
         # the package needs only numpy, PyYAML and click; scipy, when
         # installed, is a test oracle, and its import was half the start-up
-        src = os.path.dirname(os.path.dirname(dunklkit.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         code = ("import dunklkit.cli, dunklkit.suites, sys; "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-        self.assertEqual(out.returncode, 0, out.stderr)
-        self.assertEqual(out.stdout.strip(), "[]")
+        self.assertEqual(_run(code), "[]")
 
     def test_every_export_resolves(self):
         for name, module in dunklkit._EXPORTS.items():
