@@ -10,6 +10,14 @@ fixed time rule inside one adaptive spatial quadrature at QUAD_TOL, over y in
 odd part integrates to zero.  Every quadrature is quadrature.quad, which calls
 V_fn on arrays and breaks at V's `breaks` (per preset; 0 for a plain callable).
 
+Each Kato question is one batched quad call over all of its integrals:
+kato_modulus over every window size and probe, classify over its T_WINDOW
+windows and then over both heat moduli, kato_equivalence_check over the windows
+and orbit intervals of every t, growth_bound_check over every radius and probe,
+and the heat leg over every probe (and time rule) it asks for.  quad's batch
+independence makes each value bit for bit the one a call of its own gives;
+_flow_density keeps that by summing each (y, time) row on its own.
+
 Verdicts are threshold-based trend classifications with an explicit
 Inconclusive band; membership in the class is a limit statement and is not
 decidable numerically.
@@ -32,6 +40,10 @@ from .schrodinger import Potential, splitting_kernel, splitting_steps
 QUAD_TOL = 1e-12
 # Gauss-Laguerre rule in time for the resolvent integrals
 LAGUERRE = laggauss(48)
+# 8-point Gauss-Legendre rule on [-1, 1] of every _time_rule panel
+LEGENDRE = leggauss(8)
+# table entries (nodes x time nodes) of the heat density evaluated at once
+CHUNK = 2**16
 
 CLASSICAL = "classical"
 ORBIT = "orbit"
@@ -60,12 +72,17 @@ class SmoothingReport:
     l2_direct: float
 
 
-def _lebesgue_quad(fn, lo: float, hi: float, singular=()) -> tuple:
-    """(value, error, divergent) of quad over [lo, hi] with breaks at the
-    singular points: divergent when quad stops unconverged, at a
-    non-integrable break or at QUAD_LIMIT panels, or the value is not finite."""
-    val, err, ok = quad(fn, lo, hi, singular)
-    return val, err, not (ok and np.isfinite(val))
+def _masses(V_fn, groups) -> tuple:
+    """(mass, error, divergent) arrays of |V| over each group of intervals,
+    by one quad over all the intervals with breaks at V's breaks: divergent
+    when a quadrature stops unconverged, at a non-integrable break or at
+    QUAD_LIMIT panels, or its value is not finite."""
+    owner = np.array([g for g, ivs in enumerate(groups) for _ in ivs], dtype=int)
+    lo, hi = np.array([iv for ivs in groups for iv in ivs], dtype=float).reshape(-1, 2).T
+    val, err, ok = quad(lambda y, _: np.abs(V_fn(y)), lo, hi, _breaks(V_fn))
+    n = len(groups)
+    bad = np.bincount(owner, ~(ok & np.isfinite(val)), n) > 0
+    return np.bincount(owner, val, n), np.bincount(owner, err, n), bad
 
 
 def _breaks(V_fn) -> tuple:
@@ -81,39 +98,35 @@ def _orbit_intervals(xp: float, t: float) -> list:
     return [(-b, -a), (a, b)]
 
 
-def kato_modulus(
-    V_fn,
-    t: float,
-    form: str = CLASSICAL,
-    probes=(0.0,),
-    sign_group: bool = True,
-) -> ModulusValue:
+def _sup(mass, err, bad, probes) -> ModulusValue:
+    """The modulus over probes from their masses: inf if one diverges."""
+    i, div = int(np.argmax(mass)), bool(bad.any())
+    return ModulusValue(np.inf if div else float(mass[i]), float(err[i]), div, float(probes[i]))
+
+
+def kato_modulus(V_fn, t, form: str = CLASSICAL, probes=(0.0,), sign_group: bool = True):
     """sup over probes of the mass of |V| near the probe, in rank one, where
-    the Green weight is 1.
+    the Green weight is 1; for a sequence of window sizes t, one ModulusValue
+    each, all by one quadrature.
 
     Distances are classical |x - y| or orbit | |x| - |y| | (sign group);
     with sign_group False the orbit form degenerates to the classical one.
     The integral uses Lebesgue measure throughout.
     """
-    if t <= 0:
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    if not np.all(ts > 0):
         raise InputError("window size t must be positive")
     if form not in (CLASSICAL, ORBIT):
         raise InputError(f"unknown modulus form {form!r}")
-    singular = _breaks(V_fn)
-    best, best_err, best_probe, div = -np.inf, 0.0, 0.0, False
-    for x in np.atleast_1d(np.asarray(probes, dtype=float)):
-        if form == ORBIT and sign_group:
-            intervals = _orbit_intervals(abs(x), t)
-        else:
-            intervals = [(x - t, x + t)]
-        tot, toterr, bad = 0.0, 0.0, False
-        for lo, hi in intervals:
-            v, e, b = _lebesgue_quad(lambda y: np.abs(V_fn(y)), lo, hi, singular)
-            tot, toterr, bad = tot + v, toterr + e, bad or b
-        div = div or bad
-        if tot > best:
-            best, best_err, best_probe = tot, toterr, float(x)
-    return ModulusValue(np.inf if div else best, best_err, div, best_probe)
+    xs = np.atleast_1d(np.asarray(probes, dtype=float))
+    orbit = form == ORBIT and sign_group
+    groups = [
+        _orbit_intervals(abs(x), w) if orbit else [(x - w, x + w)] for w in ts for x in xs
+    ]
+    mass, err, bad = _masses(V_fn, groups)
+    p = len(xs)
+    out = [_sup(mass[i : i + p], err[i : i + p], bad[i : i + p], xs) for i in range(0, len(groups), p)]
+    return out[0] if np.ndim(t) == 0 else out
 
 
 def kato_equivalence_check(V_fn, t_list, probes=(0.0, 0.5, 1.0, 2.0)) -> dict:
@@ -121,7 +134,8 @@ def kato_equivalence_check(V_fn, t_list, probes=(0.0, 0.5, 1.0, 2.0)) -> dict:
 
     Dimension-one form; the upper leg sums the classical integral over the
     sign orbit of each probe's chamber representative.  A divergent
-    quadrature makes its leg inf and the row's `divergent` True.
+    quadrature makes its leg inf and the row's `divergent` True.  One
+    quadrature takes every window and orbit interval of every t.
     """
     rows = []
     # one classical window per centre, the probes and the upper leg's +-|p|;
@@ -129,20 +143,24 @@ def kato_equivalence_check(V_fn, t_list, probes=(0.0, 0.5, 1.0, 2.0)) -> dict:
     pts = np.atleast_1d(np.asarray(probes, float)) + 0.0
     legs = np.abs(pts), -np.abs(pts) + 0.0
     centres = sorted({float(c) for c in np.concatenate([pts, *legs])})
+    m, p = len(centres), len(pts)
+    groups = []
     for t in t_list:
-        win = {c: kato_modulus(V_fn, t, CLASSICAL, (c,)) for c in centres}
-        mc = max(win[p].value for p in pts)
-        mo = kato_modulus(V_fn, t, ORBIT, probes)
-        upper, div = -np.inf, mo.divergent or any(m.divergent for m in win.values())
-        for a, b in zip(*legs):
-            upper = max(upper, win[a].value + win[b].value)
+        groups += [[(c - t, c + t)] for c in centres] + [_orbit_intervals(abs(x), t) for x in pts]
+    mass, err, bad = _masses(V_fn, groups)
+    for i, t in enumerate(t_list):
+        j = i * (m + p)
+        win = dict(zip(centres, np.where(bad[j : j + m], np.inf, mass[j : j + m]).tolist()))
+        mc = max(win[x] for x in pts)
+        mo = _sup(mass[j + m : j + m + p], err[j + m : j + m + p], bad[j + m : j + m + p], pts)
+        upper = max(win[a] + win[b] for a, b in zip(*legs))
         rows.append(
             {
                 "t": float(t),
                 "classical": mc,
                 "orbit": mo.value,
                 "upper": float(upper),
-                "divergent": div,
+                "divergent": mo.divergent or bool(bad[j : j + m].any()),
                 "lower_slack": mo.value - mc,
                 "upper_slack": float(upper) - mo.value,
             }
@@ -159,13 +177,16 @@ def _time_rule(t: float) -> tuple:
     log-spaced edges t * 10^-4 ... t and a first panel down to 0."""
     edges = np.concatenate([[0.0], t * np.geomspace(1e-4, 1.0, 10)])
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
-    gl_x, gl_w = leggauss(8)
+    gl_x, gl_w = LEGENDRE
     return (mid[:, None] + half[:, None] * gl_x).ravel(), (half[:, None] * gl_w).ravel()
 
 
-def _flow_density(rs: RootSystem, V_fn, x: float, s, w):
-    """y -> 2 sum_i w_i K^even_{s_i}(x, y) |V(y)| (sqrt(2) y)^(2 kappa), y >= 0,
-    on a flat array of y through one (y, s) table of the even kernel term.
+def _flow_density(rs: RootSystem, V_fn, x, s, w):
+    """(y, owner) -> 2 sum_i w_i K^even_{s_i}(x, y) |V(y)| (sqrt(2) y)^(2 kappa),
+    y >= 0, with x, s and w the probe and time rule of row `owner` of x (n,)
+    and s, w (n, m); a (y, s) table of the even kernel term at most CHUNK
+    entries at a time, each row summed on its own, so a value depends only
+    on its y and its row.
 
     The integrand of every time-integrated heat flow of a radial |V| at x:
     its integral over [0, inf) is sum_i w_i (e^{-s_i A}|V|)(x), as the part
@@ -174,52 +195,81 @@ def _flow_density(rs: RootSystem, V_fn, x: float, s, w):
     kap = float(rs.multiplicities[0])
     # root length sqrt(2): the density is (sqrt(2)|y|)^(2 kappa)
     ws = 2.0 * w * kernel_prefactor(rs, s)
+    step = max(1, CHUNK // s.shape[1])
 
-    def density(y):
-        flow = even_axis_factor(x, y[:, None], s, kap) @ ws
+    def density(y, owner):
+        flow = np.empty_like(y)
+        for i in range(0, len(y), step):
+            o = owner[i : i + step]
+            table = even_axis_factor(x[o, None], y[i : i + step, None], s[o], kap)
+            flow[i : i + step] = np.sum(table * ws[o], axis=1)
         return flow * (2.0 * y * y) ** kap * np.abs(V_fn(y))
 
     return density
 
 
-def semigroup_abs_potential(rs: RootSystem, V_fn, s, x: float, w=1.0) -> float:
-    """sum_i w_i (e^{-s_i A}|V|)(x): one quadrature of _flow_density on [0, L].
+def _heat_flows(rs: RootSystem, V_fn, s, x, w) -> tuple:
+    """(values, errors) of sum_i w_i (e^{-s_i A}|V|)(x) for each x of the
+    flat x, with s and w one time rule for all (1-D) or one row per x (2-D),
+    by one quadrature of _flow_density over all of them."""
+    if rs.dimension != 1:
+        raise CapabilityError("heat characterization implemented in rank one")
+    x = np.abs(np.atleast_1d(np.asarray(x, dtype=float)))
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    if s.ndim == 1:
+        s = np.broadcast_to(s, (len(x), len(s)))
+    w = np.broadcast_to(np.asarray(w, dtype=float), s.shape)
+    if not np.all(s > 0):
+        raise InputError("times must be positive")
+    L = x + 20.0 * np.sqrt(s.max(axis=1)) + 2.0
+    pts = []
+    for xj, Lj, r in zip(x, L, 10.0 * np.sqrt(s.min(axis=1))):
+        near = [xj, *_breaks(V_fn)]
+        while r < 2.0 * Lj:
+            near += [xj - r, xj + r]
+            r *= 4.0
+        pts.append({abs(p) for p in near if abs(p) < Lj})
+    val, err, converged = quad(_flow_density(rs, V_fn, x, s, w), np.zeros_like(L), L, pts, QUAD_TOL)
+    if not converged.all():
+        j = int(np.argmin(converged))
+        raise NumericalError("kato", f"heat flow at x = {x[j]} unconverged, error {err[j]:.3e}")
+    return val, err
+
+
+def semigroup_abs_potential(rs: RootSystem, V_fn, s, x, w=1.0):
+    """sum_i w_i (e^{-s_i A}|V|)(x): one quadrature of _flow_density on [0, L]
+    for every probe x (a float for a scalar x, else an array), with s and w
+    one time rule for all or one row per probe.
 
     V is radial and called on arrays of y >= 0.  Breaks: |x|, V's breaks and
     fences around |x| from 10 sqrt(min s) outward by factors of 4 (so that the
     narrowest kernel is not stepped over), folded onto y >= 0.  NumericalError
     if quad stops unconverged: at a non-integrable break or QUAD_LIMIT panels.
     """
-    if rs.dimension != 1:
-        raise CapabilityError("heat characterization implemented in rank one")
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    if not np.all(s > 0):
-        raise InputError("times must be positive")
-    x = abs(x)
-    L = x + 20.0 * math.sqrt(s.max()) + 2.0
-    pts = [x, *_breaks(V_fn)]
-    r = 10.0 * math.sqrt(s.min())
-    while r < 2.0 * L:
-        pts += [x - r, x + r]
-        r *= 4.0
-    pts = {abs(p) for p in pts if abs(p) < L}
-    density = _flow_density(rs, V_fn, x, s, w)
-    val, err, converged = quad(density, 0.0, L, pts, QUAD_TOL)
-    if not converged:
-        raise NumericalError("kato", f"heat flow at x = {x} unconverged, error {err:.3e}")
-    return val
+    val = _heat_flows(rs, V_fn, s, x, w)[0]
+    return float(val[0]) if np.ndim(x) == 0 else val
 
 
-def heat_modulus(rs: RootSystem, V_fn, t: float, probes=(0.0,)) -> float:
-    """sup_x of int_0^t (e^{-sA}|V|)(x) ds under _time_rule(t), whose
-    Gauss-Legendre panels integrate a constant potential to exactly t."""
-    if t <= 0:
+def _heat_moduli(rs: RootSystem, V_fn, ts, probes) -> tuple:
+    """heat_modulus at each time of ts and the error estimate of each sup,
+    by one quadrature over every time and probe."""
+    if not all(t > 0 for t in ts):
         raise InputError("time must be positive")
-    s, w = _time_rule(t)
-    return max(
-        semigroup_abs_potential(rs, V_fn, s, float(x), w)
-        for x in np.atleast_1d(np.asarray(probes, dtype=float))
-    )
+    xs = np.atleast_1d(np.asarray(probes, dtype=float))
+    rules = [_time_rule(t) for t in ts]
+    s, w = (np.repeat([r[i] for r in rules], len(xs), axis=0) for i in (0, 1))
+    val, err = (v.reshape(len(ts), len(xs)) for v in _heat_flows(rs, V_fn, s, np.tile(xs, len(ts)), w))
+    i = np.argmax(val, axis=1)
+    rows = np.arange(len(ts))
+    return val[rows, i], err[rows, i]
+
+
+def heat_modulus(rs: RootSystem, V_fn, t, probes=(0.0,)):
+    """sup_x of int_0^t (e^{-sA}|V|)(x) ds under _time_rule(t), whose
+    Gauss-Legendre panels integrate a constant potential to exactly t; for a
+    sequence of times t, a list of one value each, all by one quadrature."""
+    val = _heat_moduli(rs, V_fn, np.atleast_1d(np.asarray(t, dtype=float)), probes)[0]
+    return float(val[0]) if np.ndim(t) == 0 else val.tolist()
 
 
 def heat_modulus_split(rs: RootSystem, V_fn, t: float, probes=(0.0,)) -> dict:
@@ -233,14 +283,16 @@ def heat_modulus_split(rs: RootSystem, V_fn, t: float, probes=(0.0,)) -> dict:
     if rs.dimension != 1:
         raise CapabilityError("split diagnostic implemented in rank one")
     beta = (2.0 * t) ** 0.5
-    sv, sw = LAGUERRE
-    out = []
-    for x in np.atleast_1d(np.asarray(probes, dtype=float)):
-        density = _flow_density(rs, V_fn, abs(x), sv, sw)
-        lo, hi = max(abs(x) - beta, 0.0), abs(x) + beta
-        near = _lebesgue_quad(density, lo, hi, {abs(p) for p in _breaks(V_fn)})[0]
-        total = semigroup_abs_potential(rs, V_fn, sv, float(x), sw)
-        out.append({"probe": float(x), "small_ball": near, "tail": total - near})
+    probes = np.atleast_1d(np.asarray(probes, dtype=float))
+    xs = np.abs(probes)
+    rule = (np.broadcast_to(v, (len(xs), len(v))) for v in LAGUERRE)
+    density = _flow_density(rs, V_fn, xs, *rule)
+    near = quad(density, np.maximum(xs - beta, 0.0), xs + beta, {abs(p) for p in _breaks(V_fn)})[0]
+    total = semigroup_abs_potential(rs, V_fn, LAGUERRE[0], xs, LAGUERRE[1])
+    out = [
+        {"probe": float(x), "small_ball": float(b), "tail": float(a - b)}
+        for x, b, a in zip(probes, near, total)
+    ]
     worst = max(out, key=lambda r: r["small_ball"] + r["tail"])
     return {"beta": float(beta), "parts": out, "majorant_at_sup": worst}
 
@@ -248,18 +300,20 @@ def heat_modulus_split(rs: RootSystem, V_fn, t: float, probes=(0.0,)) -> dict:
 def resolvent_decay(rs: RootSystem, V_fn, a_list, probes=(0.0,)) -> dict:
     """sup norm of (A + a)^{-1}|V| along a_list under the Gauss-Laguerre rule
     (nodes s_i/a, weights w_i/a), exactly 1/a for a constant potential; also
-    records the short-time bound (1 - e^{-1})^{-1} heat_modulus(1/a)."""
-    sv, sw = LAGUERRE
-    rows = []
-    for a in a_list:
-        if a <= 0:
-            raise InputError("resolvent shifts must be positive")
-        norm = max(
-            semigroup_abs_potential(rs, V_fn, sv / a, float(x), sw / a)
-            for x in np.atleast_1d(np.asarray(probes, dtype=float))
-        )
-        hm = heat_modulus(rs, V_fn, 1.0 / a, probes)
-        rows.append({"a": float(a), "norm": norm, "bound": hm / (1.0 - math.exp(-1.0))})
+    records the short-time bound (1 - e^{-1})^{-1} heat_modulus(1/a).  One
+    quadrature takes every shift and probe, one more every heat modulus."""
+    a = np.asarray(a_list, dtype=float)
+    if not np.all(a > 0):
+        raise InputError("resolvent shifts must be positive")
+    xs = np.atleast_1d(np.asarray(probes, dtype=float))
+    s, w = (np.repeat(v[None, :] / a[:, None], len(xs), axis=0) for v in LAGUERRE)
+    norms = semigroup_abs_potential(rs, V_fn, s, np.tile(xs, len(a)), w)
+    norms = norms.reshape(len(a), len(xs)).max(axis=1)
+    hm = heat_modulus(rs, V_fn, (1.0 / a).tolist(), probes)
+    rows = [
+        {"a": float(ai), "norm": float(nm), "bound": h / (1.0 - math.exp(-1.0))}
+        for ai, nm, h in zip(a, norms, hm)
+    ]
     return {"rows": rows}
 
 
@@ -271,9 +325,9 @@ def growth_bound_check(V_fn, r_list, probes=(0.0,), sign_group: bool = True) -> 
     """Fit C in sup_x int_{orbit ball r} |V| dy <= C (r + 1); report the
     fit's stability when the radius list is extended by a factor 4."""
     ext_list = [4.0 * r for r in r_list]
-    # one quadrature per radius: the ladders share some (2 and 4 of 0.5 ... 4)
-    mod = {r: kato_modulus(V_fn, r, ORBIT, probes, sign_group).value
-           for r in dict.fromkeys([*r_list, *ext_list])}
+    # one quadrature for every radius: the ladders share some (2 and 4 of 0.5 ... 4)
+    radii = list(dict.fromkeys([*r_list, *ext_list]))
+    mod = {r: m.value for r, m in zip(radii, kato_modulus(V_fn, radii, ORBIT, probes, sign_group))}
 
     def fitted(rs_):
         return max(mod[r] / (r + 1.0) for r in rs_)
@@ -379,22 +433,27 @@ def classify(rs: RootSystem, V_fn, probes=(0.0,)) -> KatoReport:
     Kato requires a >= 4x drop of the heat modulus from t = 1 to t = 0.03,
     a monotone definitional modulus, and a small-window ratio <= 0.40;
     NotKato on quadrature divergence or a plateau ratio >= 0.8; otherwise
-    Inconclusive.  Rank one only.
+    Inconclusive.  Rank one only.  One quadrature takes every window, one
+    more both heat moduli; the diagnostics record the largest error
+    estimate behind a window modulus and a heat modulus.
     """
     if rs.dimension != 1:
         raise CapabilityError("Kato classification implemented in rank one")
-    mc, hm = {}, {}
-    divergent = False
-    for t in T_WINDOW:
-        m = kato_modulus(V_fn, t, CLASSICAL, probes)
-        mc[float(t)] = m.value
-        divergent = divergent or m.divergent
-    diagnostics = {"divergent": divergent, "probe_count": len(np.atleast_1d(probes))}
+    ms = kato_modulus(V_fn, T_WINDOW, CLASSICAL, probes)
+    mc = {float(t): m.value for t, m in zip(T_WINDOW, ms)}
+    divergent = any(m.divergent for m in ms)
+    diagnostics = {
+        "divergent": divergent,
+        "probe_count": len(np.atleast_1d(probes)),
+        "window_error": max(m.error for m in ms),
+    }
+    hm = {}
     if divergent:
         verdict = "NotKato"
     else:
-        for t in (1.0, 0.03):
-            hm[float(t)] = heat_modulus(rs, V_fn, t, probes)
+        val, err = _heat_moduli(rs, V_fn, (1.0, 0.03), probes)
+        hm = {1.0: float(val[0]), 0.03: float(val[1])}
+        diagnostics["heat_error"] = float(err.max())
         ts = sorted(mc)
         vals = [mc[t] for t in ts]
         monotone = all(a <= b * (1.0 + 1e-9) for a, b in zip(vals[:-1], vals[1:]))

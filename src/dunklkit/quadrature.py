@@ -2,6 +2,16 @@
 qk21 rule and error estimate (Piessens et al., QUADPACK, Springer 1983), refined
 in rounds that evaluate all new panels in one call.
 
+One call integrates one integral or a batch of them.  Each round evaluates the
+new panels of every unfinished integral in one call of the integrand, which is
+told each point's integral (its owner).  Each integral keeps its own interval,
+breaks, tolerance and stops, and its (value, error, converged) does not depend
+on what else is in the batch, bit for bit: its panels keep their order among
+themselves, its sums run over them in that order, ties in error sort stably,
+and a panel's rule values are sums over its own row, never a BLAS product whose
+rounding depends on the row's place.  That holds as long as the integrand's
+value at a point does not depend on the other points of its array.
+
 A quadrature ends unconverged at QUAD_LIMIT panels, or as soon as one panel has
 been split DIVERGE_SPLITS times in a row at a break with a piece next to the
 break whose rule value is at least that of the whole panel.  The rule is
@@ -9,10 +19,11 @@ scale-covariant, so for |y - p|^-beta next to the break p that ratio is exactly
 8^(beta - 1) on every split: at least 1 just when the integral diverges.  The
 stop assumes that the integrand keeps one sign next to a break; an integrand
 that changes sign there can cancel a panel's value below its near piece's.
-It also ends unconverged when a panel at a break p != 0 narrower than
-RESOLVE |p| is due for a split: its nodes' distances to p are rounded by about
-eps |p|, which moves the rule values of |y - p|^-beta there by up to about
-eps / RESOLVE = 3.6e-12 relative, and the geometric tail amplifies that."""
+At a break p != 0 the nodes' distances to p are rounded by about eps |p|.  A
+geometric tail there carries that rounding, amplified by 1 / (1 - r), in its
+error, and a quadrature ends unconverged when a panel narrower than RESOLVE |p|
+is due for a split: the rounding moves the rule values of |y - p|^-beta there
+by about eps / RESOLVE = 3.6e-12 relative and more at the nodes nearest p."""
 
 import numpy as np
 
@@ -37,66 +48,128 @@ GRADE = 0.125
 DIVERGE_SPLITS = 3
 QUAD_LIMIT = 200
 RESOLVE = 2.0**-14
+EPS = np.finfo(float).eps
 
 
-def _qk21(f, lo, hi) -> tuple:
-    """Kronrod values and QUADPACK error estimates on the panels [lo, hi],
-    from one call of f on the 21 nodes of every panel."""
+def _rows(fv, w):
+    """fv @ w one row at a time: a row's sum does not depend on the rows
+    around it, as BLAS matrix-vector products can."""
+    return np.sum(fv * w, axis=1)
+
+
+def _qk21(f, lo, hi, owner) -> tuple:
+    """Kronrod values, QUADPACK error estimates and the values f took on the
+    panels [lo, hi], from one call of f on the 21 nodes of every panel, with
+    their owners."""
     c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    fv = np.reshape(f((c[:, None] + h[:, None] * NODES).ravel()), (len(c), 21))
-    k = fv @ KRONROD
-    err = np.abs(k - fv @ GAUSS) * h
-    asc = np.abs(fv - 0.5 * k[:, None]) @ KRONROD * h
+    y = (c[:, None] + h[:, None] * NODES).ravel()
+    fv = np.reshape(f(y, np.repeat(owner, 21)), (len(c), 21))
+    k = _rows(fv, KRONROD)
+    err = np.abs(k - _rows(fv, GAUSS)) * h
+    asc = _rows(np.abs(fv - 0.5 * k[:, None]), KRONROD) * h
     ratio = np.divide(200.0 * err, asc, out=np.zeros_like(err), where=asc > 0)
     err = np.where(asc > 0, asc * np.minimum(1.0, ratio**1.5), err)
-    return k * h, np.maximum(err, 50.0 * np.finfo(float).eps * (np.abs(fv) @ KRONROD) * h)
+    return k * h, np.maximum(err, 50.0 * EPS * _rows(np.abs(fv), KRONROD) * h), fv
+
+
+def _panels(a, b, breaks) -> tuple:
+    """Owner, ends and break flags of the first panels: [a_j, b_j] cut at
+    the breaks inside it, an end flagged where it is one of the breaks."""
+    shared = not any(np.iterable(p) for p in breaks)
+    out = []
+    for j, (aj, bj) in enumerate(zip(a, b)):
+        marks = {float(p) for p in (breaks if shared else breaks[j])}
+        edges = sorted({aj, bj, *(p for p in marks if aj < p < bj)})
+        out += [(j, lo, hi, lo in marks, hi in marks) for lo, hi in zip(edges[:-1], edges[1:])]
+    own, lo, hi, blo, bhi = (np.array(c) for c in zip(*out)) if out else [np.zeros(0)] * 5
+    return own.astype(int), lo, hi, blo.astype(bool), bhi.astype(bool)
 
 
 def quad(f, a, b, breaks=(), tol=1.49e-8) -> tuple:
     """(value, error, converged) for the integral over [a, b] of f, which maps
-    a flat array of points to their values, to tol max(1, |value|).  Each round
-    splits the panels of largest error until the rest fit in half the tolerance:
-    one with an endpoint at a break (a and b too) 1/8 from it, others in halves.
-    The piece at the break takes the geometric tail S r / (1 - r) of its
-    neighbour S, r its rule value over the panel's, exact for powers of the
-    distance to the break, if the change from the panel's own tail is below the
-    rule's error.  It stops with converged False at QUAD_LIMIT panels, or when
-    the piece at a break has had r >= 1 on DIVERGE_SPLITS splits in a row, as
-    |y|^-beta has for beta >= 1: f, of one sign next to the break, is then
-    taken as not integrable there; or at a break p != 0 below RESOLVE |p|."""
-    marks = np.array([float(p) for p in breaks])
-    edges = np.array(sorted({float(a), float(b), *(p for p in marks if a < p < b)}))
-    lo, hi = edges[:-1], edges[1:]
-    raw, err = _qk21(f, lo, hi)
+    a flat array of points to their values, to tol max(1, |value|).
+
+    Batch form: a and b arrays of k limits, breaks one list for all or one
+    list per integral, and f(y, owner) given each point's integral index;
+    it returns the three as arrays, with the same round rules per integral.
+
+    Each round splits the panels of largest error until the rest fit in half
+    the tolerance: one with an end at a break (a and b too) 1/8 from it,
+    others in halves.  The piece at the break takes the geometric tail
+    S r / (1 - r) of its neighbour S, r its rule value over the panel's, exact
+    for powers of the distance to the break, if the change from the panel's
+    own tail, plus the tail's rounding at a break p != 0, is below the rule's
+    error.  It stops with converged False at
+    QUAD_LIMIT panels, or when the piece at a break has had r >= 1 on
+    DIVERGE_SPLITS splits in a row, as |y|^-beta has for beta >= 1: f, of one
+    sign next to the break, is then taken as not integrable there; or at a
+    break p != 0 below RESOLVE |p|."""
+    batch = np.ndim(a) > 0 or np.ndim(b) > 0
+    a, b = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float)) for v in (a, b)))
+    n = len(a)
+    g = f if batch else (lambda y, owner: f(y))
+    own, lo, hi, blo, bhi = _panels(a.tolist(), b.tolist(), list(breaks))
+    raw, err, _ = _qk21(g, lo, hi, own)
     ext = val = raw
     grow = np.zeros(len(lo), dtype=int)
+    state = own, lo, hi, blo, bhi, raw, ext, val, err, grow
+    out = np.zeros((3, n))
+    live = np.ones(n, dtype=bool)
     while True:
-        total, toterr = float(val.sum()), float(err.sum())
-        goal = tol * max(1.0, abs(total))
-        if toterr <= goal or len(lo) >= QUAD_LIMIT or grow.max() >= DIVERGE_SPLITS:
-            return total, toterr, toterr <= goal
-        order = np.argsort(-err)
-        rest = toterr - np.cumsum(err[order])
-        k = min(int(np.count_nonzero(rest > 0.5 * goal)) + 1, QUAD_LIMIT - len(lo))
-        pick, keep = order[:k], order[k:]
-        pl, ph = lo[pick], hi[pick]
-        at_lo, at_hi = np.isin(pl, marks), np.isin(ph, marks)
-        if np.any((at_lo != at_hi) & (ph - pl < RESOLVE * np.abs(np.where(at_lo, pl, ph)))):
-            return total, toterr, False
-        frac = np.where(at_lo & ~at_hi, GRADE, np.where(at_hi & ~at_lo, 1.0 - GRADE, 0.5))
-        nlo = np.concatenate([pl, pl + frac * (ph - pl)])
-        nhi = np.concatenate([nlo[k:], ph])
-        q, e = _qk21(f, nlo, nhi)
-        near, far = np.arange(k) + k * at_hi, np.arange(k) + k * ~at_hi
-        graded = (at_lo != at_hi) & (raw[pick] != 0)
-        r = np.divide(q[near], raw[pick], out=np.zeros(k), where=graded)
-        g = np.zeros(2 * k, dtype=int)
-        g[near] = np.where(r >= 1.0, grow[pick] + 1, 0)
+        # per integral sums in panel order: an integral's panels keep their
+        # order among themselves whatever else is in the batch
+        total, toterr = np.bincount(own, val, n), np.bincount(own, err, n)
+        goal = tol * np.maximum(1.0, np.abs(total))
+        count = np.bincount(own, minlength=n)
+        ok = toterr <= goal
+        stop = ok | (count >= QUAD_LIMIT)
+        stop[own[grow >= DIVERGE_SPLITS]] = True
+        order = np.lexsort((-err, own))
+        so = own[order]
+        pos = np.arange(len(so)) - np.searchsorted(so, so)
+        # each integral's running error sum, largest first, one row each
+        run = np.zeros((n, pos.max() + 1 if len(pos) else 0))
+        run[so, pos] = err[order]
+        rest = toterr[so] - np.cumsum(run, axis=1)[so, pos]
+        k = np.minimum(np.bincount(so[rest > 0.5 * goal[so]], minlength=n) + 1, QUAD_LIMIT - count)
+        pick = order[pos < k[so]]
+        pl, ph, bl, bh = lo[pick], hi[pick], blo[pick], bhi[pick]
+        unresolved = (bl != bh) & (ph - pl < RESOLVE * np.abs(np.where(bl, pl, ph)))
+        stop[own[pick[unresolved]]] = True
+        done = live & stop
+        out[:, done] = total[done], toterr[done], ok[done]
+        live &= ~stop
+        if not live.any():
+            break
+        keep, mine = order[live[so] & (pos >= k[so])], live[own[pick]]
+        pick, pl, ph, bl, bh = pick[mine], pl[mine], ph[mine], bl[mine], bh[mine]
+        m = len(pick)
+        frac = np.where(bl & ~bh, GRADE, np.where(bh & ~bl, 1.0 - GRADE, 0.5))
+        mid = pl + frac * (ph - pl)
+        nown, nlo, nhi = np.tile(own[pick], 2), np.concatenate([pl, mid]), np.concatenate([mid, ph])
+        q, e, fv = _qk21(g, nlo, nhi, nown)
+        near, far = np.arange(m) + m * bh, np.arange(m) + m * ~bh
+        graded = (bl != bh) & (raw[pick] != 0)
+        r = np.divide(q[near], raw[pick], out=np.zeros(m), where=graded)
+        gr = np.zeros(2 * m, dtype=int)
+        gr[near] = np.where(r >= 1.0, grow[pick] + 1, 0)
         r = np.where((r > 0) & (r < 1), r, 0.0)
         x, v = q.copy(), q.copy()
         x[near] = np.where(r > 0, q[far] * r / (1.0 - r), q[near])
-        change = np.abs(ext[pick] - q[far] - x[near])
+        # each node's distance to a break p is rounded by up to about eps |p|,
+        # which moves |y - p|^-beta (beta <= 1) by eps |p| |f| / distance: the
+        # near piece's rule value by slip, the panel's by about slip / 8, and
+        # the tail by (1 + 1/8) slip / (1 - r) relative
+        dist = np.where(bh[:, None], 1.0 - NODES, 1.0 + NODES)
+        slip = EPS * np.abs(np.where(bl, pl, ph)) * _rows(np.abs(fv[near]) / dist, KRONROD)
+        slip = np.divide(1.125 * slip * np.abs(x[near]), np.abs(q[near]) * (1.0 - r), out=np.zeros(m), where=r > 0)
+        change = np.abs(ext[pick] - q[far] - x[near]) + slip
         use = near[(r > 0) & (change < e[near])]
-        v[use], e[use] = x[use], change[use % k]
-        old, new = (lo, hi, raw, ext, val, err, grow), (nlo, nhi, q, x, v, e, g)
-        lo, hi, raw, ext, val, err, grow = (np.concatenate([o[keep], n]) for o, n in zip(old, new))
+        v[use], e[use] = x[use], change[use % m]
+        off = np.zeros(m, dtype=bool)
+        new = nown, nlo, nhi, np.concatenate([bl, off]), np.concatenate([off, bh]), q, x, v, e, gr
+        state = tuple(np.concatenate([o[keep], w]) for o, w in zip(state, new))
+        own, lo, hi, blo, bhi, raw, ext, val, err, grow = state
+    if batch:
+        return out[0], out[1], out[2].astype(bool)
+    return float(out[0, 0]), float(out[1, 0]), bool(out[2, 0])

@@ -925,13 +925,15 @@ def suite_kato_class(scene: Scene, rng) -> tuple:
     for name, params, expect in cases:
         fn = potential_function(name, **params)
         rep = kato.classify(rs1, fn, probes=probes)
-        tag = f"verdict_{name}_{params.get('beta', '')}"
-        ck.check(tag, rep.verdict == expect, rep.verdict)
-    scene_fn = scene.V_fn
-    curve = []
-    for t in (0.01, 0.03, 0.1, 0.3, 1.0):
-        m = kato.kato_modulus(scene_fn, t, kato.CLASSICAL, probes)
-        curve.append((t, m.value if np.isfinite(m.value) else -1.0))
+        tag = f"{name}_{params.get('beta', '')}"
+        ck.check(f"verdict_{tag}", rep.verdict == expect, rep.verdict)
+        # quadrature error estimates behind the moduli the verdict reads
+        for err in ("window_error", "heat_error"):
+            if err in rep.diagnostics:
+                ck.metric(f"{err}_{tag}", rep.diagnostics[err])
+    ts = (0.01, 0.03, 0.1, 0.3, 1.0)
+    ms = kato.kato_modulus(scene.V_fn, ts, kato.CLASSICAL, probes)
+    curve = [(t, m.value if np.isfinite(m.value) else -1.0) for t, m in zip(ts, ms)]
     finite_vals = [v for _, v in curve if v >= 0]
     mono = all(a <= b * (1 + 1e-9) for a, b in zip(finite_vals[:-1], finite_vals[1:]))
     ck.check("modulus_monotone", mono, finite_vals)
@@ -970,14 +972,13 @@ def suite_kato_heat(scene: Scene, rng) -> tuple:
     rs1 = scene.rank_one
     one = potential_function("constant", c=1.0)
     probes = (0.0, 0.7, 1.5)
-    h1 = kato.heat_modulus(rs1, one, 1.0, probes)
+    h1, h03 = kato.heat_modulus(rs1, one, (1.0, 0.3), probes)
     ck.at_most("constant_heat_modulus_t1", abs(h1 - 1.0), 1e-8)
-    h03 = kato.heat_modulus(rs1, one, 0.3, probes)
     ck.at_most("constant_heat_modulus_t03", abs(h03 - 0.3), 1e-8)
 
     soft = potential_function("soft_coulomb", a=1.0)
     ladder = (1.0, 0.3, 0.1, 0.03)
-    vals = [kato.heat_modulus(rs1, soft, t, probes) for t in ladder]
+    vals = kato.heat_modulus(rs1, soft, ladder, probes)
     dec = all(a > b for a, b in zip(vals[:-1], vals[1:]))
     ck.check("heat_modulus_decreasing", dec, vals)
     curve = [(t, v) for t, v in zip(ladder, vals)]
