@@ -256,8 +256,8 @@ def _heat_moduli(rs: RootSystem, V_fn, ts, probes) -> tuple:
     if not all(t > 0 for t in ts):
         raise InputError("time must be positive")
     xs = np.atleast_1d(np.asarray(probes, dtype=float))
-    rules = [_time_rule(t) for t in ts]
-    s, w = (np.repeat([r[i] for r in rules], len(xs), axis=0) for i in (0, 1))
+    # one row per (time, probe) pair, the probes of each time together
+    s, w = (np.repeat(v, len(xs), axis=0) for v in zip(*map(_time_rule, ts)))
     val, err = (v.reshape(len(ts), len(xs)) for v in _heat_flows(rs, V_fn, s, np.tile(xs, len(ts)), w))
     i = np.argmax(val, axis=1)
     rows = np.arange(len(ts))

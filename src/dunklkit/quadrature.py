@@ -126,7 +126,7 @@ def quad(f, a, b, breaks=(), tol=1.49e-8) -> tuple:
         stop[own[grow >= DIVERGE_SPLITS]] = True
         order = np.lexsort((-err, own))
         so = own[order]
-        pos = np.arange(len(so)) - np.searchsorted(so, so)
+        pos = np.arange(len(so)) - (np.cumsum(count) - count)[so]
         # each integral's running error sum, largest first, one row each
         run = np.zeros((n, pos.max() + 1 if len(pos) else 0))
         run[so, pos] = err[order]
