@@ -99,11 +99,10 @@ def quad(f, a, b, breaks=(), tol=1.49e-8) -> tuple:
     S r / (1 - r) of its neighbour S, r its rule value over the panel's, exact
     for powers of the distance to the break, if the change from the panel's
     own tail, plus the tail's rounding at a break p != 0, is below the rule's
-    error.  It stops with converged False at
-    QUAD_LIMIT panels, or when the piece at a break has had r >= 1 on
-    DIVERGE_SPLITS splits in a row, as |y|^-beta has for beta >= 1: f, of one
-    sign next to the break, is then taken as not integrable there; or at a
-    break p != 0 below RESOLVE |p|."""
+    error.  It stops with converged False at QUAD_LIMIT panels, or when the
+    piece at a break has had r >= 1 on DIVERGE_SPLITS splits in a row, as
+    |y|^-beta has for beta >= 1: f, of one sign next to the break, is then
+    taken as not integrable there; or at a break p != 0 below RESOLVE |p|."""
     batch = np.ndim(a) > 0 or np.ndim(b) > 0
     a, b = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float)) for v in (a, b)))
     n = len(a)
@@ -128,7 +127,7 @@ def quad(f, a, b, breaks=(), tol=1.49e-8) -> tuple:
         so = own[order]
         pos = np.arange(len(so)) - (np.cumsum(count) - count)[so]
         # each integral's running error sum, largest first, one row each
-        run = np.zeros((n, pos.max() + 1 if len(pos) else 0))
+        run = np.zeros((n, count.max()))
         run[so, pos] = err[order]
         rest = toterr[so] - np.cumsum(run, axis=1)[so, pos]
         k = np.minimum(np.bincount(so[rest > 0.5 * goal[so]], minlength=n) + 1, QUAD_LIMIT - count)
