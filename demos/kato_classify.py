@@ -40,7 +40,7 @@ def main():
     one = potential_function("constant", c=1.0)
     for t in (0.3, 1.0):
         h = kato.heat_modulus(rs, one, t, probes=(0.0, 1.0))
-        print("heat_modulus(V=1, t=%.1f) = %.12f" % (t, h))
+        print("heat_modulus(V=1, t=%.1f) = %.12f  (quadrature error %.1e)" % (t, h.value, h.error))
 
 
 if __name__ == "__main__":

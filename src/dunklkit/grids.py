@@ -144,44 +144,38 @@ class SampledFunction:
         return complex(np.sum(self.grid.mu_weights * self.values))
 
     def to_csv(self, path) -> None:
-        d = self.grid.dimension
-        complex_vals = np.iscomplexobj(self.values)
+        """Rows x1..xd, mu_weight, value; InputError for complex samples."""
+        if np.iscomplexobj(self.values):
+            raise InputError("CSV samples must be real")
         with open(path, "w", newline="") as fh:
             wr = csv.writer(fh)
-            header = [f"x{j+1}" for j in range(d)] + ["mu_weight", "value"]
-            if complex_vals:
-                header.append("value_imag")
-            wr.writerow(header)
-            for i in range(len(self.grid)):
-                row = [f"{c:.12e}" for c in self.grid.nodes[i]]
-                row.append(f"{self.grid.mu_weights[i]:.12e}")
-                if complex_vals:
-                    row.append(f"{self.values[i].real:.12e}")
-                    row.append(f"{self.values[i].imag:.12e}")
-                else:
-                    row.append(f"{self.values[i]:.12e}")
-                wr.writerow(row)
+            wr.writerow(_csv_header(self.grid.dimension))
+            for node, mu, v in zip(self.grid.nodes, self.grid.mu_weights, self.values):
+                wr.writerow([f"{c:.12e}" for c in (*node, mu, v)])
 
     @staticmethod
     def from_csv(grid: QuadratureGrid, path) -> "SampledFunction":
+        """Samples from a CSV of to_csv's columns on grid's nodes: InputError
+        for any other header or row width, another row count or other nodes."""
         with open(path, newline="") as fh:
             rd = csv.reader(fh)
-            header = next(rd)
+            header = next(rd, [])
             rows = list(rd)
+        d, want = grid.dimension, _csv_header(grid.dimension)
+        if header != want:
+            raise InputError(f"CSV header must be {','.join(want)}, not {','.join(header)}")
+        if any(len(row) != d + 2 for row in rows):
+            raise InputError(f"CSV rows must have {d + 2} columns")
         if len(rows) != len(grid):
             raise InputError("CSV sample count does not match the grid")
-        d = grid.dimension
-        has_imag = "value_imag" in header
         pts = np.array([[float(c) for c in row[:d]] for row in rows])
         if np.max(np.abs(pts - grid.nodes)) > 1e-9:
             raise InputError("CSV node coordinates do not match the grid")
-        if has_imag:
-            vals = np.array(
-                [float(row[d + 1]) + 1j * float(row[d + 2]) for row in rows]
-            )
-        else:
-            vals = np.array([float(row[d + 1]) for row in rows])
-        return SampledFunction(grid, vals)
+        return SampledFunction(grid, np.array([float(row[d + 1]) for row in rows]))
+
+
+def _csv_header(d: int) -> list:
+    return [f"x{j + 1}" for j in range(d)] + ["mu_weight", "value"]
 
 
 def grid_selftest(grid: QuadratureGrid, ck_exact: float) -> dict:

@@ -18,6 +18,10 @@ and the heat leg over every probe (and time rule) it asks for.  quad's batch
 independence makes each value bit for bit the one a call of its own gives;
 _flow_density keeps that by summing each (y, time) row on its own.
 
+Each modulus is a ModulusValue whose `error` is the estimate of the spatial
+quadrature behind it.  For the heat modulus that is all it is: the error of
+the fixed time rule is not in it.
+
 Verdicts are threshold-based trend classifications with an explicit
 Inconclusive band; membership in the class is a limit statement and is not
 decidable numerically.
@@ -208,10 +212,16 @@ def _flow_density(rs: RootSystem, V_fn, x, s, w):
     return density
 
 
-def _heat_flows(rs: RootSystem, V_fn, s, x, w) -> tuple:
-    """(values, errors) of sum_i w_i (e^{-s_i A}|V|)(x) for each x of the
-    flat x, with s and w one time rule for all (1-D) or one row per x (2-D),
-    by one quadrature of _flow_density over all of them."""
+def semigroup_abs_potential(rs: RootSystem, V_fn, s, x, w=1.0) -> tuple:
+    """(values, errors) arrays of sum_i w_i (e^{-s_i A}|V|)(x) for each probe
+    of the flat x, with s and w one time rule for all (1-D) or one row per
+    probe (2-D), by one quadrature of _flow_density on [0, L] over all of them.
+
+    V is radial and called on arrays of y >= 0.  Breaks: |x|, V's breaks and
+    fences around |x| from 10 sqrt(min s) outward by factors of 4 (so that the
+    narrowest kernel is not stepped over), folded onto y >= 0.  NumericalError
+    if quad stops unconverged: at a non-integrable break or QUAD_LIMIT panels.
+    """
     if rs.dimension != 1:
         raise CapabilityError("heat characterization implemented in rank one")
     x = np.abs(np.atleast_1d(np.asarray(x, dtype=float)))
@@ -236,40 +246,27 @@ def _heat_flows(rs: RootSystem, V_fn, s, x, w) -> tuple:
     return val, err
 
 
-def semigroup_abs_potential(rs: RootSystem, V_fn, s, x, w=1.0):
-    """sum_i w_i (e^{-s_i A}|V|)(x): one quadrature of _flow_density on [0, L]
-    for every probe x (a float for a scalar x, else an array), with s and w
-    one time rule for all or one row per probe.
+def heat_modulus(rs: RootSystem, V_fn, t, probes=(0.0,)):
+    """sup over probes of int_0^t (e^{-sA}|V|)(x) ds under _time_rule(t), whose
+    Gauss-Legendre panels integrate a constant potential to exactly t, as a
+    ModulusValue; for a sequence of times t, one each, all by one quadrature.
 
-    V is radial and called on arrays of y >= 0.  Breaks: |x|, V's breaks and
-    fences around |x| from 10 sqrt(min s) outward by factors of 4 (so that the
-    narrowest kernel is not stepped over), folded onto y >= 0.  NumericalError
-    if quad stops unconverged: at a non-integrable break or QUAD_LIMIT panels.
+    `error` is the spatial quadrature's estimate at the argmax probe only; the
+    truncation of _time_rule is not in it (its first panel [0, t 1e-4] reads
+    inverse_power 7.7e-6 to 2.2e-5 low at the origin).  `divergent` is always
+    False: an unconverged flow raises NumericalError instead.
     """
-    val = _heat_flows(rs, V_fn, s, x, w)[0]
-    return float(val[0]) if np.ndim(x) == 0 else val
-
-
-def _heat_moduli(rs: RootSystem, V_fn, ts, probes) -> tuple:
-    """heat_modulus at each time of ts and the error estimate of each sup,
-    by one quadrature over every time and probe."""
-    if not all(t > 0 for t in ts):
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    if not np.all(ts > 0):
         raise InputError("time must be positive")
     xs = np.atleast_1d(np.asarray(probes, dtype=float))
+    p = len(xs)
     # one row per (time, probe) pair, the probes of each time together
-    s, w = (np.repeat(v, len(xs), axis=0) for v in zip(*map(_time_rule, ts)))
-    val, err = (v.reshape(len(ts), len(xs)) for v in _heat_flows(rs, V_fn, s, np.tile(xs, len(ts)), w))
-    i = np.argmax(val, axis=1)
-    rows = np.arange(len(ts))
-    return val[rows, i], err[rows, i]
-
-
-def heat_modulus(rs: RootSystem, V_fn, t, probes=(0.0,)):
-    """sup_x of int_0^t (e^{-sA}|V|)(x) ds under _time_rule(t), whose
-    Gauss-Legendre panels integrate a constant potential to exactly t; for a
-    sequence of times t, a list of one value each, all by one quadrature."""
-    val = _heat_moduli(rs, V_fn, np.atleast_1d(np.asarray(t, dtype=float)), probes)[0]
-    return float(val[0]) if np.ndim(t) == 0 else val.tolist()
+    s, w = (np.repeat(v, p, axis=0) for v in zip(*map(_time_rule, ts)))
+    val, err = semigroup_abs_potential(rs, V_fn, s, np.tile(xs, len(ts)), w)
+    never = np.zeros(p, dtype=bool)
+    out = [_sup(val[i : i + p], err[i : i + p], never, xs) for i in range(0, len(val), p)]
+    return out[0] if np.ndim(t) == 0 else out
 
 
 def heat_modulus_split(rs: RootSystem, V_fn, t: float, probes=(0.0,)) -> dict:
@@ -288,7 +285,7 @@ def heat_modulus_split(rs: RootSystem, V_fn, t: float, probes=(0.0,)) -> dict:
     rule = (np.broadcast_to(v, (len(xs), len(v))) for v in LAGUERRE)
     density = _flow_density(rs, V_fn, xs, *rule)
     near = quad(density, np.maximum(xs - beta, 0.0), xs + beta, {abs(p) for p in _breaks(V_fn)})[0]
-    total = semigroup_abs_potential(rs, V_fn, LAGUERRE[0], xs, LAGUERRE[1])
+    total = semigroup_abs_potential(rs, V_fn, LAGUERRE[0], xs, LAGUERRE[1])[0]
     out = [
         {"probe": float(x), "small_ball": float(b), "tail": float(a - b)}
         for x, b, a in zip(probes, near, total)
@@ -307,11 +304,11 @@ def resolvent_decay(rs: RootSystem, V_fn, a_list, probes=(0.0,)) -> dict:
         raise InputError("resolvent shifts must be positive")
     xs = np.atleast_1d(np.asarray(probes, dtype=float))
     s, w = (np.repeat(v[None, :] / a[:, None], len(xs), axis=0) for v in LAGUERRE)
-    norms = semigroup_abs_potential(rs, V_fn, s, np.tile(xs, len(a)), w)
+    norms = semigroup_abs_potential(rs, V_fn, s, np.tile(xs, len(a)), w)[0]
     norms = norms.reshape(len(a), len(xs)).max(axis=1)
     hm = heat_modulus(rs, V_fn, (1.0 / a).tolist(), probes)
     rows = [
-        {"a": float(ai), "norm": float(nm), "bound": h / (1.0 - math.exp(-1.0))}
+        {"a": float(ai), "norm": float(nm), "bound": h.value / (1.0 - math.exp(-1.0))}
         for ai, nm, h in zip(a, norms, hm)
     ]
     return {"rows": rows}
@@ -451,9 +448,9 @@ def classify(rs: RootSystem, V_fn, probes=(0.0,)) -> KatoReport:
     if divergent:
         verdict = "NotKato"
     else:
-        val, err = _heat_moduli(rs, V_fn, (1.0, 0.03), probes)
-        hm = {1.0: float(val[0]), 0.03: float(val[1])}
-        diagnostics["heat_error"] = float(err.max())
+        h1, h03 = heat_modulus(rs, V_fn, (1.0, 0.03), probes)
+        hm = {1.0: h1.value, 0.03: h03.value}
+        diagnostics["heat_error"] = max(h1.error, h03.error)
         ts = sorted(mc)
         vals = [mc[t] for t in ts]
         monotone = all(a <= b * (1.0 + 1e-9) for a, b in zip(vals[:-1], vals[1:]))

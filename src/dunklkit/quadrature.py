@@ -2,9 +2,9 @@
 qk21 rule and error estimate (Piessens et al., QUADPACK, Springer 1983), refined
 in rounds that evaluate all new panels in one call.
 
-One call integrates one integral or a batch of them.  Each round evaluates the
-new panels of every unfinished integral in one call of the integrand, which is
-told each point's integral (its owner).  Each integral keeps its own interval,
+One call integrates a batch of integrals.  Each round evaluates the new panels
+of every unfinished integral in one call of the integrand, which is told each
+point's integral (its owner).  Each integral keeps its own interval,
 breaks, tolerance and stops, and its (value, error, converged) does not depend
 on what else is in the batch, bit for bit: its panels keep their order among
 themselves, its sums run over them in that order, ties in error sort stably,
@@ -86,12 +86,10 @@ def _panels(a, b, breaks) -> tuple:
 
 
 def quad(f, a, b, breaks=(), tol=1.49e-8) -> tuple:
-    """(value, error, converged) for the integral over [a, b] of f, which maps
-    a flat array of points to their values, to tol max(1, |value|).
-
-    Batch form: a and b arrays of k limits, breaks one list for all or one
-    list per integral, and f(y, owner) given each point's integral index;
-    it returns the three as arrays, with the same round rules per integral.
+    """(value, error, converged) arrays for the k integrals over [a_j, b_j]
+    of f, each to tol max(1, |value|): a and b arrays of k limits, breaks one
+    list for all or one list per integral, and f(y, owner) maps a flat array
+    of points, with each point's integral index, to their values.
 
     Each round splits the panels of largest error until the rest fit in half
     the tolerance: one with an end at a break (a and b too) 1/8 from it,
@@ -103,12 +101,10 @@ def quad(f, a, b, breaks=(), tol=1.49e-8) -> tuple:
     piece at a break has had r >= 1 on DIVERGE_SPLITS splits in a row, as
     |y|^-beta has for beta >= 1: f, of one sign next to the break, is then
     taken as not integrable there; or at a break p != 0 below RESOLVE |p|."""
-    batch = np.ndim(a) > 0 or np.ndim(b) > 0
-    a, b = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float)) for v in (a, b)))
+    a, b = (np.asarray(v, dtype=float) for v in (a, b))
     n = len(a)
-    g = f if batch else (lambda y, owner: f(y))
     own, lo, hi, blo, bhi = _panels(a.tolist(), b.tolist(), list(breaks))
-    raw, err, _ = _qk21(g, lo, hi, own)
+    raw, err, _ = _qk21(f, lo, hi, own)
     ext = val = raw
     grow = np.zeros(len(lo), dtype=int)
     state = own, lo, hi, blo, bhi, raw, ext, val, err, grow
@@ -146,7 +142,7 @@ def quad(f, a, b, breaks=(), tol=1.49e-8) -> tuple:
         frac = np.where(bl & ~bh, GRADE, np.where(bh & ~bl, 1.0 - GRADE, 0.5))
         mid = pl + frac * (ph - pl)
         nown, nlo, nhi = np.tile(own[pick], 2), np.concatenate([pl, mid]), np.concatenate([mid, ph])
-        q, e, fv = _qk21(g, nlo, nhi, nown)
+        q, e, fv = _qk21(f, nlo, nhi, nown)
         near, far = np.arange(m) + m * bh, np.arange(m) + m * ~bh
         graded = (bl != bh) & (raw[pick] != 0)
         r = np.divide(q[near], raw[pick], out=np.zeros(m), where=graded)
@@ -169,6 +165,4 @@ def quad(f, a, b, breaks=(), tol=1.49e-8) -> tuple:
         new = nown, nlo, nhi, np.concatenate([bl, off]), np.concatenate([off, bh]), q, x, v, e, gr
         state = tuple(np.concatenate([o[keep], w]) for o, w in zip(state, new))
         own, lo, hi, blo, bhi, raw, ext, val, err, grow = state
-    if batch:
-        return out[0], out[1], out[2].astype(bool)
-    return float(out[0, 0]), float(out[1, 0]), bool(out[2, 0])
+    return out[0], out[1], out[2].astype(bool)

@@ -119,7 +119,7 @@ def potential_preset(grid: QuadratureGrid, name: str, **params) -> Potential:
 
 def potential_from_csv(grid: QuadratureGrid, path) -> Potential:
     sampled = SampledFunction.from_csv(grid, path)
-    return Potential("csv", {"path": str(path)}, np.asarray(sampled.values, float))
+    return Potential("csv", {"path": str(path)}, sampled.values)
 
 
 # ---------------------------------------------------------------------------

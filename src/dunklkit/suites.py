@@ -973,12 +973,12 @@ def suite_kato_heat(scene: Scene, rng) -> tuple:
     one = potential_function("constant", c=1.0)
     probes = (0.0, 0.7, 1.5)
     h1, h03 = kato.heat_modulus(rs1, one, (1.0, 0.3), probes)
-    ck.at_most("constant_heat_modulus_t1", abs(h1 - 1.0), 1e-8)
-    ck.at_most("constant_heat_modulus_t03", abs(h03 - 0.3), 1e-8)
+    ck.at_most("constant_heat_modulus_t1", abs(h1.value - 1.0), 1e-8)
+    ck.at_most("constant_heat_modulus_t03", abs(h03.value - 0.3), 1e-8)
 
     soft = potential_function("soft_coulomb", a=1.0)
     ladder = (1.0, 0.3, 0.1, 0.03)
-    vals = kato.heat_modulus(rs1, soft, ladder, probes)
+    vals = [m.value for m in kato.heat_modulus(rs1, soft, ladder, probes)]
     dec = all(a > b for a, b in zip(vals[:-1], vals[1:]))
     ck.check("heat_modulus_decreasing", dec, vals)
     curve = [(t, v) for t, v in zip(ladder, vals)]
@@ -995,7 +995,7 @@ def suite_kato_heat(scene: Scene, rng) -> tuple:
     split = kato.heat_modulus_split(rs1, soft, 0.3, probes=(0.0,))
     parts = split["majorant_at_sup"]
     maj = math.exp(0.3) * (parts["small_ball"] + parts["tail"])
-    hm = kato.heat_modulus(rs1, soft, 0.3, (0.0,))
+    hm = kato.heat_modulus(rs1, soft, 0.3, (0.0,)).value
     ck.at_most("split_majorizes", hm, maj * (1 + 1e-9), hard=False)
     ck.metric("split_beta", split["beta"])
     return ck, {"heat_modulus_vs_t": curve}

@@ -355,7 +355,7 @@ class TestAcceptance(unittest.TestCase):
         hm_gap = 0.0
         one = potential_function("constant", c=1.0)
         for t in (0.3, 1.0):
-            hm_gap = max(hm_gap, abs(kato.heat_modulus(rs, one, t) - t))
+            hm_gap = max(hm_gap, abs(kato.heat_modulus(rs, one, t).value - t))
         ok = verdicts_ok and stable and hm_gap <= 1e-8
         self.assertTrue(
             _verdict(

@@ -98,16 +98,24 @@ class TestCli(unittest.TestCase):
                 self.assertFalse((Path(out) / "summary.json").exists())
 
     def test_bad_csv_potential_is_a_config_error(self):
-        # a missing file, samples of another grid and unparsable rows are
-        # refused before the first suite runs and before the output
-        # directory is made
+        # a missing file, samples of another grid, unparsable rows and
+        # columns beyond x1, mu_weight, value are refused before the first
+        # suite runs and before the output directory is made; a value_imag
+        # column was dropped with only a ComplexWarning
         other = build_grid(RootSystem.z2_product([0.5]), 10.0, 24)
         mismatched = os.path.join(self.tmp, "other_grid.csv")
         SampledFunction(other, np.ones(len(other))).to_csv(mismatched)
         garbled = os.path.join(self.tmp, "garbled.csv")
         with open(garbled, "w") as fh:
             fh.write("x1,mu_weight,value\n" + "a,b,c\n" * FAST_DOC["grid"]["N"])
-        for path in (os.path.join(self.tmp, "missing.csv"), mismatched, garbled):
+        grid = build_grid(RootSystem.z2_product([0.5]), 10.0, FAST_DOC["grid"]["N"])
+        rows = [f"{x:.12e},{m:.12e},1.0,0.5\n" for (x,), m in zip(grid.nodes, grid.mu_weights)]
+        paths = [os.path.join(self.tmp, "missing.csv"), mismatched, garbled]
+        for name, header in (("imaginary", "x1,mu_weight,value,value_imag\n"), ("wide", "x1,mu_weight,value\n")):
+            paths.append(os.path.join(self.tmp, f"{name}.csv"))
+            with open(paths[-1], "w") as fh:
+                fh.writelines([header, *rows])
+        for path in paths:
             with self.subTest(csv=os.path.basename(path)):
                 cfg = self._config(dict(FAST_DOC, potential={"csv": path}))
                 out = os.path.join(self.tmp, "out_csv")

@@ -116,13 +116,13 @@ class TestHeatModulus(unittest.TestCase):
         # mass one in every window: the time integral of |V| = 1 is t itself
         for t in (0.3, 1.0):
             hm = heat_modulus(self.rs, ONE, t)
-            self.assertAlmostEqual(hm, t, places=8)
+            self.assertAlmostEqual(hm.value, t, places=8)
 
     def test_monotone_in_t(self):
         soft = potential_function("soft_coulomb", a=1.0)
         h1 = heat_modulus(self.rs, soft, 0.1)
         h2 = heat_modulus(self.rs, soft, 1.0)
-        self.assertLess(h1, h2)
+        self.assertLess(h1.value, h2.value)
 
     def test_resolvent_constant(self):
         rep = resolvent_decay(self.rs, ONE, (1.0, 4.0))
@@ -169,7 +169,7 @@ class TestGaussianOracle(unittest.TestCase):
             for x in self.XS:
                 for s in 10.0 ** np.arange(-10, 3):
                     ref = _gauss_flow(kap, s, x)
-                    got = semigroup_abs_potential(rs, _gauss, s, x)
+                    (got,), _ = semigroup_abs_potential(rs, _gauss, s, x)
                     self.assertLess(abs(got - ref), 1e-10 * ref, (kap, x, s))
 
     def test_heat_modulus_is_the_time_rule(self):
@@ -179,7 +179,7 @@ class TestGaussianOracle(unittest.TestCase):
                 for t in (1.0, 0.3, 0.03):
                     s, w = _time_rule(t)
                     ref = float(w @ _gauss_flow(kap, s, x))
-                    got = heat_modulus(rs, _gauss, t, probes=(x,))
+                    got = heat_modulus(rs, _gauss, t, probes=(x,)).value
                     self.assertLess(abs(got - ref), 1e-12 * ref, (kap, x, t))
 
     def test_resolvent_is_the_laguerre_rule(self):
@@ -224,7 +224,7 @@ class TestOriginOracle(unittest.TestCase):
                 rs = RootSystem.z2_product([kap])
                 for t in (0.03, 0.3, 1.0):
                     ref = _origin_oracle(kap, t, V_mp)
-                    got = heat_modulus(rs, V, t)
+                    got = heat_modulus(rs, V, t).value
                     self.assertLess(abs(got - ref), 1e-10 * ref, (kap, t))
 
 
@@ -237,8 +237,10 @@ class TestBatches(unittest.TestCase):
         V = potential_function("inverse_power", beta=0.75)
         probes = (0.0, 0.25, 1.0, 2.0)
         s, w = _time_rule(0.3)
+        # values and errors alike
         got = semigroup_abs_potential(rs, V, s, probes, w)
-        self.assertTrue(np.array_equal(got, [semigroup_abs_potential(rs, V, s, x, w) for x in probes]))
+        single = np.hstack([semigroup_abs_potential(rs, V, s, x, w) for x in probes])
+        self.assertTrue(np.array_equal(got, single))
         ts = (1.0, 0.3, 0.03)
         moduli = heat_modulus(rs, V, ts, probes)
         self.assertEqual(moduli, [heat_modulus(rs, V, t, probes) for t in ts])
@@ -264,6 +266,30 @@ class TestBatches(unittest.TestCase):
         self.assertLessEqual(rep.diagnostics["heat_error"], QUAD_TOL * max(1.0, hm))
         self.assertLessEqual(rep.diagnostics["window_error"], 1.49e-8 * max(1.0, mc))
 
+    def test_classify_takes_the_public_heat_path(self):
+        # both heat moduli through one heat_modulus call and one flow
+        # quadrature under it, each modulus with its error and argmax probe
+        rs = RootSystem.z2_product([0.5])
+        soft = potential_function("soft_coulomb", a=1.0)
+        probes = (0.0, 0.25, 0.5, 1.0, 2.0)
+        real, moduli = kato.heat_modulus, []
+
+        def recorded(*args, **kwargs):
+            out = real(*args, **kwargs)
+            moduli.extend(out)
+            return out
+
+        flows = mock.patch.object(kato, "semigroup_abs_potential", wraps=kato.semigroup_abs_potential)
+        with mock.patch.object(kato, "heat_modulus", wraps=recorded) as hm, flows as sg:
+            rep = classify(rs, soft, probes)
+        self.assertEqual((hm.call_count, sg.call_count), (1, 1))
+        self.assertEqual([m.value for m in moduli], list(rep.heat_modulus.values()))
+        for m in moduli:
+            self.assertIsInstance(m, kato.ModulusValue)
+            self.assertFalse(m.divergent)
+            self.assertLessEqual(m.error, QUAD_TOL * max(1.0, m.value))
+            self.assertIn(m.argmax_probe, probes)
+
 
 class TestNamedBreaks(unittest.TestCase):
     def test_breaks_change_cost_not_value(self):
@@ -277,8 +303,8 @@ class TestNamedBreaks(unittest.TestCase):
 
         for x in (0.0, 0.5, 2.0):
             for t in (1.0, 0.03):
-                got = heat_modulus(rs, V, t, probes=(x,))
-                ref = heat_modulus(rs, plain, t, probes=(x,))
+                got = heat_modulus(rs, V, t, probes=(x,)).value
+                ref = heat_modulus(rs, plain, t, probes=(x,)).value
                 self.assertLess(abs(got - ref), max(1e-10 * ref, 1e-12), (x, t))
 
 

@@ -79,6 +79,9 @@ class TestPotentials(unittest.TestCase):
             path = os.path.join(tmp, "v.csv")
             f.to_csv(path)
             pot = potential_from_csv(grid, path)
+            # complex samples have no CSV form
+            with self.assertRaises(InputError):
+                SampledFunction(grid, f.values + 0.5j).to_csv(path)
         np.testing.assert_allclose(pot.values, f.values, rtol=1e-10)
 
 
