@@ -46,6 +46,10 @@ def tensor_rule(node_sets, weight_sets) -> tuple:
     return nodes, reduce(np.multiply.outer, weight_sets).ravel()
 
 
+# rows of an N x N table that a check reads at once, holding no second table
+ROW_BLOCK = 128
+
+
 def kron_apply(mats, values: np.ndarray) -> np.ndarray:
     """(mats[0] x ... x mats[d-1]) @ values without forming the Kronecker
     product (Van Loan, JCAM 123, 2000): values, (n**d, ...) in row-major node

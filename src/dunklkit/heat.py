@@ -62,18 +62,24 @@ def heat_kernel(rs: RootSystem, t, x, y) -> np.ndarray:
     return K
 
 
-def heat_kernel_matrix(grid: QuadratureGrid, t: float) -> np.ndarray:
-    """Kernel tabulated on all grid node pairs.
-
-    Each axis factor is symmetric and depends only on the two axis
-    coordinates, so the table is the prefactor times the Kronecker product of
-    n x n axis tables (QuadratureGrid.axis_table), in row-major node order.
-    """
+def heat_axis_tables(grid: QuadratureGrid, t: float) -> tuple:
+    """Prefactor and n x n axis tables (QuadratureGrid.axis_table) of the kernel at t."""
     if t <= 0:
         raise InputError("time must be positive")
-    K = np.full((1, 1), kernel_prefactor(grid.rs, t))
-    for kap in grid.rs.multiplicities:
-        K = np.kron(K, grid.axis_table(lambda x, y: axis_factor(x, y, t, float(kap))))
+    axes = [grid.axis_table(lambda x, y: axis_factor(x, y, t, float(k)))
+            for k in grid.rs.multiplicities]
+    return kernel_prefactor(grid.rs, t), axes
+
+
+def heat_kernel_matrix(grid: QuadratureGrid, t: float, rows=None) -> np.ndarray:
+    """Kernel on all grid node pairs, or on the rows given (an index or slice):
+    each entry is the prefactor times its axis-table entries in axis order, so
+    any rows are bit for bit those of the full table and of np.kron's chain."""
+    c, axes = heat_axis_tables(grid, t)
+    index = grid.axis_index if rows is None else grid.axis_index[:, rows]
+    K = np.full((index.shape[1], 1), c)
+    for T, i in zip(axes, index):
+        K = (K[:, :, None] * T[i][:, None, :]).reshape(len(i), -1)
     return K
 
 

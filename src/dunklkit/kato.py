@@ -36,6 +36,7 @@ from numpy.polynomial.laguerre import laggauss
 from numpy.polynomial.legendre import leggauss
 
 from .errors import CapabilityError, InputError, NumericalError
+from .grids import ROW_BLOCK
 from .heat import even_axis_factor, kernel_prefactor
 from .quadrature import quad
 from .reflection import RootSystem
@@ -375,10 +376,11 @@ def smoothing_norms_of_kernel(grid, W, pq_list) -> SmoothingReport:
     kernels are, to about 2e-15), else InputError; S = D^(1/2) W D^(1/2) is then
     too, so by Perron-Frobenius ||S||_2 is its top eigenvalue, found by Lanczos
     to machine precision from D^(1/2) 1, which no Perron vector is orthogonal to.
+    Neither S nor W - W^T is formed: Lanczos applies S as D^(1/2) (W (D^(1/2) v)).
     """
     om = grid.mu_weights
     n_1inf = float(np.max(W))
-    if np.any(W < 0) or np.max(np.abs(W - W.T)) > 1e-12 * n_1inf:
+    if np.min(W) < 0 or _max_asymmetry(W) > 1e-12 * n_1inf:
         raise InputError("smoothing kernel must be nonnegative and symmetric to 1e-12")
     n_infinf = float(np.max(W @ om))
     n_11 = float(np.max(om @ W))
@@ -390,30 +392,36 @@ def smoothing_norms_of_kernel(grid, W, pq_list) -> SmoothingReport:
         th1, th2, th3 = _theta(pv, qv)
         interp[(p, q)] = float(n_11**th1 * n_infinf**th2 * n_1inf**th3)
     dh = np.sqrt(om)
-    l2 = _top_eigenvalue(dh[:, None] * W * dh[None, :], dh)
+    l2 = _top_eigenvalue(lambda v: dh * (W @ (dh * v)), dh)
     return SmoothingReport(corners, interp, l2)
 
 
-def _top_eigenvalue(S: np.ndarray, v0: np.ndarray) -> float:
-    """Largest eigenvalue of the symmetric S by Lanczos from v0 with full
-    reorthogonalisation, once the Ritz residual is at most 4 eps times the
-    Ritz value; NumericalError if that takes more than len(v0) steps."""
+def _max_asymmetry(W: np.ndarray) -> float:
+    """max |W - W^T| of a square W, ROW_BLOCK rows at a time."""
+    return max(float(np.max(np.abs(W[i : i + ROW_BLOCK] - W[:, i : i + ROW_BLOCK].T)))
+               for i in range(0, len(W), ROW_BLOCK))
+
+
+def _top_eigenvalue(apply, v0: np.ndarray) -> float:
+    """Largest eigenvalue of the symmetric operator `apply` (a matrix-vector
+    product) by Lanczos from v0 with full reorthogonalisation, once the Ritz
+    residual is at most 4 eps times the Ritz value; NumericalError if that
+    takes more than len(v0) steps."""
     n = len(v0)
-    Q = np.empty((n, n))  # row k is the k-th Lanczos vector
-    Q[0] = v0 / math.sqrt(v0 @ v0)
+    Q = v0[None, :] / math.sqrt(v0 @ v0)  # row k is the k-th Lanczos vector
     alpha, beta = [], []
     for k in range(n):
-        w = S @ Q[k]
+        w = apply(Q[k])
         alpha.append(float(Q[k] @ w))
         for _ in range(2):  # against every earlier vector; twice is enough
-            w -= Q[: k + 1].T @ (Q[: k + 1] @ w)
+            w -= Q.T @ (Q @ w)
         theta, y = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
         b = math.sqrt(w @ w)
         if b * abs(y[-1, -1]) <= 4.0 * np.finfo(float).eps * abs(theta[-1]):
             return float(theta[-1])
         if k + 1 < n:
             beta.append(b)
-            Q[k + 1] = w / b
+            Q = np.vstack([Q, w / b])
     raise NumericalError("kato", f"Lanczos top eigenvalue unconverged after {n} steps")
 
 

@@ -32,7 +32,7 @@ from numpy.linalg import eigh, eigvalsh
 
 from .errors import IllPosedError, InputError, NumericalError
 from .grids import QuadratureGrid, SampledFunction, build_grid, kron_apply
-from .heat import axis_factor, heat_apply, heat_kernel_matrix, kernel_prefactor
+from .heat import heat_apply, heat_axis_tables, heat_kernel_matrix
 from .intertwine import phi_profile
 from .operators import derivative_apply
 from .reflection import ReflectionGroup, RootSystem, gamma_k
@@ -251,8 +251,12 @@ def free_resolved_modes(grid: QuadratureGrid, t0: float = DEFAULT_T0) -> tuple:
     floor = max(np.exp(-t0 * lam_cap), 10.0 * abs(min(mu.min(), 0.0)), 1e-13)
     keep = mu >= floor
     lam = -np.log(mu[keep]) / t0
-    P = reduce(np.kron, Qs)[:, keep]
     order = np.argsort(lam)
+    # the kept columns of reduce(np.kron, Qs) by ascending lam, multiplied as np.kron does
+    cols = np.unravel_index(np.flatnonzero(keep)[order], [len(m) for m in mus])
+    P = np.ones((1, len(order)))
+    for Q, i in zip(Qs, cols):
+        P = (P[:, None, :] * Q[:, i]).reshape(-1, len(order))
     meta = {
         "lam_cap": lam_cap,
         "floor": float(floor),
@@ -260,7 +264,7 @@ def free_resolved_modes(grid: QuadratureGrid, t0: float = DEFAULT_T0) -> tuple:
         "n_dropped": int((~keep).sum()),
         "t0": float(t0),
     }
-    lam, P = lam[order], P[:, order]
+    lam = lam[order]
     lam.flags.writeable = P.flags.writeable = False
     return lam, P, meta
 
@@ -382,7 +386,9 @@ def splitting_kernel(
         )
     s = t / n_steps
     damp = np.exp(-0.5 * s * (np.zeros(len(grid)) if V is None else V.values))
-    step = _floored(damp[:, None] * heat_kernel_matrix(grid, s) * damp[None, :])
+    step = heat_kernel_matrix(grid, s)
+    step *= damp[:, None]
+    _floored(np.multiply(step, damp, out=step))
     om = grid.mu_weights
     # Cost in multiply-adds: n_steps - 1 steps applied to the N x N iterate
     # axis by axis take (n_steps - 1) d n N^2, repeated squaring takes
@@ -390,15 +396,14 @@ def splitting_kernel(
     # so squaring is never dearer there, and a tie goes to it.
     d, squarings = grid.dimension, n_steps.bit_length() + bin(n_steps).count("1") - 2
     if (n_steps - 1) * d * grid.n_axis < squarings * len(grid):
-        axes = [_floored(grid.axis_table(lambda x, y: axis_factor(x, y, s, float(k))))
-                for k in grid.rs.multiplicities]
-        left = kernel_prefactor(grid.rs, s) * damp
-        W = step
+        c, axes = heat_axis_tables(grid, s)
+        W, step = step, None  # scaled in place; the step is not read again
         for _ in range(n_steps - 1):
-            W = (damp * om)[:, None] * W
-            for j, T in enumerate(axes):
+            W *= (damp * om)[:, None]
+            for j, T in enumerate(map(_floored, axes)):
                 W = kron_apply([T if i == j else None for i in range(d)], _floored(W))
-            W = _floored(left[:, None] * W)
+            W *= (c * damp)[:, None]
+            _floored(W)
         return W
     W = None
     while True:
@@ -410,8 +415,9 @@ def splitting_kernel(
         step = _floored((step * om[None, :]) @ step)
 
 
-def schrodinger_kernel(ed: EigenDecomp, t: float) -> np.ndarray:
-    """Kernel matrix of e^{-tL} against the weighted measure.
+def schrodinger_kernel(ed: EigenDecomp, t: float, rows=None) -> np.ndarray:
+    """Kernel matrix of e^{-tL} against the weighted measure, all rows or the
+    rows given (an index or a slice of the nodes).
 
     Entry accuracy requires the resolved decomposition; the full
     decomposition's unresolved modes do not decay and pollute entries.
@@ -420,7 +426,8 @@ def schrodinger_kernel(ed: EigenDecomp, t: float) -> np.ndarray:
         raise InputError("time must be positive")
     dh = np.sqrt(ed.grid.mu_weights)
     Qw = ed.modes / dh[:, None]
-    return (Qw * np.exp(-t * ed.eigenvalues)) @ Qw.T
+    left = Qw if rows is None else Qw[rows]
+    return (left * np.exp(-t * ed.eigenvalues)) @ Qw.T
 
 
 # ---------------------------------------------------------------------------

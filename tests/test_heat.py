@@ -2,6 +2,7 @@
 
 import math
 import unittest
+from functools import reduce
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from dunklkit.heat import (
     axis_factor,
     gaussian_bound_report,
     heat_apply,
+    heat_axis_tables,
     heat_kernel,
     heat_kernel_matrix,
     kernel_prefactor,
@@ -125,6 +127,19 @@ class TestPerAxisTable(unittest.TestCase):
                     xs = grid.nodes[:, j]
                     oracle = oracle * axis_factor(xs[:, None], xs[None, :], t, kap)
                 self.assertTrue(np.array_equal(heat_kernel_matrix(grid, t), oracle))
+
+    def test_matches_kron_chain_and_rows_match_table(self):
+        # bit for bit: the np.kron chain of the axis tables, and any rows
+        for kappas, R, n in self.GRIDS:
+            grid = build_grid(RootSystem.z2_product(list(kappas)), R, n)
+            picks = (np.arange(0, len(grid), 7), slice(5, 37), np.array([len(grid) - 1, 0, 3]))
+            for t in (0.1, 0.7):
+                c, axes = heat_axis_tables(grid, t)
+                K = heat_kernel_matrix(grid, t)
+                self.assertTrue(np.array_equal(K, reduce(np.kron, axes, np.full((1, 1), c))))
+                self.assertTrue(K.flags.c_contiguous)
+                for rows in picks:
+                    self.assertTrue(np.array_equal(heat_kernel_matrix(grid, t, rows), K[rows]))
 
 
 class TestSemigroupAction(unittest.TestCase):

@@ -1,5 +1,6 @@
 """Smallness moduli, heat characterization, verdicts, smoothing norms."""
 
+import math
 import unittest
 from unittest import mock
 
@@ -15,7 +16,9 @@ from dunklkit.kato import (
     LAGUERRE,
     ORBIT,
     QUAD_TOL,
+    _max_asymmetry,
     _time_rule,
+    _top_eigenvalue,
     classify,
     growth_bound_check,
     heat_modulus,
@@ -376,6 +379,44 @@ class TestSmoothing(unittest.TestCase):
                     got = smoothing_norms_of_kernel(grid, W, []).l2_direct
                     ref = svdvals(dh[:, None] * W * dh[None, :])[0]
                     self.assertLessEqual(abs(got - ref), 1e-13 * ref)
+
+    def test_tiled_asymmetry_is_the_full_one(self):
+        # N = 200 ends in a part tile; 576 and 1024 are the rank-two grids
+        rng = np.random.default_rng(3)
+        for n in (200, 576, 1024):
+            W = rng.random((n, n))
+            W = W + W.T
+            W[n - 1, n - 3] += 1e-9  # the largest skew in the last tile
+            W[7, n - 2] -= rng.random() * 1e-10
+            V = rng.random((n, n))
+            for M in (W, V):
+                self.assertEqual(_max_asymmetry(M), np.max(np.abs(M - M.T)))
+
+    def test_growing_lanczos_basis_is_bit_identical(self):
+        def preallocated(S, v0):  # the n x n basis allocated up front
+            n = len(v0)
+            Q = np.empty((n, n))
+            Q[0] = v0 / math.sqrt(v0 @ v0)
+            alpha, beta = [], []
+            for k in range(n):
+                w = S @ Q[k]
+                alpha.append(float(Q[k] @ w))
+                for _ in range(2):
+                    w -= Q[: k + 1].T @ (Q[: k + 1] @ w)
+                theta, y = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+                b = math.sqrt(w @ w)
+                if b * abs(y[-1, -1]) <= 4.0 * np.finfo(float).eps * abs(theta[-1]):
+                    return float(theta[-1])
+                beta.append(b)
+                Q[k + 1] = w / b
+
+        for grid in (self.grid, build_grid(RootSystem.z2_product([0.5, 1.0]), 6.0, 32)):
+            dh = np.sqrt(grid.mu_weights)
+            for t in (0.1, 1.0):
+                W = splitting_kernel(grid, self.pot if grid is self.grid else None, t,
+                                     splitting_steps(grid, t))
+                S = dh[:, None] * W * dh[None, :]
+                self.assertEqual(_top_eigenvalue(lambda v: S @ v, dh), preallocated(S, dh))
 
     def test_kernel_must_be_nonnegative_and_symmetric(self):
         grid = self.grid

@@ -5,6 +5,7 @@ import math
 import os
 import tempfile
 import unittest
+from functools import reduce
 from unittest import mock
 
 import numpy as np
@@ -12,14 +13,15 @@ import scipy.linalg
 from numpy.linalg import eigh
 
 from dunklkit.errors import IllPosedError, InputError, NumericalError
-from dunklkit.grids import SampledFunction, build_grid
-from dunklkit.heat import heat_kernel_matrix
+from dunklkit.grids import SampledFunction, build_grid, kron_apply
+from dunklkit.heat import heat_axis_tables, heat_kernel_matrix
 from dunklkit.intertwine import e_minus_i
 from dunklkit.operators import dunkl_derivative, dunkl_derivative_matrix
 from dunklkit.reflection import RootSystem
 from dunklkit.schrodinger import (
     KERNEL_FLOOR,
     DiscreteOperator,
+    _axis_free_modes,
     assemble_L,
     distribution_sup,
     eig,
@@ -231,6 +233,27 @@ class TestResolvedCalculus(unittest.TestCase):
         lam_d, P_d, _ = dense(grid, 0.1)
         self.assertTrue(np.array_equal(lam, lam_d) and np.array_equal(P, P_d))
 
+    def test_kept_modes_are_the_kron_chain_columns(self):
+        # bit for bit the kept columns of the Kronecker product of axis modes
+        for kappas, R, n in (((0.5, 1.0), 6.0, 32), ((0.5, 1.0), 6.0, 24), ((0.5,), 14.0, 256)):
+            grid = build_grid(RootSystem.z2_product(list(kappas)), R, n)
+            lam, P, meta = free_resolved_modes(grid, 0.1)
+            mus, Qs = zip(*(_axis_free_modes(k, R, n, 0.1) for k in kappas))
+            mu = reduce(np.kron, mus)
+            keep = mu >= meta["floor"]
+            ref = reduce(np.kron, Qs)[:, keep][:, np.argsort(-np.log(mu[keep]) / 0.1)]
+            self.assertTrue(np.array_equal(P, ref))
+
+    def test_kernel_rows_are_rows_of_the_full_kernel(self):
+        rank_two = build_grid(RootSystem.z2_product([0.5, 1.0]), 6.0, 32)
+        pot = potential_preset(rank_two, "soft_coulomb", a=1.0)
+        for ed in (self.ed, resolved_calculus(rank_two, pot)):
+            n = len(ed.grid)
+            for t in (0.3, 1.0):
+                W = schrodinger_kernel(ed, t)
+                for rows in (slice(0, 128), slice(n - 100, n), np.arange(3, n, 11)):
+                    self.assertTrue(np.array_equal(schrodinger_kernel(ed, t, rows), W[rows]))
+
     def test_kernel_needs_positive_time(self):
         with self.assertRaises(InputError):
             schrodinger_kernel(self.ed, 0.0)
@@ -325,6 +348,27 @@ class TestSplittingKernel(unittest.TestCase):
                     self.assertLessEqual(float(np.max(np.abs(W - ref))), 1e-13 * np.max(ref))
                     self.assertLessEqual(float(np.max(np.abs(W - W.T))), 1e-12 * np.max(W))
                     self.assertLessEqual(float(np.max(W @ om)), 1.0 + 1e-12)
+
+    def test_axis_steps_in_place_are_bit_identical(self):
+        # the per-axis product, each operand a new array, as the reference
+        grid = build_grid(RootSystem.z2_product([0.5, 1.0]), 6.0, 32)
+        pot = potential_preset(grid, "inverse_power", beta=0.5, cutoff=1.0)
+        om = grid.mu_weights
+        floored = lambda A: np.where(A < KERNEL_FLOOR, 0.0, A)
+        for t in (0.5, 1.0):
+            n = splitting_steps(grid, t)
+            s = t / n
+            damp = np.exp(-0.5 * s * pot.values)
+            c, axes = heat_axis_tables(grid, s)
+            axes = [floored(T) for T in axes]
+            ref = floored(damp[:, None] * heat_kernel_matrix(grid, s) * damp[None, :])
+            for _ in range(n - 1):
+                ref = (damp * om)[:, None] * ref
+                ref = kron_apply([axes[0], None], floored(ref))
+                ref = kron_apply([None, axes[1]], floored(ref))
+                ref = floored((c * damp)[:, None] * ref)
+            self.assertGreater(n, 1)
+            self.assertTrue(np.array_equal(splitting_kernel(grid, pot, t, n), ref))
 
     def test_step_below_resolution_floor_rejected(self):
         pot = potential_preset(self.grid, "soft_coulomb", a=1.0)

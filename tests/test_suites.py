@@ -4,13 +4,14 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
 import unittest
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 
-from dunklkit import suites
+from dunklkit import schrodinger, suites
 from dunklkit.config import load_config
 from dunklkit.suites import REGISTRY, Checks, Scene, run_suites
 
@@ -168,6 +169,32 @@ class TestReflectionGeometry(unittest.TestCase):
                 (Path(tmp) / "1406" / "summary.json").read_bytes(),
                 (Path(tmp) / "again" / "summary.json").read_bytes(),
             )
+
+
+class TestMemoryBudget(unittest.TestCase):
+    # tracemalloc peak of one suite on a fresh rank-two scene (the kernel grid
+    # is (6, 32)^2, 1,024 nodes), in 1024^2 float64 tables of 8 MiB: measured
+    # 0.13, 2.39 and 2.01, each bound at least 25 % above that
+    BUDGET = {"heat_kernel": 0.25, "spectral_positivity": 3.0, "smoothing": 2.6}
+
+    def test_rank_two_suites_hold_few_tables(self):
+        doc = dict(FAST_DOC, group={"kind": "z2_product", "multiplicities": [0.5, 1.0]},
+                   grid={"R": 6.0, "N": 24}, suites=list(self.BUDGET))
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = _load(tmp, doc)
+        caches = (schrodinger.free_resolved_modes, schrodinger._axis_free_modes,
+                  schrodinger._free_operator)
+        for name, budget in self.BUDGET.items():
+            for cached in caches:
+                cached.cache_clear()
+            scene = Scene(cfg)
+            tracemalloc.start()
+            try:
+                REGISTRY[name].fn(scene, np.random.default_rng(7))
+                peak = tracemalloc.get_traced_memory()[1] / (1024 * 1024 * 8)
+            finally:
+                tracemalloc.stop()
+            self.assertLess(peak, budget, name)
 
 
 class TestCurveFiles(unittest.TestCase):
