@@ -6,6 +6,8 @@ tensorized in row-major order (tensor_rule).  The layout is stated once:
 node m has coordinate axis[axis_index[j, m]] on axis j, so per-axis tables
 and operators lift to the grid by index gathers or Kronecker products, and
 the negation x -> -x is the reversed node order, an exact permutation.
+So is the reflection x_j -> -x_j, axis j of the nodes as an (n,) * d array
+reversed; a table that commutes with it splits into parity blocks.
 Per-axis kernel tables (axis_table) take functions symmetric in their two
 arguments and even under the joint sign flip, so half the axis gives all.
 """
@@ -13,6 +15,7 @@ arguments and even under the joint sign flip, so half the axis gives all.
 import csv
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import product
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -107,6 +110,40 @@ class QuadratureGrid:
         P, M = b = np.empty((2, h, h), dtype=vals.dtype)
         b[:, iu, ju] = b[:, ju, iu] = vals.reshape(2, -1)
         return np.block([[P[::-1, ::-1], M[::-1]], [M[:, ::-1], P]])
+
+    def mirror_axes(self, a: np.ndarray, tol: float = 0.0) -> list:
+        """Axes j with max |a - R_j a| <= tol, R_j the reflection x_j -> -x_j of
+        every node index of node samples (N,) or a table (N, N): compared on the
+        rows at x_j > 0, which R_j pairs with the rest, ROW_BLOCK rows at a time."""
+        n, d, h = self.n_axis, self.dimension, self.n_axis // 2
+        x = a.reshape((n,) * (a.ndim * d))
+        step = max(1, ROW_BLOCK * n // len(self))
+        axes = []
+        for j in range(d):
+            half = (slice(None),) * j + (slice(h, None),)
+            xs, rs = x[half], np.flip(x, tuple(range(j, x.ndim, d)))[half]
+            if np.max([np.max(np.abs(xs[i : i + step] - rs[i : i + step]))
+                       for i in range(0, len(xs), step)]) <= tol:
+                axes.append(j)
+        return axes
+
+    def parity_blocks(self, a: np.ndarray, axes):
+        """Yield the 2^len(axes) blocks of a table (N, N) that commutes with
+        the reflections x_j -> -x_j, j in axes, all-even first: rows at x_j > 0
+        and each column plus (even) or minus (odd) its mirror, so a block's
+        eigenvector v is the table's [+-v reversed; v] / sqrt 2 on axis j.
+        Node samples (N,) give those rows.  Slices of a reshaped view."""
+        n, d, h = self.n_axis, self.dimension, self.n_axis // 2
+        for odd in product((False, True), repeat=len(axes)):
+            x = a.reshape((n,) * (a.ndim * d))
+            for j, sign in zip(axes, odd):
+                x = x[(slice(None),) * j + (slice(h, None),)]
+                if a.ndim == 2:
+                    col = (slice(None),) * (d + j)
+                    pos, neg = x[col + (slice(h, None),)], x[col + (slice(h - 1, None, -1),)]
+                    x = pos - neg if sign else pos + neg
+            m = int(np.prod(x.shape[:d]))
+            yield x.reshape((m,) * a.ndim)
 
     def interior_mask(self, fraction: float = 0.8) -> np.ndarray:
         """Nodes with every coordinate inside the central fraction of [-R, R]."""

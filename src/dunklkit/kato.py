@@ -376,7 +376,9 @@ def smoothing_norms_of_kernel(grid, W, pq_list) -> SmoothingReport:
     kernels are, to about 2e-15), else InputError; S = D^(1/2) W D^(1/2) is then
     too, so by Perron-Frobenius ||S||_2 is its top eigenvalue, found by Lanczos
     to machine precision from D^(1/2) 1, which no Perron vector is orthogonal to.
-    Neither S nor W - W^T is formed: Lanczos applies S as D^(1/2) (W (D^(1/2) v)).
+    On the axes whose reflection leaves W unchanged to the same 1e-12, a Perron
+    vector is even, so Lanczos runs on the all-even parity block.  Neither S
+    nor W - W^T is formed: Lanczos applies S as D^(1/2) (W (D^(1/2) v)).
     """
     om = grid.mu_weights
     n_1inf = float(np.max(W))
@@ -391,15 +393,17 @@ def smoothing_norms_of_kernel(grid, W, pq_list) -> SmoothingReport:
         qv = np.inf if q in ("inf", np.inf) else float(q)
         th1, th2, th3 = _theta(pv, qv)
         interp[(p, q)] = float(n_11**th1 * n_infinf**th2 * n_1inf**th3)
-    dh = np.sqrt(om)
-    l2 = _top_eigenvalue(lambda v: dh * (W @ (dh * v)), dh)
+    axes = grid.mirror_axes(W, 1e-12 * n_1inf)
+    We, dh = (next(grid.parity_blocks(a, axes)) for a in (W, np.sqrt(om)))
+    l2 = _top_eigenvalue(lambda v: dh * (We @ (dh * v)), dh)
     return SmoothingReport(corners, interp, l2)
 
 
 def _max_asymmetry(W: np.ndarray) -> float:
-    """max |W - W^T| of a square W, ROW_BLOCK rows at a time."""
-    return max(float(np.max(np.abs(W[i : i + ROW_BLOCK] - W[:, i : i + ROW_BLOCK].T)))
-               for i in range(0, len(W), ROW_BLOCK))
+    """max |W - W^T| of a square W over its upper-triangle ROW_BLOCK tiles."""
+    n, b = len(W), ROW_BLOCK
+    return max(float(np.max(np.abs(W[i : i + b, j : j + b] - W[j : j + b, i : i + b].T)))
+               for i in range(0, n, b) for j in range(i, n, b))
 
 
 def _top_eigenvalue(apply, v0: np.ndarray) -> float:

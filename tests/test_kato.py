@@ -1,5 +1,6 @@
 """Smallness moduli, heat characterization, verdicts, smoothing norms."""
 
+import dataclasses
 import math
 import unittest
 from unittest import mock
@@ -417,6 +418,28 @@ class TestSmoothing(unittest.TestCase):
                                      splitting_steps(grid, t))
                 S = dh[:, None] * W * dh[None, :]
                 self.assertEqual(_top_eigenvalue(lambda v: S @ v, dh), preallocated(S, dh))
+
+    def test_even_block_lanczos_matches_the_whole(self):
+        # on the all-even block (N / 2^d unknowns) for invariant kernels, on
+        # the whole kernel for one that no reflection leaves unchanged
+        rng = np.random.default_rng(4)
+        rank_two = build_grid(RootSystem.z2_product([0.5, 1.0]), 6.0, 32)
+        drawn = rng.random(len(rank_two)) * np.exp(-np.sum(rank_two.nodes**2, axis=1))
+        cases = [(self.grid, self.pot, 2), (rank_two, None, 4),
+                 (rank_two, potential_preset(rank_two, "soft_coulomb", a=1.0), 4),
+                 (rank_two, dataclasses.replace(self.pot, values=drawn), 1)]
+        for grid, pot, blocks in cases:
+            dh = np.sqrt(grid.mu_weights)
+            for t in (0.1, 0.5, 1.0):
+                with self.subTest(rank=grid.dimension, blocks=blocks, t=t):
+                    W = splitting_kernel(grid, pot, t, splitting_steps(grid, t))
+                    with mock.patch.object(kato, "_top_eigenvalue", wraps=_top_eigenvalue) as top:
+                        got = smoothing_norms_of_kernel(grid, W, []).l2_direct
+                    self.assertEqual(len(top.call_args.args[1]), len(grid) // blocks)
+                    whole = _top_eigenvalue(lambda v: dh * (W @ (dh * v)), dh)
+                    self.assertLessEqual(abs(got - whole), 1e-14 * whole)
+                    if blocks == 1:
+                        self.assertEqual(got, whole)
 
     def test_kernel_must_be_nonnegative_and_symmetric(self):
         grid = self.grid

@@ -193,12 +193,14 @@ class TestResolvedCalculus(unittest.TestCase):
     def test_free_modes_memoised_read_only(self):
         grid = build_grid(self.grid.rs, 12.0, 64)
         with mock.patch("dunklkit.schrodinger.eigh", wraps=eigh) as solver:
-            lam, P, meta = free_resolved_modes(grid, 0.2)
+            lam, P, parity, meta = free_resolved_modes(grid, 0.2)
+            self.assertEqual([c.args[0].shape for c in solver.call_args_list], [(32, 32)] * 2)
             again = free_resolved_modes(grid, 0.2)
-        self.assertEqual(solver.call_count, 1)
+        self.assertEqual(solver.call_count, 2)
         self.assertIs(again[0], lam)
         self.assertIs(again[1], P)
-        for arr in (lam, P):
+        self.assertIs(again[2], parity)
+        for arr in (lam, P, parity):
             self.assertFalse(arr.flags.writeable)
             with self.assertRaises(ValueError):
                 arr[0] = 0.0
@@ -217,32 +219,41 @@ class TestResolvedCalculus(unittest.TestCase):
             return lam[order], Q[:, keep][:, order], meta
 
         rank_two = RootSystem.z2_product([0.5, 1.0])
-        for n in (24, 32):
-            grid = build_grid(rank_two, 6.0, n)
-            lam, P, meta = free_resolved_modes(grid, 0.1)
+        for kappas, R, n in (((0.5, 1.0), 6.0, 24), ((0.5, 1.0), 6.0, 32), ((0.5,), 14.0, 256)):
+            grid = build_grid(RootSystem.z2_product(list(kappas)), R, n)
+            lam, P, parity, meta = free_resolved_modes(grid, 0.1)
             lam_d, P_d, meta_d = dense(grid, 0.1)
             for key, val in meta_d.items():
                 self.assertEqual(meta[key], val, msg=f"{key} at n={n}")
-            np.testing.assert_allclose(lam, lam_d, rtol=1e-13, atol=0.0)
+            if len(kappas) > 1:
+                np.testing.assert_allclose(lam, lam_d, rtol=1e-13, atol=0.0)
+            # Weyl: each eigenvalue mu = e^(-t0 lam) of the kernel moves by at
+            # most the backward error of either solver, a multiple of eps ||K||
+            mu, mu_d = np.exp(-0.1 * lam), np.exp(-0.1 * lam_d)
+            self.assertLess(np.max(np.abs(mu - mu_d)), 1e-13 * np.max(mu_d))
             for t in (0.1, 1.0):
                 got = (P * np.exp(-t * lam)) @ P.T
                 ref = (P_d * np.exp(-t * lam_d)) @ P_d.T
                 self.assertLess(np.max(np.abs(got - ref)), 1e-13)
-        grid = build_grid(RootSystem.z2_product([0.5]), 14.0, 256)
-        lam, P, _ = free_resolved_modes(grid, 0.1)
-        lam_d, P_d, _ = dense(grid, 0.1)
-        self.assertTrue(np.array_equal(lam, lam_d) and np.array_equal(P, P_d))
+            # each mode is an exact mirror image of itself on every axis
+            modes = P.reshape((n,) * len(kappas) + (-1,))
+            for j in range(len(kappas)):
+                sign = np.where(parity >> j & 1, -1.0, 1.0)
+                self.assertTrue(np.array_equal(np.flip(modes, j), sign * modes))
 
     def test_kept_modes_are_the_kron_chain_columns(self):
         # bit for bit the kept columns of the Kronecker product of axis modes
         for kappas, R, n in (((0.5, 1.0), 6.0, 32), ((0.5, 1.0), 6.0, 24), ((0.5,), 14.0, 256)):
             grid = build_grid(RootSystem.z2_product(list(kappas)), R, n)
-            lam, P, meta = free_resolved_modes(grid, 0.1)
-            mus, Qs = zip(*(_axis_free_modes(k, R, n, 0.1) for k in kappas))
+            lam, P, parity, meta = free_resolved_modes(grid, 0.1)
+            mus, Qs, pars = zip(*(_axis_free_modes(k, R, n, 0.1) for k in kappas))
             mu = reduce(np.kron, mus)
             keep = mu >= meta["floor"]
-            ref = reduce(np.kron, Qs)[:, keep][:, np.argsort(-np.log(mu[keep]) / 0.1)]
-            self.assertTrue(np.array_equal(P, ref))
+            cols = np.flatnonzero(keep)[np.argsort(-np.log(mu[keep]) / 0.1)]
+            self.assertTrue(np.array_equal(P, reduce(np.kron, Qs)[:, cols]))
+            # the class is the parities of the axis factors, bit j for axis j
+            classes = reduce(np.add.outer, [par << j for j, par in enumerate(pars)]).ravel()
+            self.assertTrue(np.array_equal(parity, classes[cols]))
 
     def test_kernel_rows_are_rows_of_the_full_kernel(self):
         rank_two = build_grid(RootSystem.z2_product([0.5, 1.0]), 6.0, 32)
@@ -266,6 +277,77 @@ class TestResolvedCalculus(unittest.TestCase):
         a = semigroup_apply(self.ed, 0.7, semigroup_apply(self.ed, 0.3, f))
         b = semigroup_apply(self.ed, 1.0, f)
         np.testing.assert_allclose(a.values, b.values, atol=1e-12)
+
+
+class TestParitySplit(unittest.TestCase):
+    """Solves split by reflection parity against whole-matrix oracles."""
+
+    def test_axis_modes_are_exact_mirrors(self):
+        for kappa, R, n in ((0.5, 14.0, 256), (1.0, 6.0, 24), (0.0, 10.0, 128)):
+            mu, Q, parity = _axis_free_modes(kappa, R, n, 0.1)
+            sign = np.where(parity, -1.0, 1.0)
+            self.assertTrue(np.array_equal(Q[::-1], sign * Q))
+            self.assertTrue(np.all(np.diff(mu) >= 0))
+            grid = build_grid(RootSystem.z2_product([kappa]), R, n)
+            dh = np.sqrt(grid.mu_weights)
+            Kt = dh[:, None] * heat_kernel_matrix(grid, 0.1) * dh[None, :]
+            mu_d, Q_d = eigh(0.5 * (Kt + Kt.T))
+            # projectors on the top eigenspaces (gaps of 1 % and more) and
+            # spectral functions of the kernel
+            for m in (4, 10):
+                got, ref = Q[:, -m:] @ Q[:, -m:].T, Q_d[:, -m:] @ Q_d[:, -m:].T
+                self.assertLess(np.max(np.abs(got - ref)), 1e-13)
+            for k in (1, 10):
+                got, ref = (Q * mu**k) @ Q.T, (Q_d * mu_d**k) @ Q_d.T
+                self.assertLess(np.max(np.abs(got - ref)), 1e-13)
+
+    def test_eig_blocks_match_another_lapack_driver(self):
+        rng = np.random.default_rng(5)
+        for mult, R, n in (([0.5], 10.0, 96), ([0.5, 1.0], 6.0, 24)):
+            sm = build_spectral_matrix(build_grid(RootSystem.z2_product(mult), R, n))
+            grid, N, d = sm.grid, len(sm.grid), len(mult)
+            drawn = dataclasses.replace(potential_preset(grid, "zero"), values=rng.random(N))
+            for pot, blocks in ((None, 2**d), (potential_preset(grid, "soft_coulomb", a=1.0), 2**d),
+                                (drawn, 1)):
+                with self.subTest(rank=d, blocks=blocks, free=pot is None):
+                    op = assemble_L(sm, pot)
+                    with mock.patch("dunklkit.schrodinger.eigvalsh", wraps=np.linalg.eigvalsh) as s:
+                        lam = eig(op)
+                    sizes = [c.args[0].shape for c in s.call_args_list]
+                    self.assertEqual(sizes, [(N // blocks, N // blocks)] * blocks)
+                    np.testing.assert_allclose(
+                        lam, scipy.linalg.eigvalsh(op.matrix, driver="evr"),
+                        rtol=0, atol=1e-10 * np.linalg.norm(op.matrix),
+                    )
+
+    def test_galerkin_blocks_match_dense_galerkin(self):
+        def dense(grid, V, t):  # one eigh on the whole resolved basis
+            lam, P, _, _ = free_resolved_modes(grid)
+            theta, U = eigh(np.diag(lam) + (P.T * V.values) @ P)
+            Qw = (P @ U) / np.sqrt(grid.mu_weights)[:, None]
+            return theta, (Qw * np.exp(-t * theta)) @ Qw.T
+
+        rng = np.random.default_rng(9)
+        for mult, R, n in (([0.5], 14.0, 256), ([0.5, 1.0], 6.0, 32), ([0.5, 1.0, 0.0], 5.0, 8)):
+            grid = build_grid(RootSystem.z2_product(mult), R, n)
+            x = grid.nodes
+            pots = [(potential_preset(grid, "soft_coulomb", a=1.0), 2 ** len(mult))]
+            if len(mult) == 2:
+                # drawn at random, no reflection leaves it unchanged: one
+                # block; even in x_1 alone: one block per parity on axis 1
+                drawn = rng.random(len(grid)) * np.exp(-np.sum(x**2, axis=1))
+                pots += [(dataclasses.replace(pots[0][0], values=drawn), 1),
+                         (dataclasses.replace(pots[0][0], values=np.exp(x[:, 0] - x[:, 1] ** 2)), 2)]
+            for pot, blocks in pots:
+                ed = resolved_calculus(grid, pot)
+                self.assertEqual(ed.meta["parity_blocks"], blocks)
+                for t in (0.3, 1.0):
+                    with self.subTest(rank=len(mult), blocks=blocks, t=t):
+                        theta, ref = dense(grid, pot, t)
+                        np.testing.assert_allclose(ed.eigenvalues, theta, rtol=0,
+                                                   atol=1e-12 * theta[-1])
+                        gap = np.max(np.abs(schrodinger_kernel(ed, t) - ref))
+                        self.assertLess(gap, 1e-12 * np.max(np.abs(ref)))
 
 
 class TestTrotter(unittest.TestCase):

@@ -197,6 +197,31 @@ class TestMemoryBudget(unittest.TestCase):
             self.assertLess(peak, budget, name)
 
 
+class TestParityBlocks(unittest.TestCase):
+    def test_rank_two_solves_are_quarter_size(self):
+        # the largest matrix these suites meet is the operator on the scene
+        # grid's 576 nodes; whole, the parent solved it and the 448-mode
+        # Galerkin matrix of the kernel grid
+        doc = dict(FAST_DOC, group={"kind": "z2_product", "multiplicities": [0.5, 1.0]},
+                   grid={"R": 6.0, "N": 24})
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = _load(tmp, doc)
+        for name in ("spectral_positivity", "riesz_l2"):
+            for cached in (schrodinger.free_resolved_modes, schrodinger._axis_free_modes,
+                           schrodinger._free_operator):
+                cached.cache_clear()
+            scene = Scene(cfg)
+            with (  # numpy.linalg.eigh is the one kato calls
+                mock.patch("dunklkit.schrodinger.eigh", wraps=np.linalg.eigh) as galerkin,
+                mock.patch("dunklkit.schrodinger.eigvalsh", wraps=np.linalg.eigvalsh) as spectrum,
+                mock.patch("numpy.linalg.eigh", wraps=np.linalg.eigh) as lanczos,
+            ):
+                REGISTRY[name].fn(scene, np.random.default_rng(7))
+            sizes = [len(c.args[0]) for m in (galerkin, spectrum, lanczos) for c in m.call_args_list]
+            self.assertTrue(sizes, name)
+            self.assertLessEqual(max(sizes), len(scene.grid) // 4, name)
+
+
 class TestCurveFiles(unittest.TestCase):
     def test_csv_layout(self):
         with tempfile.TemporaryDirectory() as tmp:
