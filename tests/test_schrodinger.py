@@ -334,7 +334,7 @@ class TestParitySplit(unittest.TestCase):
             pots = [(potential_preset(grid, "soft_coulomb", a=1.0), 2 ** len(mult))]
             if len(mult) == 2:
                 # drawn at random, no reflection leaves it unchanged: one
-                # block; even in x_1 alone: one block per parity on axis 1
+                # block; even in the second coordinate alone: two blocks
                 drawn = rng.random(len(grid)) * np.exp(-np.sum(x**2, axis=1))
                 pots += [(dataclasses.replace(pots[0][0], values=drawn), 1),
                          (dataclasses.replace(pots[0][0], values=np.exp(x[:, 0] - x[:, 1] ** 2)), 2)]
