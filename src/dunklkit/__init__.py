@@ -26,14 +26,13 @@ _EXPORTS = {
     "Root": ".reflection",
     "RootSystem": ".reflection",
     "ReflectionGroup": ".reflection",
-    "BallEstimate": ".reflection",
     "generate_group": ".reflection",
     "weight": ".reflection",
     "gamma_k": ".reflection",
     "canonical_rep": ".reflection",
     "orbit_distance": ".reflection",
     "ball_comparison_quantity": ".reflection",
-    "ball_volume": ".reflection",
+    "ball_bracket_constants": ".reflection",
     "ball_volumes": ".reflection",
     "cube_volumes": ".reflection",
     "unit_ball_cover": ".reflection",

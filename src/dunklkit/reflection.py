@@ -7,8 +7,9 @@ degree twice the multiplicity sum.
 
 Ball volumes mu_k(B(x, r)) of sign-product groups are exact (ball_volumes):
 the rank-one antiderivative, and in ranks two and three a fixed quadrature
-over the ball's slices; the comparison bracket's constants come from a
-deterministic scan of mu/q (calibrate_ball_constants).
+over the ball's slices.  They are comparable to the quantity q(x, r) of
+ball_comparison_quantity with the closed-form constants of
+ball_bracket_constants, whose docstring carries the proof.
 """
 
 import itertools
@@ -117,16 +118,6 @@ class ReflectionGroup:
     def orbit(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return np.array([g @ x for g in self.elements])
-
-
-@dataclass(frozen=True)
-class BallEstimate:
-    lower: float
-    upper: float
-
-    def __post_init__(self):
-        if self.lower > self.upper + 1e-15:
-            raise InputError("ball estimate bracket must satisfy lower <= upper")
 
 
 def reflection_matrix(alpha: Root) -> np.ndarray:
@@ -340,35 +331,24 @@ def ball_volumes(rs: RootSystem, X, R) -> np.ndarray:
     )
 
 
-# |x_j| / r over the suite's box |x_j| <= 3, r >= 0.05
-BALL_SCAN_RATIO = 60.0
+def ball_bracket_constants(rs: RootSystem) -> tuple:
+    """(c, C) with c q <= mu_k(B(x, r)) <= C q for every ball of a sign-product
+    group, q = ball_comparison_quantity: c = d^(-d/2 - gamma) / prod_j
+    (2 kappa_j + 1) and C = 2^(d + gamma).
 
-
-def calibrate_ball_constants(rs: RootSystem) -> tuple:
-    """Bracket constants (c, C) with c q <= mu_k(B(x, r)) <= C q, padded by
-    5 %, from a deterministic scan of mu/q.
-
-    mu/q is even in each coordinate and depends on x/r only, so the scan takes
-    r = 1 and x on the product of one axis ladder: 0 and a geometric ladder
-    from 0.01 to BALL_SCAN_RATIO, 41 points in rank one and two and 5 in rank
-    three.  The scan goes through ball_volumes in batches.
+    Proof.  B(x, r) lies between the cubes of half-sides r / sqrt(d) and r
+    about x.  On axis j (a = |x_j|, kappa = kappa_j) a cube of half-side s has
+    the factor 2^kappa I, I = int_{a-s}^{a+s} |y|^(2 kappa) dy, and q the factor
+    r (sqrt(2) a + r)^(2 kappa).  I <= 2 s (a + s)^(2 kappa), and I is at least
+    its part over [a, a + s], which is at least s (a + s)^(2 kappa) / (2 kappa
+    + 1) as a^(2 kappa + 1) <= a (a + s)^(2 kappa).  Upper, s = r: a + r <=
+    sqrt(2) a + r gives at most 2^(1 + kappa) times q's factor.  Lower, s = r /
+    sqrt(d): sqrt(2) a + r <= sqrt(2 d) (a + s) gives at least d^(-1/2 - kappa)
+    / (2 kappa + 1) times it.  C is attained at kappa = 0 in rank one.
     """
-    d = rs.dimension
-    ladder = np.concatenate([[0.0], np.geomspace(0.01, BALL_SCAN_RATIO, 40 if d <= 2 else 4)])
-    X = np.stack(np.meshgrid(*[ladder] * d, indexing="ij"), axis=-1).reshape(-1, d)
-    R = np.ones(X.shape[0])
-    ratios = ball_volumes(rs, X, R) / ball_comparison_quantity(rs, X, R)
-    return float(ratios.min() / 1.05), float(ratios.max() * 1.05)
-
-
-def ball_volume(rs: RootSystem, x, r: float, calibration: tuple) -> BallEstimate:
-    """Two-sided bracket for mu_k(B(x, r)) via the comparison quantity, with
-    the constants of calibrate_ball_constants."""
-    if r <= 0:
-        raise InputError("radius must be positive")
-    c_lo, c_hi = calibration
-    q = ball_comparison_quantity(rs, x, r)
-    return BallEstimate(c_lo * q, c_hi * q)
+    kappas = _sign_product_kappas(rs, "ball bracket")
+    d, gamma = rs.dimension, float(kappas.sum())
+    return d ** (-d / 2.0 - gamma) / float(np.prod(2.0 * kappas + 1.0)), 2.0 ** (d + gamma)
 
 
 def unit_ball_cover(x, r: float) -> np.ndarray:

@@ -318,7 +318,9 @@ def resolved_calculus(
         return theta, Pc @ U
 
     classes = parity & sum(1 << j for j in grid.mirror_axes(V.values))
-    thetas, modes = zip(*(block(np.flatnonzero(classes == c)) for c in np.unique(classes)))
+    # the classes present, ascending; np.unique would import numpy.ma on first use
+    present = np.flatnonzero(np.bincount(classes))
+    thetas, modes = zip(*(block(np.flatnonzero(classes == c)) for c in present))
     meta["parity_blocks"] = len(modes)
     theta = np.concatenate(thetas)
     order = np.argsort(theta, kind="stable")
@@ -602,30 +604,25 @@ def weighted_estimate_report(
     fitted c is the verification target.
     """
     grid = ed.grid
-    rs = grid.rs
-    expo = gamma_k(rs) + grid.dimension / 2.0 + 1.0
-    xs = grid.nodes[:, 0]
+    expo = gamma_k(grid.rs) + grid.dimension / 2.0 + 1.0
     probes = [nearest_node_index(grid, y) for y in y_list]
+    ynodes = grid.nodes[probes]
+
+    # T W_t(., y), one column per probe y: W is symmetric, so its probe rows give it
+    TW = {t: derivative_apply(grid, schrodinger_kernel(ed, t, probes).T, axis)
+          for t in (*t_list, *TAIL_TIMES)}
     normalized = {}
     for t in t_list:
-        W = schrodinger_kernel(ed, t)
-        TW = derivative_apply(grid, W, axis)
-        for y, iy in zip(y_list, probes):
-            ynode = grid.nodes[iy]
-            phiv = phi_profile(rs, group, xs / np.sqrt(t), ynode / np.sqrt(t))
-            lhs = float(np.sum(grid.mu_weights * TW[:, iy] ** 2 * phiv))
+        xs = grid.nodes[:, 0] / np.sqrt(t)
+        for i, (y, ynode) in enumerate(zip(y_list, ynodes)):
+            phiv = phi_profile(grid.rs, group, xs, ynode / np.sqrt(t))
+            lhs = float(np.sum(grid.mu_weights * TW[t][:, i] ** 2 * phiv))
             normalized[(float(y), float(t))] = t**expo * lhs
-    tails = {float(y): [] for y in y_list}
-    for s in TAIL_TIMES:
-        W = schrodinger_kernel(ed, s)
-        TW = derivative_apply(grid, W, axis)
-        for y, iy in zip(y_list, probes):
-            ynode = grid.nodes[iy]
-            dist = np.linalg.norm(np.abs(grid.nodes) - np.abs(ynode)[None, :], axis=1)
-            outside = dist > 1.0
-            tails[float(y)].append(
-                float(np.sum(grid.mu_weights[outside] * np.abs(TW[outside, iy])))
-            )
+    outside = [np.linalg.norm(np.abs(grid.nodes) - np.abs(ynode), axis=1) > 1.0 for ynode in ynodes]
+    tails = {
+        float(y): [float(np.sum(grid.mu_weights[out] * np.abs(TW[s][out, i]))) for s in TAIL_TIMES]
+        for i, (y, out) in enumerate(zip(y_list, outside))
+    }
     tail_fit = {}
     zs = np.sqrt(1.0 / np.asarray(TAIL_TIMES))
     for y, vals in tails.items():

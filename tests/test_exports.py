@@ -36,6 +36,17 @@ class TestExports(unittest.TestCase):
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         self.assertEqual(_run(code), "[]")
 
+    def test_resolved_calculus_imports_no_numpy_ma(self):
+        # np.unique imports numpy.ma on first use (numpy 2.4): 14-16 ms and
+        # about 1.3 MiB in every run
+        code = ("import sys; from dunklkit.grids import build_grid; "
+                "from dunklkit.reflection import RootSystem; "
+                "from dunklkit.schrodinger import potential_preset, resolved_calculus; "
+                "g = build_grid(RootSystem.z2_product([0.5]), 6.0, 24); "
+                "resolved_calculus(g, potential_preset(g, 'soft_coulomb', a=1.0)); "
+                "print('numpy.ma' in sys.modules)")
+        self.assertEqual(_run(code), "False")
+
     def test_every_export_resolves(self):
         for name, module in dunklkit._EXPORTS.items():
             mod = importlib.import_module(module, dunklkit.__name__)

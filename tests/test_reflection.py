@@ -5,14 +5,14 @@ import unittest
 
 import mpmath as mp
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from dunklkit.errors import CapabilityError, InputError
 from dunklkit.reflection import (
     RootSystem,
+    ball_bracket_constants,
     ball_comparison_quantity,
-    ball_volume,
     ball_volumes,
-    calibrate_ball_constants,
     cube_volumes,
     canonical_rep,
     gamma_k,
@@ -130,17 +130,26 @@ class TestBallVolume(unittest.TestCase):
         v = ball_volumes(rs, np.zeros((1, 1)), 1.0)[0]
         self.assertAlmostEqual(v, 4.0 / 3.0, places=12)
 
-    def test_bracket_contains_quadrature(self):
-        rs = RootSystem.z2_product([0.6])
-        cal = calibrate_ball_constants(rs)
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            x = rng.uniform(-4, 4, size=1)
-            r = float(rng.uniform(0.2, 2.0))
-            est = ball_volume(rs, x, r, cal)
-            v = ball_volumes(rs, x[None], r)[0]
-            self.assertLessEqual(est.lower, v * (1 + 1e-9))
-            self.assertGreaterEqual(est.upper, v * (1 - 1e-9))
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kappas=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=3),
+        r=st.floats(0.01, 10.0),
+        data=st.data(),
+    )
+    def test_closed_form_bracket_holds(self, kappas, r, data):
+        # c q <= mu <= C q for centres up to 1e3 radii out on every axis.  The
+        # pad: mu = C q exactly at kappa = 0 in rank one, so rounding alone
+        # decides there (1e-12), and far out the rank-one antiderivative
+        # difference loses about |x| / r ulps to cancellation (1e-15 |x| / r)
+        rs = RootSystem.z2_product(kappas)
+        u = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=len(kappas), max_size=len(kappas)))
+        x = r * np.array(u)
+        c, C = ball_bracket_constants(rs)
+        q = ball_comparison_quantity(rs, x, r)
+        v = ball_volumes(rs, x[None], r)[0]
+        pad = 1e-12 + 1e-15 * np.linalg.norm(u)
+        self.assertLessEqual(c * q, v * (1 + pad))
+        self.assertLessEqual(v, C * q * (1 + pad))
 
     def test_doubling(self):
         rs = RootSystem.z2_product([0.5, 0.5])
@@ -226,15 +235,24 @@ class TestExactBallVolumes(unittest.TestCase):
         X, R = self._balls(1, 20, 7)
         self.assertTrue(np.array_equal(ball_volumes(rs, X, R), cube_volumes(rs, X, R)))
 
-    def test_calibration_brackets_a_fine_scan(self):
-        # the 41-point scan with its 5 % pad holds a 161-point scan of mu/q
-        rs = RootSystem.z2_product([0.5, 1.0])
-        c_lo, c_hi = calibrate_ball_constants(rs)
-        ladder = np.concatenate([[0.0], np.geomspace(1e-3, 60.0, 160)])
-        X = np.stack(np.meshgrid(ladder, ladder, indexing="ij"), axis=-1).reshape(-1, 2)
-        ratios = ball_volumes(rs, X, 1.0) / ball_comparison_quantity(rs, X, 1.0)
-        self.assertLessEqual(c_lo, ratios.min())
-        self.assertGreaterEqual(c_hi, ratios.max())
+    def test_bracket_constants_sharp_and_far_out(self):
+        # the interval at kappa = 0 attains C, up to the rounding of x + r - (x - r)
+        rs = RootSystem.z2_product([0.0])
+        X, R = self._balls(1, 20, 8)
+        c, C = ball_bracket_constants(rs)
+        self.assertEqual((c, C), (1.0, 2.0))
+        v, q = ball_volumes(rs, X, R), ball_comparison_quantity(rs, X, R)
+        np.testing.assert_allclose(v, C * q, rtol=1e-12, atol=0)
+        # far from both axes mu / q tends to pi at kappa = (3, 0.25), above
+        # what a scan of |x| / r <= 60 sees (3.06 with a 5 % pad)
+        rs = RootSystem.z2_product([3.0, 0.25])
+        X, R = np.array([[1e4, 1e4], [60.0, 60.0]]), np.ones(2)
+        ratio = ball_volumes(rs, X, R) / ball_comparison_quantity(rs, X, R)
+        self.assertGreater(ratio[0], 3.1)
+        c, C = ball_bracket_constants(rs)
+        self.assertTrue(np.all((c <= ratio) & (ratio <= C)))
+        with self.assertRaises(CapabilityError):
+            ball_bracket_constants(RootSystem.dihedral(3, 0.5))
 
     def test_refusals(self):
         with self.assertRaises(CapabilityError):

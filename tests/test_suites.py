@@ -154,8 +154,8 @@ class TestRunner(unittest.TestCase):
 
 class TestReflectionGeometry(unittest.TestCase):
     def test_ball_brackets_hold_at_every_seed(self):
-        # the exact volumes and the scanned calibration hold at seeds whose
-        # draws fell outside the old random calibration (1404-1406)
+        # the exact volumes and the closed-form bracket hold at seeds whose
+        # draws fell outside an earlier random calibration (1404-1406)
         doc = dict(FAST_DOC, group={"kind": "z2_product", "multiplicities": [0.5, 1.0]},
                    grid={"R": 6.0, "N": 24}, suites=["reflection_geometry"])
         with tempfile.TemporaryDirectory() as tmp:
@@ -169,6 +169,15 @@ class TestReflectionGeometry(unittest.TestCase):
                 (Path(tmp) / "1406" / "summary.json").read_bytes(),
                 (Path(tmp) / "again" / "summary.json").read_bytes(),
             )
+
+    def test_ball_bracket_at_equality_kappa0(self):
+        # at kappa = 0 in rank one every ball is an interval with mu = C q
+        doc = dict(FAST_DOC, group={"kind": "z2_product", "multiplicities": [0.0]},
+                   suites=["reflection_geometry"])
+        with tempfile.TemporaryDirectory() as tmp:
+            block = run_suites(_load(tmp, doc), Path(tmp), 7)["suites"]["reflection_geometry"]
+        self.assertTrue(block["hard_checks"]["ball_bracket"])
+        self.assertAlmostEqual(block["values"]["ball_bracket"], 1.0, places=12)
 
 
 class TestMemoryBudget(unittest.TestCase):
