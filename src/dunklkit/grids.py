@@ -24,6 +24,9 @@ from .errors import CapabilityError, InputError
 from .reflection import Z2_PRODUCT, RootSystem, weight
 
 
+_legendre = lru_cache(maxsize=8)(leggauss)  # the rule on [-1, 1] that each R scales
+
+
 @lru_cache(maxsize=16)
 def axis_rule(R: float, n_axis: int) -> tuple:
     """Ascending, symmetric, zero-avoiding Gauss-Legendre rule on [-R, R];
@@ -33,7 +36,7 @@ def axis_rule(R: float, n_axis: int) -> tuple:
         raise InputError("per-axis node count must be even and >= 2")
     if R <= 0:
         raise InputError("half-width must be positive")
-    xg, wg = leggauss(n_axis // 2)
+    xg, wg = _legendre(n_axis // 2)
     xp = 0.5 * R * (xg + 1.0)
     wp = 0.5 * R * wg
     x = np.concatenate([-xp[::-1], xp])

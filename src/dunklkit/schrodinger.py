@@ -29,7 +29,9 @@ Group Theoretical Methods, 1992, ch. 5): 2^d solves a 2^d-th the size, a
 quarter of the flops in rank one and a sixteenth in rank two.  The split
 takes only the axes whose reflection leaves V's samples (for eig, the matrix)
 unchanged bit for bit; with none, as for a CSV potential drawn off-symmetry,
-there is one block, the whole problem.
+there is one block, the whole problem.  Resolved modes are stored on the cone
+of the a split axes, a 2^a-th of the rows (EigenDecomp), where the Galerkin
+products, the frame apply and the kernel run one class at a time.
 """
 
 from dataclasses import dataclass, field
@@ -142,22 +144,67 @@ class DiscreteOperator:
     symmetrization_defect: float
 
 
+@lru_cache(maxsize=8)
+def _cone_layout(n: int, d: int, axes: tuple) -> tuple:
+    """Slicers of the 2^a quadrants of the (n,)*d node array (q negative on
+    axes[k] for each set bit k) listing their nodes as mirror images of the
+    cone's, in its row-major order; and per node its cone row and quadrant."""
+    h, idx = n // 2, np.arange(n**d).reshape((n,) * d)
+    quads = [tuple(slice(None) if j not in axes else slice(h - 1, None, -1)
+                   if q >> axes.index(j) & 1 else slice(h, None) for j in range(d))
+             for q in range(2 ** len(axes))]
+    row, quad = np.empty((2, n**d), int)
+    for q, sl in enumerate(quads):
+        row[idx[sl].ravel()], quad[idx[sl].ravel()] = np.arange(n**d >> len(axes)), q
+    return quads, row, quad
+
+
+def _wht(x: np.ndarray) -> np.ndarray:
+    """x[c] <- sum_q (-1)^popcount(c & q) x[q] in place over the first axis,
+    2^a long: quadrant samples to parity classes and back."""
+    for k in range(len(x).bit_length() - 1):
+        y = x.reshape(-1, 2, 2**k, *x.shape[1:])
+        y[:, 0], y[:, 1] = y[:, 0] + y[:, 1], y[:, 0] - y[:, 1]
+    return x
+
+
 @dataclass(frozen=True)
 class EigenDecomp:
-    """Spectral carrier; modes are orthonormal in the similarity frame."""
+    """Spectral carrier; modes are orthonormal in the similarity frame and
+    stored on the positive cone {x_j > 0 : j in axes} alone, in row-major
+    order, with a parity class per column (bit k set: odd in x_axes[k]), each
+    class a contiguous column range (class_columns), classes ascending, and
+    eigenvalues ascending in each.  Unfold rule: at a node in quadrant q
+    (_cone_layout) a mode is its cone value at the node's mirror image times
+    (-1)^popcount(class & q).  axes () is the full-row layout, one class."""
 
     grid: QuadratureGrid
     eigenvalues: np.ndarray
     modes: np.ndarray
+    axes: tuple
+    classes: np.ndarray
     meta: dict = field(default_factory=dict)
+
+    @property
+    def class_columns(self) -> list:
+        b = np.searchsorted(self.classes, np.arange(2 ** len(self.axes) + 1))
+        return [slice(lo, hi) for lo, hi in zip(b[:-1], b[1:])]
 
     def function_frame_apply(self, scalars: np.ndarray, values: np.ndarray):
         """D^(-1/2) Q diag(scalars) Q^T D^(1/2) applied to function samples of
-        shape (N,) or (N, k), one function per column."""
-        tail = (1,) * (np.ndim(values) - 1)
-        dh = np.sqrt(self.grid.mu_weights).reshape(-1, *tail)
-        out = self.modes @ (scalars.reshape(-1, *tail) * (self.modes.T @ (dh * values)))
-        return out / dh
+        shape (N,) or (N, k), one function per column: a product pair per
+        class on the samples folded (_wht of the quadrants), then unfolded."""
+        grid, values = self.grid, np.asarray(values)
+        quads = _cone_layout(grid.n_axis, grid.dimension, self.axes)[0]
+        dh = np.sqrt(grid.mu_weights).reshape(-1, *(1,) * (values.ndim - 1))
+        g = (dh * values).reshape((grid.n_axis,) * grid.dimension + values.shape[1:])
+        x = _wht(np.stack([g[sl].reshape(len(self.modes), *values.shape[1:]) for sl in quads]))
+        for c, cols in enumerate(self.class_columns):
+            Q = self.modes[:, cols]
+            x[c] = Q @ (scalars[cols].reshape(-1, *dh.shape[1:]) * (Q.T @ x[c]))
+        for sl, y in zip(quads, _wht(x)):
+            g[sl] = y.reshape(g[sl].shape)
+        return g.reshape(values.shape) / dh
 
 
 @lru_cache(maxsize=1)  # spectral_positivity assembles three operators on one sm
@@ -251,43 +298,43 @@ def _axis_free_modes(kappa: float, R: float, n_axis: int, t0: float) -> tuple:
     return mu, Q, parity
 
 
-@lru_cache(maxsize=4)
 def free_resolved_modes(grid: QuadratureGrid, t0: float = DEFAULT_T0) -> tuple:
     """Eigenbasis of the reference free kernel with unresolved modes dropped.
 
     The kernel is a tensor product, so it is decomposed per axis
     (_axis_free_modes): eigenvalues mu = mu_1 ... mu_d (lambda = lambda_1 +
     ... + lambda_d), to which the floor applies, and modes the Kronecker
-    products of axis modes in the grid's row-major node order.
+    products of axis modes.  Returns the eigenvalues, the modes on the cone of
+    every axis and their classes (EigenDecomp's layout, bit j odd in x_j), and
+    a metadata dict (cap, floor, kept/dropped counts, reference time);
+    memoised per (multiplicities, R, n_axis, t0), read-only."""
+    return _free_modes(grid, t0, tuple(range(grid.dimension)))
 
-    Returns ascending free eigenvalues, their similarity-frame modes, their
-    parity classes (bit j set: odd in x_j) and a metadata dict (cap, floor,
-    kept/dropped counts, reference time), memoised per grid and t0, read-only.
-    """
-    mus, Qs, pars = zip(*(_axis_free_modes(float(k), grid.half_width, grid.n_axis, t0)
-                          for k in grid.rs.multiplicities))
+
+def _free_modes(grid: QuadratureGrid, t0: float, axes: tuple) -> tuple:
+    key = tuple(map(float, grid.rs.multiplicities)), grid.half_width, grid.n_axis, float(t0)
+    return _kron_modes(*key, axes, quadrature_spectral_cap(grid))
+
+
+@lru_cache(maxsize=8)  # a rank-one run meets 7 keys, rank two 8
+def _kron_modes(kappas: tuple, R: float, n_axis: int, t0: float, axes: tuple, lam_cap: float):
+    mus, Qs, pars = zip(*(_axis_free_modes(k, R, n_axis, t0) for k in kappas))
     mu = reduce(np.kron, mus)
-    lam_cap = quadrature_spectral_cap(grid)
     floor = max(np.exp(-t0 * lam_cap), 10.0 * abs(min(mu.min(), 0.0)), 1e-13)
     keep = mu >= floor
+    cols = np.unravel_index(np.flatnonzero(keep), [len(m) for m in mus])
+    classes = sum((pars[j][cols[j]] << k for k, j in enumerate(axes)), 0 * cols[0])
     lam = -np.log(mu[keep]) / t0
-    order = np.argsort(lam)
-    # the kept columns of reduce(np.kron, Qs) by ascending lam, multiplied as np.kron does
-    cols = np.unravel_index(np.flatnonzero(keep)[order], [len(m) for m in mus])
+    order = np.lexsort((lam, classes))
+    # the kept columns of reduce(np.kron, Qs) in that order as np.kron multiplies, on the cone
     P = np.ones((1, len(order)))
-    for Q, i in zip(Qs, cols):
-        P = (P[:, None, :] * Q[:, i]).reshape(-1, len(order))
-    parity = sum(par[i] << j for j, (par, i) in enumerate(zip(pars, cols)))
-    meta = {
-        "lam_cap": lam_cap,
-        "floor": float(floor),
-        "n_kept": int(keep.sum()),
-        "n_dropped": int((~keep).sum()),
-        "t0": float(t0),
-    }
-    lam = lam[order]
-    lam.flags.writeable = P.flags.writeable = parity.flags.writeable = False
-    return lam, P, parity, meta
+    for j, (Q, i) in enumerate(zip(Qs, cols)):
+        P = (P[:, None, :] * Q[n_axis // 2 if j in axes else 0:, i[order]]).reshape(-1, len(order))
+    meta = {"lam_cap": lam_cap, "floor": float(floor), "n_kept": int(keep.sum()),
+            "n_dropped": int((~keep).sum()), "t0": float(t0)}
+    lam, classes = lam[order], classes[order]
+    lam.flags.writeable = P.flags.writeable = classes.flags.writeable = False
+    return lam, P, classes, meta
 
 
 def resolved_calculus(
@@ -298,33 +345,33 @@ def resolved_calculus(
 ) -> EigenDecomp:
     """Eigendecomposition of L on the resolved free modes (Galerkin in V).
 
-    One Galerkin eigh per parity class on the axes whose reflection leaves
+    One Galerkin eigh per parity class on the a axes whose reflection leaves
     V's samples unchanged bit for bit, as P^T V P couples no two classes;
-    meta["parity_blocks"] counts them, 1 when V breaks every reflection.
+    meta["parity_blocks"] counts them, 1 when V breaks every reflection.  Each
+    is formed on the cone of those axes, with V there scaled by 2^a.
     """
-    lam, P, parity, meta = free_resolved_modes(grid, t0)
+    axes = tuple(range(grid.dimension)) if V is None else tuple(grid.mirror_axes(V.values))
+    lam, P, classes, meta = (free_resolved_modes(grid, t0) if len(axes) == grid.dimension
+                             else _free_modes(grid, t0, axes))
     meta = dict(meta)
     if lam_limit is not None:
         keep = lam <= lam_limit * (1.0 + 1e-9)
-        lam, P, parity = lam[keep], P[:, keep], parity[keep]
+        lam, P, classes = lam[keep], P[:, keep], classes[keep]
         meta.update(lam_limit=float(lam_limit), n_kept=int(keep.sum()))
+    free = EigenDecomp(grid, lam, P, axes, classes, meta=meta)
     if V is None or not np.any(V.values):
-        return EigenDecomp(grid, lam, P, meta=meta)
+        return free
+    Vc = 2.0 ** len(axes) * V.values[_cone_layout(grid.n_axis, grid.dimension, axes)[2] == 0]
 
-    def block(idx):
-        Pc = P[:, idx]
-        H = np.diag(lam[idx]) + (Pc.T * V.values) @ Pc
+    def block(cols):
+        Pc = P[:, cols]
+        H = np.diag(lam[cols]) + (Pc.T * Vc) @ Pc
         theta, U = eigh(0.5 * (H + H.T))
         return theta, Pc @ U
 
-    classes = parity & sum(1 << j for j in grid.mirror_axes(V.values))
-    # the classes present, ascending; np.unique would import numpy.ma on first use
-    present = np.flatnonzero(np.bincount(classes))
-    thetas, modes = zip(*(block(np.flatnonzero(classes == c)) for c in present))
+    thetas, modes = zip(*(block(cols) for cols in free.class_columns if cols.stop > cols.start))
     meta["parity_blocks"] = len(modes)
-    theta = np.concatenate(thetas)
-    order = np.argsort(theta, kind="stable")
-    return EigenDecomp(grid, theta[order], np.hstack(modes).take(order, axis=1), meta=meta)
+    return EigenDecomp(grid, np.concatenate(thetas), np.hstack(modes), axes, classes, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -455,17 +502,27 @@ def splitting_kernel(
 
 def schrodinger_kernel(ed: EigenDecomp, t: float, rows=None) -> np.ndarray:
     """Kernel matrix of e^{-tL} against the weighted measure, all rows or the
-    rows given (an index or a slice of the nodes).
-
-    Entry accuracy requires the resolved decomposition; the full
-    decomposition's unresolved modes do not decay and pollute entries.
-    """
+    rows given (an index or a slice of the nodes): entry (x, y) is S[q(x) ^
+    q(y)] at their cone rows, S = _wht of the per-class cone tables and q the
+    quadrant, the same arithmetic for given rows as for all.  Entry accuracy
+    requires the resolved decomposition; the full decomposition's unresolved
+    modes do not decay and pollute entries."""
     if t <= 0:
         raise InputError("time must be positive")
-    dh = np.sqrt(ed.grid.mu_weights)
-    Qw = ed.modes / dh[:, None]
-    left = Qw if rows is None else Qw[rows]
-    return (left * np.exp(-t * ed.eigenvalues)) @ Qw.T
+    n, d = ed.grid.n_axis, ed.grid.dimension
+    quads, row, quad = _cone_layout(n, d, ed.axes)
+    dh = np.sqrt(ed.grid.mu_weights[quad == 0])
+    left = np.arange(len(dh)) if rows is None else row[rows]
+    S = np.empty((len(quads), len(left), len(dh)))
+    for c, cols in enumerate(ed.class_columns):
+        Qw = ed.modes[:, cols] / dh[:, None]
+        np.matmul(Qw[left] * np.exp(-t * ed.eigenvalues[cols]), Qw.T, out=S[c])
+    _wht(S)
+    at, q = (row, quad) if rows is None else (np.arange(len(left)), quad[rows])
+    out = np.empty((len(at),) + (n,) * d)
+    for p, sl in enumerate(quads):
+        out[(slice(None),) + sl] = S[q ^ p, at].reshape(out[(slice(None),) + sl].shape)
+    return out.reshape(len(at), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +533,7 @@ SPECTRAL_FLOOR = 1e-8
 
 
 def check_spectral_floor(ed: EigenDecomp) -> float:
-    lam_min = float(ed.eigenvalues[0])
+    lam_min = float(np.min(ed.eigenvalues))
     if lam_min < SPECTRAL_FLOOR:
         raise IllPosedError(
             "schrodinger",

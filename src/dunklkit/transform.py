@@ -91,9 +91,9 @@ def translate_radial(rs: RootSystem, grid: QuadratureGrid, x, f_radial) -> Sampl
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     q = nu_quadrature(rs, x)
-    vals = []
-    for lo in range(0, len(grid), 64):  # row blocks bound the (rows, n_nodes) array
-        y = grid.nodes[lo : lo + 64]
+    vals, step = [], max(1, 2**16 // len(q.weights))
+    for lo in range(0, len(grid), step):  # blocks of 2^16 entries (512 KiB) stay in L2
+        y = grid.nodes[lo : lo + step]
         arg2 = np.sum(y**2, axis=1)[:, None] + (x @ x) + 2.0 * (y @ q.nodes.T)
         vals.append(f_radial(np.sqrt(np.maximum(arg2, 0.0))) @ q.weights)
     return SampledFunction(grid, np.concatenate(vals))

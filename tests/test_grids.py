@@ -8,6 +8,9 @@ import mpmath
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from numpy.polynomial.legendre import leggauss
+
+from dunklkit import grids
 from dunklkit.grids import axis_rule, build_grid, kron_apply, tensor_rule
 from dunklkit.heat import axis_factor
 from dunklkit.intertwine import e_minus_i
@@ -47,6 +50,18 @@ class TestAxisRule(unittest.TestCase):
             ref_x, ref_w = _mp_legendre_rule(n, x - 1.0)
             np.testing.assert_allclose(x - 1.0, ref_x, rtol=0, atol=4e-16)
             np.testing.assert_allclose(w, ref_w, rtol=2e-11, atol=0)
+
+    def test_reference_rule_once_per_order(self):
+        # two half-widths with one node count compute the Legendre rule once,
+        # and each rule is the scaled reference bit for bit
+        grids._legendre.cache_clear()
+        for R in (14.0, 10.0, 5.77):
+            axis_rule.cache_clear()
+            x, w = axis_rule(R, 48)
+            xg, wg = leggauss(24)
+            self.assertTrue(np.array_equal(x[24:], 0.5 * R * (xg + 1.0)))
+            self.assertTrue(np.array_equal(w[24:], 0.5 * R * wg))
+        self.assertEqual(grids._legendre.cache_info().misses, 1)
 
 
 class TestLayout(unittest.TestCase):

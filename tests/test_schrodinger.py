@@ -47,6 +47,21 @@ from dunklkit.schrodinger import (
 from dunklkit.transform import build_spectral_matrix, c_k
 
 
+def _full_modes(grid, modes, axes, classes):
+    """Modes stored on the positive cone of the axes given, on every node, by
+    the unfold rule from the node coordinates: the cone value at the node's
+    mirror image (|x_j| on those axes) times -1 for each of them where the
+    node is negative and the column's class is odd (bit k for axes[k])."""
+    x, axes = grid.nodes, list(axes)
+    cone = np.flatnonzero(np.all(x[:, axes] > 0, axis=1))
+    at = {tuple(p): r for r, p in enumerate(x[cone])}
+    image = x.copy()
+    image[:, axes] = np.abs(x[:, axes])
+    rows = np.array([at[tuple(p)] for p in image])
+    odd = (classes[:, None] >> np.arange(len(axes))) & 1
+    return modes[rows] * (-1.0) ** ((x[:, axes] < 0).astype(int) @ odd.T)
+
+
 class TestPotentials(unittest.TestCase):
     def test_preset_values(self):
         r = np.array([0.0, 1.0, 2.0])
@@ -222,6 +237,10 @@ class TestResolvedCalculus(unittest.TestCase):
         for kappas, R, n in (((0.5, 1.0), 6.0, 24), ((0.5, 1.0), 6.0, 32), ((0.5,), 14.0, 256)):
             grid = build_grid(RootSystem.z2_product(list(kappas)), R, n)
             lam, P, parity, meta = free_resolved_modes(grid, 0.1)
+            # stored on the positive cone; unfolded on every axis, the full rows
+            P = _full_modes(grid, P, range(grid.dimension), parity)
+            order = np.argsort(lam, kind="stable")
+            lam, P, parity = lam[order], P[:, order], parity[order]
             lam_d, P_d, meta_d = dense(grid, 0.1)
             for key, val in meta_d.items():
                 self.assertEqual(meta[key], val, msg=f"{key} at n={n}")
@@ -249,10 +268,14 @@ class TestResolvedCalculus(unittest.TestCase):
             mus, Qs, pars = zip(*(_axis_free_modes(k, R, n, 0.1) for k in kappas))
             mu = reduce(np.kron, mus)
             keep = mu >= meta["floor"]
-            cols = np.flatnonzero(keep)[np.argsort(-np.log(mu[keep]) / 0.1)]
-            self.assertTrue(np.array_equal(P, reduce(np.kron, Qs)[:, cols]))
             # the class is the parities of the axis factors, bit j for axis j
             classes = reduce(np.add.outer, [par << j for j, par in enumerate(pars)]).ravel()
+            # by class, ascending lam within each
+            kept = np.flatnonzero(keep)
+            cols = kept[np.lexsort((-np.log(mu[keep]) / 0.1, classes[kept]))]
+            self.assertEqual(P.shape, (len(grid) >> len(kappas), len(cols)))
+            full = _full_modes(grid, P, range(grid.dimension), parity)
+            self.assertTrue(np.array_equal(full, reduce(np.kron, Qs)[:, cols]))
             self.assertTrue(np.array_equal(parity, classes[cols]))
 
     def test_kernel_rows_are_rows_of_the_full_kernel(self):
@@ -322,7 +345,8 @@ class TestParitySplit(unittest.TestCase):
 
     def test_galerkin_blocks_match_dense_galerkin(self):
         def dense(grid, V, t):  # one eigh on the whole resolved basis
-            lam, P, _, _ = free_resolved_modes(grid)
+            lam, P, parity, _ = free_resolved_modes(grid)
+            P = _full_modes(grid, P, range(grid.dimension), parity)
             theta, U = eigh(np.diag(lam) + (P.T * V.values) @ P)
             Qw = (P @ U) / np.sqrt(grid.mu_weights)[:, None]
             return theta, (Qw * np.exp(-t * theta)) @ Qw.T
@@ -344,10 +368,85 @@ class TestParitySplit(unittest.TestCase):
                 for t in (0.3, 1.0):
                     with self.subTest(rank=len(mult), blocks=blocks, t=t):
                         theta, ref = dense(grid, pot, t)
-                        np.testing.assert_allclose(ed.eigenvalues, theta, rtol=0,
+                        np.testing.assert_allclose(np.sort(ed.eigenvalues), theta, rtol=0,
                                                    atol=1e-12 * theta[-1])
                         gap = np.max(np.abs(schrodinger_kernel(ed, t) - ref))
                         self.assertLess(gap, 1e-12 * np.max(np.abs(ref)))
+
+
+class TestConeLayout(unittest.TestCase):
+    """The cone calculus against the dense formulas on the unfolded modes."""
+
+    @staticmethod
+    def potentials(grid, rng):
+        """(potential, parity blocks): radial (2^d), drawn at random (1) and,
+        from rank two, even in every coordinate but the first (2^(d-1))."""
+        x = grid.nodes
+        base = potential_preset(grid, "soft_coulomb", a=1.0)
+        drawn = rng.random(len(grid)) * np.exp(-np.sum(x**2, axis=1))
+        out = [(base, 2 ** grid.dimension), (dataclasses.replace(base, values=drawn), 1)]
+        if grid.dimension > 1:
+            odd_first = np.exp(x[:, 0] - np.sum(x[:, 1:] ** 2, axis=1))
+            out.append((dataclasses.replace(base, values=odd_first), 2 ** (grid.dimension - 1)))
+        return out
+
+    def test_cone_calculus_matches_unfolded_dense(self):
+        rng = np.random.default_rng(21)
+        for mult, R, n in (([0.5], 14.0, 256), ([0.5, 1.0], 6.0, 32), ([0.5, 1.0, 0.0], 5.0, 8)):
+            grid = build_grid(RootSystem.z2_product(mult), R, n)
+            N, dh = len(grid), np.sqrt(grid.mu_weights)
+            for pot, blocks in self.potentials(grid, rng):
+                ed = resolved_calculus(grid, pot)
+                self.assertEqual(ed.meta["parity_blocks"], blocks)
+                self.assertEqual(len(ed.modes), N >> len(ed.axes))
+                Q = _full_modes(grid, ed.modes, ed.axes, ed.classes)
+                k = Q.shape[1]
+                self.assertLess(np.max(np.abs(Q.T @ Q - np.eye(k))), 1e-12)
+                # and they diagonalize L on the resolved free basis, V on every node
+                lam, P, parity, _ = free_resolved_modes(grid)
+                PtQ = _full_modes(grid, P, range(grid.dimension), parity).T @ Q
+                H = (PtQ.T * lam) @ PtQ + (Q.T * pot.values) @ Q
+                gap = np.max(np.abs(H - np.diag(ed.eigenvalues)))
+                self.assertLess(gap, 1e-12 * np.max(ed.eigenvalues))
+                # classes ascending, each a contiguous range of ascending eigenvalues
+                self.assertTrue(np.all(np.diff(ed.classes) >= 0))
+                for cols in ed.class_columns:
+                    self.assertTrue(np.all(np.diff(ed.eigenvalues[cols]) >= 0))
+                f = rng.normal(size=(N, 3)) * np.exp(-np.sum(grid.nodes**2, axis=1) / 8.0)[:, None]
+                for t in (0.3, 1.0):
+                    with self.subTest(rank=len(mult), blocks=blocks, t=t):
+                        s = np.exp(-t * ed.eigenvalues)
+                        ref = (Q @ (s[:, None] * (Q.T @ (dh[:, None] * f)))) / dh[:, None]
+                        scale = np.max(np.abs(ref))
+                        got = ed.function_frame_apply(s, f)
+                        self.assertLess(np.max(np.abs(got - ref)), 1e-13 * scale)
+                        one = ed.function_frame_apply(s, f[:, 1])
+                        self.assertEqual(one.shape, (N,))
+                        self.assertLess(np.max(np.abs(one - ref[:, 1])), 1e-13 * scale)
+                        Qw = Q / dh[:, None]
+                        W = (Qw * s) @ Qw.T
+                        for rows in (None, slice(N // 3, N // 3 + 40), np.arange(5, N, 7)):
+                            ref_rows = W if rows is None else W[rows]
+                            gap = np.max(np.abs(schrodinger_kernel(ed, t, rows) - ref_rows))
+                            self.assertLess(gap, 1e-13 * np.max(np.abs(W)))
+
+    def test_rank_two_modes_hold_a_quarter_of_the_rows(self):
+        grid = build_grid(RootSystem.z2_product([0.5, 1.0]), 6.0, 32)
+        lam, P, parity, meta = free_resolved_modes(grid)
+        self.assertEqual(P.shape, (len(grid) // 4, meta["n_kept"]))
+        for pot in (None, potential_preset(grid, "soft_coulomb", a=1.0),
+                    potential_preset(grid, "constant", c=0.8)):
+            ed = resolved_calculus(grid, pot)
+            self.assertEqual(ed.axes, (0, 1))
+            self.assertEqual(ed.modes.shape, (len(grid) // 4, meta["n_kept"]))
+            self.assertTrue(np.array_equal(ed.classes, parity))
+
+    def test_free_modes_memoised_by_value(self):
+        # separately built grids with equal parameters share one decomposition
+        rs = RootSystem.z2_product([0.25])
+        first = free_resolved_modes(build_grid(rs, 9.0, 48), 0.1)
+        again = free_resolved_modes(build_grid(rs, 9.0, 48), 0.1)
+        self.assertTrue(all(a is b for a, b in zip(first, again)))
 
 
 class TestTrotter(unittest.TestCase):

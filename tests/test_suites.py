@@ -191,7 +191,7 @@ class TestMemoryBudget(unittest.TestCase):
                    grid={"R": 6.0, "N": 24}, suites=list(self.BUDGET))
         with tempfile.TemporaryDirectory() as tmp:
             cfg = _load(tmp, doc)
-        caches = (schrodinger.free_resolved_modes, schrodinger._axis_free_modes,
+        caches = (schrodinger._kron_modes, schrodinger._axis_free_modes,
                   schrodinger._free_operator)
         for name, budget in self.BUDGET.items():
             for cached in caches:
@@ -216,7 +216,7 @@ class TestParityBlocks(unittest.TestCase):
         with tempfile.TemporaryDirectory() as tmp:
             cfg = _load(tmp, doc)
         for name in ("spectral_positivity", "riesz_l2"):
-            for cached in (schrodinger.free_resolved_modes, schrodinger._axis_free_modes,
+            for cached in (schrodinger._kron_modes, schrodinger._axis_free_modes,
                            schrodinger._free_operator):
                 cached.cache_clear()
             scene = Scene(cfg)
