@@ -15,7 +15,6 @@ arguments and even under the joint sign flip, so half the axis gives all.
 import csv
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import product
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -114,8 +113,8 @@ class QuadratureGrid:
         b[:, iu, ju] = b[:, ju, iu] = vals.reshape(2, -1)
         return np.block([[P[::-1, ::-1], M[::-1]], [M[:, ::-1], P]])
 
-    def mirror_axes(self, a: np.ndarray, tol: float = 0.0) -> list:
-        """Axes j with max |a - R_j a| <= tol, R_j the reflection x_j -> -x_j of
+    def mirror_axes(self, a: np.ndarray) -> list:
+        """Axes j with a = R_j a bit for bit, R_j the reflection x_j -> -x_j of
         every node index of node samples (N,) or a table (N, N): compared on the
         rows at x_j > 0, which R_j pairs with the rest, ROW_BLOCK rows at a time."""
         n, d, h = self.n_axis, self.dimension, self.n_axis // 2
@@ -125,28 +124,10 @@ class QuadratureGrid:
         for j in range(d):
             half = (slice(None),) * j + (slice(h, None),)
             xs, rs = x[half], np.flip(x, tuple(range(j, x.ndim, d)))[half]
-            if np.max([np.max(np.abs(xs[i : i + step] - rs[i : i + step]))
-                       for i in range(0, len(xs), step)]) <= tol:
+            if all(np.array_equal(xs[i : i + step], rs[i : i + step])
+                   for i in range(0, len(xs), step)):
                 axes.append(j)
         return axes
-
-    def parity_blocks(self, a: np.ndarray, axes):
-        """Yield the 2^len(axes) blocks of a table (N, N) that commutes with
-        the reflections x_j -> -x_j, j in axes, all-even first: rows at x_j > 0
-        and each column plus (even) or minus (odd) its mirror, so a block's
-        eigenvector v is the table's [+-v reversed; v] / sqrt 2 on axis j.
-        Node samples (N,) give those rows.  Slices of a reshaped view."""
-        n, d, h = self.n_axis, self.dimension, self.n_axis // 2
-        for odd in product((False, True), repeat=len(axes)):
-            x = a.reshape((n,) * (a.ndim * d))
-            for j, sign in zip(axes, odd):
-                x = x[(slice(None),) * j + (slice(h, None),)]
-                if a.ndim == 2:
-                    col = (slice(None),) * (d + j)
-                    pos, neg = x[col + (slice(h, None),)], x[col + (slice(h - 1, None, -1),)]
-                    x = pos - neg if sign else pos + neg
-            m = int(np.prod(x.shape[:d]))
-            yield x.reshape((m,) * a.ndim)
 
     def interior_mask(self, fraction: float = 0.8) -> np.ndarray:
         """Nodes with every coordinate inside the central fraction of [-R, R]."""

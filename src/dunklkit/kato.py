@@ -40,7 +40,7 @@ from .grids import ROW_BLOCK
 from .heat import even_axis_factor, kernel_prefactor
 from .quadrature import quad
 from .reflection import RootSystem
-from .schrodinger import Potential, splitting_kernel, splitting_steps
+from .schrodinger import Potential, _cone_layout, _quadrants, _wht, splitting_kernel, splitting_steps
 
 QUAD_TOL = 1e-12
 # Gauss-Laguerre rule in time for the resolvent integrals
@@ -357,35 +357,44 @@ def smoothing_norms(grid, V: Optional[Potential], t: float, pq_list) -> Smoothin
     kernel: it is entrywise nonnegative and sub-Markov for every V >= 0, so
     the inf->inf corner is at most 1 up to rounding even where the
     eigencalculus rings (1 + 8.8e-14 against 1 + 7.4e-5 for inverse_power,
-    beta 0.5, on the 14/256 kernel grid at t = 0.1).
+    beta 0.5, on the 14/256 kernel grid at t = 0.1).  The norms are read from
+    its columns on the positive cone of the axes V leaves mirror-invariant.
     """
     if t <= 0:
         raise InputError("time must be positive")
-    W = splitting_kernel(grid, V, t, splitting_steps(grid, t))
-    return smoothing_norms_of_kernel(grid, W, pq_list)
+    W, axes = splitting_kernel(grid, V, t, splitting_steps(grid, t))
+    return smoothing_norms_of_kernel(grid, W, pq_list, axes)
 
 
-def smoothing_norms_of_kernel(grid, W, pq_list) -> SmoothingReport:
-    """Corner norms of an explicit kernel matrix and Riesz-Thorin interpolants.
+def smoothing_norms_of_kernel(grid, W, pq_list, axes=()) -> SmoothingReport:
+    """Corner norms of a kernel and Riesz-Thorin interpolants; the kernel is
+    held as its columns at the cone nodes of axes, whose reflections it
+    commutes with (splitting_kernel's layout; axes () is the whole table).
 
-    1->inf is the kernel sup; inf->inf the max row mass; 1->1 the max column
-    mass; interior (p, q) values are the log-convex corner combination.  The
-    direct L2 operator norm is included for the upper-bound cross-check.
+    1->inf is the sup and 1->1 the max column mass of the cone columns, as
+    every other column is a mirror copy; inf->inf is the max row mass, F D 1
+    on the cone, F = sum_q A_q the fold of the quadrant tables A_q(r, s) =
+    W(R_q r, s) (_quadrants), as every row is a mirror image of a cone row.
+    Interior (p, q) values are the log-convex corner combination.  The direct
+    L2 operator norm is included for the upper-bound cross-check.
 
     W must be entrywise nonnegative and symmetric to 1e-12 relative (splitting
-    kernels are, to about 2e-15), else InputError; S = D^(1/2) W D^(1/2) is then
-    too, so by Perron-Frobenius ||S||_2 is its top eigenvalue, found by Lanczos
-    to machine precision from D^(1/2) 1, which no Perron vector is orthogonal to.
-    On the axes whose reflection leaves W unchanged to the same 1e-12, a Perron
-    vector is even, so Lanczos runs on the all-even parity block.  Neither S
-    nor W - W^T is formed: Lanczos applies S as D^(1/2) (W (D^(1/2) v)).
+    kernels are, to about 2e-15), else InputError; W(R_p r, R_q s) - W(R_q s,
+    R_p r) is A_{p^q}(r, s) - A_{p^q}(s, r), so max |W - W^T| is the largest
+    over the A_q.  S = D^(1/2) W D^(1/2) is then too, so by Perron-Frobenius
+    ||S||_2 is its top eigenvalue, found by Lanczos to machine precision from
+    D^(1/2) 1, which no Perron vector is orthogonal to.  A Perron vector is
+    even on the axes, so Lanczos runs on the all-even parity block, F.
     """
-    om = grid.mu_weights
+    n, d = grid.n_axis, grid.dimension
+    A = _quadrants(W, n, d, tuple(axes))
     n_1inf = float(np.max(W))
-    if np.min(W) < 0 or _max_asymmetry(W) > 1e-12 * n_1inf:
+    if np.min(W) < 0 or max(map(_max_asymmetry, A)) > 1e-12 * n_1inf:
         raise InputError("smoothing kernel must be nonnegative and symmetric to 1e-12")
-    n_infinf = float(np.max(W @ om))
-    n_11 = float(np.max(om @ W))
+    om = grid.mu_weights[_cone_layout(n, d, tuple(axes))[2] == 0]
+    F = _wht(A)[0]
+    n_infinf = float(np.max(F @ om))
+    n_11 = float(np.max(grid.mu_weights @ W))
     corners = {(1, 1): n_11, ("inf", "inf"): n_infinf, (1, "inf"): n_1inf}
     interp = {}
     for p, q in pq_list:
@@ -393,9 +402,8 @@ def smoothing_norms_of_kernel(grid, W, pq_list) -> SmoothingReport:
         qv = np.inf if q in ("inf", np.inf) else float(q)
         th1, th2, th3 = _theta(pv, qv)
         interp[(p, q)] = float(n_11**th1 * n_infinf**th2 * n_1inf**th3)
-    axes = grid.mirror_axes(W, 1e-12 * n_1inf)
-    We, dh = (next(grid.parity_blocks(a, axes)) for a in (W, np.sqrt(om)))
-    l2 = _top_eigenvalue(lambda v: dh * (We @ (dh * v)), dh)
+    dh = np.sqrt(om)
+    l2 = _top_eigenvalue(lambda v: dh * (F @ (dh * v)), dh)
     return SmoothingReport(corners, interp, l2)
 
 

@@ -159,6 +159,21 @@ def _cone_layout(n: int, d: int, axes: tuple) -> tuple:
     return quads, row, quad
 
 
+def _quadrants(a: np.ndarray, n: int, d: int, axes: tuple) -> np.ndarray:
+    """Rows of a, (n^d, ...) in node order, at each quadrant's nodes as mirror
+    images of the cone's (_cone_layout): (2^a, n^d/2^a, ...), a C-ordered copy
+    whatever a's order.  _wht of it gives a's parity classes; of a table with
+    one column per cone node that commutes with the axes' reflections, the
+    parity blocks."""
+    x = a.reshape((n,) * d + a.shape[1:])
+    return np.array([x[sl].reshape(-1, *a.shape[1:]) for sl in _cone_layout(n, d, axes)[0]])
+
+
+def _split_axes(grid: QuadratureGrid, V: Optional[Potential]) -> tuple:
+    """Axes whose reflection leaves V's samples unchanged bit for bit; all for V None."""
+    return tuple(range(grid.dimension)) if V is None else tuple(grid.mirror_axes(V.values))
+
+
 def _wht(x: np.ndarray) -> np.ndarray:
     """x[c] <- sum_q (-1)^popcount(c & q) x[q] in place over the first axis,
     2^a long: quadrant samples to parity classes and back."""
@@ -195,14 +210,14 @@ class EigenDecomp:
         shape (N,) or (N, k), one function per column: a product pair per
         class on the samples folded (_wht of the quadrants), then unfolded."""
         grid, values = self.grid, np.asarray(values)
-        quads = _cone_layout(grid.n_axis, grid.dimension, self.axes)[0]
+        n, d = grid.n_axis, grid.dimension
         dh = np.sqrt(grid.mu_weights).reshape(-1, *(1,) * (values.ndim - 1))
-        g = (dh * values).reshape((grid.n_axis,) * grid.dimension + values.shape[1:])
-        x = _wht(np.stack([g[sl].reshape(len(self.modes), *values.shape[1:]) for sl in quads]))
+        x = _wht(_quadrants(dh * values, n, d, self.axes))
+        g = np.empty((n,) * d + values.shape[1:])
         for c, cols in enumerate(self.class_columns):
             Q = self.modes[:, cols]
             x[c] = Q @ (scalars[cols].reshape(-1, *dh.shape[1:]) * (Q.T @ x[c]))
-        for sl, y in zip(quads, _wht(x)):
+        for sl, y in zip(_cone_layout(n, d, self.axes)[0], _wht(x)):
             g[sl] = y.reshape(g[sl].shape)
         return g.reshape(values.shape) / dh
 
@@ -263,7 +278,9 @@ def eig(op: DiscreteOperator) -> np.ndarray:
     H, grid = op.matrix, op.grid
     blocks = [H]
     if H.shape == (len(grid),) * 2:
-        blocks = grid.parity_blocks(H, grid.mirror_axes(H))
+        n, d, axes = grid.n_axis, grid.dimension, tuple(grid.mirror_axes(H))
+        # H is symmetric bit for bit, so its cone columns give each block
+        blocks = _wht(_quadrants(H[:, _cone_layout(n, d, axes)[2] == 0], n, d, axes))
     vals = np.sort(np.concatenate([eigvalsh(b) for b in blocks]))
     scale = float(np.linalg.norm(H))
     gap = max(abs(np.linalg.norm(vals) - scale), abs(np.sum(vals) - np.trace(H)))
@@ -289,10 +306,11 @@ def _axis_free_modes(kappa: float, R: float, n_axis: int, t0: float) -> tuple:
     grid = build_grid(RootSystem.z2_product([kappa]), R, n_axis)
     dh = np.sqrt(grid.mu_weights)
     Kt = dh[:, None] * heat_kernel_matrix(grid, t0) * dh[None, :]
-    even, odd = (eigh(b) for b in grid.parity_blocks(0.5 * (Kt + Kt.T), [0]))
+    h = n_axis // 2
+    even, odd = (eigh(b) for b in _wht(_quadrants(0.5 * (Kt + Kt.T)[:, h:], n_axis, 1, (0,))))
     mu, v = (np.hstack(pair) for pair in zip(even, odd))
     order = np.argsort(mu, kind="stable")
-    mu, parity, v = mu[order], (order >= n_axis // 2).astype(int), v[:, order] / np.sqrt(2.0)
+    mu, parity, v = mu[order], (order >= h).astype(int), v[:, order] / np.sqrt(2.0)
     Q = np.vstack([np.where(parity, -1.0, 1.0) * v[::-1], v])
     mu.flags.writeable = Q.flags.writeable = parity.flags.writeable = False
     return mu, Q, parity
@@ -350,7 +368,7 @@ def resolved_calculus(
     meta["parity_blocks"] counts them, 1 when V breaks every reflection.  Each
     is formed on the cone of those axes, with V there scaled by 2^a.
     """
-    axes = tuple(range(grid.dimension)) if V is None else tuple(grid.mirror_axes(V.values))
+    axes = _split_axes(grid, V)
     lam, P, classes, meta = (free_resolved_modes(grid, t0) if len(axes) == grid.dimension
                              else _free_modes(grid, t0, axes))
     meta = dict(meta)
@@ -425,8 +443,13 @@ def _floored(W: np.ndarray) -> np.ndarray:
 
 def splitting_kernel(
     grid: QuadratureGrid, V: Optional[Potential], t: float, n_steps: int
-) -> np.ndarray:
-    """Symmetric splitting product kernel for e^{-tL} against the measure.
+) -> tuple:
+    """Symmetric splitting product kernel for e^{-tL} against the measure, as
+    (W, axes): W is its N x N/2^a columns at the cone nodes (_cone_layout) of
+    the axes whose reflection leaves V's samples unchanged bit for bit (all
+    for V None), bit for bit those of the whole table; axes () is the whole
+    table.  The kernel commutes with those reflections, so the unfold rule is
+    W(x, R_q y) = W(R_q x, y): every other column is a mirror copy.
 
     Each step is e^{-sV/2} K_s e^{-sV/2} with K_s the closed-form heat kernel
     and s = t/n_steps; V None is the free flow.  Every factor is entrywise
@@ -434,11 +457,13 @@ def splitting_kernel(
     max-norm contraction exactly, however rough the potential is.  Each
     product of steps is a quadrature over the grid, so more steps than
     splitting_steps allows are rejected; a single step involves no product
-    and is always accepted.  The n-step power is formed by repeated squaring,
-    or, where the count in the body is lower (rank two and up), by applying
-    the step n - 1 times to the iterate one axis at a time (kron_apply of the
-    n x n axis tables): on the (6, 32)^2 grid, one BLAS thread of a 2-vCPU x86
-    guest, 15 and 35 ms for 2 and 4 steps against 40-57 and 77-100 ms squared.
+    and is always accepted.  The n-step power is formed by repeated squaring
+    (the last power on the cone columns), or, where that costs more (rank two
+    and up), by applying the step n - 1 times to its cone columns one axis at
+    a time (kron_apply of the n x n axis tables), (n - 1) d n N^2/2^a
+    multiply-adds: on the (6, 32)^2 grid, one BLAS thread of a 2-vCPU x86
+    guest, 15 and 35 ms for 2 and 4 steps on all N columns against 40-57 and
+    77-100 ms squared.
 
     Entries below KERNEL_FLOOR (1e-150) of the step, the axis tables, every
     product and every operand of an axis product are set to 0: the Gaussian
@@ -458,7 +483,8 @@ def splitting_kernel(
     # Rejected: flush-to-zero/denormals-are-zero changes all arithmetic in the
     # process and needs machine code; a floor inside heat_kernel_matrix leaves
     # the products to underflow anew, and heat tables are compared at rtol
-    # 1e-14, so the floor belongs to this product alone.
+    # 1e-14, so the floor belongs to this product alone.  Parity-class blocks
+    # would hold a quarter of the table too, but not its exact positivity.
     if t <= 0:
         raise InputError("time must be positive")
     if n_steps < 1:
@@ -469,35 +495,42 @@ def splitting_kernel(
             f"splitting step {t / n_steps:.4g} narrower than the grid resolves; "
             f"use at most {n_max} steps"
         )
+    axes = _split_axes(grid, V)
+    cone = np.flatnonzero(_cone_layout(grid.n_axis, grid.dimension, axes)[2] == 0)
     s = t / n_steps
     damp = np.exp(-0.5 * s * (np.zeros(len(grid)) if V is None else V.values))
-    step = heat_kernel_matrix(grid, s)
-    step *= damp[:, None]
-    _floored(np.multiply(step, damp, out=step))
     om = grid.mu_weights
-    # Cost in multiply-adds: n_steps - 1 steps applied to the N x N iterate
-    # axis by axis take (n_steps - 1) d n N^2, repeated squaring takes
-    # (floor(log2 n_steps) + popcount(n_steps) - 1) N^3.  In rank one d n = N,
-    # so squaring is never dearer there, and a tie goes to it.
-    d, squarings = grid.dimension, n_steps.bit_length() + bin(n_steps).count("1") - 2
-    if (n_steps - 1) * d * grid.n_axis < squarings * len(grid):
-        c, axes = heat_axis_tables(grid, s)
+    # Cost in multiply-adds: the iterate takes (n_steps - 1) d n N^2/2^a, and
+    # repeated squaring floor(log2 n_steps) + popcount(n_steps) - 1 products,
+    # N^3 each but N^3/2^a for the last power and the product that reads it
+    # (one for a power of two, else two).  In rank one d n = N, so squaring is
+    # never dearer there, and a tie goes to it.
+    d, a = grid.dimension, len(axes)
+    products = n_steps.bit_length() + bin(n_steps).count("1") - 2
+    last = min(products, 2 if n_steps & (n_steps - 1) else 1)
+    iterate = (n_steps - 1) * d * grid.n_axis < ((products - last << a) + last) * len(grid)
+    cols = cone if iterate or n_steps == 1 else slice(None)
+    # the rows of K_s, transposed: it is symmetric bit for bit
+    step = np.ascontiguousarray(heat_kernel_matrix(grid, s, cols).T)
+    step *= damp[:, None]
+    _floored(np.multiply(step, damp[cols], out=step))
+    if iterate:
+        c, tables = heat_axis_tables(grid, s)
         W, step = step, None  # scaled in place; the step is not read again
         for _ in range(n_steps - 1):
             W *= (damp * om)[:, None]
-            for j, T in enumerate(map(_floored, axes)):
+            for j, T in enumerate(map(_floored, tables)):
                 W = kron_apply([T if i == j else None for i in range(d)], _floored(W))
             W *= (c * damp)[:, None]
             _floored(W)
-        return W
+        return W, axes
     W = None
-    while True:
+    while n_steps > 1:
         if n_steps & 1:
             W = step if W is None else _floored((W * om[None, :]) @ step)
         n_steps >>= 1
-        if not n_steps:
-            return W
-        step = _floored((step * om[None, :]) @ step)
+        step = _floored((step * om[None, :]) @ (step[:, cone] if n_steps == 1 else step))
+    return (step if W is None else _floored((W * om[None, :]) @ step)), axes
 
 
 def schrodinger_kernel(ed: EigenDecomp, t: float, rows=None) -> np.ndarray:

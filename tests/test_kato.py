@@ -9,7 +9,7 @@ import mpmath as mp
 import numpy as np
 from scipy.linalg import svdvals
 
-from dunklkit import kato
+from dunklkit import kato, schrodinger
 from dunklkit.errors import CapabilityError, InputError, NumericalError
 from dunklkit.grids import build_grid
 from dunklkit.kato import (
@@ -32,6 +32,7 @@ from dunklkit.kato import (
 )
 from dunklkit.reflection import RootSystem
 from dunklkit.schrodinger import (
+    _quadrants,
     potential_function,
     potential_preset,
     splitting_kernel,
@@ -39,6 +40,23 @@ from dunklkit.schrodinger import (
 )
 
 ONE = potential_function("constant", c=1.0)
+
+
+def _unfold(grid, W, axes):
+    """The whole N x N table of a kernel held as its cone columns
+    (splitting_kernel), by the unfold rule from node indices: the column at
+    node y is the cone column at y's mirror image on the axes where y is
+    negative, read at every row mirrored on those axes."""
+    n, idx, axes = grid.n_axis, grid.axis_index, list(axes)
+    neg = idx[axes] < n // 2
+    at = np.cumsum(~neg.any(axis=0)) - 1  # cone column of each cone node
+    out = np.empty((len(grid),) * 2)
+    for y in range(len(grid)):
+        m = idx.copy()
+        m[axes] = np.where(neg[:, y, None], n - 1 - m[axes], m[axes])
+        r = np.ravel_multi_index(tuple(m), (n,) * grid.dimension)
+        out[:, y] = W[r, at[r[y]]]
+    return out
 
 
 class TestModulus(unittest.TestCase):
@@ -376,9 +394,9 @@ class TestSmoothing(unittest.TestCase):
             for name, params in presets:
                 pot = potential_preset(grid, name, **params)
                 for t in (0.1, 1.0):
-                    W = splitting_kernel(grid, pot, t, splitting_steps(grid, t))
-                    got = smoothing_norms_of_kernel(grid, W, []).l2_direct
-                    ref = svdvals(dh[:, None] * W * dh[None, :])[0]
+                    W, axes = splitting_kernel(grid, pot, t, splitting_steps(grid, t))
+                    got = smoothing_norms_of_kernel(grid, W, [], axes).l2_direct
+                    ref = svdvals(dh[:, None] * _unfold(grid, W, axes) * dh[None, :])[0]
                     self.assertLessEqual(abs(got - ref), 1e-13 * ref)
 
     def test_tiled_asymmetry_is_the_full_one(self):
@@ -414,9 +432,9 @@ class TestSmoothing(unittest.TestCase):
         for grid in (self.grid, build_grid(RootSystem.z2_product([0.5, 1.0]), 6.0, 32)):
             dh = np.sqrt(grid.mu_weights)
             for t in (0.1, 1.0):
-                W = splitting_kernel(grid, self.pot if grid is self.grid else None, t,
-                                     splitting_steps(grid, t))
-                S = dh[:, None] * W * dh[None, :]
+                W, axes = splitting_kernel(grid, self.pot if grid is self.grid else None, t,
+                                           splitting_steps(grid, t))
+                S = dh[:, None] * _unfold(grid, W, axes) * dh[None, :]
                 self.assertEqual(_top_eigenvalue(lambda v: S @ v, dh), preallocated(S, dh))
 
     def test_even_block_lanczos_matches_the_whole(self):
@@ -432,27 +450,73 @@ class TestSmoothing(unittest.TestCase):
             dh = np.sqrt(grid.mu_weights)
             for t in (0.1, 0.5, 1.0):
                 with self.subTest(rank=grid.dimension, blocks=blocks, t=t):
-                    W = splitting_kernel(grid, pot, t, splitting_steps(grid, t))
+                    W, axes = splitting_kernel(grid, pot, t, splitting_steps(grid, t))
+                    self.assertEqual(2 ** len(axes), blocks)
                     with mock.patch.object(kato, "_top_eigenvalue", wraps=_top_eigenvalue) as top:
-                        got = smoothing_norms_of_kernel(grid, W, []).l2_direct
+                        got = smoothing_norms_of_kernel(grid, W, [], axes).l2_direct
                     self.assertEqual(len(top.call_args.args[1]), len(grid) // blocks)
+                    W = _unfold(grid, W, axes)
                     whole = _top_eigenvalue(lambda v: dh * (W @ (dh * v)), dh)
                     self.assertLessEqual(abs(got - whole), 1e-14 * whole)
                     if blocks == 1:
                         self.assertEqual(got, whole)
 
     def test_kernel_must_be_nonnegative_and_symmetric(self):
-        grid = self.grid
-        W = splitting_kernel(grid, self.pot, 0.5, 1)
-        smoothing_norms_of_kernel(grid, W, [])
+        # entries (h + 3, h + 5) and (h + 5, h + 3) of the whole table, at
+        # cone nodes 3 and 5 (x > 0 starts at node h), and a skew in a row at
+        # x < 0, which only the mirrored quadrant table holds
+        grid, h = self.grid, self.grid.n_axis // 2
+        W, axes = splitting_kernel(grid, self.pot, 0.5, 1)
+        smoothing_norms_of_kernel(grid, W, [], axes)
         neg = W.copy()
-        neg[3, 5] = neg[5, 3] = -1e-300
-        skew = W.copy()
-        skew[3, 5] += 1e-9 * W.max()
-        for bad in (neg, skew):
+        neg[h + 3, 5] = neg[h + 5, 3] = -1e-300
+        skew, mirrored = W.copy(), W.copy()
+        skew[h + 3, 5] += 1e-9 * W.max()
+        mirrored[3, 5] += 1e-9 * W.max()
+        for bad in (neg, skew, mirrored):
             with self.assertRaises(InputError):
-                smoothing_norms_of_kernel(grid, bad, [])
+                smoothing_norms_of_kernel(grid, bad, [], axes)
+            with self.assertRaises(InputError):
+                smoothing_norms_of_kernel(grid, _unfold(grid, bad, axes), [])
 
+    def test_cone_columns_give_the_norms_of_the_whole_table(self):
+        # against the same product on every column (the split turned off):
+        # its cone columns are bit for bit the kernel's, its other columns
+        # differ from their mirror copies by rounding alone, and so do the
+        # norms; the quadrant tables give the unfolded table's asymmetry
+        rank_two = build_grid(RootSystem.z2_product([0.5, 1.0]), 6.0, 32)
+        pq = [(1, 2), (2, 2), (2, "inf"), (1, "inf")]
+        cases = [(rank_two, potential_preset(rank_two, "soft_coulomb", a=1.0), t)
+                 for t in (0.1, 0.5, 1.0)] + [(rank_two, None, 0.5), (self.grid, self.pot, 0.5)]
+        for grid, pot, t in cases:
+            with self.subTest(rank=grid.dimension, free=pot is None, t=t):
+                W, axes = splitting_kernel(grid, pot, t, splitting_steps(grid, t))
+                self.assertEqual(axes, tuple(range(grid.dimension)))
+                with mock.patch.object(schrodinger, "_split_axes", return_value=()):
+                    dense = splitting_kernel(grid, pot, t, splitting_steps(grid, t))[0]
+                cone = np.flatnonzero(np.all(grid.nodes > 0, axis=1))
+                self.assertTrue(np.array_equal(dense[:, cone], W))
+                full = _unfold(grid, W, axes)
+                self.assertTrue(np.array_equal(full[:, cone], W))
+                for q in range(1, 2 ** grid.dimension):  # every reflection, exactly
+                    flip = [j for j in range(grid.dimension) if q >> j & 1]
+                    X = full.reshape((grid.n_axis,) * 2 * grid.dimension)
+                    M = np.flip(X, flip + [j + grid.dimension for j in flip])
+                    self.assertTrue(np.array_equal(M, X))
+                self.assertLessEqual(np.max(np.abs(full - dense)), 1e-15 * np.max(W))
+                rep = smoothing_norms_of_kernel(grid, W, pq, axes)
+                ref = smoothing_norms_of_kernel(grid, dense, pq)
+                self.assertEqual(rep.corner_norms[(1, "inf")], ref.corner_norms[(1, "inf")])
+                for a, b in zip([*rep.corner_norms.values(), *rep.interpolated.values(),
+                                 rep.l2_direct], [*ref.corner_norms.values(),
+                                                  *ref.interpolated.values(), ref.l2_direct]):
+                    self.assertLessEqual(abs(a - b), 1e-15 * b)
+                skew = W.copy()
+                skew[7, 3] += 1e-9 * W.max()
+                for M in (W, skew):
+                    quads = _quadrants(M, grid.n_axis, grid.dimension, axes)
+                    self.assertEqual(max(map(_max_asymmetry, quads)),
+                                     _max_asymmetry(_unfold(grid, M, axes)))
 
 if __name__ == "__main__":
     unittest.main()

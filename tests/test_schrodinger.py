@@ -16,12 +16,14 @@ from dunklkit.errors import IllPosedError, InputError, NumericalError
 from dunklkit.grids import SampledFunction, build_grid, kron_apply
 from dunklkit.heat import heat_axis_tables, heat_kernel_matrix
 from dunklkit.intertwine import e_minus_i
+from dunklkit.kato import _max_asymmetry, smoothing_norms_of_kernel
 from dunklkit.operators import dunkl_derivative, dunkl_derivative_matrix
 from dunklkit.reflection import RootSystem
 from dunklkit.schrodinger import (
     KERNEL_FLOOR,
     DiscreteOperator,
     _axis_free_modes,
+    _quadrants,
     assemble_L,
     distribution_sup,
     eig,
@@ -474,39 +476,46 @@ class TestSplittingKernel(unittest.TestCase):
         rs = RootSystem.z2_product([0.5])
         cls.grid = build_grid(rs, 14.0, 256)
         cls.mask = cls.grid.interior_mask(0.5)
+        cls.cone = np.flatnonzero(cls.grid.nodes[:, 0] > 0)
 
     def kernel(self, V, t):
-        return splitting_kernel(self.grid, V, t, splitting_steps(self.grid, t))
+        """The kernel's columns at x > 0; every V here is even, so the column
+        at -y is the one at y with the rows reversed."""
+        W, axes = splitting_kernel(self.grid, V, t, splitting_steps(self.grid, t))
+        self.assertEqual(axes, (0,))
+        return W
 
     def test_positive_and_sub_markov_for_rough_potential(self):
         pot = potential_preset(self.grid, "inverse_power", beta=0.5, cutoff=1.0)
         for t in (0.1, 1.0):
             W = self.kernel(pot, t)
             self.assertGreaterEqual(float(np.min(W)), 0.0)
-            self.assertLessEqual(float(np.max(W @ self.grid.mu_weights)), 1.0 + 1e-12)
+            row_mass = (W + W[::-1]) @ self.grid.mu_weights[self.cone]
+            self.assertLessEqual(float(np.max(row_mass)), 1.0 + 1e-12)
 
     def test_free_flow_is_closed_form_kernel(self):
         for t in (0.1, 1.0):
-            gap = np.abs(self.kernel(None, t) - heat_kernel_matrix(self.grid, t))
-            self.assertLessEqual(float(np.max(gap[np.ix_(self.mask, self.mask)])), 1e-10)
+            gap = np.abs(self.kernel(None, t) - heat_kernel_matrix(self.grid, t)[:, self.cone])
+            self.assertLessEqual(float(np.max(gap[np.ix_(self.mask, self.mask[self.cone])])), 1e-10)
 
     def test_constant_potential_damps_exactly(self):
         c = 1.5
         pot = potential_preset(self.grid, "constant", c=c)
         for t in (0.1, 1.0):
-            ref = math.exp(-c * t) * heat_kernel_matrix(self.grid, t)
+            ref = math.exp(-c * t) * heat_kernel_matrix(self.grid, t)[:, self.cone]
             gap = np.abs(self.kernel(pot, t) - ref)
-            self.assertLessEqual(float(np.max(gap[np.ix_(self.mask, self.mask)])), 1e-10)
+            self.assertLessEqual(float(np.max(gap[np.ix_(self.mask, self.mask[self.cone])])), 1e-10)
 
     def test_floor_drops_only_what_no_norm_sees(self):
-        # the same product of steps by repeated squaring without the floor:
-        # the floored kernel has no entry in (0, KERNEL_FLOOR); rank one
-        # squares too and keeps the same sup and row masses, rank two steps
-        # axis by axis and agrees to rounding
+        # the same product of steps by repeated squaring without the floor, on
+        # its cone columns: the floored kernel has no entry in (0,
+        # KERNEL_FLOOR); rank one squares too and keeps the same sup and row
+        # masses, rank two steps axis by axis and agrees to rounding
         rank_two = build_grid(RootSystem.z2_product([0.5, 1.0]), 6.0, 32)
         for grid, times in ((self.grid, (0.1, 1.0)), (rank_two, (0.5, 1.0))):
             pot = potential_preset(grid, "inverse_power", beta=0.5, cutoff=1.0)
             om = grid.mu_weights
+            cone = np.flatnonzero(np.all(grid.nodes > 0, axis=1))
             for t in times:
                 n = splitting_steps(grid, t)
                 damp = np.exp(-0.5 * (t / n) * pot.values)
@@ -519,37 +528,53 @@ class TestSplittingKernel(unittest.TestCase):
                     if not n:
                         break
                     step = (step * om[None, :]) @ step
-                W = splitting_kernel(grid, pot, t, splitting_steps(grid, t))
+                ref = ref[:, cone]
+                W, axes = splitting_kernel(grid, pot, t, splitting_steps(grid, t))
+                self.assertEqual(axes, tuple(range(grid.dimension)))
+                row_mass = lambda M: smoothing_norms_of_kernel(grid, M, [], axes).corner_norms[
+                    ("inf", "inf")]
                 self.assertTrue(np.all((W == 0.0) | (W >= KERNEL_FLOOR)))
                 if grid is self.grid:
                     self.assertLessEqual(float(np.max(np.abs(W - ref))), 1e-140)
                     self.assertEqual(np.max(W), np.max(ref))
-                    self.assertEqual(np.max(W @ om), np.max(ref @ om))
+                    self.assertEqual(row_mass(W), row_mass(ref))
                 else:
                     self.assertLessEqual(float(np.max(np.abs(W - ref))), 1e-13 * np.max(ref))
-                    self.assertLessEqual(float(np.max(np.abs(W - W.T))), 1e-12 * np.max(W))
-                    self.assertLessEqual(float(np.max(W @ om)), 1.0 + 1e-12)
+                    skew = max(map(_max_asymmetry, _quadrants(W, grid.n_axis, 2, axes)))
+                    self.assertLessEqual(skew, 1e-12 * np.max(W))
+                    self.assertLessEqual(row_mass(W), 1.0 + 1e-12)
 
     def test_axis_steps_in_place_are_bit_identical(self):
-        # the per-axis product, each operand a new array, as the reference
+        # the per-axis product on every column, each operand a new array, as
+        # the reference: the kernel's columns at the cone of the axes V leaves
+        # mirror-invariant are bit for bit the reference's there; a drawn V
+        # breaks every reflection and keeps every column
         grid = build_grid(RootSystem.z2_product([0.5, 1.0]), 6.0, 32)
         pot = potential_preset(grid, "inverse_power", beta=0.5, cutoff=1.0)
+        drawn = np.random.default_rng(4).random(len(grid)) * np.exp(-np.sum(grid.nodes**2, axis=1))
+        cone = np.flatnonzero(np.all(grid.nodes > 0, axis=1))
         om = grid.mu_weights
         floored = lambda A: np.where(A < KERNEL_FLOOR, 0.0, A)
-        for t in (0.5, 1.0):
-            n = splitting_steps(grid, t)
-            s = t / n
-            damp = np.exp(-0.5 * s * pot.values)
-            c, axes = heat_axis_tables(grid, s)
-            axes = [floored(T) for T in axes]
-            ref = floored(damp[:, None] * heat_kernel_matrix(grid, s) * damp[None, :])
-            for _ in range(n - 1):
-                ref = (damp * om)[:, None] * ref
-                ref = kron_apply([axes[0], None], floored(ref))
-                ref = kron_apply([None, axes[1]], floored(ref))
-                ref = floored((c * damp)[:, None] * ref)
-            self.assertGreater(n, 1)
-            self.assertTrue(np.array_equal(splitting_kernel(grid, pot, t, n), ref))
+        cases = [(pot, (0, 1), cone), (None, (0, 1), cone),
+                 (potential_preset(grid, "soft_coulomb", a=1.0), (0, 1), cone),
+                 (dataclasses.replace(pot, values=drawn), (), np.arange(len(grid)))]
+        for V, split, cols in cases:
+            for t in (0.1, 0.5, 1.0):
+                n = splitting_steps(grid, t)
+                s = t / n
+                damp = np.exp(-0.5 * s * (np.zeros(len(grid)) if V is None else V.values))
+                c, axes = heat_axis_tables(grid, s)
+                axes = [floored(T) for T in axes]
+                ref = floored(damp[:, None] * heat_kernel_matrix(grid, s) * damp[None, :])
+                for _ in range(n - 1):
+                    ref = (damp * om)[:, None] * ref
+                    ref = kron_apply([axes[0], None], floored(ref))
+                    ref = kron_apply([None, axes[1]], floored(ref))
+                    ref = floored((c * damp)[:, None] * ref)
+                self.assertEqual(n > 1, t > 0.1)
+                W, axes = splitting_kernel(grid, V, t, n)
+                self.assertEqual(axes, split)
+                self.assertTrue(np.array_equal(W, ref[:, cols]))
 
     def test_step_below_resolution_floor_rejected(self):
         pot = potential_preset(self.grid, "soft_coulomb", a=1.0)

@@ -13,6 +13,9 @@ import numpy as np
 
 from dunklkit import schrodinger, suites
 from dunklkit.config import load_config
+from dunklkit.grids import build_grid
+from dunklkit.reflection import RootSystem
+from dunklkit.schrodinger import potential_preset, resolved_calculus
 from dunklkit.suites import REGISTRY, Checks, Scene, run_suites
 
 import yaml
@@ -229,6 +232,25 @@ class TestParityBlocks(unittest.TestCase):
             sizes = [len(c.args[0]) for m in (galerkin, spectrum, lanczos) for c in m.call_args_list]
             self.assertTrue(sizes, name)
             self.assertLessEqual(max(sizes), len(scene.grid) // 4, name)
+
+
+class TestConstantShiftKernel(unittest.TestCase):
+    def test_shared_cone_rows_give_the_all_rows_gap(self):
+        # on the rank-two and rank-one kernel grids: every kernel row is a
+        # mirror image of a cone row, so a quarter (a half) of the rows give
+        # the check's value bit for bit
+        for kappas, R, n in (([0.5, 1.0], 6.0, 32), ([0.5], 14.0, 256)):
+            grid = build_grid(RootSystem.z2_product(kappas), R, n)
+            red = resolved_calculus(grid, potential_preset(grid, "constant", c=0.8))
+            red0 = resolved_calculus(grid, potential_preset(grid, "zero"))
+            with mock.patch.object(suites, "schrodinger_kernel",
+                                   wraps=schrodinger.schrodinger_kernel) as kernel:
+                gap = suites._shift_kernel_gap(red, red0, math.exp(-0.4))
+            rows = sum(len(c.args[2]) for c in kernel.call_args_list)
+            self.assertEqual(rows, 2 * len(grid) >> grid.dimension)
+            whole = suites._shift_kernel_gap(red, red0, math.exp(-0.4), np.arange(len(grid)))
+            self.assertEqual(gap, whole)
+            self.assertGreater(gap, 0.0)
 
 
 class TestCurveFiles(unittest.TestCase):
