@@ -40,7 +40,7 @@ from .grids import ROW_BLOCK
 from .heat import even_axis_factor, kernel_prefactor
 from .quadrature import quad
 from .reflection import RootSystem
-from .schrodinger import Potential, _cone_layout, _quadrants, _wht, splitting_kernel, splitting_steps
+from .schrodinger import Potential, _cone_nodes, _quadrants, _wht, splitting_kernel, splitting_steps
 
 QUAD_TOL = 1e-12
 # Gauss-Laguerre rule in time for the resolvent integrals
@@ -368,8 +368,9 @@ def smoothing_norms(grid, V: Optional[Potential], t: float, pq_list) -> Smoothin
 
 def smoothing_norms_of_kernel(grid, W, pq_list, axes=()) -> SmoothingReport:
     """Corner norms of a kernel and Riesz-Thorin interpolants; the kernel is
-    held as its columns at the cone nodes of axes, whose reflections it
-    commutes with (splitting_kernel's layout; axes () is the whole table).
+    held as its N x N/2^a columns at the cone nodes of axes, whose reflections
+    it commutes with (splitting_kernel's layout; axes () is the whole table),
+    else InputError.
 
     1->inf is the sup and 1->1 the max column mass of the cone columns, as
     every other column is a mirror copy; inf->inf is the max row mass, F D 1
@@ -386,12 +387,14 @@ def smoothing_norms_of_kernel(grid, W, pq_list, axes=()) -> SmoothingReport:
     D^(1/2) 1, which no Perron vector is orthogonal to.  A Perron vector is
     even on the axes, so Lanczos runs on the all-even parity block, F.
     """
-    n, d = grid.n_axis, grid.dimension
-    A = _quadrants(W, n, d, tuple(axes))
+    n, d, axes = grid.n_axis, grid.dimension, tuple(axes)
+    if W.shape != (len(grid), len(grid) >> len(axes)):
+        raise InputError(f"kernel of shape {W.shape} is not the cone columns of axes {axes}")
+    A = _quadrants(W, n, d, axes)
     n_1inf = float(np.max(W))
     if np.min(W) < 0 or max(map(_max_asymmetry, A)) > 1e-12 * n_1inf:
         raise InputError("smoothing kernel must be nonnegative and symmetric to 1e-12")
-    om = grid.mu_weights[_cone_layout(n, d, tuple(axes))[2] == 0]
+    om = grid.mu_weights[_cone_nodes(grid, axes)]
     F = _wht(A)[0]
     n_infinf = float(np.max(F @ om))
     n_11 = float(np.max(grid.mu_weights @ W))

@@ -169,6 +169,11 @@ def _quadrants(a: np.ndarray, n: int, d: int, axes: tuple) -> np.ndarray:
     return np.array([x[sl].reshape(-1, *a.shape[1:]) for sl in _cone_layout(n, d, axes)[0]])
 
 
+def _cone_nodes(grid: QuadratureGrid, axes: tuple) -> np.ndarray:
+    """Indices of the cone nodes of axes (_cone_layout's quadrant 0), ascending."""
+    return np.flatnonzero(_cone_layout(grid.n_axis, grid.dimension, tuple(axes))[2] == 0)
+
+
 def _split_axes(grid: QuadratureGrid, V: Optional[Potential]) -> tuple:
     """Axes whose reflection leaves V's samples unchanged bit for bit; all for V None."""
     return tuple(range(grid.dimension)) if V is None else tuple(grid.mirror_axes(V.values))
@@ -280,7 +285,7 @@ def eig(op: DiscreteOperator) -> np.ndarray:
     if H.shape == (len(grid),) * 2:
         n, d, axes = grid.n_axis, grid.dimension, tuple(grid.mirror_axes(H))
         # H is symmetric bit for bit, so its cone columns give each block
-        blocks = _wht(_quadrants(H[:, _cone_layout(n, d, axes)[2] == 0], n, d, axes))
+        blocks = _wht(_quadrants(H[:, _cone_nodes(grid, axes)], n, d, axes))
     vals = np.sort(np.concatenate([eigvalsh(b) for b in blocks]))
     scale = float(np.linalg.norm(H))
     gap = max(abs(np.linalg.norm(vals) - scale), abs(np.sum(vals) - np.trace(H)))
@@ -379,7 +384,7 @@ def resolved_calculus(
     free = EigenDecomp(grid, lam, P, axes, classes, meta=meta)
     if V is None or not np.any(V.values):
         return free
-    Vc = 2.0 ** len(axes) * V.values[_cone_layout(grid.n_axis, grid.dimension, axes)[2] == 0]
+    Vc = 2.0 ** len(axes) * V.values[_cone_nodes(grid, axes)]
 
     def block(cols):
         Pc = P[:, cols]
@@ -496,19 +501,16 @@ def splitting_kernel(
             f"use at most {n_max} steps"
         )
     axes = _split_axes(grid, V)
-    cone = np.flatnonzero(_cone_layout(grid.n_axis, grid.dimension, axes)[2] == 0)
+    cone = _cone_nodes(grid, axes)
     s = t / n_steps
     damp = np.exp(-0.5 * s * (np.zeros(len(grid)) if V is None else V.values))
     om = grid.mu_weights
-    # Cost in multiply-adds: the iterate takes (n_steps - 1) d n N^2/2^a, and
-    # repeated squaring floor(log2 n_steps) + popcount(n_steps) - 1 products,
-    # N^3 each but N^3/2^a for the last power and the product that reads it
-    # (one for a power of two, else two).  In rank one d n = N, so squaring is
-    # never dearer there, and a tie goes to it.
-    d, a = grid.dimension, len(axes)
-    products = n_steps.bit_length() + bin(n_steps).count("1") - 2
-    last = min(products, 2 if n_steps & (n_steps - 1) else 1)
-    iterate = (n_steps - 1) * d * grid.n_axis < ((products - last << a) + last) * len(grid)
+    # Cost in multiply-adds: n_steps - 1 steps applied to the iterate axis by
+    # axis take (n_steps - 1) d n N^2/2^a, repeated squaring takes
+    # (floor(log2 n_steps) + popcount(n_steps) - 1) N^3 at most.  In rank one
+    # d n = N, so squaring is never dearer there, and a tie goes to it.
+    d, squarings = grid.dimension, n_steps.bit_length() + bin(n_steps).count("1") - 2
+    iterate = (n_steps - 1) * d * grid.n_axis < squarings * len(grid)
     cols = cone if iterate or n_steps == 1 else slice(None)
     # the rows of K_s, transposed: it is symmetric bit for bit
     step = np.ascontiguousarray(heat_kernel_matrix(grid, s, cols).T)

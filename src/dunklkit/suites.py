@@ -62,7 +62,7 @@ from .reflection import (
 )
 from .schrodinger import (
     Potential,
-    _cone_layout,
+    _cone_nodes,
     assemble_L,
     eig,
     inv_sqrt_apply,
@@ -711,14 +711,12 @@ def suite_spectral_positivity(scene: Scene, rng) -> tuple:
     return ck, {"spectrum_vs_index": curve}
 
 
-def _shift_kernel_gap(red, red0, factor: float, rows=None) -> float:
+def _shift_kernel_gap(red, red0, factor: float) -> float:
     """max |K - factor K0| / max |K0| of the kernels of red and red0 at t = 0.5
-    (schrodinger_kernel) over the given node rows, ROW_BLOCK at a time; by
-    default the cone rows of the axes both split, whose entries are all entry
-    pairs of the two, as every row is a mirror image of a cone row in each."""
-    if rows is None:
-        grid, shared = red.grid, tuple(j for j in red.axes if j in red0.axes)
-        rows = np.flatnonzero(_cone_layout(grid.n_axis, grid.dimension, shared)[2] == 0)
+    (schrodinger_kernel) over the cone rows of the axes both split, ROW_BLOCK
+    at a time: their entries are all entry pairs of the two, as every row is a
+    mirror image of a cone row in each."""
+    rows = _cone_nodes(red.grid, tuple(j for j in red.axes if j in red0.axes))
     gap = scale = 0.0
     for i in range(0, len(rows), ROW_BLOCK):
         W0 = schrodinger_kernel(red0, 0.5, rows[i : i + ROW_BLOCK])

@@ -479,6 +479,13 @@ class TestSmoothing(unittest.TestCase):
             with self.assertRaises(InputError):
                 smoothing_norms_of_kernel(grid, _unfold(grid, bad, axes), [])
 
+    def test_layout_must_match_the_axes(self):
+        # the cone columns read as a whole table, and the reverse
+        W, axes = splitting_kernel(self.grid, self.pot, 0.5, 1)
+        for table, claimed in ((W, ()), (_unfold(self.grid, W, axes), axes)):
+            with self.assertRaises(InputError):
+                smoothing_norms_of_kernel(self.grid, table, [], claimed)
+
     def test_cone_columns_give_the_norms_of_the_whole_table(self):
         # against the same product on every column (the split turned off):
         # its cone columns are bit for bit the kernel's, its other columns

@@ -13,7 +13,7 @@ import numpy as np
 
 from dunklkit import schrodinger, suites
 from dunklkit.config import load_config
-from dunklkit.grids import build_grid
+from dunklkit.grids import ROW_BLOCK, build_grid
 from dunklkit.reflection import RootSystem
 from dunklkit.schrodinger import potential_preset, resolved_calculus
 from dunklkit.suites import REGISTRY, Checks, Scene, run_suites
@@ -249,8 +249,13 @@ class TestConstantShiftKernel(unittest.TestCase):
                 gap = suites._shift_kernel_gap(red, red0, math.exp(-0.4))
             rows = sum(len(c.args[2]) for c in kernel.call_args_list)
             self.assertEqual(rows, 2 * len(grid) >> grid.dimension)
-            whole = suites._shift_kernel_gap(red, red0, math.exp(-0.4), np.arange(len(grid)))
-            self.assertEqual(gap, whole)
+            diff = scale = 0.0
+            for i in range(0, len(grid), ROW_BLOCK):  # every row, as one slice each
+                W0 = schrodinger.schrodinger_kernel(red0, 0.5, slice(i, i + ROW_BLOCK))
+                W = schrodinger.schrodinger_kernel(red, 0.5, slice(i, i + ROW_BLOCK))
+                diff = max(diff, float(np.max(np.abs(W - math.exp(-0.4) * W0))))
+                scale = max(scale, float(np.max(np.abs(W0))))
+            self.assertEqual(gap, diff / scale)
             self.assertGreater(gap, 0.0)
 
 
