@@ -114,20 +114,10 @@ class QuadratureGrid:
         return np.block([[P[::-1, ::-1], M[::-1]], [M[:, ::-1], P]])
 
     def mirror_axes(self, a: np.ndarray) -> list:
-        """Axes j with a = R_j a bit for bit, R_j the reflection x_j -> -x_j of
-        every node index of node samples (N,) or a table (N, N): compared on the
-        rows at x_j > 0, which R_j pairs with the rest, ROW_BLOCK rows at a time."""
-        n, d, h = self.n_axis, self.dimension, self.n_axis // 2
-        x = a.reshape((n,) * (a.ndim * d))
-        step = max(1, ROW_BLOCK * n // len(self))
-        axes = []
-        for j in range(d):
-            half = (slice(None),) * j + (slice(h, None),)
-            xs, rs = x[half], np.flip(x, tuple(range(j, x.ndim, d)))[half]
-            if all(np.array_equal(xs[i : i + step], rs[i : i + step])
-                   for i in range(0, len(xs), step)):
-                axes.append(j)
-        return axes
+        """Axes j with a = R_j a bit for bit for node samples a (N,), R_j the
+        reflection x_j -> -x_j."""
+        x = a.reshape((self.n_axis,) * self.dimension)
+        return [j for j in range(self.dimension) if np.array_equal(x, np.flip(x, j))]
 
     def interior_mask(self, fraction: float = 0.8) -> np.ndarray:
         """Nodes with every coordinate inside the central fraction of [-R, R]."""

@@ -5,13 +5,14 @@ Similarity convention: with D the diagonal of quadrature weights, operators
 act on g = D^(1/2) f so that symmetric matrices represent operators that are
 self-adjoint in the weighted inner product.
 
-The assembled operator (assemble_L) serves its spectrum alone: eig returns
-eigenvalues, no vectors.  Functional calculus uses a resolved-mode
-decomposition: the eigenbasis of the reference free kernel at a short time
-t0, truncated at the quadrature resolution floor.  Modes beyond the floor
-belong to the unresolved corner of the discretization and would contribute
-non-decaying artifacts to kernel entries at every time, so they are excluded
-and the kept count is reported.
+The assembled operator (assemble_L: per-axis Kronecker factors and V, never
+the N x N table) serves its spectrum alone: eig returns eigenvalues, no
+vectors.  Functional calculus uses a resolved-mode decomposition: the
+eigenbasis of the reference free kernel at a short time t0, truncated at the
+quadrature resolution floor.  Modes beyond the floor belong to the unresolved
+corner of the discretization and would contribute non-decaying artifacts to
+kernel entries at every time, so they are excluded and the kept count is
+reported.
 
 The kernel of e^{-tL} has two paths, one per property it guarantees.  The
 eigencalculus kernel (schrodinger_kernel) has spectral entry accuracy but
@@ -27,7 +28,7 @@ the reflection x_j -> -x_j wherever V is even in x_j, as every radial preset
 is, so its eigenproblems split into parity blocks (Fassler and Stiefel,
 Group Theoretical Methods, 1992, ch. 5): 2^d solves a 2^d-th the size, a
 quarter of the flops in rank one and a sixteenth in rank two.  The split
-takes only the axes whose reflection leaves V's samples (for eig, the matrix)
+takes only the axes whose reflection leaves V's samples (for eig, L's factors)
 unchanged bit for bit; with none, as for a CSV potential drawn off-symmetry,
 there is one block, the whole problem.  Resolved modes are stored on the cone
 of the a split axes, a 2^a-th of the rows (EigenDecomp), where the Galerkin
@@ -139,9 +140,18 @@ def potential_from_csv(grid: QuadratureGrid, path) -> Potential:
 
 @dataclass(frozen=True)
 class DiscreteOperator:
-    matrix: np.ndarray
+    """L = sum_j F_1j x ... x F_dj + diag(V) in the similarity frame, never
+    the N x N table: factors[j, i] = F_ij is axis i's real symmetric n x n
+    factor in axis j's term (_free_factors), potential V's samples (0 for none)."""
+
     grid: QuadratureGrid
+    factors: np.ndarray
+    potential: np.ndarray
     symmetrization_defect: float
+
+    def apply(self, g: np.ndarray) -> np.ndarray:
+        """L g for samples (N,) or (N, k): a kron_apply per term (d^2 n N a column)."""
+        return sum(kron_apply(row, g) for row in self.factors) + (self.potential * g.T).T
 
 
 @lru_cache(maxsize=8)
@@ -228,9 +238,19 @@ class EigenDecomp:
 
 
 @lru_cache(maxsize=1)  # spectral_positivity assembles three operators on one sm
-def _free_operator(sm: SpectralMatrix) -> tuple:
-    """The symmetrized free part of assemble_L (read-only) and its defect,
-    memoised per SpectralMatrix."""
+def _free_factors(sm: SpectralMatrix) -> tuple:
+    """The factors F_ij = (Re C_ij + Re C_ij^T)/2 of assemble_L's free part,
+    (d, d, n, n) read-only, and its symmetrization defect 2 D, memoised per sm.
+
+    With C_jj = A_j, C_ij = G_i, M = sum_j (x)_i C_ij, H = sum_j (x)_i F_ij and
+    D = sum_j (prod_i (phi_ij + eps_ij) - prod_i phi_ij), phi = max|F_ij|, eps
+    = max|C_ij - F_ij|: |Im M|, |Re M - Re M^T| <= 2 D and |Re M - H| <= D (the
+    Im x Im terms dropped), in exact arithmetic.  Proof: an entry of (x)_i C_ij
+    is prod_i (y_i + e_i), y_i that of F_ij, |y_i| <= phi_ij, |e_i| <= eps_ij;
+    less prod_i y_i it is the sum over nonempty sets S of prod_S e_i prod_(not
+    S) y_i, so |M - H| <= D, and |M^T - H| <= D as F_ij is symmetric; Im M =
+    Im (M - H) and Re M - Re M^T = Re (M - H) - Re (M^T - H).
+    """
     grid = sm.grid
 
     def congruence(E, omega, c, m):
@@ -241,17 +261,16 @@ def _free_operator(sm: SpectralMatrix) -> tuple:
     A = [congruence(*ax, grid.axis**2) for ax in axes]
     # G_j enters only beside another axis
     G = [congruence(*ax, 1.0) for ax in axes] if len(axes) > 1 else []
-    M = reduce(np.add, (reduce(np.kron, G[:j] + [A[j]] + G[j + 1:]) for j in range(len(A))))
-    defect = float(np.max(np.abs(M.imag)))
-    H = M.real
-    defect = max(defect, float(np.max(np.abs(H - H.T))))
+    C = [[A[i] if i == j else G[i] for i in range(len(A))] for j in range(len(A))]
+    F = np.array([[0.5 * (X.real + X.real.T) for X in row] for row in C])
+    phi = np.max(np.abs(F), axis=(2, 3))
+    eps = np.array([[np.max(np.abs(X - f)) for X, f in zip(*rows)] for rows in zip(C, F)])
+    # D as prod phi (prod (1 + eps/phi) - 1), which does not cancel
+    defect = 2.0 * float(np.sum(np.prod(phi, 1) * np.expm1(np.sum(np.log1p(eps / phi), 1))))
     if defect > 1e-6:
-        raise NumericalError(
-            "schrodinger", f"symmetrization defect {defect:.3e} exceeds 1e-6"
-        )
-    H = 0.5 * (H + H.T)
-    H.flags.writeable = False
-    return H, defect
+        raise NumericalError("schrodinger", f"symmetrization defect {defect:.3e} exceeds 1e-6")
+    F.flags.writeable = False
+    return F, defect
 
 
 def assemble_L(sm: SpectralMatrix, V: Optional[Potential] = None) -> DiscreteOperator:
@@ -260,35 +279,36 @@ def assemble_L(sm: SpectralMatrix, V: Optional[Potential] = None) -> DiscreteOpe
     The free part is the Kronecker sum sum_j G_1 x ... x A_j x ... x G_d of
     per-axis congruences (1/c_j^2) B* B with B = diag(sqrt(m w_j)) E_j
     diag(sqrt(w_j)), m = xi^2 for A_j and m = 1 for G_j (the axis's
-    discrete identity, which is not I on an under-resolved axis).  Each term
-    is a product of positive semidefinite factors, so the sum is positive
-    semidefinite by construction; the residual imaginary/asymmetric parts
-    are recorded.  The free part is built once per sm; without V the
-    operator's matrix is that read-only array.
+    discrete identity, which is not I on an under-resolved axis), held as the
+    real symmetric parts of its factors (_free_factors, built once per sm).
+    Each term is a product of positive semidefinite factors, so the sum is
+    positive semidefinite by construction; what the real factors leave out is
+    bounded by the symmetrization defect.
     """
-    H, defect = _free_operator(sm)
-    if V is not None:
-        H = H + np.diag(V.values)
-    return DiscreteOperator(H, sm.grid, defect)
+    F, defect = _free_factors(sm)
+    return DiscreteOperator(sm.grid, F, np.zeros(len(sm.grid)) if V is None else V.values, defect)
 
 
 def eig(op: DiscreteOperator) -> np.ndarray:
-    """Ascending eigenvalues of the operator, without eigenvectors.
-
-    eigvalsh runs on each parity block of the axes whose reflection leaves
-    an N x N operator of the grid unchanged bit for bit.  Checked in O(N^2)
-    against 1e-8 max(||H||_F, 1): the eigenvalues' 2-norm against ||H||_F
-    and their sum against tr H, both unitary invariants.
-    """
-    H, grid = op.matrix, op.grid
-    blocks = [H]
-    if H.shape == (len(grid),) * 2:
-        n, d, axes = grid.n_axis, grid.dimension, tuple(grid.mirror_axes(H))
-        # H is symmetric bit for bit, so its cone columns give each block
-        blocks = _wht(_quadrants(H[:, _cone_nodes(grid, axes)], n, d, axes))
+    """Ascending eigenvalues of the operator, without eigenvectors: eigvalsh
+    per class c of the axes where V and every factor are mirror-invariant bit
+    for bit, on sum_j (x)_i F_ij^(c_i) + diag(V on the cone), F^(c_i) the
+    parity block of F (_wht of its cone columns' quadrants) on those axes and
+    F elsewhere.  Checked against 1e-8 max(||H||_F, 1): the eigenvalues'
+    2-norm and sum against ||H||_F and tr H, read from the factors and V."""
+    grid, F, V = op.grid, op.factors, op.potential
+    axes = tuple(i for i in grid.mirror_axes(V) if np.array_equal(F[:, i], F[:, i, ::-1, ::-1]))
+    parts = [[_wht(_quadrants(f[:, len(f) // 2:], len(f), 1, (0,))) if i in axes else f[None]
+              for i, f in enumerate(row)] for row in F]
+    Vc = np.diag(V[_cone_nodes(grid, axes)])
+    blocks = (Vc + sum(reduce(np.kron, [p[c] for p, c in zip(row, cls)]) for row in parts)
+              for cls in np.ndindex(*map(len, parts[0])))
     vals = np.sort(np.concatenate([eigvalsh(b) for b in blocks]))
-    scale = float(np.linalg.norm(H))
-    gap = max(abs(np.linalg.norm(vals) - scale), abs(np.sum(vals) - np.trace(H)))
+    diag = sum(reduce(np.kron, row) for row in np.diagonal(F, axis1=2, axis2=3))
+    trace = np.sum(np.prod(np.trace(F, axis1=2, axis2=3), axis=1)) + np.sum(V)
+    # ||H||_F^2 = sum_(j,k) prod_i <F_ij, F_ik> + 2 <V, diag H_free> + ||V||^2
+    scale = np.sqrt(np.sum(np.prod(np.einsum("jiab,kiab->jki", F, F), 2)) + (2.0 * diag + V) @ V)
+    gap = max(abs(np.linalg.norm(vals) - scale), abs(np.sum(vals) - trace))
     if gap > 1e-8 * max(scale, 1.0):
         raise NumericalError("schrodinger", f"eigenvalue invariant defect {gap:.3e}")
     if vals[0] < -1e-8:

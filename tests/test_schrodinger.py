@@ -4,6 +4,7 @@ import dataclasses
 import math
 import os
 import tempfile
+import tracemalloc
 import unittest
 from functools import reduce
 from unittest import mock
@@ -12,6 +13,7 @@ import numpy as np
 import scipy.linalg
 from numpy.linalg import eigh
 
+from dunklkit import schrodinger
 from dunklkit.errors import IllPosedError, InputError, NumericalError
 from dunklkit.grids import SampledFunction, build_grid, kron_apply
 from dunklkit.heat import heat_axis_tables, heat_kernel_matrix
@@ -21,7 +23,6 @@ from dunklkit.operators import dunkl_derivative, dunkl_derivative_matrix
 from dunklkit.reflection import RootSystem
 from dunklkit.schrodinger import (
     KERNEL_FLOOR,
-    DiscreteOperator,
     _axis_free_modes,
     _quadrants,
     assemble_L,
@@ -46,7 +47,7 @@ from dunklkit.schrodinger import (
     splitting_steps,
     weak_type_report,
 )
-from dunklkit.transform import build_spectral_matrix, c_k
+from dunklkit.transform import axis_tables, build_spectral_matrix, c_k
 
 
 def _full_modes(grid, modes, axes, classes):
@@ -104,6 +105,39 @@ class TestPotentials(unittest.TestCase):
         np.testing.assert_allclose(pot.values, f.values, rtol=1e-10)
 
 
+def _dense_free_operator(grid):
+    """The free operator as the dense congruence (1/c^2) B* B, symmetrized."""
+    table = np.ones((len(grid), len(grid)), dtype=complex)
+    for j, kap in enumerate(grid.rs.multiplicities):
+        xs = grid.nodes[:, j]
+        table = table * e_minus_i(np.outer(xs, xs), float(kap))
+    omega = grid.mu_weights
+    x2 = np.sum(grid.nodes**2, axis=1)
+    B = (np.sqrt(x2 * omega)[:, None] * table) * np.sqrt(omega)[None, :]
+    H = ((B.conj().T @ B) / c_k(grid.rs) ** 2).real
+    return 0.5 * (H + H.T)
+
+
+def _dense_operator(grid, pot):
+    return _dense_free_operator(grid) + (0.0 if pot is None else np.diag(pot.values))
+
+
+def _kronecker_defect(grid):
+    """max(|Im M|, |Re M - Re M^T|) of the complex Kronecker sum M = sum_j
+    G_1 x ... x A_j x ... x G_d of the per-axis congruences, formed whole,
+    and M's symmetrized real part."""
+    def congruence(E, w, c, m):
+        B = (np.sqrt(m * w)[:, None] * E) * np.sqrt(w)[None, :]
+        return (B.conj().T @ B) / c**2
+
+    tables = axis_tables(grid)
+    A = [congruence(*t, grid.axis**2) for t in tables]
+    G = [congruence(*t, 1.0) for t in tables]
+    M = sum(reduce(np.kron, G[:j] + [A[j]] + G[j + 1:]) for j in range(len(A)))
+    H = M.real
+    return max(np.max(np.abs(M.imag)), np.max(np.abs(H - H.T))), 0.5 * (H + H.T)
+
+
 class TestAssembly(unittest.TestCase):
     @classmethod
     def setUpClass(cls):
@@ -118,43 +152,37 @@ class TestAssembly(unittest.TestCase):
         self.assertGreaterEqual(lam[0], -1e-8)
         self.assertTrue(np.all(np.diff(lam) >= 0))
         # the norm and trace invariants catch a wrong spectrum
-        with mock.patch("dunklkit.schrodinger.eigvalsh", return_value=lam * (1.0 + 1e-6)):
-            with self.assertRaises(NumericalError):
-                eig(op)
-        with self.assertRaises(NumericalError):
-            eig(DiscreteOperator(np.diag([-1.0, 1.0]), self.grid, 0.0))
+        wrong = mock.patch("dunklkit.schrodinger.eigvalsh",
+                           side_effect=lambda b: np.linalg.eigvalsh(b) * (1.0 + 1e-6))
+        with wrong, self.assertRaisesRegex(NumericalError, "invariant"):
+            eig(op)
+        below = dataclasses.replace(op, potential=np.full(len(self.grid), -1.0 - lam[0]))
+        with self.assertRaisesRegex(NumericalError, "negative eigenvalue"):
+            eig(below)
 
     def test_eigenvalues_match_another_lapack_driver(self):
-        # numpy's eigvalsh (syevd) against the MRRR driver (syevr), the
-        # test's oracle
+        # numpy's eigvalsh (syevd) on the blocks against the MRRR driver
+        # (syevr) on the dense table, the test's oracle
         rank_two = build_grid(RootSystem.z2_product([0.5, 1.0]), 6.0, 24)
+        g = np.random.default_rng(4).normal(size=(len(rank_two), 3))
         for sm in (self.sm, build_spectral_matrix(rank_two)):
             for pot in (None, potential_preset(sm.grid, "soft_coulomb", a=1.0)):
                 with self.subTest(rank=sm.grid.dimension, potential=pot is not None):
-                    op = assemble_L(sm, pot)
+                    op, ref = assemble_L(sm, pot), _dense_operator(sm.grid, pot)
                     np.testing.assert_allclose(
-                        eig(op), scipy.linalg.eigvalsh(op.matrix, driver="evr"),
-                        rtol=0, atol=1e-10 * np.linalg.norm(op.matrix),
+                        eig(op), scipy.linalg.eigvalsh(ref, driver="evr"),
+                        rtol=0, atol=1e-10 * np.linalg.norm(ref),
                     )
+                    x = g[: len(sm.grid)]
+                    for v in (x, x[:, 0]):
+                        self.assertLess(np.max(np.abs(op.apply(v) - ref @ v)),
+                                        1e-14 * np.max(np.abs(ref @ v)))
 
     def test_potential_shifts_spectrum(self):
         pot = potential_preset(self.grid, "constant", c=3.0)
         free = eig(assemble_L(self.sm))
         shifted = eig(assemble_L(self.sm, pot))
         np.testing.assert_allclose(shifted, free + 3.0, atol=1e-8)
-
-
-def _dense_free_operator(grid):
-    """The free operator as the dense congruence (1/c^2) B* B, symmetrized."""
-    table = np.ones((len(grid), len(grid)), dtype=complex)
-    for j, kap in enumerate(grid.rs.multiplicities):
-        xs = grid.nodes[:, j]
-        table = table * e_minus_i(np.outer(xs, xs), float(kap))
-    omega = grid.mu_weights
-    x2 = np.sum(grid.nodes**2, axis=1)
-    B = (np.sqrt(x2 * omega)[:, None] * table) * np.sqrt(omega)[None, :]
-    H = ((B.conj().T @ B) / c_k(grid.rs) ** 2).real
-    return 0.5 * (H + H.T)
 
 
 class TestKroneckerAssembly(unittest.TestCase):
@@ -164,27 +192,58 @@ class TestKroneckerAssembly(unittest.TestCase):
             op = assemble_L(build_spectral_matrix(grid))
             ref = _dense_free_operator(grid)
             scale = np.max(np.abs(ref))
-            np.testing.assert_allclose(op.matrix / scale, ref / scale, rtol=0, atol=1e-14)
+            H = op.apply(np.eye(len(grid)))
+            np.testing.assert_allclose(H / scale, ref / scale, rtol=0, atol=1e-14)
+            # the reported defect bounds that of the whole complex Kronecker
+            # sum, so its check is no looser
+            defect, kron = _kronecker_defect(grid)
+            np.testing.assert_allclose(kron / scale, ref / scale, rtol=0, atol=1e-14)
+            self.assertGreaterEqual(op.symmetrization_defect, defect)
             self.assertLess(op.symmetrization_defect, 1e-12)
-            self.assertGreaterEqual(np.linalg.eigvalsh(op.matrix)[0], -1e-10 * scale)
+            self.assertGreaterEqual(np.linalg.eigvalsh(H)[0], -1e-10 * scale)
 
     def test_free_part_is_built_once(self):
         grid = build_grid(RootSystem.z2_product([0.5, 1.0]), 6.0, 24)
         sm = build_spectral_matrix(grid)
         free = assemble_L(sm)
-        self.assertFalse(free.matrix.flags.writeable)
-        self.assertIs(assemble_L(sm).matrix, free.matrix)
+        self.assertEqual(free.factors.shape, (2, 2, 24, 24))
+        self.assertFalse(free.factors.flags.writeable)
+        self.assertIs(assemble_L(sm).factors, free.factors)
         pot = potential_preset(grid, "soft_coulomb", a=1.0)
         op = assemble_L(sm, pot)
-        self.assertTrue(np.array_equal(op.matrix, free.matrix + np.diag(pot.values)))
+        self.assertIs(op.factors, free.factors)
+        self.assertIs(op.potential, pot.values)
+        self.assertFalse(np.any(free.potential))
         self.assertEqual(op.symmetrization_defect, free.symmetrization_defect)
+
+    def test_symmetric_potential_forms_no_table(self):
+        # tracemalloc peak of assembly, eig and apply in N x N float64 tables
+        # on the 576-node grid: a potential that breaks every reflection
+        # solves the whole operator, one table at least
+        grid = build_grid(RootSystem.z2_product([0.5, 1.0]), 6.0, 24)
+        sm, N = build_spectral_matrix(grid), len(grid)
+        pot = potential_preset(grid, "soft_coulomb", a=1.0)
+        drawn = dataclasses.replace(pot, values=np.random.default_rng(1).random(N))
+        for V, tables in ((None, (0.0, 0.5)), (pot, (0.0, 0.5)), (drawn, (1.0, np.inf))):
+            schrodinger._free_factors.cache_clear()
+            tracemalloc.start()
+            try:
+                op = assemble_L(sm, V)
+                eig(op)
+                op.apply(np.ones(N))
+                peak = tracemalloc.get_traced_memory()[1] / (8 * N * N)
+            finally:
+                tracemalloc.stop()
+            with self.subTest(potential=None if V is None else V is pot):
+                self.assertTrue(tables[0] < peak < tables[1], peak)
 
     def test_rank_one_is_the_dense_congruence(self):
         grid = build_grid(RootSystem.z2_product([0.5]), 10.0, 96)
         pot = potential_preset(grid, "soft_coulomb", a=1.0)
         op = assemble_L(build_spectral_matrix(grid), pot)
-        ref = _dense_free_operator(grid) + np.diag(pot.values)
-        self.assertTrue(np.array_equal(op.matrix, ref))
+        self.assertTrue(np.array_equal(op.apply(np.eye(len(grid))), _dense_operator(grid, pot)))
+        defect, _ = _kronecker_defect(grid)
+        self.assertGreaterEqual(op.symmetrization_defect, defect)
 
 
 class TestResolvedCalculus(unittest.TestCase):
@@ -340,9 +399,10 @@ class TestParitySplit(unittest.TestCase):
                         lam = eig(op)
                     sizes = [c.args[0].shape for c in s.call_args_list]
                     self.assertEqual(sizes, [(N // blocks, N // blocks)] * blocks)
+                    ref = _dense_operator(grid, pot)
                     np.testing.assert_allclose(
-                        lam, scipy.linalg.eigvalsh(op.matrix, driver="evr"),
-                        rtol=0, atol=1e-10 * np.linalg.norm(op.matrix),
+                        lam, scipy.linalg.eigvalsh(ref, driver="evr"),
+                        rtol=0, atol=1e-10 * np.linalg.norm(ref),
                     )
 
     def test_galerkin_blocks_match_dense_galerkin(self):

@@ -187,8 +187,10 @@ class TestMemoryBudget(unittest.TestCase):
     # tracemalloc peak of one suite on a fresh rank-two scene (the kernel grid
     # is (6, 32)^2, 1,024 nodes), in 1024^2 float64 tables of 8 MiB: measured
     # 0.13, 2.39 and 2.01 when the bounds were set, each at least 25 % above
-    # that; 0.13, 1.91 and 0.76 since the smoothing kernel holds its cone columns
-    BUDGET = {"heat_kernel": 0.25, "spectral_positivity": 3.0, "smoothing": 2.6}
+    # that; 0.13, 1.91 and 0.76 since the smoothing kernel holds its cone
+    # columns, and 0.80 for spectral_positivity since the operator is held as
+    # its per-axis factors (the 576-node scene grid's table is never formed)
+    BUDGET = {"heat_kernel": 0.25, "spectral_positivity": 1.0, "smoothing": 2.6}
 
     def test_rank_two_suites_hold_few_tables(self):
         doc = dict(FAST_DOC, group={"kind": "z2_product", "multiplicities": [0.5, 1.0]},
@@ -196,7 +198,7 @@ class TestMemoryBudget(unittest.TestCase):
         with tempfile.TemporaryDirectory() as tmp:
             cfg = _load(tmp, doc)
         caches = (schrodinger._kron_modes, schrodinger._axis_free_modes,
-                  schrodinger._free_operator)
+                  schrodinger._free_factors)
         for name, budget in self.BUDGET.items():
             for cached in caches:
                 cached.cache_clear()
@@ -221,7 +223,7 @@ class TestParityBlocks(unittest.TestCase):
             cfg = _load(tmp, doc)
         for name in ("spectral_positivity", "riesz_l2"):
             for cached in (schrodinger._kron_modes, schrodinger._axis_free_modes,
-                           schrodinger._free_operator):
+                           schrodinger._free_factors):
                 cached.cache_clear()
             scene = Scene(cfg)
             with (  # numpy.linalg.eigh is the one kato calls
@@ -233,6 +235,21 @@ class TestParityBlocks(unittest.TestCase):
             sizes = [len(c.args[0]) for m in (galerkin, spectrum, lanczos) for c in m.call_args_list]
             self.assertTrue(sizes, name)
             self.assertLessEqual(max(sizes), len(scene.grid) // 4, name)
+
+
+class TestQuadraticForm(unittest.TestCase):
+    def test_rank_two_records_the_stencil_gap_unchecked(self):
+        # the rank-two identity compares the operator with its own transform
+        # construction and reads rounding; its distance from the stencil
+        # sum_j ||T_j f||^2 (2.6e-2 on (6, 24)^2) is a value with no bound
+        doc = dict(FAST_DOC, group={"kind": "z2_product", "multiplicities": [0.5, 1.0]},
+                   grid={"R": 6.0, "N": 24})
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = _load(tmp, doc)
+        ck, _ = REGISTRY["spectral_positivity"].fn(Scene(cfg), np.random.default_rng(7))
+        self.assertLess(ck.values["quadratic_form_identity"], 1e-12)
+        self.assertAlmostEqual(ck.values["quadratic_form_stencil_gap"], 2.6e-2, delta=1e-3)
+        self.assertNotIn("quadratic_form_stencil_gap", {**ck.hard, **ck.soft, **ck.bounds})
 
 
 class TestConstantShiftKernel(unittest.TestCase):
