@@ -247,9 +247,9 @@ def _free_factors(sm: SpectralMatrix) -> tuple:
     = max|C_ij - F_ij|: |Im M|, |Re M - Re M^T| <= 2 D and |Re M - H| <= D (the
     Im x Im terms dropped), in exact arithmetic.  Proof: an entry of (x)_i C_ij
     is prod_i (y_i + e_i), y_i that of F_ij, |y_i| <= phi_ij, |e_i| <= eps_ij;
-    less prod_i y_i it is the sum over nonempty sets S of prod_S e_i prod_(not
-    S) y_i, so |M - H| <= D, and |M^T - H| <= D as F_ij is symmetric; Im M =
-    Im (M - H) and Re M - Re M^T = Re (M - H) - Re (M^T - H).
+    minus prod_i y_i it sums prod_S e_i prod_(not S) y_i over nonempty S, of
+    modulus <= prod_i (phi + eps) - prod_i phi.  So |M - H|, |M^T - H| <= D
+    (F_ij is symmetric); Im M = Im (M - H), Re M - Re M^T = Re ((M - H) - (M^T - H)).
     """
     grid = sm.grid
 
