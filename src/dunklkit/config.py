@@ -42,7 +42,7 @@ def _require(cond: bool, msg: str):
 
 def _kappa(v, what: str) -> float:
     """A multiplicity in [0, KAPPA_MAX], the Bessel kernels' tested range."""
-    _require(isinstance(v, (int, float)) and 0 <= v <= KAPPA_MAX,
+    _require(type(v) in (int, float) and 0 <= v <= KAPPA_MAX,  # YAML true is no number
              f"{what} must be numbers in [0, KAPPA_MAX = {KAPPA_MAX}], not {v!r}")
     return float(v)
 
@@ -71,7 +71,7 @@ def _validate_grid(g: dict):
     _require(isinstance(g, dict), "grid section must be a mapping")
     R = g.get("R", DEFAULT_GRID["R"])
     N = g.get("N", DEFAULT_GRID["N"])
-    _require(isinstance(R, (int, float)) and 0 < R <= sys.float_info.max, "grid R must be finite, > 0")
+    _require(type(R) in (int, float) and 0 < R <= sys.float_info.max, "grid R must be finite, > 0")
     _require(isinstance(N, int) and N > 0, "grid N must be a positive integer")
     _require(N % 2 == 0, "grid N must be even")
     width = FD_ORDER + 1
@@ -94,7 +94,7 @@ def _validate_potential(p: dict):
     names = PRESET_PARAMS[preset]
     for k, v in params.items():
         _require(k in names, f"{preset} takes no parameter {k!r}, only {list(names)}")
-        ok = isinstance(v, (int, float)) and abs(v) <= sys.float_info.max  # not nan or inf
+        ok = type(v) in (int, float) and abs(v) <= sys.float_info.max  # not bool, nan or inf
         _require(ok, f"potential parameter {k} must be a finite number")
         _require(v >= 0 or k not in ("a", "c", "h"), f"potential parameter {k} must be >= 0")
     if preset == "inverse_power":
@@ -134,11 +134,11 @@ def load_config(path, known_suites=None) -> RunConfig:
     sweeps.update(user_sweeps)
     for key in ("t_list", "kappa_list"):
         _require(isinstance(sweeps[key], list), f"{key} must be a list")
-    ok = all(isinstance(v, (int, float)) and 0 < v <= sys.float_info.max for v in sweeps["t_list"])
+    ok = all(type(v) in (int, float) and 0 < v <= sys.float_info.max for v in sweeps["t_list"])
     _require(ok, "t_list entries must be finite positive numbers")
     for k in sweeps["kappa_list"]:
         _kappa(k, "kappa_list entries")
     out_dir = str(data.get("out_dir", "runs/latest"))
     seed = data.get("seed", 0)
-    _require(isinstance(seed, int) and seed >= 0, "seed must be a nonnegative integer")
+    _require(type(seed) is int and seed >= 0, "seed must be a nonnegative integer")
     return RunConfig(group, grid, potential, tuple(suites), sweeps, out_dir, seed)

@@ -16,11 +16,6 @@ def hermite_functions(n: int, x) -> np.ndarray:
     return h
 
 
-def hermite_function(n: int, x) -> np.ndarray:
-    """Orthonormal Hermite function h_n."""
-    return hermite_functions(n, x)[-1]
-
-
 def random_band_limited(
     x, rng: np.random.Generator, n_terms: int = 12, max_degree: int = 24
 ) -> np.ndarray:

@@ -1,13 +1,15 @@
 """The Dunkl derivative on sampled functions, one n x n factor per axis.
 
-T_j is the finite-difference partial of order FD_ORDER along axis j plus the
-reflection difference term kappa_j (f(x) - f(sigma_j x)) / x_j.  Both act on
-coordinate j alone, so on the tensor grid T_j = I x ... x T x ... x I
-(Kronecker product, T at slot j) with the one-axis operator
-T = D + kappa_j (I - J) / x on the grid's axis rule, J the axis reversal:
-the axis is symmetric, so the reflected sample is exact and only the partial
-carries stencil error.  T is memoised per (kappa, R, n) and applied along its
-axis by kron_apply; the N x N matrix of T_j is never formed.
+T_j is the partial along axis j plus the reflection difference term
+kappa_j (f(x) - f(sigma_j x)) / x_j.  The partial D takes, at each node, the
+derivative of the degree-FD_ORDER interpolant on a window of FD_ORDER + 1
+nodes, by the barycentric formula (Berrut and Trefethen, SIAM Rev. 46, 2004,
+sec. 9).  Both act on coordinate j alone, so on the tensor grid
+T_j = I x ... x T x ... x I (Kronecker product, T at slot j) with the one-axis
+operator T = D + kappa_j (I - J) / x on the grid's axis rule, J the axis
+reversal: the axis is symmetric, so the reflected sample is exact and only the
+partial carries stencil error.  T is memoised per (kappa, R, n) and applied
+along its axis by kron_apply; the N x N matrix of T_j is never formed.
 """
 
 from functools import lru_cache
@@ -21,43 +23,27 @@ from .transform import SpectralMatrix, dunkl_transform, multiplier_apply
 FD_ORDER = 6  # accuracy order of the partial: a centred 7-node stencil
 
 
-def fornberg_weights(z, x: np.ndarray, m: int) -> np.ndarray:
-    """Weights of derivative order m at z for an arbitrary node stencil x;
-    batched over leading axes (z of shape (r,), x of shape (r, n))."""
-    n = x.shape[-1]
-    c = np.zeros(x.shape + (m + 1,))
-    c1 = 1.0
-    c4 = x[..., 0] - z
-    c[..., 0, 0] = 1.0
-    for i in range(1, n):
-        mn = min(i, m)
-        c2 = 1.0
-        c5 = c4
-        c4 = x[..., i] - z
-        for j in range(i):
-            c3 = x[..., i] - x[..., j]
-            c2 = c2 * c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    c[..., i, k] = c1 * (k * c[..., i - 1, k - 1] - c5 * c[..., i - 1, k]) / c2
-                c[..., i, 0] = -c1 * c5 * c[..., i - 1, 0] / c2
-            for k in range(mn, 0, -1):
-                c[..., j, k] = (c4 * c[..., j, k] - k * c[..., j, k - 1]) / c3
-            c[..., j, 0] = c4 * c[..., j, 0] / c3
-        c1 = c2
-    return c[..., m]
-
-
 def diff_matrix(xs: np.ndarray) -> np.ndarray:
-    """Dense first-derivative matrix on a 1D node set; one-sided at the edges."""
+    """Dense first-derivative matrix on a 1D node set, one window per row,
+    centred and one-sided at the edges: D[i, k] = (c_k / c_i) / (x_i - x_k),
+    c_k = 1 / prod_{j != k} (x_k - x_j) on the window, D[i, i] = -sum_{k != i} D[i, k]."""
     n = len(xs)
     width = FD_ORDER + 1
     if n < width:
         raise InputError(f"the {width}-node stencil needs at least {width} nodes")
-    D = np.zeros((n, n))
     rows = np.arange(n)[:, None]
     cols = np.clip(rows - width // 2, 0, n - width) + np.arange(width)
-    D[rows, cols] = fornberg_weights(xs, xs[cols], 1)
+    win = xs[cols]
+    gaps = win[:, :, None] - win[:, None, :]
+    gaps[:, range(width), range(width)] = 1.0  # the product skips j = k
+    c = 1.0 / np.prod(gaps, axis=2)
+    own = cols == rows
+    to_row = xs[:, None] - win
+    to_row[own] = np.inf  # 0 at k = i; the diagonal is minus the row sum
+    off = c / c[own][:, None] / to_row
+    D = np.zeros((n, n))
+    D[rows, cols] = off
+    np.fill_diagonal(D, -off.sum(axis=1))
     return D
 
 

@@ -806,39 +806,43 @@ def suite_trotter_order(scene: Scene, rng) -> tuple:
 def suite_riesz_l2(scene: Scene, rng) -> tuple:
     ck = Checks()
     grid = scene.kernel_grid
-    xs = grid.nodes[:, 0]
+    # products of per-axis draws and exp(-|x|^2 / 2) decay in every coordinate
+    axes = grid.nodes.T
+    gauss = SampledFunction(grid, np.exp(-np.sum(grid.nodes**2, axis=1) / 2.0))
     curve = []
     for preset, params in (("zero", {}), (None, None)):
         ed = scene.kernel_resolved(preset, **(params or {})) if preset else scene.kernel_resolved()
         if preset == "zero":
             ed0 = ed
-        fs = np.stack(
-            [families.random_band_limited(xs, rng, n_terms=8, max_degree=16) for _ in range(12)],
-            axis=1,
-        )
+        fs = np.stack([
+            np.prod([families.random_band_limited(x, rng, n_terms=8, max_degree=16) for x in axes],
+                    axis=0)
+            for _ in range(12)
+        ], axis=1)
         ratios = _l2_norms(grid, riesz_apply(ed, fs)) / np.maximum(_l2_norms(grid, fs), 1e-300)
         ck.at_most("l2_ratio_bound", float(np.max(ratios)), 1.0 + 1e-3)
         if preset == "zero":
             curve = [(float(i), float(r)) for i, r in enumerate(ratios)]
-        f = SampledFunction(grid, np.exp(-(xs**2) / 2.0))
-        direct = inv_sqrt_apply(ed, f)
-        sub, est = inv_sqrt_subordination(ed, f)
+        direct = inv_sqrt_apply(ed, gauss)
+        sub, est = inv_sqrt_subordination(ed, gauss)
         gap = SampledFunction(grid, direct.values - sub.values).norm_l2() / max(
             direct.norm_l2(), 1e-300
         )
         ck.at_most("subordination_gap", float(gap), 1e-4)
         ck.metric(f"subordination_self_estimate_{preset or 'scene'}", est)
 
-    f1 = families.random_band_limited(xs, rng, n_terms=5, max_degree=10)
-    f2 = families.random_band_limited(xs, rng, n_terms=5, max_degree=10)
+    f1, f2 = (
+        np.prod([families.random_band_limited(x, rng, n_terms=5, max_degree=10) for x in axes],
+                axis=0)
+        for _ in range(2)
+    )
     r12, r1, r2 = riesz_apply(ed0, np.stack([2.0 * f1 - 3.0 * f2, f1, f2], axis=1)).T
     lin = float(np.max(np.abs(r12 - (2.0 * r1 - 3.0 * r2))))
     ck.at_most("linearity", lin, 1e-10 * max(1.0, float(np.max(np.abs(r1)))))
 
-    f = SampledFunction(grid, np.exp(-(xs**2) / 2.0))
-    Lf = ed0.function_frame_apply(ed0.eigenvalues, f.values)
+    Lf = ed0.function_frame_apply(ed0.eigenvalues, gauss.values)
     back = inv_sqrt_apply(ed0, inv_sqrt_apply(ed0, SampledFunction(grid, Lf)))
-    rt = SampledFunction(grid, back.values - f.values).norm_l2() / f.norm_l2()
+    rt = SampledFunction(grid, back.values - gauss.values).norm_l2() / gauss.norm_l2()
     ck.at_most("inverse_root_roundtrip", float(rt), 1e-6)
     return ck, {"riesz_ratio_vs_index": curve}
 

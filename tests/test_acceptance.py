@@ -433,7 +433,7 @@ class TestAcceptance(unittest.TestCase):
         for _ in range(10):
             coef = rng.normal(size=6)
             h = SampledFunction(
-                grid, sum(c * families.hermite_function(n, xs) for n, c in enumerate(coef))
+                grid, sum(c * families.hermite_functions(n, xs)[n] for n, c in enumerate(coef))
             )
             f = spectral_laplacian(sm, h).values
             rf = R @ f

@@ -115,11 +115,14 @@ class TestLoadConfig(unittest.TestCase):
             {"potential": {"preset": "soft_coulomb", "params": {"a": [1]}}},
             {"potential": {"preset": "soft_coulomb", "params": {"b": 2.0}}},
             {"potential": {"preset": "soft_coulomb", "params": {"a": 10**400}}},
+            {"potential": {"preset": "soft_coulomb", "params": {"a": True}}},
+            {"potential": {"preset": "inverse_power", "params": {"beta": True}}},
             {"potential": {"preset": ["soft_coulomb"]}},
             {"suites": "plancherel"},
             {"sweeps": {"t_list": ["x"]}},
             {"seed": -3},
             {"seed": 1.5},
+            {"seed": True},
         ]
         for i, doc in enumerate(bad_docs):
             path = _write(self.tmp, f"bad{i}.yaml", doc)
@@ -145,7 +148,8 @@ class TestLoadConfig(unittest.TestCase):
             "kappa_list": lambda v: {"sweeps": {"kappa_list": [0.0, v]}},
         }
         for name, doc in places.items():
-            for v in ("x", "0.5", [1.0], float("inf"), float("nan"), -0.5, KAPPA_MAX + 0.01, 1e300):
+            for v in ("x", "0.5", [1.0], float("inf"), float("nan"), -0.5, KAPPA_MAX + 0.01, 1e300,
+                      True):
                 with self.subTest(place=name, value=v):
                     path = _write(self.tmp, "run.yaml", doc(v))
                     with self.assertRaisesRegex(ConfigError, f"KAPPA_MAX = {KAPPA_MAX}"):
@@ -154,7 +158,7 @@ class TestLoadConfig(unittest.TestCase):
             load_config(path)
 
     def test_t_list_must_be_positive_finite_times(self):
-        for t_list in ([-0.1], [float("nan")], 0.1, [0.5, 0.0], [float("inf")], [True, "x"]):
+        for t_list in ([-0.1], [float("nan")], 0.1, [0.5, 0.0], [float("inf")], [True, "x"], [True]):
             with self.subTest(t_list=t_list):
                 path = _write(self.tmp, "run.yaml", {"sweeps": {"t_list": t_list}})
                 with self.assertRaises(ConfigError):
@@ -164,7 +168,7 @@ class TestLoadConfig(unittest.TestCase):
             load_config(path)
 
     def test_grid_half_width_must_be_finite(self):
-        for R in (float("inf"), float("nan"), 0.0):
+        for R in (float("inf"), float("nan"), 0.0, True):
             path = _write(self.tmp, "run.yaml", {"grid": {"R": R, "N": 32}})
             with self.assertRaises(ConfigError, msg=R):
                 load_config(path)

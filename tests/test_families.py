@@ -32,7 +32,6 @@ class TestHermiteFunctions(unittest.TestCase):
         h = families.hermite_functions(24, x)
         for n in range(25):
             np.testing.assert_array_equal(h[n], _hermite_reference(n, x))
-            np.testing.assert_array_equal(families.hermite_function(n, x), h[n])
 
     def test_random_band_limited_sums_single_degrees(self):
         x = np.linspace(-8.0, 8.0, 101)

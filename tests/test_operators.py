@@ -3,9 +3,10 @@
 import unittest
 from functools import reduce
 
+import mpmath
 import numpy as np
 
-from dunklkit.grids import SampledFunction, build_grid
+from dunklkit.grids import SampledFunction, axis_rule, build_grid
 from dunklkit.operators import (
     antisymmetry_defect,
     derivative_apply,
@@ -13,7 +14,6 @@ from dunklkit.operators import (
     dunkl_derivative,
     dunkl_derivative_matrix,
     dunkl_laplacian,
-    fornberg_weights,
     multiplier_defect,
     spectral_laplacian,
 )
@@ -21,20 +21,52 @@ from dunklkit.reflection import RootSystem
 from dunklkit.transform import build_spectral_matrix
 
 
+def _lagrange_derivative(xs: np.ndarray) -> np.ndarray:
+    """Oracle: at each node, the derivative of the degree-6 interpolant on
+    the row's 7-node window (centred, one-sided at the edges), from the
+    Lagrange basis in mpmath at 40 digits."""
+    n = len(xs)
+    D = np.zeros((n, n))
+    with mpmath.workdps(40):
+        x = [mpmath.mpf(float(v)) for v in xs]
+        for i in range(n):
+            lo = min(max(i - 3, 0), n - 7)
+            win = range(lo, lo + 7)
+            for k in win:
+                # l_k'(x_i) = sum_m 1/(x_k - x_m) prod_{j != k, m} (x_i - x_j)/(x_k - x_j)
+                total = mpmath.mpf(0)
+                for m in win:
+                    if m != k:
+                        term = 1 / (x[k] - x[m])
+                        for j in win:
+                            if j not in (k, m):
+                                term *= (x[i] - x[j]) / (x[k] - x[j])
+                        total += term
+                D[i, k] = float(total)
+    return D
+
+
 class TestStencil(unittest.TestCase):
     def test_diff_matrix_exact_on_polynomials(self):
+        # the 7-node window differentiates degree <= 6 exactly, and the
+        # diagonal makes every row sum vanish
         xs = np.linspace(-2, 2, 17)
         D = diff_matrix(xs)
-        np.testing.assert_allclose(D @ xs**5, 5 * xs**4, atol=1e-9)
+        for deg in range(1, 7):
+            np.testing.assert_allclose(D @ xs**deg, deg * xs ** (deg - 1), rtol=0, atol=1e-9)
+        np.testing.assert_allclose(D.sum(axis=1), 0.0, rtol=0, atol=1e-14 * np.max(np.abs(D)))
 
-    def test_batched_rows_match_row_loop(self):
-        # one stencil per row, centred and one-sided at the edges
-        xs = np.sort(np.random.default_rng(3).uniform(-3.0, 3.0, 23))
-        ref = np.zeros((23, 23))
-        for i in range(23):
-            lo = min(max(i - 3, 0), 23 - 7)
-            ref[i, lo : lo + 7] = fornberg_weights(xs[i], xs[lo : lo + 7], 1)
-        np.testing.assert_array_equal(diff_matrix(xs), ref)
+    def test_matches_lagrange_oracle(self):
+        # axis rules the package builds and a random non-uniform node set
+        node_sets = [axis_rule(R, n)[0] for R, n in ((10.0, 128), (6.0, 32), (14.0, 256))]
+        node_sets.append(np.sort(np.random.default_rng(3).uniform(-3.0, 3.0, 23)))
+        for xs in node_sets:
+            with self.subTest(n=len(xs)):
+                D = diff_matrix(xs)
+                scale = np.max(np.abs(D))
+                np.testing.assert_allclose(
+                    D, _lagrange_derivative(xs), rtol=0, atol=2e-15 * scale
+                )
 
 
 class TestDerivative(unittest.TestCase):
