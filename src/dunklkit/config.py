@@ -22,6 +22,8 @@ DEFAULT_SWEEPS = {
     "t_list": [0.1, 0.5, 1.0],
     "kappa_list": [0.0, 0.5, 1.5],
 }
+# L^p exponents, numbers >= 1 or "inf": accepted and checked, read by no suite yet
+EXPONENT_SWEEPS = ("p_list", "q_list")
 
 
 @dataclass(frozen=True)
@@ -40,6 +42,12 @@ def _require(cond: bool, msg: str):
         raise ConfigError(msg)
 
 
+def _known(section: dict, keys, what: str):
+    """Refuse a key of section outside keys: a misspelt key would run on the defaults."""
+    unknown = sorted(map(str, set(section) - set(keys)))
+    _require(not unknown, f"unknown {what} key(s) {unknown}, expected some of {list(keys)}")
+
+
 def _kappa(v, what: str) -> float:
     """A multiplicity in [0, KAPPA_MAX], the Bessel kernels' tested range."""
     _require(type(v) in (int, float) and 0 <= v <= KAPPA_MAX,  # YAML true is no number
@@ -51,6 +59,8 @@ def _validate_group(g: dict):
     _require(isinstance(g, dict), "group section must be a mapping")
     kind = g.get("kind", "z2_product")
     _require(kind in GROUP_KINDS, f"unknown group kind {kind!r}")
+    _known(g, ("kind", "multiplicities") if kind == "z2_product" else ("kind", "m", "k_even", "k_odd"),
+           f"{kind} group")
     if kind == "z2_product":
         mult = g.get("multiplicities", [0.5])
         _require(
@@ -69,6 +79,7 @@ def _validate_group(g: dict):
 
 def _validate_grid(g: dict):
     _require(isinstance(g, dict), "grid section must be a mapping")
+    _known(g, tuple(DEFAULT_GRID), "grid")
     R = g.get("R", DEFAULT_GRID["R"])
     N = g.get("N", DEFAULT_GRID["N"])
     _require(type(R) in (int, float) and 0 < R <= sys.float_info.max, "grid R must be finite, > 0")
@@ -85,15 +96,15 @@ def _validate_grid(g: dict):
 
 def _validate_potential(p: dict):
     _require(isinstance(p, dict), "potential section must be a mapping")
+    _known(p, ("preset", "params", "csv"), "potential")
     if "csv" in p:
         return {"csv": str(p["csv"])}
     preset = p.get("preset", "zero")
     _require(preset in tuple(PRESET_PARAMS), f"unknown potential preset {preset!r}")
     params = p.get("params", {})
     _require(isinstance(params, dict), "potential params must be a mapping")
-    names = PRESET_PARAMS[preset]
+    _known(params, PRESET_PARAMS[preset], f"{preset} parameter")
     for k, v in params.items():
-        _require(k in names, f"{preset} takes no parameter {k!r}, only {list(names)}")
         ok = type(v) in (int, float) and abs(v) <= sys.float_info.max  # not bool, nan or inf
         _require(ok, f"potential parameter {k} must be a finite number")
         _require(v >= 0 or k not in ("a", "c", "h"), f"potential parameter {k} must be >= 0")
@@ -115,6 +126,7 @@ def load_config(path, known_suites=None) -> RunConfig:
     except Exception as exc:
         raise ConfigError(f"config is not parseable: {exc}") from exc
     _require(isinstance(data, dict), "config root must be a mapping")
+    _known(data, ("group", "grid", "potential", "suites", "sweeps", "out_dir", "seed"), "top-level")
     group = _validate_group(data.get("group", dict(DEFAULT_GROUP)))
     grid = _validate_grid(data.get("grid", dict(DEFAULT_GRID)))
     potential = _validate_potential(data.get("potential", dict(DEFAULT_POTENTIAL)))
@@ -128,17 +140,21 @@ def load_config(path, known_suites=None) -> RunConfig:
             _require(s in known_suites, f"unknown suite {s!r}")
         if not suites:
             suites = sorted(known_suites)  # omitted list means the full set
-    sweeps = dict(DEFAULT_SWEEPS)
     user_sweeps = data.get("sweeps", {})
     _require(isinstance(user_sweeps, dict), "sweeps must be a mapping")
-    sweeps.update(user_sweeps)
-    for key in ("t_list", "kappa_list"):
-        _require(isinstance(sweeps[key], list), f"{key} must be a list")
+    _known(user_sweeps, (*DEFAULT_SWEEPS, *EXPONENT_SWEEPS), "sweeps")
+    sweeps = {**DEFAULT_SWEEPS, **user_sweeps}
+    for key, values in sweeps.items():
+        _require(isinstance(values, list) and values, f"{key} must be a nonempty list")
     ok = all(type(v) in (int, float) and 0 < v <= sys.float_info.max for v in sweeps["t_list"])
     _require(ok, "t_list entries must be finite positive numbers")
     for k in sweeps["kappa_list"]:
         _kappa(k, "kappa_list entries")
-    out_dir = str(data.get("out_dir", "runs/latest"))
+    for key in EXPONENT_SWEEPS:
+        ok = all(v == "inf" or type(v) in (int, float) and v >= 1 for v in sweeps.get(key, []))
+        _require(ok, f"{key} entries must be numbers >= 1 or 'inf'")
+    out_dir = data.get("out_dir", "runs/latest")
+    _require(isinstance(out_dir, str), "out_dir must be a string")
     seed = data.get("seed", 0)
     _require(type(seed) is int and seed >= 0, "seed must be a nonnegative integer")
     return RunConfig(group, grid, potential, tuple(suites), sweeps, out_dir, seed)

@@ -22,6 +22,16 @@ Each modulus is a ModulusValue whose `error` is the estimate of the spatial
 quadrature behind it.  For the heat modulus that is all it is: the error of
 the fixed time rule is not in it.
 
+Which Kato class.  The one the form sum L = A + V needs is the heat class of
+the Dunkl Laplacian, sup_x int_0^t (e^{-sA}|V|)(x) ds -> 0 as t -> 0
+(heat_modulus).  The window moduli (kato_modulus) measure |V| in Lebesgue
+measure, which matches it only at kappa = 0: at kappa > 0 the Dunkl heat flow
+weights |V| by |y|^{2 kappa} near the origin, so inverse_power |x|^(-beta) is
+in the heat class for beta < min(2, 2 kappa + 1) (measured at the origin) while
+its Lebesgue window diverges for every beta >= 1.  classify asks both: its
+Kato verdict is membership in the two classes at once, and a NotKato from a
+divergent or plateaued window speaks of the Lebesgue class alone.
+
 Verdicts are threshold-based trend classifications with an explicit
 Inconclusive band; membership in the class is a limit statement and is not
 decidable numerically.

@@ -237,10 +237,9 @@ class EigenDecomp:
         return g.reshape(values.shape) / dh
 
 
-@lru_cache(maxsize=1)  # spectral_positivity assembles three operators on one sm
 def _free_factors(sm: SpectralMatrix) -> tuple:
     """The factors F_ij = (Re C_ij + Re C_ij^T)/2 of assemble_L's free part,
-    (d, d, n, n) read-only, and its symmetrization defect 2 D, memoised per sm.
+    (d, d, n, n) read-only, and its symmetrization defect 2 D.
 
     With C_jj = A_j, C_ij = G_i, M = sum_j (x)_i C_ij, H = sum_j (x)_i F_ij and
     D = sum_j (prod_i (phi_ij + eps_ij) - prod_i phi_ij), phi = max|F_ij|, eps
@@ -280,7 +279,7 @@ def assemble_L(sm: SpectralMatrix, V: Optional[Potential] = None) -> DiscreteOpe
     per-axis congruences (1/c_j^2) B* B with B = diag(sqrt(m w_j)) E_j
     diag(sqrt(w_j)), m = xi^2 for A_j and m = 1 for G_j (the axis's
     discrete identity, which is not I on an under-resolved axis), held as the
-    real symmetric parts of its factors (_free_factors, built once per sm).
+    real symmetric parts of its factors (_free_factors, built on each call).
     Each term is a product of positive semidefinite factors, so the sum is
     positive semidefinite by construction; what the real factors leave out is
     bounded by the symmetrization defect.

@@ -87,6 +87,14 @@ class TestCli(unittest.TestCase):
             "scalar t_list": dict(FAST_DOC, sweeps={"t_list": 0.1}),
             "kappa above KAPPA_MAX": dict(FAST_DOC, group={"kind": "z2_product", "multiplicities": [12.0]}),
             "kappa_list entry inf": dict(FAST_DOC, sweeps={"kappa_list": [float("inf")]}),
+            # an empty t_list ended in a traceback, an empty kappa_list
+            # dropped two plancherel checks and passed
+            "empty t_list": dict(FAST_DOC, sweeps={"t_list": []}),
+            "empty kappa_list": dict(FAST_DOC, sweeps={"kappa_list": []}),
+            # a misspelt key ran on the defaults
+            "misspelt section": dict(FAST_DOC, potentail={"preset": "zero"}),
+            "misspelt sweep": dict(FAST_DOC, sweeps={"t_lst": [1.0]}),
+            "unknown grid key": dict(FAST_DOC, grid={"N": 32, "n": 8}),
         }
         for name, doc in docs.items():
             with self.subTest(name):
