@@ -82,13 +82,14 @@ def _validate_grid(g: dict):
     _known(g, tuple(DEFAULT_GRID), "grid")
     R = g.get("R", DEFAULT_GRID["R"])
     N = g.get("N", DEFAULT_GRID["N"])
-    _require(type(R) in (int, float) and 0 < R <= sys.float_info.max, "grid R must be finite, > 0")
-    _require(isinstance(N, int) and N > 0, "grid N must be a positive integer")
-    _require(N % 2 == 0, "grid N must be even")
+    _require(type(R) in (int, float) and 0 < R <= sys.float_info.max,
+             f"grid R must be finite, > 0, not {R!r}")
+    _require(isinstance(N, int) and N > 0, f"grid N must be a positive integer, not {N!r}")
+    _require(N % 2 == 0, f"grid N must be even, not {N!r}")
     width = FD_ORDER + 1
     _require(
         N >= width,
-        f"grid N must be at least {width + 1}: the {width}-node derivative stencil "
+        f"grid N must be at least {width + 1}, not {N!r}: the {width}-node derivative stencil "
         f"needs {width} nodes per axis",
     )
     return {"R": float(R), "N": N}
@@ -98,6 +99,7 @@ def _validate_potential(p: dict):
     _require(isinstance(p, dict), "potential section must be a mapping")
     _known(p, ("preset", "params", "csv"), "potential")
     if "csv" in p:
+        _require(not {"preset", "params"} & set(p), "potential csv excludes preset and params")
         return {"csv": str(p["csv"])}
     preset = p.get("preset", "zero")
     _require(preset in tuple(PRESET_PARAMS), f"unknown potential preset {preset!r}")
@@ -146,8 +148,9 @@ def load_config(path, known_suites=None) -> RunConfig:
     sweeps = {**DEFAULT_SWEEPS, **user_sweeps}
     for key, values in sweeps.items():
         _require(isinstance(values, list) and values, f"{key} must be a nonempty list")
-    ok = all(type(v) in (int, float) and 0 < v <= sys.float_info.max for v in sweeps["t_list"])
-    _require(ok, "t_list entries must be finite positive numbers")
+    for t in sweeps["t_list"]:
+        _require(type(t) in (int, float) and 0 < t <= sys.float_info.max,
+                 f"t_list entries must be finite positive numbers, not {t!r}")
     for k in sweeps["kappa_list"]:
         _kappa(k, "kappa_list entries")
     for key in EXPONENT_SWEEPS:
@@ -156,5 +159,5 @@ def load_config(path, known_suites=None) -> RunConfig:
     out_dir = data.get("out_dir", "runs/latest")
     _require(isinstance(out_dir, str), "out_dir must be a string")
     seed = data.get("seed", 0)
-    _require(type(seed) is int and seed >= 0, "seed must be a nonnegative integer")
+    _require(type(seed) is int and seed >= 0, f"seed must be a nonnegative integer, not {seed!r}")
     return RunConfig(group, grid, potential, tuple(suites), sweeps, out_dir, seed)

@@ -5,14 +5,16 @@ Similarity convention: with D the diagonal of quadrature weights, operators
 act on g = D^(1/2) f so that symmetric matrices represent operators that are
 self-adjoint in the weighted inner product.
 
-The assembled operator (assemble_L: per-axis Kronecker factors and V, never
-the N x N table) serves its spectrum alone: eig returns eigenvalues, no
-vectors.  Functional calculus uses a resolved-mode decomposition: the
-eigenbasis of the reference free kernel at a short time t0, truncated at the
-quadrature resolution floor.  Modes beyond the floor belong to the unresolved
-corner of the discretization and would contribute non-decaying artifacts to
-kernel entries at every time, so they are excluded and the kept count is
-reported.
+There is one operator, held on the resolved free modes: the eigenbasis of
+the reference free kernel at a short time t0, truncated at the quadrature
+resolution floor, on which the free part is diagonal.  assemble_L pairs those
+modes with V's samples, eig solves it (Galerkin in V), and resolved_calculus
+is the two steps; the spectrum, the semigroup, L^(-1/2), the Riesz transforms
+and the eigencalculus kernel all come from that decomposition.  Modes beyond
+the floor belong to the unresolved corner of the discretization and would
+contribute non-decaying artifacts to kernel entries at every time, so they
+are excluded and the kept count is reported; a grid that keeps none is
+refused.
 
 The kernel of e^{-tL} has two paths, one per property it guarantees.  The
 eigencalculus kernel (schrodinger_kernel) has spectral entry accuracy but
@@ -28,11 +30,11 @@ the reflection x_j -> -x_j wherever V is even in x_j, as every radial preset
 is, so its eigenproblems split into parity blocks (Fassler and Stiefel,
 Group Theoretical Methods, 1992, ch. 5): 2^d solves a 2^d-th the size, a
 quarter of the flops in rank one and a sixteenth in rank two.  The split
-takes only the axes whose reflection leaves V's samples (for eig, L's factors)
-unchanged bit for bit; with none, as for a CSV potential drawn off-symmetry,
-there is one block, the whole problem.  Resolved modes are stored on the cone
-of the a split axes, a 2^a-th of the rows (EigenDecomp), where the Galerkin
-products, the frame apply and the kernel run one class at a time.
+takes only the axes whose reflection leaves V's samples unchanged bit for
+bit; with none, as for a CSV potential drawn off-symmetry, there is one
+block, the whole problem.  Resolved modes are stored on the cone of the a
+split axes, a 2^a-th of the rows (EigenDecomp), where the Galerkin products,
+the frame apply and the kernel run one class at a time.
 """
 
 from dataclasses import dataclass, field
@@ -40,15 +42,15 @@ from functools import lru_cache, reduce
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.linalg import eigh, eigvalsh
+from numpy.linalg import eigh
 
-from .errors import IllPosedError, InputError, NumericalError
+from .errors import CapabilityError, IllPosedError, InputError
 from .grids import QuadratureGrid, SampledFunction, build_grid, kron_apply
 from .heat import heat_apply, heat_axis_tables, heat_kernel_matrix
 from .intertwine import phi_profile
 from .operators import derivative_apply
 from .reflection import ReflectionGroup, RootSystem, gamma_k
-from .transform import SpectralMatrix, axis_tables
+from .transform import SpectralMatrix
 
 DEFAULT_T0 = 0.1
 NYQUIST_FACTOR = 1.7
@@ -138,22 +140,6 @@ def potential_from_csv(grid: QuadratureGrid, path) -> Potential:
 # operator assembly and eigendecomposition carriers
 
 
-@dataclass(frozen=True)
-class DiscreteOperator:
-    """L = sum_j F_1j x ... x F_dj + diag(V) in the similarity frame, never
-    the N x N table: factors[j, i] = F_ij is axis i's real symmetric n x n
-    factor in axis j's term (_free_factors), potential V's samples (0 for none)."""
-
-    grid: QuadratureGrid
-    factors: np.ndarray
-    potential: np.ndarray
-    symmetrization_defect: float
-
-    def apply(self, g: np.ndarray) -> np.ndarray:
-        """L g for samples (N,) or (N, k): a kron_apply per term (d^2 n N a column)."""
-        return sum(kron_apply(row, g) for row in self.factors) + (self.potential * g.T).T
-
-
 @lru_cache(maxsize=8)
 def _cone_layout(n: int, d: int, axes: tuple) -> tuple:
     """Slicers of the 2^a quadrants of the (n,)*d node array (q negative on
@@ -237,84 +223,6 @@ class EigenDecomp:
         return g.reshape(values.shape) / dh
 
 
-def _free_factors(sm: SpectralMatrix) -> tuple:
-    """The factors F_ij = (Re C_ij + Re C_ij^T)/2 of assemble_L's free part,
-    (d, d, n, n) read-only, and its symmetrization defect 2 D.
-
-    With C_jj = A_j, C_ij = G_i, M = sum_j (x)_i C_ij, H = sum_j (x)_i F_ij and
-    D = sum_j (prod_i (phi_ij + eps_ij) - prod_i phi_ij), phi = max|F_ij|, eps
-    = max|C_ij - F_ij|: |Im M|, |Re M - Re M^T| <= 2 D and |Re M - H| <= D (the
-    Im x Im terms dropped), in exact arithmetic.  Proof: an entry of (x)_i C_ij
-    is prod_i (y_i + e_i), y_i that of F_ij, |y_i| <= phi_ij, |e_i| <= eps_ij;
-    minus prod_i y_i it sums prod_S e_i prod_(not S) y_i over nonempty S, of
-    modulus <= prod_i (phi + eps) - prod_i phi.  So |M - H|, |M^T - H| <= D
-    (F_ij is symmetric); Im M = Im (M - H), Re M - Re M^T = Re ((M - H) - (M^T - H)).
-    """
-    grid = sm.grid
-
-    def congruence(E, omega, c, m):
-        B = (np.sqrt(m * omega)[:, None] * E) * np.sqrt(omega)[None, :]
-        return (B.conj().T @ B) / c**2
-
-    axes = axis_tables(grid)
-    A = [congruence(*ax, grid.axis**2) for ax in axes]
-    # G_j enters only beside another axis
-    G = [congruence(*ax, 1.0) for ax in axes] if len(axes) > 1 else []
-    C = [[A[i] if i == j else G[i] for i in range(len(A))] for j in range(len(A))]
-    F = np.array([[0.5 * (X.real + X.real.T) for X in row] for row in C])
-    phi = np.max(np.abs(F), axis=(2, 3))
-    eps = np.array([[np.max(np.abs(X - f)) for X, f in zip(*rows)] for rows in zip(C, F)])
-    # D as prod phi (prod (1 + eps/phi) - 1), which does not cancel
-    defect = 2.0 * float(np.sum(np.prod(phi, 1) * np.expm1(np.sum(np.log1p(eps / phi), 1))))
-    if defect > 1e-6:
-        raise NumericalError("schrodinger", f"symmetrization defect {defect:.3e} exceeds 1e-6")
-    F.flags.writeable = False
-    return F, defect
-
-
-def assemble_L(sm: SpectralMatrix, V: Optional[Potential] = None) -> DiscreteOperator:
-    """Similarity-symmetrized free operator plus the diagonal potential.
-
-    The free part is the Kronecker sum sum_j G_1 x ... x A_j x ... x G_d of
-    per-axis congruences (1/c_j^2) B* B with B = diag(sqrt(m w_j)) E_j
-    diag(sqrt(w_j)), m = xi^2 for A_j and m = 1 for G_j (the axis's
-    discrete identity, which is not I on an under-resolved axis), held as the
-    real symmetric parts of its factors (_free_factors, built on each call).
-    Each term is a product of positive semidefinite factors, so the sum is
-    positive semidefinite by construction; what the real factors leave out is
-    bounded by the symmetrization defect.
-    """
-    F, defect = _free_factors(sm)
-    return DiscreteOperator(sm.grid, F, np.zeros(len(sm.grid)) if V is None else V.values, defect)
-
-
-def eig(op: DiscreteOperator) -> np.ndarray:
-    """Ascending eigenvalues of the operator, without eigenvectors: eigvalsh
-    per class c of the axes where V and every factor are mirror-invariant bit
-    for bit, on sum_j (x)_i F_ij^(c_i) + diag(V on the cone), F^(c_i) the
-    parity block of F (_wht of its cone columns' quadrants) on those axes and
-    F elsewhere.  Checked against 1e-8 max(||H||_F, 1): the eigenvalues'
-    2-norm and sum against ||H||_F and tr H, read from the factors and V."""
-    grid, F, V = op.grid, op.factors, op.potential
-    axes = tuple(i for i in grid.mirror_axes(V) if np.array_equal(F[:, i], F[:, i, ::-1, ::-1]))
-    parts = [[_wht(_quadrants(f[:, len(f) // 2:], len(f), 1, (0,))) if i in axes else f[None]
-              for i, f in enumerate(row)] for row in F]
-    Vc = np.diag(V[_cone_nodes(grid, axes)])
-    blocks = (Vc + sum(reduce(np.kron, [p[c] for p, c in zip(row, cls)]) for row in parts)
-              for cls in np.ndindex(*map(len, parts[0])))
-    vals = np.sort(np.concatenate([eigvalsh(b) for b in blocks]))
-    diag = sum(reduce(np.kron, row) for row in np.diagonal(F, axis1=2, axis2=3))
-    trace = np.sum(np.prod(np.trace(F, axis1=2, axis2=3), axis=1)) + np.sum(V)
-    # ||H||_F^2 = sum_(j,k) prod_i <F_ij, F_ik> + 2 <V, diag H_free> + ||V||^2
-    scale = np.sqrt(np.sum(np.prod(np.einsum("jiab,kiab->jki", F, F), 2)) + (2.0 * diag + V) @ V)
-    gap = max(abs(np.linalg.norm(vals) - scale), abs(np.sum(vals) - trace))
-    if gap > 1e-8 * max(scale, 1.0):
-        raise NumericalError("schrodinger", f"eigenvalue invariant defect {gap:.3e}")
-    if vals[0] < -1e-8:
-        raise NumericalError("schrodinger", f"negative eigenvalue {vals[0]:.3e}")
-    return vals
-
-
 def quadrature_spectral_cap(grid: QuadratureGrid) -> float:
     """Largest multiplier value the grid can represent without aliasing."""
     nh = grid.n_axis // 2
@@ -364,6 +272,10 @@ def _kron_modes(kappas: tuple, R: float, n_axis: int, t0: float, axes: tuple, la
     mu = reduce(np.kron, mus)
     floor = max(np.exp(-t0 * lam_cap), 10.0 * abs(min(mu.min(), 0.0)), 1e-13)
     keep = mu >= floor
+    if not keep.any():
+        raise CapabilityError(
+            f"the grid resolves no free mode: the spectral cap {lam_cap:.3g} sets the floor "
+            f"{floor:.3g}, above every reference kernel eigenvalue (largest {mu.max():.3g})")
     cols = np.unravel_index(np.flatnonzero(keep), [len(m) for m in mus])
     classes = sum((pars[j][cols[j]] << k for k, j in enumerate(axes)), 0 * cols[0])
     lam = -np.log(mu[keep]) / t0
@@ -379,19 +291,25 @@ def _kron_modes(kappas: tuple, R: float, n_axis: int, t0: float, axes: tuple, la
     return lam, P, classes, meta
 
 
-def resolved_calculus(
+@dataclass(frozen=True)
+class DiscreteOperator:
+    """L = A + V on the resolved free modes: their decomposition, on which A
+    is diagonal, and V's samples on the cone of its axes times 2^(len(axes)),
+    None for no potential (or V = 0)."""
+
+    free: EigenDecomp
+    potential: Optional[np.ndarray]
+
+
+def assemble_L(
     grid: QuadratureGrid,
     V: Optional[Potential] = None,
     t0: float = DEFAULT_T0,
     lam_limit: Optional[float] = None,
-) -> EigenDecomp:
-    """Eigendecomposition of L on the resolved free modes (Galerkin in V).
-
-    One Galerkin eigh per parity class on the a axes whose reflection leaves
-    V's samples unchanged bit for bit, as P^T V P couples no two classes;
-    meta["parity_blocks"] counts them, 1 when V breaks every reflection.  Each
-    is formed on the cone of those axes, with V there scaled by 2^a.
-    """
+) -> DiscreteOperator:
+    """The operator on the resolved free modes of the axes whose reflection
+    leaves V's samples unchanged bit for bit (all for V None), those up to
+    lam_limit if given."""
     axes = _split_axes(grid, V)
     lam, P, classes, meta = (free_resolved_modes(grid, t0) if len(axes) == grid.dimension
                              else _free_modes(grid, t0, axes))
@@ -402,18 +320,39 @@ def resolved_calculus(
         meta.update(lam_limit=float(lam_limit), n_kept=int(keep.sum()))
     free = EigenDecomp(grid, lam, P, axes, classes, meta=meta)
     if V is None or not np.any(V.values):
+        return DiscreteOperator(free, None)
+    return DiscreteOperator(free, 2.0 ** len(axes) * V.values[_cone_nodes(grid, axes)])
+
+
+def eig(op: DiscreteOperator) -> EigenDecomp:
+    """Eigendecomposition of the operator (Galerkin in V): one eigh per parity
+    class, as P^T V P couples no two; meta["parity_blocks"] counts them, 1
+    when V breaks every reflection.  Each is formed on the cone, where the
+    factor 2^(len(axes)) of the potential stands for the other quadrants."""
+    free, Vc = op.free, op.potential
+    if Vc is None:
         return free
-    Vc = 2.0 ** len(axes) * V.values[_cone_nodes(grid, axes)]
 
     def block(cols):
-        Pc = P[:, cols]
-        H = np.diag(lam[cols]) + (Pc.T * Vc) @ Pc
+        Pc = free.modes[:, cols]
+        H = np.diag(free.eigenvalues[cols]) + (Pc.T * Vc) @ Pc
         theta, U = eigh(0.5 * (H + H.T))
         return theta, Pc @ U
 
     thetas, modes = zip(*(block(cols) for cols in free.class_columns if cols.stop > cols.start))
-    meta["parity_blocks"] = len(modes)
-    return EigenDecomp(grid, np.concatenate(thetas), np.hstack(modes), axes, classes, meta=meta)
+    meta = dict(free.meta, parity_blocks=len(modes))
+    return EigenDecomp(free.grid, np.concatenate(thetas), np.hstack(modes), free.axes,
+                       free.classes, meta=meta)
+
+
+def resolved_calculus(
+    grid: QuadratureGrid,
+    V: Optional[Potential] = None,
+    t0: float = DEFAULT_T0,
+    lam_limit: Optional[float] = None,
+) -> EigenDecomp:
+    """Eigendecomposition of L on the resolved free modes: eig(assemble_L(...))."""
+    return eig(assemble_L(grid, V, t0, lam_limit))
 
 
 # ---------------------------------------------------------------------------

@@ -62,8 +62,6 @@ from .reflection import (
 )
 from .schrodinger import (
     Potential,
-    assemble_L,
-    eig,
     inv_sqrt_apply,
     inv_sqrt_subordination,
     potential_from_csv,
@@ -322,9 +320,10 @@ def suite_intertwine_measure(scene: Scene, rng) -> tuple:
     ck = Checks()
     rs1 = scene.rank_one
     kap = scene.kappa0
+    # OrbitMeasureQuad refuses a mass off 1 or a node outside the hull by 1e-10
     q = nu_quadrature(rs1, [1.5])
-    ck.at_most("mass_one", abs(q.weights.sum() - 1.0), 1e-10)
-    ck.at_most("support_in_hull", float(np.max(np.abs(q.nodes))), 1.5 + 1e-10)
+    ck.metric("mass_one", abs(q.weights.sum() - 1.0))
+    ck.metric("support_in_hull", float(np.max(np.abs(q.nodes))))
     curve = []
     oracle = nu_moments_oracle(1.0, 8)
     nd, wt = rank_one_measure(1.0, 1.0, 64)
@@ -346,7 +345,7 @@ def suite_intertwine_measure(scene: Scene, rng) -> tuple:
     ck.check("kernel_positive", pos > 0.0, pos)
     grp1 = generate_group(rs1)
     pe = phi(rs1, grp1, [0.7], [1.2])
-    ck.at_least("phi_at_least_e", pe, math.e - 1e-9)
+    ck.metric("phi_at_least_e", pe)  # phi refuses a value below e - 1e-9
     lam = 2.5
     pl = phi(rs1, grp1, [0.7], [1.2], lam=lam)
     ck.at_most("phi_power_rule", abs(pl - pe**lam), 1e-10 * pe**lam)
@@ -653,8 +652,7 @@ def suite_heat_gaussian_bounds(scene: Scene, rng) -> tuple:
     for form in rep["fits"]:
         c1, c2 = rep["fits"][form]["c"], rep2["fits"][form]["c"]
         ck.at_most(f"rate_stable_{form}", abs(c1 - c2), 0.1 * max(c1, c2), hard=False)
-    ck.metric("min_kernel_value", rep["min_kernel_value"])
-    ck.check("kernel_positive", rep["min_kernel_value"] > 0.0)
+    ck.metric("min_kernel_value", rep["min_kernel_value"])  # heat_kernel refuses one <= 0
     return ck, {"bound_rate_vs_form": curve}
 
 
@@ -664,15 +662,15 @@ def suite_heat_gaussian_bounds(scene: Scene, rng) -> tuple:
 
 @suite(
     "spectral_positivity",
-    "nonnegative spectrum of the assembled operator; quadratic form identity in rank one",
+    "nonnegative Galerkin spectrum of the operator every suite uses; quadratic form identity "
+    "against the derivative stencil in rank one",
     "form sum of kinetic part and potential",
 )
 def suite_spectral_positivity(scene: Scene, rng) -> tuple:
     ck = Checks()
     grid = scene.grid
-    op = assemble_L(scene.sm, scene.potential)
-    ck.metric("symmetrization_defect", op.symmetrization_defect)
-    lam = eig(op)
+    ed = resolved_calculus(grid, scene.potential)
+    lam = np.sort(ed.eigenvalues)
     ck.at_least("spectrum_nonnegative", float(lam[0]), -1e-8)
     curve = [(float(i), float(v)) for i, v in enumerate(lam[:20])]
 
@@ -685,14 +683,14 @@ def suite_spectral_positivity(scene: Scene, rng) -> tuple:
         samples = [np.exp(-np.sum(grid.nodes**2, axis=1))]
     for vals in samples:
         f = SampledFunction(grid, vals)
-        g = np.sqrt(grid.mu_weights) * f.values
-        quad_form = float(g @ op.apply(g))
+        Lf = ed.function_frame_apply(ed.eigenvalues, vals)
+        quad_form = float(np.sum(grid.mu_weights * vals * Lf))
         pot_part = float(np.sum(grid.mu_weights * scene.potential.values * f.values**2))
         kin = sum(dunkl_derivative(grid, f, j).norm_l2() ** 2 for j in range(grid.dimension))
         rel = abs(quad_form - (kin + pot_part)) / max(abs(quad_form), 1e-300)
         if grid.dimension == 1:
             ck.at_most("quadratic_form_identity", rel, 1e-4)
-        else:  # mostly the stencil's own error on a coarse grid (2.6e-2 on (6, 24)^2): no bound
+        else:  # mostly the stencil's own error on a coarse grid (3.6e-2 on (6, 24)^2): no bound
             ck.metric("quadratic_form_stencil_gap", rel)
     return ck, {"spectrum_vs_index": curve}
 
@@ -1071,11 +1069,6 @@ def suite_classical_limit(scene: Scene, rng) -> tuple:
     sq = riesz_apply(ed0, rfs) + fs
     rel = np.max(np.abs(sq[interior]), axis=0) / np.maximum(np.max(np.abs(fs), axis=0), 1e-300)
     ck.at_most("hilbert_squares_to_minus_one", float(np.max(rel)), 1e-2, hard=False)
-
-    fn = potential_function("soft_coulomb", a=1.0)
-    mc = kato.kato_modulus(fn, 0.5, kato.CLASSICAL, (0.0, 1.0), sign_group=False)
-    mo = kato.kato_modulus(fn, 0.5, kato.ORBIT, (0.0, 1.0), sign_group=False)
-    ck.check("trivial_group_moduli_coincide", mc.value == mo.value, [mc.value, mo.value])
     return ck, {"classical_kernel_gap_vs_t": curve}
 
 

@@ -95,6 +95,9 @@ class TestCli(unittest.TestCase):
             "misspelt section": dict(FAST_DOC, potentail={"preset": "zero"}),
             "misspelt sweep": dict(FAST_DOC, sweeps={"t_lst": [1.0]}),
             "unknown grid key": dict(FAST_DOC, grid={"N": 32, "n": 8}),
+            # the preset and its parameters were dropped unchecked
+            "csv beside preset": dict(FAST_DOC, potential={"csv": "x.csv", "preset": "bogus",
+                                                           "params": {"a": -1}}),
         }
         for name, doc in docs.items():
             with self.subTest(name):
@@ -137,14 +140,18 @@ class TestCli(unittest.TestCase):
         # written, the other suites keep their results, and the exit code is 3
         dihedral = {"kind": "dihedral", "m": 3, "k_even": 0.5}
         rank_two = {"kind": "z2_product", "multiplicities": [0.5, 1.0]}
+        rank_one = {"kind": "z2_product", "multiplicities": [0.5]}
+        grid, narrow = {"R": 6.0, "N": 24}, {"R": 1.0e-3, "N": 24}
         cases = (
-            (dihedral, ["heat_kernel"], "z2_product"),
-            (dihedral, ["plancherel"], "z2_product"),
-            (rank_two, ["plancherel", "domination"], "rank-one"),
+            (dihedral, grid, ["heat_kernel"], "z2_product"),
+            (dihedral, grid, ["plancherel"], "z2_product"),
+            (rank_two, grid, ["plancherel", "domination"], "rank-one"),
+            # a grid so narrow that no free mode clears the resolution floor
+            (rank_one, narrow, ["trotter_order"], "spectral cap"),
         )
-        for group, suites, reason in cases:
-            with self.subTest(group=group["kind"], suites=suites):
-                doc = {"group": group, "grid": {"R": 6.0, "N": 24}, "suites": suites}
+        for group, grid, suites, reason in cases:
+            with self.subTest(group=group["kind"], grid=grid, suites=suites):
+                doc = {"group": group, "grid": grid, "suites": suites}
                 cfg = self._config(doc)
                 out = os.path.join(self.tmp, "out_" + "_".join(suites))
                 res = self.runner.invoke(main, ["run", cfg, "--out", out])

@@ -138,6 +138,9 @@ class TestLoadConfig(unittest.TestCase):
             {"sweeps": {"q_list": [float("nan")]}},
             {"sweeps": {"p_list": []}},
             {"out_dir": 5},
+            {"potential": {"csv": "x.csv", "preset": "bogus", "params": {"a": -1}}},
+            {"potential": {"csv": "x.csv", "preset": "zero"}},
+            {"potential": {"csv": "x.csv", "params": {}}},
         ]
         for i, doc in enumerate(bad_docs):
             path = _write(self.tmp, f"bad{i}.yaml", doc)
@@ -194,6 +197,26 @@ class TestLoadConfig(unittest.TestCase):
             path = _write(self.tmp, "run.yaml", {"grid": {"R": R, "N": 32}})
             with self.assertRaises(ConfigError, msg=R):
                 load_config(path)
+
+    def test_messages_name_the_value(self):
+        # PyYAML reads 1.0e6 (no exponent sign) and 1e-2 (no dot) as strings
+        docs = {
+            "R: 1.0e6": "grid: {R: 1.0e6, N: 32}\n",
+            "N: 33": "grid: {N: 33}\n",
+            "N: 4": "grid: {N: 4}\n",
+            "N: '32'": "grid: {N: '32'}\n",
+            "t_list: [0.5, -2]": "sweeps: {t_list: [0.5, -2]}\n",
+            "t_list: [1e-2]": "sweeps: {t_list: [1e-2]}\n",
+            "seed: -3": "seed: -3\n",
+            "seed: 2.5": "seed: 2.5\n",
+        }
+        shown = ["'1.0e6'", "33", "4", "'32'", "-2", "'1e-2'", "-3", "2.5"]
+        for (name, text), value in zip(docs.items(), shown):
+            with self.subTest(name):
+                path = _write(self.tmp, "run.yaml", text)
+                with self.assertRaises(ConfigError) as ctx:
+                    load_config(path)
+                self.assertIn(f"not {value}", str(ctx.exception))
 
     def test_unknown_suite(self):
         path = _write(self.tmp, "run.yaml", {"suites": ["nope"]})

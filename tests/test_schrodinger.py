@@ -4,16 +4,15 @@ import dataclasses
 import math
 import os
 import tempfile
-import tracemalloc
 import unittest
 from functools import reduce
 from unittest import mock
 
 import numpy as np
-import scipy.linalg
 from numpy.linalg import eigh
 
-from dunklkit.errors import IllPosedError, InputError, NumericalError
+from dunklkit.errors import IllPosedError, InputError
+from dunklkit.families import hermite_functions
 from dunklkit.grids import SampledFunction, build_grid, kron_apply
 from dunklkit.heat import heat_axis_tables, heat_kernel_matrix
 from dunklkit.intertwine import e_minus_i
@@ -46,7 +45,7 @@ from dunklkit.schrodinger import (
     splitting_steps,
     weak_type_report,
 )
-from dunklkit.transform import axis_tables, build_spectral_matrix, c_k
+from dunklkit.transform import build_spectral_matrix, c_k
 
 
 def _full_modes(grid, modes, axes, classes):
@@ -117,130 +116,73 @@ def _dense_free_operator(grid):
     return 0.5 * (H + H.T)
 
 
-def _dense_operator(grid, pot):
-    return _dense_free_operator(grid) + (0.0 if pot is None else np.diag(pot.values))
-
-
-def _kronecker_defect(grid):
-    """max(|Im M|, |Re M - Re M^T|) of the complex Kronecker sum M = sum_j
-    G_1 x ... x A_j x ... x G_d of the per-axis congruences, formed whole,
-    and M's symmetrized real part."""
-    def congruence(E, w, c, m):
-        B = (np.sqrt(m * w)[:, None] * E) * np.sqrt(w)[None, :]
-        return (B.conj().T @ B) / c**2
-
-    tables = axis_tables(grid)
-    A = [congruence(*t, grid.axis**2) for t in tables]
-    G = [congruence(*t, 1.0) for t in tables]
-    M = sum(reduce(np.kron, G[:j] + [A[j]] + G[j + 1:]) for j in range(len(A)))
-    H = M.real
-    return max(np.max(np.abs(M.imag)), np.max(np.abs(H - H.T))), 0.5 * (H + H.T)
-
-
 class TestAssembly(unittest.TestCase):
-    @classmethod
-    def setUpClass(cls):
-        rs = RootSystem.z2_product([0.5])
-        cls.grid = build_grid(rs, 10.0, 96)
-        cls.sm = build_spectral_matrix(cls.grid)
+    """assemble_L and eig, the two steps of the one operator."""
 
-    def test_free_operator_invariants(self):
-        op = assemble_L(self.sm)
-        self.assertLess(op.symmetrization_defect, 1e-6)
-        lam = eig(op)
-        self.assertGreaterEqual(lam[0], -1e-8)
-        self.assertTrue(np.all(np.diff(lam) >= 0))
-        # the norm and trace invariants catch a wrong spectrum
-        wrong = mock.patch("dunklkit.schrodinger.eigvalsh",
-                           side_effect=lambda b: np.linalg.eigvalsh(b) * (1.0 + 1e-6))
-        with wrong, self.assertRaisesRegex(NumericalError, "invariant"):
-            eig(op)
-        below = dataclasses.replace(op, potential=np.full(len(self.grid), -1.0 - lam[0]))
-        with self.assertRaisesRegex(NumericalError, "negative eigenvalue"):
-            eig(below)
+    @staticmethod
+    def kinetic_form_gap(grid, fs):
+        """Largest relative gap of <f, L f> with V = None on the resolved free
+        modes from the dense congruence (1/c^2) B* B in the similarity frame."""
+        ed = eig(assemble_L(grid))
+        H, dh = _dense_free_operator(grid), np.sqrt(grid.mu_weights)
+        gaps = []
+        for f in fs:
+            form = np.sum(grid.mu_weights * f * ed.function_frame_apply(ed.eigenvalues, f))
+            ref = (dh * f) @ H @ (dh * f)
+            gaps.append(abs(form - ref) / ref)
+        return max(gaps)
 
-    def test_eigenvalues_match_another_lapack_driver(self):
-        # numpy's eigvalsh (syevd) on the blocks against the MRRR driver
-        # (syevr) on the dense table, the test's oracle
-        rank_two = build_grid(RootSystem.z2_product([0.5, 1.0]), 6.0, 24)
-        g = np.random.default_rng(4).normal(size=(len(rank_two), 3))
-        for sm in (self.sm, build_spectral_matrix(rank_two)):
-            for pot in (None, potential_preset(sm.grid, "soft_coulomb", a=1.0)):
-                with self.subTest(rank=sm.grid.dimension, potential=pot is not None):
-                    op, ref = assemble_L(sm, pot), _dense_operator(sm.grid, pot)
-                    np.testing.assert_allclose(
-                        eig(op), scipy.linalg.eigvalsh(ref, driver="evr"),
-                        rtol=0, atol=1e-10 * np.linalg.norm(ref),
-                    )
-                    x = g[: len(sm.grid)]
-                    for v in (x, x[:, 0]):
-                        self.assertLess(np.max(np.abs(op.apply(v) - ref @ v)),
-                                        1e-14 * np.max(np.abs(ref @ v)))
+    def test_rank_one_kinetic_form_is_the_dense_congruence(self):
+        # to rounding on Hermite combinations (3.4e-14 at most when set)
+        rng = np.random.default_rng(3)
+        for kappa in (0.5, 1.5):
+            for n in (96, 128):
+                grid = build_grid(RootSystem.z2_product([kappa]), 10.0, n)
+                herm = hermite_functions(5, grid.nodes[:, 0])
+                fs = [rng.normal(size=6) @ herm for _ in range(5)]
+                with self.subTest(kappa=kappa, n=n):
+                    self.assertLess(self.kinetic_form_gap(grid, fs), 1e-12)
+
+    def test_rank_two_kinetic_form_matches_dense_congruence(self):
+        # the (6, 32)^2 grid resolves e^(-|x|^2) to 4.6e-6
+        grid = build_grid(RootSystem.z2_product([0.5, 1.0]), 6.0, 32)
+        self.assertLess(self.kinetic_form_gap(grid, [np.exp(-np.sum(grid.nodes**2, axis=1))]), 1e-4)
 
     def test_potential_shifts_spectrum(self):
-        pot = potential_preset(self.grid, "constant", c=3.0)
-        free = eig(assemble_L(self.sm))
-        shifted = eig(assemble_L(self.sm, pot))
-        np.testing.assert_allclose(shifted, free + 3.0, atol=1e-8)
+        # V = c enters on the cone times 2^d, where the modes have norm^2 2^-d
+        for mult, R, n in (([0.5], 10.0, 96), ([0.5, 1.0], 6.0, 24)):
+            grid = build_grid(RootSystem.z2_product(mult), R, n)
+            free = eig(assemble_L(grid))
+            shifted = eig(assemble_L(grid, potential_preset(grid, "constant", c=3.0)))
+            np.testing.assert_allclose(shifted.eigenvalues, free.eigenvalues + 3.0, atol=1e-8)
 
+    def test_resolved_calculus_is_eig_of_assemble_L(self):
+        rank_two = build_grid(RootSystem.z2_product([0.5, 1.0]), 6.0, 24)
+        for grid in (build_grid(RootSystem.z2_product([0.5]), 10.0, 96), rank_two):
+            drawn = np.random.default_rng(2).random(len(grid))
+            soft = potential_preset(grid, "soft_coulomb", a=1.0)
+            for name, V in (("none", None), ("soft", soft),
+                            ("drawn", dataclasses.replace(soft, values=drawn))):
+                for lam_limit in (None, 20.0):
+                    with self.subTest(rank=grid.dimension, V=name, lam_limit=lam_limit):
+                        got = resolved_calculus(grid, V, lam_limit=lam_limit)
+                        ref = eig(assemble_L(grid, V, lam_limit=lam_limit))
+                        for attr in ("eigenvalues", "modes", "classes"):
+                            self.assertTrue(np.array_equal(getattr(got, attr), getattr(ref, attr)))
+                        self.assertEqual((got.axes, got.meta), (ref.axes, ref.meta))
 
-class TestKroneckerAssembly(unittest.TestCase):
-    def test_rank_two_matches_dense_congruence(self):
-        for kappas in ([0.5, 1.0], [0.0, 0.5]):
-            grid = build_grid(RootSystem.z2_product(kappas), 6.0, 24)
-            op = assemble_L(build_spectral_matrix(grid))
-            ref = _dense_free_operator(grid)
-            scale = np.max(np.abs(ref))
-            H = op.apply(np.eye(len(grid)))
-            np.testing.assert_allclose(H / scale, ref / scale, rtol=0, atol=1e-14)
-            # the reported defect bounds that of the whole complex Kronecker
-            # sum, so its check is no looser
-            defect, kron = _kronecker_defect(grid)
-            np.testing.assert_allclose(kron / scale, ref / scale, rtol=0, atol=1e-14)
-            self.assertGreaterEqual(op.symmetrization_defect, defect)
-            self.assertLess(op.symmetrization_defect, 1e-12)
-            self.assertGreaterEqual(np.linalg.eigvalsh(H)[0], -1e-10 * scale)
-
-    def test_free_part_is_built_once(self):
+    def test_operator_holds_the_potential_on_the_cone(self):
+        # and none for no potential, whose decomposition is the free modes
         grid = build_grid(RootSystem.z2_product([0.5, 1.0]), 6.0, 24)
-        sm = build_spectral_matrix(grid)
-        free = assemble_L(sm)
-        self.assertEqual(free.factors.shape, (2, 2, 24, 24))
-        self.assertFalse(free.factors.flags.writeable)
+        free = assemble_L(grid)
+        self.assertIsNone(free.potential)
+        self.assertIs(eig(free), free.free)
+        self.assertIsNone(assemble_L(grid, potential_preset(grid, "zero")).potential)
         pot = potential_preset(grid, "soft_coulomb", a=1.0)
-        op = assemble_L(sm, pot)
-        self.assertTrue(np.array_equal(op.factors, free.factors))
-        self.assertIs(op.potential, pot.values)
-        self.assertFalse(np.any(free.potential))
-        self.assertEqual(op.symmetrization_defect, free.symmetrization_defect)
-
-    def test_symmetric_potential_forms_no_table(self):
-        # tracemalloc peak of assembly, eig and apply in N x N float64 tables
-        # on the 576-node grid: a potential that breaks every reflection
-        # solves the whole operator, one table at least
-        grid = build_grid(RootSystem.z2_product([0.5, 1.0]), 6.0, 24)
-        sm, N = build_spectral_matrix(grid), len(grid)
-        pot = potential_preset(grid, "soft_coulomb", a=1.0)
-        drawn = dataclasses.replace(pot, values=np.random.default_rng(1).random(N))
-        for V, tables in ((None, (0.0, 0.5)), (pot, (0.0, 0.5)), (drawn, (1.0, np.inf))):
-            tracemalloc.start()
-            try:
-                op = assemble_L(sm, V)
-                eig(op)
-                op.apply(np.ones(N))
-                peak = tracemalloc.get_traced_memory()[1] / (8 * N * N)
-            finally:
-                tracemalloc.stop()
-            with self.subTest(potential=None if V is None else V is pot):
-                self.assertTrue(tables[0] < peak < tables[1], peak)
-
-    def test_rank_one_is_the_dense_congruence(self):
-        grid = build_grid(RootSystem.z2_product([0.5]), 10.0, 96)
-        pot = potential_preset(grid, "soft_coulomb", a=1.0)
-        op = assemble_L(build_spectral_matrix(grid), pot)
-        self.assertTrue(np.array_equal(op.apply(np.eye(len(grid))), _dense_operator(grid, pot)))
-        defect, _ = _kronecker_defect(grid)
-        self.assertGreaterEqual(op.symmetrization_defect, defect)
+        op = assemble_L(grid, pot)
+        cone = np.all(grid.nodes > 0, axis=1)
+        np.testing.assert_array_equal(op.potential, 4.0 * pot.values[cone])
+        self.assertEqual(op.free.axes, (0, 1))
 
 
 class TestResolvedCalculus(unittest.TestCase):
@@ -381,26 +323,6 @@ class TestParitySplit(unittest.TestCase):
             for k in (1, 10):
                 got, ref = (Q * mu**k) @ Q.T, (Q_d * mu_d**k) @ Q_d.T
                 self.assertLess(np.max(np.abs(got - ref)), 1e-13)
-
-    def test_eig_blocks_match_another_lapack_driver(self):
-        rng = np.random.default_rng(5)
-        for mult, R, n in (([0.5], 10.0, 96), ([0.5, 1.0], 6.0, 24)):
-            sm = build_spectral_matrix(build_grid(RootSystem.z2_product(mult), R, n))
-            grid, N, d = sm.grid, len(sm.grid), len(mult)
-            drawn = dataclasses.replace(potential_preset(grid, "zero"), values=rng.random(N))
-            for pot, blocks in ((None, 2**d), (potential_preset(grid, "soft_coulomb", a=1.0), 2**d),
-                                (drawn, 1)):
-                with self.subTest(rank=d, blocks=blocks, free=pot is None):
-                    op = assemble_L(sm, pot)
-                    with mock.patch("dunklkit.schrodinger.eigvalsh", wraps=np.linalg.eigvalsh) as s:
-                        lam = eig(op)
-                    sizes = [c.args[0].shape for c in s.call_args_list]
-                    self.assertEqual(sizes, [(N // blocks, N // blocks)] * blocks)
-                    ref = _dense_operator(grid, pot)
-                    np.testing.assert_allclose(
-                        lam, scipy.linalg.eigvalsh(ref, driver="evr"),
-                        rtol=0, atol=1e-10 * np.linalg.norm(ref),
-                    )
 
     def test_galerkin_blocks_match_dense_galerkin(self):
         def dense(grid, V, t):  # one eigh on the whole resolved basis
