@@ -36,8 +36,13 @@ def axis_factor(x, y, t, kappa: float):
 
 
 def even_axis_factor(x, y, t, kappa: float):
-    """The part of axis_factor even in y (and in x): one Bessel term."""
-    return scaled_e_even(x * y / (2.0 * t), kappa) * _gauss(x, y, t)
+    """The part of axis_factor even in y (and in x): one Bessel term, taken
+    only where the Gaussian is > 0 and x y != 0: elsewhere the factor is the
+    Gaussian, exactly, as the scaled Bessel term is finite and 1.0 at 0."""
+    a, g = np.asarray(x * y / (2.0 * t)), np.asarray(_gauss(x, y, t))
+    live = (g > 0) & (a != 0)
+    g[live] *= scaled_e_even(a[live], kappa)
+    return g
 
 
 def _gauss(x, y, t):

@@ -11,12 +11,13 @@ odd part integrates to zero.  Every quadrature is quadrature.quad, which calls
 V_fn on arrays and breaks at V's `breaks` (per preset; 0 for a plain callable).
 
 Each Kato question is one batched quad call over all of its integrals:
-kato_modulus over every window size and probe, classify over its T_WINDOW
-windows and then over both heat moduli, kato_equivalence_check over the windows
-and orbit intervals of every t, growth_bound_check over every radius and probe,
-and the heat leg over every probe (and time rule) it asks for.  quad's batch
-independence makes each value bit for bit the one a call of its own gives;
-_flow_density keeps that by summing each (y, time) row on its own.
+kato_modulus over every window size and probe, classify over the T_WINDOW
+windows of each potential and then over both heat moduli of all of them,
+kato_equivalence_check over the windows and orbit intervals of every t,
+growth_bound_check over every radius and probe, and the heat leg over every
+potential, probe and time rule it asks for.  quad's batch independence makes
+each value bit for bit the one a call of its own gives; _flow_density keeps
+that, as its value at a point depends only on the point's (kernel row, y).
 
 Each modulus is a ModulusValue whose `error` is the estimate of the spatial
 quadrature behind it.  For the heat modulus that is all it is: the error of
@@ -196,12 +197,13 @@ def _time_rule(t: float) -> tuple:
     return (mid[:, None] + half[:, None] * gl_x).ravel(), (half[:, None] * gl_w).ravel()
 
 
-def _flow_density(rs: RootSystem, V_fn, x, s, w):
+def _flow_density(rs: RootSystem, Vs, pot, x, s, w):
     """(y, owner) -> 2 sum_i w_i K^even_{s_i}(x, y) |V(y)| (sqrt(2) y)^(2 kappa),
-    y >= 0, with x, s and w the probe and time rule of row `owner` of x (n,)
-    and s, w (n, m); a (y, s) table of the even kernel term at most CHUNK
-    entries at a time, each row summed on its own, so a value depends only
-    on its y and its row.
+    y >= 0, with V = Vs[pot], x, s and w the potential, probe and time rule of
+    row `owner` of pot, x (n,) and s, w (n, m); the time-summed kernel once per
+    distinct (kernel row, y) of a call, rows of equal (x, s, w) one kernel row,
+    on a (y, s) table of at most CHUNK entries at a time, each row summed on
+    its own, so a value depends only on its y and its row.
 
     The integrand of every time-integrated heat flow of a radial |V| at x:
     its integral over [0, inf) is sum_i w_i (e^{-s_i A}|V|)(x), as the part
@@ -211,14 +213,26 @@ def _flow_density(rs: RootSystem, V_fn, x, s, w):
     # root length sqrt(2): the density is (sqrt(2)|y|)^(2 kappa)
     ws = 2.0 * w * kernel_prefactor(rs, s)
     step = max(1, CHUNK // s.shape[1])
+    first_row = {}
+    kernel = np.array([first_row.setdefault(r.tobytes(), i) for i, r in enumerate(np.column_stack([x, s, w]))])
 
     def density(y, owner):
-        flow = np.empty_like(y)
-        for i in range(0, len(y), step):
-            o = owner[i : i + step]
-            table = even_axis_factor(x[o, None], y[i : i + step, None], s[o], kap)
+        k = kernel[owner]
+        order = np.lexsort((y, k))
+        ks, ys = k[order], y[order]
+        new = np.r_[True, (ks[1:] != ks[:-1]) | (ys[1:] != ys[:-1])]
+        ks, ys = ks[new], ys[new]
+        flow = np.empty_like(ys)
+        for i in range(0, len(ys), step):
+            o = ks[i : i + step]
+            table = even_axis_factor(x[o, None], ys[i : i + step, None], s[o], kap)
             flow[i : i + step] = np.sum(table * ws[o], axis=1)
-        return flow * (2.0 * y * y) ** kap * np.abs(V_fn(y))
+        at = np.empty(len(y), dtype=int)
+        at[order] = np.cumsum(new) - 1
+        v, p = np.empty_like(y), pot[owner]
+        for j, V in enumerate(Vs):
+            v[p == j] = np.abs(V(y[p == j]))
+        return flow[at] * (2.0 * y * y) ** kap * v
 
     return density
 
@@ -226,7 +240,9 @@ def _flow_density(rs: RootSystem, V_fn, x, s, w):
 def semigroup_abs_potential(rs: RootSystem, V_fn, s, x, w=1.0) -> tuple:
     """(values, errors) arrays of sum_i w_i (e^{-s_i A}|V|)(x) for each probe
     of the flat x, with s and w one time rule for all (1-D) or one row per
-    probe (2-D), by one quadrature of _flow_density on [0, L] over all of them.
+    probe (2-D), by one quadrature of _flow_density on [0, L] over all of them;
+    for a sequence of potentials V_fn, (values, errors) of shape (potentials,
+    probes), all in the same quadrature.
 
     V is radial and called on arrays of y >= 0.  Breaks: |x|, V's breaks and
     fences around |x| from 10 sqrt(min s) outward by factors of 4 (so that the
@@ -235,6 +251,7 @@ def semigroup_abs_potential(rs: RootSystem, V_fn, s, x, w=1.0) -> tuple:
     """
     if rs.dimension != 1:
         raise CapabilityError("heat characterization implemented in rank one")
+    Vs = (V_fn,) if callable(V_fn) else tuple(V_fn)
     x = np.abs(np.atleast_1d(np.asarray(x, dtype=float)))
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if s.ndim == 1:
@@ -242,25 +259,29 @@ def semigroup_abs_potential(rs: RootSystem, V_fn, s, x, w=1.0) -> tuple:
     w = np.broadcast_to(np.asarray(w, dtype=float), s.shape)
     if not np.all(s > 0):
         raise InputError("times must be positive")
+    n, P = len(x), len(Vs)
+    pot, x, s, w = np.repeat(np.arange(P), n), np.tile(x, P), np.tile(s, (P, 1)), np.tile(w, (P, 1))
     L = x + 20.0 * np.sqrt(s.max(axis=1)) + 2.0
     pts = []
-    for xj, Lj, r in zip(x, L, 10.0 * np.sqrt(s.min(axis=1))):
-        near = [xj, *_breaks(V_fn)]
+    for j, xj, Lj, r in zip(pot, x, L, 10.0 * np.sqrt(s.min(axis=1))):
+        near = [xj, *_breaks(Vs[j])]
         while r < 2.0 * Lj:
             near += [xj - r, xj + r]
             r *= 4.0
         pts.append({abs(p) for p in near if abs(p) < Lj})
-    val, err, converged = quad(_flow_density(rs, V_fn, x, s, w), np.zeros_like(L), L, pts, QUAD_TOL)
+    val, err, converged = quad(_flow_density(rs, Vs, pot, x, s, w), np.zeros_like(L), L, pts, QUAD_TOL)
     if not converged.all():
         j = int(np.argmin(converged))
         raise NumericalError("kato", f"heat flow at x = {x[j]} unconverged, error {err[j]:.3e}")
-    return val, err
+    val, err = val.reshape(P, n), err.reshape(P, n)
+    return (val[0], err[0]) if callable(V_fn) else (val, err)
 
 
 def heat_modulus(rs: RootSystem, V_fn, t, probes=(0.0,)):
     """sup over probes of int_0^t (e^{-sA}|V|)(x) ds under _time_rule(t), whose
     Gauss-Legendre panels integrate a constant potential to exactly t, as a
-    ModulusValue; for a sequence of times t, one each, all by one quadrature.
+    ModulusValue; for a sequence of times t, one each; for a sequence of
+    potentials V_fn, a list of what each alone gives; all by one quadrature.
 
     `error` is the spatial quadrature's estimate at the argmax probe only; the
     truncation of _time_rule is not in it (its first panel [0, t 1e-4] reads
@@ -274,10 +295,11 @@ def heat_modulus(rs: RootSystem, V_fn, t, probes=(0.0,)):
     p = len(xs)
     # one row per (time, probe) pair, the probes of each time together
     s, w = (np.repeat(v, p, axis=0) for v in zip(*map(_time_rule, ts)))
-    val, err = semigroup_abs_potential(rs, V_fn, s, np.tile(xs, len(ts)), w)
+    val, err = np.atleast_2d(*semigroup_abs_potential(rs, V_fn, s, np.tile(xs, len(ts)), w))
     never = np.zeros(p, dtype=bool)
-    out = [_sup(val[i : i + p], err[i : i + p], never, xs) for i in range(0, len(val), p)]
-    return out[0] if np.ndim(t) == 0 else out
+    out = [[_sup(v[i : i + p], e[i : i + p], never, xs) for i in range(0, len(v), p)] for v, e in zip(val, err)]
+    out = [o[0] if np.ndim(t) == 0 else o for o in out]
+    return out[0] if callable(V_fn) else out
 
 
 def heat_modulus_split(rs: RootSystem, V_fn, t: float, probes=(0.0,)) -> dict:
@@ -294,7 +316,7 @@ def heat_modulus_split(rs: RootSystem, V_fn, t: float, probes=(0.0,)) -> dict:
     probes = np.atleast_1d(np.asarray(probes, dtype=float))
     xs = np.abs(probes)
     rule = (np.broadcast_to(v, (len(xs), len(v))) for v in LAGUERRE)
-    density = _flow_density(rs, V_fn, xs, *rule)
+    density = _flow_density(rs, (V_fn,), np.zeros(len(xs), dtype=int), xs, *rule)
     near = quad(density, np.maximum(xs - beta, 0.0), xs + beta, {abs(p) for p in _breaks(V_fn)})[0]
     total = semigroup_abs_potential(rs, V_fn, LAGUERRE[0], xs, LAGUERRE[1])[0]
     out = [
@@ -457,42 +479,49 @@ def _top_eigenvalue(apply, v0: np.ndarray) -> float:
 T_WINDOW = (1.0, 0.3, 0.1, 0.03, 0.01)
 
 
-def classify(rs: RootSystem, V_fn, probes=(0.0,)) -> KatoReport:
-    """Trend-based class verdict over the shrinking window ladder T_WINDOW.
+def classify(rs: RootSystem, V_fn, probes=(0.0,)):
+    """Trend-based class verdict over the shrinking window ladder T_WINDOW, as
+    a KatoReport; for a sequence of potentials V_fn, a list of what each gives.
 
     Kato requires a >= 4x drop of the heat modulus from t = 1 to t = 0.03,
     a monotone definitional modulus, and a small-window ratio <= 0.40;
     NotKato on quadrature divergence or a plateau ratio >= 0.8; otherwise
-    Inconclusive.  Rank one only.  One quadrature takes every window, one
-    more both heat moduli; the diagnostics record the largest error
-    estimate behind a window modulus and a heat modulus.
+    Inconclusive.  Rank one only.  One quadrature takes every window of a
+    potential, one more both heat moduli of every potential with no divergent
+    window; the diagnostics record the largest error estimate behind a window
+    modulus and a heat modulus.
     """
     if rs.dimension != 1:
         raise CapabilityError("Kato classification implemented in rank one")
-    ms = kato_modulus(V_fn, T_WINDOW, CLASSICAL, probes)
-    mc = {float(t): m.value for t, m in zip(T_WINDOW, ms)}
-    divergent = any(m.divergent for m in ms)
-    diagnostics = {
-        "divergent": divergent,
-        "probe_count": len(np.atleast_1d(probes)),
-        "window_error": max(m.error for m in ms),
-    }
-    hm = {}
-    if divergent:
-        verdict = "NotKato"
-    else:
-        h1, h03 = heat_modulus(rs, V_fn, (1.0, 0.03), probes)
-        hm = {1.0: h1.value, 0.03: h03.value}
-        diagnostics["heat_error"] = max(h1.error, h03.error)
-        ts = sorted(mc)
-        vals = [mc[t] for t in ts]
-        monotone = all(a <= b * (1.0 + 1e-9) for a, b in zip(vals[:-1], vals[1:]))
-        ratio = vals[0] / vals[-1] if vals[-1] > 0 else 0.0
-        diagnostics["shrink_ratio"] = ratio
-        if ratio >= 0.8:
+    Vs, out = (V_fn,) if callable(V_fn) else V_fn, []
+    windows = [kato_modulus(V, T_WINDOW, CLASSICAL, probes) for V in Vs]
+    finite = [V for V, ms in zip(Vs, windows) if not any(m.divergent for m in ms)]
+    heat = iter(heat_modulus(rs, finite, (1.0, 0.03), probes) if finite else ())
+    for ms in windows:
+        mc = {float(t): m.value for t, m in zip(T_WINDOW, ms)}
+        divergent = any(m.divergent for m in ms)
+        diagnostics = {
+            "divergent": divergent,
+            "probe_count": len(np.atleast_1d(probes)),
+            "window_error": max(m.error for m in ms),
+        }
+        hm = {}
+        if divergent:
             verdict = "NotKato"
-        elif monotone and ratio <= 0.40 and hm[1.0] >= 4.0 * hm[0.03]:
-            verdict = "Kato"
         else:
-            verdict = "Inconclusive"
-    return KatoReport(mc, hm, verdict, diagnostics)
+            h1, h03 = next(heat)
+            hm = {1.0: h1.value, 0.03: h03.value}
+            diagnostics["heat_error"] = max(h1.error, h03.error)
+            ts = sorted(mc)
+            vals = [mc[t] for t in ts]
+            monotone = all(a <= b * (1.0 + 1e-9) for a, b in zip(vals[:-1], vals[1:]))
+            ratio = vals[0] / vals[-1] if vals[-1] > 0 else 0.0
+            diagnostics["shrink_ratio"] = ratio
+            if ratio >= 0.8:
+                verdict = "NotKato"
+            elif monotone and ratio <= 0.40 and hm[1.0] >= 4.0 * hm[0.03]:
+                verdict = "Kato"
+            else:
+                verdict = "Inconclusive"
+        out.append(KatoReport(mc, hm, verdict, diagnostics))
+    return out[0] if callable(V_fn) else out

@@ -141,13 +141,15 @@ class TestCli(unittest.TestCase):
         dihedral = {"kind": "dihedral", "m": 3, "k_even": 0.5}
         rank_two = {"kind": "z2_product", "multiplicities": [0.5, 1.0]}
         rank_one = {"kind": "z2_product", "multiplicities": [0.5]}
-        grid, narrow = {"R": 6.0, "N": 24}, {"R": 1.0e-3, "N": 24}
+        grid, narrow, wide = {"R": 6.0, "N": 24}, {"R": 1.0e-3, "N": 24}, {"R": 40.0, "N": 24}
         cases = (
             (dihedral, grid, ["heat_kernel"], "z2_product"),
             (dihedral, grid, ["plancherel"], "z2_product"),
             (rank_two, grid, ["plancherel", "domination"], "rank-one"),
             # a grid so narrow that no free mode clears the resolution floor
             (rank_one, narrow, ["trotter_order"], "spectral cap"),
+            # nodes past the radius where the t = 0.4 heat kernel underflows to 0
+            (rank_one, wide, ["translation_convolution"], "past node radius 34.5"),
         )
         for group, grid, suites, reason in cases:
             with self.subTest(group=group["kind"], grid=grid, suites=suites):

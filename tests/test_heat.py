@@ -10,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 from dunklkit.errors import InputError
 from dunklkit.grids import SampledFunction, build_grid
 from dunklkit.heat import (
+    _gauss,
     axis_factor,
+    even_axis_factor,
     gaussian_bound_report,
     heat_apply,
     heat_axis_tables,
@@ -18,8 +20,31 @@ from dunklkit.heat import (
     heat_kernel_matrix,
     kernel_prefactor,
 )
+from dunklkit.intertwine import scaled_e_even
 from dunklkit.reflection import RootSystem
 from dunklkit.transform import build_spectral_matrix
+
+
+class TestEvenAxisFactor(unittest.TestCase):
+    def test_skipped_bessel_term_is_exact(self):
+        # the Bessel term is taken only where the Gaussian is > 0 and x y != 0;
+        # on the x = 0 rows and the underflowed entries the factor is the
+        # Gaussian itself, bit for bit the product with the term
+        x = np.array([0.0, -0.0, 0.05, 0.7, 3.0, 30.0])
+        y = np.concatenate([[0.0], np.geomspace(1e-6, 150.0, 200)])
+        rows = np.repeat(np.arange(len(x)), len(y))
+        for kappa in (0.0, 0.5, 1.5):
+            for t in (1e-3, 0.3, 2.0):
+                ref = scaled_e_even(x[:, None] * y / (2.0 * t), kappa) * _gauss(x[:, None], y, t)
+                self.assertTrue((ref[:2] > 0).any() and (ref == 0).any(), (kappa, t))
+                got = even_axis_factor(x[:, None], y, t, kappa)
+                self.assertTrue(np.array_equal(got, ref), (kappa, t))
+                # the kato layout: (points, 1) probes and ys, (points, m) times
+                ts = np.full((len(rows), 3), t) * [1.0, 0.5, 0.25]
+                got = even_axis_factor(x[rows, None], np.tile(y, len(x))[:, None], ts, kappa)
+                ref = scaled_e_even(x[rows, None] * np.tile(y, len(x))[:, None] / (2.0 * ts), kappa)
+                ref = ref * _gauss(x[rows, None], np.tile(y, len(x))[:, None], ts)
+                self.assertTrue(np.array_equal(got, ref), (kappa, t))
 
 
 class TestPointwiseKernel(unittest.TestCase):

@@ -289,8 +289,9 @@ class TestBatches(unittest.TestCase):
         self.assertLessEqual(rep.diagnostics["window_error"], 1.49e-8 * max(1.0, mc))
 
     def test_classify_takes_the_public_heat_path(self):
-        # both heat moduli through one heat_modulus call and one flow
-        # quadrature under it, each modulus with its error and argmax probe
+        # both heat moduli through one heat_modulus call, on a batch of one
+        # potential, and one flow quadrature under it, each modulus with its
+        # error and argmax probe
         rs = RootSystem.z2_product([0.5])
         soft = potential_function("soft_coulomb", a=1.0)
         probes = (0.0, 0.25, 0.5, 1.0, 2.0)
@@ -298,7 +299,8 @@ class TestBatches(unittest.TestCase):
 
         def recorded(*args, **kwargs):
             out = real(*args, **kwargs)
-            moduli.extend(out)
+            (per_time,) = out
+            moduli.extend(per_time)
             return out
 
         flows = mock.patch.object(kato, "semigroup_abs_potential", wraps=kato.semigroup_abs_potential)
@@ -311,6 +313,76 @@ class TestBatches(unittest.TestCase):
             self.assertFalse(m.divergent)
             self.assertLessEqual(m.error, QUAD_TOL * max(1.0, m.value))
             self.assertIn(m.argmax_probe, probes)
+
+
+    KATO_CLASS = (
+        ("constant", {"c": 1.0}),
+        ("soft_coulomb", {"a": 1.0}),
+        ("bump", {"h": 1.0, "w": 4.0}),
+        ("inverse_power", {"beta": 0.75, "cutoff": 1.0}),
+        ("inverse_power", {"beta": 1.5, "cutoff": 1.0}),
+    )
+
+    def test_classify_batch_matches_single_calls(self):
+        # the kato_class presets, one of them with divergent windows
+        rs = RootSystem.z2_product([0.5])
+        probes = (0.0, 0.25, 0.5, 1.0, 2.0)
+        Vs = [potential_function(name, **params) for name, params in self.KATO_CLASS]
+        reps = classify(rs, Vs, probes)
+        self.assertEqual(reps, [classify(rs, V, probes) for V in Vs])
+        self.assertEqual([r.verdict for r in reps], ["Kato"] * 4 + ["NotKato"])
+
+    def test_heat_modulus_batch_matches_single_calls(self):
+        rs = RootSystem.z2_product([1.5])
+        Vs = [potential_function("bump", h=1.0, w=4.0), potential_function("inverse_power", beta=0.75)]
+        probes, ts = (0.0, 0.5, 2.0), (1.0, 0.1)
+        got = heat_modulus(rs, Vs, ts, probes)
+        self.assertEqual(got, [heat_modulus(rs, V, ts, probes) for V in Vs])
+        self.assertEqual(heat_modulus(rs, Vs, 0.1, probes), [m[1] for m in got])
+        # values and errors alike
+        s, w = _time_rule(0.3)
+        vals, errs = semigroup_abs_potential(rs, Vs, s, probes, w)
+        single = [semigroup_abs_potential(rs, V, s, probes, w) for V in Vs]
+        self.assertTrue(np.array_equal(vals, [v for v, _ in single]))
+        self.assertTrue(np.array_equal(errs, [e for _, e in single]))
+
+    def test_batched_heat_leg_is_one_quadrature(self):
+        rs = RootSystem.z2_product([0.5])
+        Vs = [potential_function(name, **params) for name, params in self.KATO_CLASS[:4]]
+        with mock.patch.object(kato, "quad", wraps=kato.quad) as q:
+            heat_modulus(rs, Vs, (1.0, 0.03), (0.0, 0.25, 0.5, 1.0, 2.0))
+        self.assertEqual(q.call_count, 1)
+        # classify adds one window quadrature a potential
+        with mock.patch.object(kato, "quad", wraps=kato.quad) as q:
+            classify(rs, Vs, (0.0, 0.25, 0.5, 1.0, 2.0))
+        self.assertEqual(q.call_count, len(Vs) + 1)
+
+    def test_kernel_is_evaluated_once_per_point(self):
+        # two copies of one potential share every (kernel row, y) point
+        rs = RootSystem.z2_product([0.5])
+        V = potential_function("soft_coulomb", a=1.0)
+        probes = (0.0, 0.7, 1.5)
+
+        real = kato.even_axis_factor
+
+        def entries(Vs):
+            sizes = []
+
+            def counted(*args):
+                out = real(*args)
+                sizes.append(out.size)
+                return out
+
+            with mock.patch.object(kato, "even_axis_factor", counted):
+                moduli = heat_modulus(rs, Vs, (1.0, 0.3), probes)
+            return sum(sizes), moduli
+
+        one, (m1,) = entries([V])
+        two, (m2, m3) = entries([V, V])
+        self.assertGreater(one, 0)
+        self.assertLessEqual(two, one)
+        self.assertEqual(m1, m2)
+        self.assertEqual(m2, m3)
 
 
 class TestNamedBreaks(unittest.TestCase):
