@@ -213,6 +213,7 @@ def _flow_density(rs: RootSystem, Vs, pot, x, s, w):
     # root length sqrt(2): the density is (sqrt(2)|y|)^(2 kappa)
     ws = 2.0 * w * kernel_prefactor(rs, s)
     step = max(1, CHUNK // s.shape[1])
+    # each row's kernel row: the first row of equal (x, s, w)
     first_row = {}
     kernel = np.array([first_row.setdefault(r.tobytes(), i) for i, r in enumerate(np.column_stack([x, s, w]))])
 
@@ -493,7 +494,7 @@ def classify(rs: RootSystem, V_fn, probes=(0.0,)):
     """
     if rs.dimension != 1:
         raise CapabilityError("Kato classification implemented in rank one")
-    Vs, out = (V_fn,) if callable(V_fn) else V_fn, []
+    Vs, out = (V_fn,) if callable(V_fn) else tuple(V_fn), []
     windows = [kato_modulus(V, T_WINDOW, CLASSICAL, probes) for V in Vs]
     finite = [V for V, ms in zip(Vs, windows) if not any(m.divergent for m in ms)]
     heat = iter(heat_modulus(rs, finite, (1.0, 0.03), probes) if finite else ())
