@@ -1,6 +1,6 @@
 """Numerical toolkit for harmonic analysis with reflection symmetry.
 
-Covers finite reflection groups and their weighted measures, the deformed
+Covers the sign-product reflection group and its weighted measures, the deformed
 exponential kernel and its compactly supported dual measure, the associated
 integral transform, first-order difference-differential operators, the heat
 flow, damped (potential-perturbed) semigroups with Riesz transforms, and

@@ -13,8 +13,6 @@ from .intertwine import KAPPA_MAX
 from .operators import FD_ORDER
 from .schrodinger import PRESET_PARAMS
 
-GROUP_KINDS = ("z2_product", "dihedral")
-
 DEFAULT_GROUP = {"kind": "z2_product", "multiplicities": [0.5]}
 DEFAULT_GRID = {"R": 10.0, "N": 128}
 DEFAULT_POTENTIAL = {"preset": "soft_coulomb", "params": {"a": 1.0}}
@@ -58,23 +56,12 @@ def _kappa(v, what: str) -> float:
 def _validate_group(g: dict):
     _require(isinstance(g, dict), "group section must be a mapping")
     kind = g.get("kind", "z2_product")
-    _require(kind in GROUP_KINDS, f"unknown group kind {kind!r}")
-    _known(g, ("kind", "multiplicities") if kind == "z2_product" else ("kind", "m", "k_even", "k_odd"),
-           f"{kind} group")
-    if kind == "z2_product":
-        mult = g.get("multiplicities", [0.5])
-        _require(
-            isinstance(mult, list) and len(mult) >= 1,
-            "multiplicities must be a nonempty list",
-        )
-        return {"kind": kind, "multiplicities": [_kappa(m, "multiplicities") for m in mult]}
-    m = g.get("m", 3)
-    _require(isinstance(m, int) and m >= 2, "dihedral order parameter m must be >= 2")
-    k_even = _kappa(g.get("k_even", 0.5), "k_even")
-    k_odd = g.get("k_odd", None)
-    if k_odd is not None:
-        k_odd = _kappa(k_odd, "k_odd")
-    return {"kind": kind, "m": m, "k_even": k_even, "k_odd": k_odd}
+    _require(kind == "z2_product",
+             f"group kind must be z2_product, the one group the package computes, not {kind!r}")
+    _known(g, ("kind", "multiplicities"), "group")
+    mult = g.get("multiplicities", [0.5])
+    _require(isinstance(mult, list) and len(mult) >= 1, "multiplicities must be a nonempty list")
+    return {"kind": kind, "multiplicities": [_kappa(m, "multiplicities") for m in mult]}
 
 
 def _validate_grid(g: dict):

@@ -19,8 +19,8 @@ from functools import lru_cache, reduce
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import CapabilityError, InputError
-from .reflection import Z2_PRODUCT, RootSystem, weight
+from .errors import InputError
+from .reflection import RootSystem, weight
 
 
 _legendre = lru_cache(maxsize=8)(leggauss)  # the rule on [-1, 1] that each R scales
@@ -125,11 +125,6 @@ class QuadratureGrid:
 
 
 def build_grid(rs: RootSystem, R: float, n_axis: int) -> QuadratureGrid:
-    if rs.kind != Z2_PRODUCT:
-        raise CapabilityError(
-            f"grids, and every table built on them, require a sign product group "
-            f"(z2_product), not {rs.kind}"
-        )
     ax, aw = axis_rule(R, n_axis)
     nodes, leb = tensor_rule([ax] * rs.dimension, [aw] * rs.dimension)
     return QuadratureGrid(rs, float(R), ax, nodes, leb * weight(rs, nodes))

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InputError
 from .grids import QuadratureGrid, SampledFunction
 from .intertwine import scaled_e_even, scaled_e_real
-from .reflection import RootSystem, Z2_PRODUCT, gamma_k, weight, ball_comparison_quantity
+from .reflection import RootSystem, gamma_k, weight, ball_comparison_quantity
 from .transform import SpectralMatrix, c_k, multiplier_apply
 
 
@@ -54,8 +54,6 @@ def heat_kernel(rs: RootSystem, t, x, y) -> np.ndarray:
     and over times t that broadcast against their leading shape."""
     if np.any(np.asarray(t) <= 0):
         raise InputError("time must be positive")
-    if rs.kind != Z2_PRODUCT:
-        raise InputError("closed-form kernel requires a sign product group")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     K = kernel_prefactor(rs, t)

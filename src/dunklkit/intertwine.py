@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import CapabilityError, InputError, RangeError
 from .grids import tensor_rule
-from .reflection import Z2_PRODUCT, ReflectionGroup, RootSystem, canonical_rep
+from .reflection import ReflectionGroup, RootSystem, canonical_rep
 
 SERIES_BOUND = 200.0
 
@@ -252,8 +252,6 @@ def _jacobi_rule(n: int, kappa: float) -> tuple:
 def nu_quadrature(rs: RootSystem, x) -> OrbitMeasureQuad:
     """Product-group intertwining measure as a tensor quadrature rule, 64 nodes
     per axis."""
-    if rs.kind != Z2_PRODUCT:
-        raise CapabilityError("explicit measure known only for sign product groups")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     rules = [rank_one_measure(float(kap), float(xj), 64) for xj, kap in zip(x, rs.multiplicities)]
     return OrbitMeasureQuad(x, *tensor_rule(*zip(*rules)))
@@ -273,8 +271,6 @@ def dunkl_kernel(rs: RootSystem, x, y):
     Real y: positive kernel.  Purely imaginary y (1j * real vector); other
     complex arguments are out of scope.
     """
-    if rs.kind != Z2_PRODUCT:
-        raise CapabilityError("kernel evaluation requires a sign product group")
     x = np.asarray(x, dtype=float)
     kappas = rs.multiplicities
     if np.iscomplexobj(y):

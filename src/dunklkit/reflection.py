@@ -1,9 +1,9 @@
-"""Root systems, finite reflection groups, and orbit geometry.
+"""The sign-product reflection group Z_2^d, its weight, and orbit geometry.
 
-Conventions: every root is normalized to |alpha|^2 = 2, so the reflection in
-alpha is x -> x - <x, alpha> alpha.  The weight attached to a root system is
-w(x) = prod |<alpha, x>|^(2 k(alpha)) over the positive roots, homogeneous of
-degree twice the multiplicity sum.
+The one root system is sqrt(2) e_j, one root per axis, each with its own
+multiplicity kappa_j; the reflection in e_j flips the sign of x_j.  The
+weight is w(x) = prod |<alpha, x>|^(2 k(alpha)) over the positive roots,
+homogeneous of degree twice the multiplicity sum.
 
 Ball volumes mu_k(B(x, r)) of sign-product groups are exact (ball_volumes):
 the rank-one antiderivative, and in ranks two and three a fixed quadrature
@@ -15,16 +15,12 @@ ball_bracket_constants, whose docstring carries the proof.
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import InputError, CapabilityError
 
 SQRT2 = np.sqrt(2.0)
-
-Z2_PRODUCT = "z2_product"
-DIHEDRAL = "dihedral"
 
 
 @dataclass(frozen=True)
@@ -37,74 +33,37 @@ class Root:
     def __post_init__(self):
         v = np.asarray(self.vector, dtype=float)
         object.__setattr__(self, "vector", v)
-        if abs(v @ v - 2.0) > 1e-12:
-            raise InputError("root must satisfy |alpha|^2 = 2")
         if self.multiplicity < 0:
             raise InputError("multiplicity must be nonnegative")
 
 
 @dataclass(frozen=True)
 class RootSystem:
+    """The roots sqrt(2) e_j of Z_2^d in axis order; every sign-product
+    formula of the package relies on that layout."""
+
     dimension: int
     positive_roots: tuple
-    kind: str
-    order: Optional[int] = None  # dihedral index m, None for sign groups
 
     def __post_init__(self):
         if self.dimension < 1:
             raise InputError("dimension must be positive")
-        for r in self.positive_roots:
-            if r.vector.shape != (self.dimension,):
-                raise InputError("root dimension mismatch")
-        # no positive root may be a positive multiple of another
-        for a, b in itertools.combinations(self.positive_roots, 2):
-            cross = a.vector @ b.vector
-            if abs(abs(cross) - 2.0) < 1e-10 and np.allclose(
-                a.vector, np.sign(cross) * b.vector, atol=1e-10
-            ):
-                raise InputError("duplicate positive root direction")
+        axes = SQRT2 * np.eye(self.dimension)
+        if len(self.positive_roots) != self.dimension or any(
+            not np.array_equal(r.vector, a) for r, a in zip(self.positive_roots, axes)
+        ):
+            raise InputError("positive roots must be sqrt(2) e_j, one per axis in order")
 
     @staticmethod
     def z2_product(multiplicities) -> "RootSystem":
         """Sign-flip product group on R^d with per-axis multiplicities."""
         kappas = np.atleast_1d(np.asarray(multiplicities, dtype=float))
-        d = kappas.size
-        roots = []
-        for j, kap in enumerate(kappas):
-            v = np.zeros(d)
-            v[j] = SQRT2
-            roots.append(Root(v, float(kap)))
-        return RootSystem(d, tuple(roots), Z2_PRODUCT)
-
-    @staticmethod
-    def dihedral(m: int, k_even: float, k_odd: Optional[float] = None) -> "RootSystem":
-        """Dihedral symmetry group of the regular m-gon in the plane.
-
-        For odd m all reflection lines form a single orbit and share one
-        multiplicity; for even m the two alternating orbits may differ.
-        """
-        if m < 2:
-            raise InputError("dihedral order must be >= 2")
-        if m % 2 == 1:
-            if k_odd is not None and k_odd != k_even:
-                raise InputError("odd dihedral groups have a single root orbit")
-            k_odd = k_even
-        elif k_odd is None:
-            k_odd = k_even
-        roots = []
-        for j in range(m):
-            phi = np.pi * j / m
-            v = SQRT2 * np.array([-np.sin(phi), np.cos(phi)])
-            roots.append(Root(v, float(k_even if j % 2 == 0 else k_odd)))
-        return RootSystem(2, tuple(roots), DIHEDRAL, order=m)
+        axes = SQRT2 * np.eye(kappas.size)
+        return RootSystem(kappas.size, tuple(Root(a, float(k)) for a, k in zip(axes, kappas)))
 
     @property
     def multiplicities(self) -> np.ndarray:
         return np.array([r.multiplicity for r in self.positive_roots])
-
-    def root_matrix(self) -> np.ndarray:
-        """Positive roots stacked as rows."""
-        return np.array([r.vector for r in self.positive_roots])
 
 
 @dataclass(frozen=True)
@@ -120,49 +79,14 @@ class ReflectionGroup:
         return np.array([g @ x for g in self.elements])
 
 
-def reflection_matrix(alpha: Root) -> np.ndarray:
-    v = alpha.vector
-    return np.eye(v.size) - np.outer(v, v)
-
-
-GROUP_SIZE_CAP = 1024
-
-
 def generate_group(rs: RootSystem) -> ReflectionGroup:
-    """Close the generating reflections into the full matrix group.
-
-    Breadth-first closure with tolerance-based deduplication; raises when the
-    closure exceeds GROUP_SIZE_CAP, which signals a misconfigured system.
-    """
+    """The 2^d sign flips as exact +-1 diagonal matrices, ordered by the
+    number of flipped axes and then as itertools.combinations lists them."""
     d = rs.dimension
-    gens = [reflection_matrix(r) for r in rs.positive_roots]
-    seen = {}
-
-    def key(m):
-        return tuple(np.round(m, 10).ravel())
-
-    frontier = [np.eye(d)]
-    seen[key(frontier[0])] = frontier[0]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                p = g @ m
-                k = key(p)
-                if k not in seen:
-                    if len(seen) >= GROUP_SIZE_CAP:
-                        raise InputError(
-                            f"group closure exceeded cap {GROUP_SIZE_CAP}; "
-                            "system is non-finite or misconfigured"
-                        )
-                    seen[k] = p
-                    nxt.append(p)
-        frontier = nxt
-    elems = tuple(seen.values())
-    for m in elems:
-        if np.max(np.abs(m.T @ m - np.eye(d))) > 1e-12:
-            raise InputError("group element failed orthogonality check")
-    return ReflectionGroup(elems, rs)
+    flips = [a for n in range(d + 1) for a in itertools.combinations(range(d), n)]
+    return ReflectionGroup(
+        tuple(np.diag([-1.0 if j in a else 1.0 for j in range(d)]) for a in flips), rs
+    )
 
 
 def weight(rs: RootSystem, x) -> np.ndarray:
@@ -184,17 +108,7 @@ def gamma_k(rs: RootSystem) -> float:
 
 def canonical_rep(g: ReflectionGroup, x) -> np.ndarray:
     """The orbit element inside the closed fundamental chamber."""
-    rs = g.generated_from
-    x = np.asarray(x, dtype=float)
-    if rs.kind == Z2_PRODUCT:
-        return np.abs(x)
-    A = rs.root_matrix()
-    for m in g.elements:
-        y = m @ x
-        if np.all(A @ y >= -1e-12):
-            return y
-    # unreachable for a correctly generated group
-    raise CapabilityError("no chamber representative found")
+    return np.abs(np.asarray(x, dtype=float))
 
 
 def orbit_distance(g: ReflectionGroup, x, y) -> float:
@@ -260,16 +174,10 @@ BALL_RANK_CAP = 3
 BALL_BATCH = 2**17
 
 
-def _sign_product_kappas(rs: RootSystem, what: str) -> np.ndarray:
-    if rs.kind != Z2_PRODUCT:
-        raise CapabilityError(f"{what} needs a sign-product group, got {rs.kind}")
-    return rs.multiplicities
-
-
 def cube_volumes(rs: RootSystem, X, S) -> np.ndarray:
     """mu_k of the cubes prod_j [x_j - s, x_j + s] for centres X (m, d) and
     half-sides S (m,): a product of the axes' antiderivative differences."""
-    kappas = _sign_product_kappas(rs, "cube volume")
+    kappas = rs.multiplicities
     X = np.asarray(X, dtype=float)
     out = _axis_mass(kappas[0], X[:, 0], S)
     for j in range(1, rs.dimension):
@@ -316,7 +224,7 @@ def ball_volumes(rs: RootSystem, X, R) -> np.ndarray:
     the breaks and the square root at u = 1.  Balls go through in batches of
     about BALL_BATCH points.
     """
-    kappas = _sign_product_kappas(rs, "exact ball volume")
+    kappas = rs.multiplicities
     d = rs.dimension
     if d > BALL_RANK_CAP:
         raise CapabilityError(f"exact ball volumes stop at rank {BALL_RANK_CAP}, got {d}")
@@ -346,7 +254,7 @@ def ball_bracket_constants(rs: RootSystem) -> tuple:
     sqrt(d): sqrt(2) a + r <= sqrt(2 d) (a + s) gives at least d^(-1/2 - kappa)
     / (2 kappa + 1) times it.  C is attained at kappa = 0 in rank one.
     """
-    kappas = _sign_product_kappas(rs, "ball bracket")
+    kappas = rs.multiplicities
     d, gamma = rs.dimension, float(kappas.sum())
     return d ** (-d / 2.0 - gamma) / float(np.prod(2.0 * kappas + 1.0)), 2.0 ** (d + gamma)
 

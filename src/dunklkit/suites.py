@@ -99,11 +99,7 @@ class Scene:
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
-        g = cfg.group
-        if g["kind"] == "z2_product":
-            self.rs = RootSystem.z2_product(g["multiplicities"])
-        else:
-            self.rs = RootSystem.dihedral(g["m"], g["k_even"], g.get("k_odd"))
+        self.rs = RootSystem.z2_product(cfg.group["multiplicities"])
 
     @cached_property
     def group(self) -> ReflectionGroup:
@@ -145,7 +141,7 @@ class Scene:
 
     @cached_property
     def rank_one(self) -> RootSystem:
-        if self.rs.dimension == 1 and self.rs.kind == "z2_product":
+        if self.rs.dimension == 1:
             return self.rs
         return RootSystem.z2_product([self.kappa0])
 
@@ -263,10 +259,7 @@ def suite_reflection_geometry(scene: Scene, rng) -> tuple:
     ck = Checks()
     rs, grp = scene.rs, scene.group
     d = rs.dimension
-    if rs.kind == "z2_product":
-        ck.check("group_order", len(grp) == 2**d, len(grp))
-    dih = generate_group(RootSystem.dihedral(3, 0.7))
-    ck.check("dihedral3_order", len(dih) == 6, len(dih))
+    ck.check("group_order", len(grp) == 2**d, len(grp))
     g2 = RootSystem.z2_product([0.5, 1.5])
     ck.check("gamma_sum", abs(gamma_k(g2) - 2.0) < 1e-14, gamma_k(g2))
     for _ in range(40):
@@ -336,11 +329,6 @@ def suite_intertwine_measure(scene: Scene, rng) -> tuple:
     ck.at_most("first_moment_third", abs((wt @ nd) - 1.0 / 3.0), 1e-12)
     nd0, wt0 = rank_one_measure(0.0, 2.0, 32)
     ck.check("kappa0_point_mass", nd0.size == 1 and nd0[0] == 2.0 and wt0[0] == 1.0)
-    try:
-        nu_quadrature(RootSystem.dihedral(3, 0.5), [1.0, 0.5])
-        ck.check("unsupported_kind_raises", False)
-    except CapabilityError:
-        ck.check("unsupported_kind_raises", True)
     ss = np.linspace(-30.0, 30.0, 601)
     pos = float(np.min(kernel_bessel_1d(ss, max(kap, 0.3))))
     ck.check("kernel_positive", pos > 0.0, pos)

@@ -66,6 +66,17 @@ class TestCli(unittest.TestCase):
         self.assertEqual(res.exit_code, 2)
         self.assertIn("config error", res.output)
 
+    def test_other_group_kind_is_a_config_error(self):
+        # every table is built for the sign-product group alone, so another
+        # kind is refused before any suite runs or any output is written
+        cfg = self._config(dict(FAST_DOC, group={"kind": "dihedral", "m": 3, "k_even": 0.5}))
+        out = os.path.join(self.tmp, "out_dihedral")
+        res = self.runner.invoke(main, ["run", cfg, "--out", out])
+        self.assertEqual(res.exit_code, 2, res.output)
+        self.assertIn("config error", res.output)
+        self.assertIn("z2_product", res.output)
+        self.assertFalse(os.path.exists(out))
+
     def test_bad_preset_parameter_is_a_config_error(self):
         # refused before the first suite: no traceback, no summary.json
         for params in ({"a": -1.0}, {"b": 2.0}, {"a": "x"}):
@@ -138,13 +149,10 @@ class TestCli(unittest.TestCase):
     def test_capability_failure(self):
         # a refused suite is recorded and the run goes on: summary.json is
         # written, the other suites keep their results, and the exit code is 3
-        dihedral = {"kind": "dihedral", "m": 3, "k_even": 0.5}
         rank_two = {"kind": "z2_product", "multiplicities": [0.5, 1.0]}
         rank_one = {"kind": "z2_product", "multiplicities": [0.5]}
         grid, narrow, wide = {"R": 6.0, "N": 24}, {"R": 1.0e-3, "N": 24}, {"R": 40.0, "N": 24}
         cases = (
-            (dihedral, grid, ["heat_kernel"], "z2_product"),
-            (dihedral, grid, ["plancherel"], "z2_product"),
             (rank_two, grid, ["plancherel", "domination"], "rank-one"),
             # a grid so narrow that no free mode clears the resolution floor
             (rank_one, narrow, ["trotter_order"], "spectral cap"),

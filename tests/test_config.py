@@ -78,11 +78,13 @@ class TestLoadConfig(unittest.TestCase):
         self.assertEqual(cfg.seed, 0)
 
     def test_dihedral_group(self):
+        # only the sign-product group is computed; a dihedral document is
+        # refused, and the message names the kind it was given
         path = _write(
             self.tmp, "run.yaml", {"group": {"kind": "dihedral", "m": 4, "k_even": 0.3}}
         )
-        cfg = load_config(path)
-        self.assertEqual(cfg.group["m"], 4)
+        with self.assertRaisesRegex(ConfigError, "'dihedral'"):
+            load_config(path)
 
     def test_missing_file(self):
         with self.assertRaises(ConfigError):
@@ -161,8 +163,6 @@ class TestLoadConfig(unittest.TestCase):
         # message names the limit
         places = {
             "multiplicities": lambda v: {"group": {"kind": "z2_product", "multiplicities": [0.5, v]}},
-            "k_even": lambda v: {"group": {"kind": "dihedral", "m": 3, "k_even": v}},
-            "k_odd": lambda v: {"group": {"kind": "dihedral", "m": 4, "k_odd": v}},
             "kappa_list": lambda v: {"sweeps": {"kappa_list": [0.0, v]}},
         }
         for name, doc in places.items():

@@ -5,7 +5,7 @@ import unittest
 import mpmath
 import numpy as np
 
-from dunklkit.errors import CapabilityError, InputError, RangeError
+from dunklkit.errors import InputError, RangeError
 from dunklkit.intertwine import (
     KAPPA_MAX,
     _jacobi_rule,
@@ -116,11 +116,6 @@ class TestTensorMeasure(unittest.TestCase):
         rs = RootSystem.z2_product([0.5, 1.0])
         q = nu_quadrature(rs, [1.0, -2.0])
         self.assertAlmostEqual(q.weights.sum(), 1.0, places=12)
-
-    def test_dihedral_rejected(self):
-        rs = RootSystem.dihedral(3, 0.5)
-        with self.assertRaises(CapabilityError):
-            nu_quadrature(rs, [1.0, 0.0])
 
 
 class TestKernelOneDim(unittest.TestCase):

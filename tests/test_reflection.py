@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from dunklkit.errors import CapabilityError, InputError
 from dunklkit.reflection import (
+    Root,
     RootSystem,
     ball_bracket_constants,
     ball_comparison_quantity,
@@ -26,13 +27,40 @@ from dunklkit.reflection import (
 
 class TestGroupGeneration(unittest.TestCase):
     def test_sign_product_orders(self):
-        for d in (1, 2, 3):
-            rs = RootSystem.z2_product([0.5] * d)
-            self.assertEqual(len(generate_group(rs)), 2**d)
+        # fewest flipped axes first, then combinations order; the entries are
+        # exactly +-1 (sqrt(2) sqrt(2) reflections gave -1.0000000000000004)
+        expect = {
+            1: [[1], [-1]],
+            2: [[1, 1], [-1, 1], [1, -1], [-1, -1]],
+            3: [[1, 1, 1], [-1, 1, 1], [1, -1, 1], [1, 1, -1],
+                [-1, -1, 1], [-1, 1, -1], [1, -1, -1], [-1, -1, -1]],
+        }
+        for d, signs in expect.items():
+            elems = generate_group(RootSystem.z2_product([0.5] * d)).elements
+            self.assertEqual(len(elems), 2**d)
+            for m, s in zip(elems, signs):
+                self.assertTrue(np.array_equal(m, np.diag(np.array(s, dtype=float))), (d, m))
 
-    def test_dihedral_order(self):
-        rs = RootSystem.dihedral(3, 0.5)
-        self.assertEqual(len(generate_group(rs)), 6)
+    def test_roots_must_be_sqrt2_axes(self):
+        def root(*v):
+            return Root(np.array(v, dtype=float), 0.5)
+
+        s2 = math.sqrt(2.0)
+        bad = {
+            "rotated": (2, (root(s2, 0.0), root(1.0, 1.0))),
+            "repeated axis": (2, (root(s2, 0.0), root(s2, 0.0))),
+            "wrong length": (1, (root(1.0),)),
+            "negative axis": (1, (root(-s2),)),
+            "axes out of order": (2, (root(0.0, s2), root(s2, 0.0))),
+            "missing axis": (2, (root(s2, 0.0),)),
+        }
+        for name, (d, roots) in bad.items():
+            with self.subTest(name), self.assertRaises(InputError):
+                RootSystem(d, roots)
+        for d in range(1, 6):
+            rs = RootSystem.z2_product(np.linspace(0.0, 1.0, d))
+            self.assertEqual(rs.dimension, d)
+            np.testing.assert_array_equal(rs.multiplicities, np.linspace(0.0, 1.0, d))
 
     def test_gamma_sum(self):
         rs = RootSystem.z2_product([0.5, 1.5])
@@ -78,11 +106,7 @@ class TestOrbitGeometry(unittest.TestCase):
         for _ in range(40):
             x = rng.uniform(-3, 3, size=2)
             y = rng.uniform(-3, 3, size=2)
-            self.assertAlmostEqual(
-                orbit_distance(self.g, x, y),
-                orbit_distance_bruteforce(self.g, x, y),
-                places=10,
-            )
+            self.assertEqual(orbit_distance(self.g, x, y), orbit_distance_bruteforce(self.g, x, y))
 
     def test_orbit_distance_sign_chambers(self):
         # on a sign group the orbit distance is |x+ - y+|, x+ the coordinate absolutes
@@ -251,12 +275,8 @@ class TestExactBallVolumes(unittest.TestCase):
         self.assertGreater(ratio[0], 3.1)
         c, C = ball_bracket_constants(rs)
         self.assertTrue(np.all((c <= ratio) & (ratio <= C)))
-        with self.assertRaises(CapabilityError):
-            ball_bracket_constants(RootSystem.dihedral(3, 0.5))
 
     def test_refusals(self):
-        with self.assertRaises(CapabilityError):
-            ball_volumes(RootSystem.dihedral(3, 0.5), np.zeros((1, 2)), 1.0)
         with self.assertRaises(CapabilityError):
             ball_volumes(RootSystem.z2_product([0.5] * 4), np.zeros((1, 4)), 1.0)
         with self.assertRaises(InputError):
