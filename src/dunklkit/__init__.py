@@ -23,13 +23,10 @@ _EXPORTS = {
     "NumericalError": ".errors",
     "IllPosedError": ".errors",
     # reflection
-    "Root": ".reflection",
     "RootSystem": ".reflection",
-    "ReflectionGroup": ".reflection",
-    "generate_group": ".reflection",
+    "sign_flips": ".reflection",
     "weight": ".reflection",
     "gamma_k": ".reflection",
-    "canonical_rep": ".reflection",
     "orbit_distance": ".reflection",
     "ball_comparison_quantity": ".reflection",
     "ball_bracket_constants": ".reflection",

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import CapabilityError, InputError, RangeError
 from .grids import tensor_rule
-from .reflection import ReflectionGroup, RootSystem, canonical_rep
+from .reflection import RootSystem, orbit_distance, sign_flips
 
 SERIES_BOUND = 200.0
 
@@ -288,12 +288,13 @@ def dunkl_kernel(rs: RootSystem, x, y):
     return out.item() if out.ndim == 0 else out
 
 
-def averaged_orbit_measure(rs: RootSystem, group: ReflectionGroup, y) -> OrbitMeasureQuad:
-    """The group-averaged measure |G|^-1 sum over g of nu_(g.y)."""
+def averaged_orbit_measure(rs: RootSystem, y) -> OrbitMeasureQuad:
+    """The group-averaged measure |G|^-1 sum over g of nu_(g.y), the orbit
+    listed in the order of sign_flips."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
     all_nodes = []
     all_wts = []
-    orbit = group.orbit(y)
+    orbit = sign_flips(y.size) * y
     for gy in orbit:
         q = nu_quadrature(rs, gy)
         all_nodes.append(q.nodes)
@@ -304,7 +305,7 @@ def averaged_orbit_measure(rs: RootSystem, group: ReflectionGroup, y) -> OrbitMe
     return OrbitMeasureQuad(hull, nodes, wts)
 
 
-def phi_profile(rs: RootSystem, group: ReflectionGroup, xs, y) -> np.ndarray:
+def phi_profile(rs: RootSystem, xs, y) -> np.ndarray:
     """phi(x, y) evaluated on many points x at once: rows of xs, or its entries
     in rank one.
 
@@ -317,26 +318,24 @@ def phi_profile(rs: RootSystem, group: ReflectionGroup, xs, y) -> np.ndarray:
     else:
         pts = xs
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    q = averaged_orbit_measure(rs, group, y)
+    q = averaged_orbit_measure(rs, y)
     a2 = (y @ y) + np.sum(pts**2, axis=1)[:, None] - 2.0 * pts @ q.nodes.T
     a2 = np.maximum(a2, 0.0)
     return np.exp(np.sqrt(1.0 + a2)) @ q.weights
 
 
-def phi(rs: RootSystem, group: ReflectionGroup, x, y, lam: float = 1.0) -> float:
+def phi(rs: RootSystem, x, y, lam: float = 1.0) -> float:
     """Pointwise phi_lambda(x, y) = phi_profile(x, y)^lam; lam = 1 reproduces
     the base weight."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    value = float(phi_profile(rs, group, x[None, :], y)[0]) ** lam
+    value = float(phi_profile(rs, x[None, :], y)[0]) ** lam
     if value < math.e**lam - 1e-9:
         raise InputError("phi value below its analytic floor e^lambda")
     return value
 
 
-def phi_lemma_defect(rs: RootSystem, group: ReflectionGroup, x, y, y0) -> float:
+def phi_lemma_defect(rs: RootSystem, x, y, y0) -> float:
     """Signed slack of phi(x, y0) <= phi(y, y0) e^{|x+ - y+|} (>= 0 when it holds)."""
-    left = phi(rs, group, x, y0)
-    right = phi(rs, group, y, y0)
-    xp = canonical_rep(group, np.atleast_1d(np.asarray(x, float)))
-    yp = canonical_rep(group, np.atleast_1d(np.asarray(y, float)))
-    return float(right * np.exp(np.linalg.norm(xp - yp)) - left)
+    left = phi(rs, x, y0)
+    right = phi(rs, y, y0)
+    return float(right * np.exp(orbit_distance(x, y)) - left)

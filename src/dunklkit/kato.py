@@ -120,14 +120,13 @@ def _sup(mass, err, bad, probes) -> ModulusValue:
     return ModulusValue(np.inf if div else float(mass[i]), float(err[i]), div, float(probes[i]))
 
 
-def kato_modulus(V_fn, t, form: str = CLASSICAL, probes=(0.0,), sign_group: bool = True):
+def kato_modulus(V_fn, t, form: str = CLASSICAL, probes=(0.0,)):
     """sup over probes of the mass of |V| near the probe, in rank one, where
     the Green weight is 1; for a sequence of window sizes t, one ModulusValue
     each, all by one quadrature.
 
-    Distances are classical |x - y| or orbit | |x| - |y| | (sign group);
-    with sign_group False the orbit form degenerates to the classical one.
-    The integral uses Lebesgue measure throughout.
+    Distances are classical |x - y| or orbit | |x| - |y| | (the orbit
+    distance of Z_2).  The integral uses Lebesgue measure throughout.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     if not np.all(ts > 0):
@@ -135,9 +134,8 @@ def kato_modulus(V_fn, t, form: str = CLASSICAL, probes=(0.0,), sign_group: bool
     if form not in (CLASSICAL, ORBIT):
         raise InputError(f"unknown modulus form {form!r}")
     xs = np.atleast_1d(np.asarray(probes, dtype=float))
-    orbit = form == ORBIT and sign_group
     groups = [
-        _orbit_intervals(abs(x), w) if orbit else [(x - w, x + w)] for w in ts for x in xs
+        _orbit_intervals(abs(x), w) if form == ORBIT else [(x - w, x + w)] for w in ts for x in xs
     ]
     mass, err, bad = _masses(V_fn, groups)
     p = len(xs)
@@ -352,13 +350,14 @@ def resolvent_decay(rs: RootSystem, V_fn, a_list, probes=(0.0,)) -> dict:
 # growth bound and smoothing
 
 
-def growth_bound_check(V_fn, r_list, probes=(0.0,), sign_group: bool = True) -> dict:
-    """Fit C in sup_x int_{orbit ball r} |V| dy <= C (r + 1); report the
-    fit's stability when the radius list is extended by a factor 4."""
+def growth_bound_check(V_fn, r_list, probes=(0.0,), form: str = ORBIT) -> dict:
+    """Fit C in sup_x int_{ball r} |V| dy <= C (r + 1), the ball of the
+    modulus form (orbit by default); report the fit's stability when the
+    radius list is extended by a factor 4."""
     ext_list = [4.0 * r for r in r_list]
     # one quadrature for every radius: the ladders share some (2 and 4 of 0.5 ... 4)
     radii = list(dict.fromkeys([*r_list, *ext_list]))
-    mod = {r: m.value for r, m in zip(radii, kato_modulus(V_fn, radii, ORBIT, probes, sign_group))}
+    mod = {r: m.value for r, m in zip(radii, kato_modulus(V_fn, radii, form, probes))}
 
     def fitted(rs_):
         return max(mod[r] / (r + 1.0) for r in rs_)

@@ -2,8 +2,10 @@
 
 The one root system is sqrt(2) e_j, one root per axis, each with its own
 multiplicity kappa_j; the reflection in e_j flips the sign of x_j.  The
-weight is w(x) = prod |<alpha, x>|^(2 k(alpha)) over the positive roots,
-homogeneous of degree twice the multiplicity sum.
+layout is structural: a RootSystem holds only the kappa_j, so no root can
+be misplaced, and sign_flips lists the group.  The weight is w(x) =
+prod_j |sqrt(2) x_j|^(2 kappa_j), homogeneous of degree twice the
+multiplicity sum.
 
 Ball volumes mu_k(B(x, r)) of sign-product groups are exact (ball_volumes):
 the rank-one antiderivative, and in ranks two and three a fixed quadrature
@@ -23,82 +25,47 @@ from .errors import InputError, CapabilityError
 SQRT2 = np.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class Root:
-    """A positive root with its multiplicity value."""
-
-    vector: np.ndarray
-    multiplicity: float
-
-    def __post_init__(self):
-        v = np.asarray(self.vector, dtype=float)
-        object.__setattr__(self, "vector", v)
-        if self.multiplicity < 0:
-            raise InputError("multiplicity must be nonnegative")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # hashed by identity: the field is an array
 class RootSystem:
-    """The roots sqrt(2) e_j of Z_2^d in axis order; every sign-product
-    formula of the package relies on that layout."""
+    """The roots sqrt(2) e_j of Z_2^d with their multiplicities kappa_j, a
+    read-only 1-D array; the roots themselves are implied by the axes."""
 
-    dimension: int
-    positive_roots: tuple
+    multiplicities: np.ndarray
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise InputError("dimension must be positive")
-        axes = SQRT2 * np.eye(self.dimension)
-        if len(self.positive_roots) != self.dimension or any(
-            not np.array_equal(r.vector, a) for r, a in zip(self.positive_roots, axes)
-        ):
-            raise InputError("positive roots must be sqrt(2) e_j, one per axis in order")
+        kappas = np.array(self.multiplicities, dtype=float)
+        if kappas.ndim != 1 or kappas.size == 0 or not np.all(kappas >= 0):
+            raise InputError("multiplicities must be a nonempty 1-D list of values >= 0")
+        kappas.flags.writeable = False
+        object.__setattr__(self, "multiplicities", kappas)
 
     @staticmethod
     def z2_product(multiplicities) -> "RootSystem":
         """Sign-flip product group on R^d with per-axis multiplicities."""
-        kappas = np.atleast_1d(np.asarray(multiplicities, dtype=float))
-        axes = SQRT2 * np.eye(kappas.size)
-        return RootSystem(kappas.size, tuple(Root(a, float(k)) for a, k in zip(axes, kappas)))
+        return RootSystem(np.atleast_1d(np.asarray(multiplicities, dtype=float)))
 
     @property
-    def multiplicities(self) -> np.ndarray:
-        return np.array([r.multiplicity for r in self.positive_roots])
+    def dimension(self) -> int:
+        return self.multiplicities.size
 
 
-@dataclass(frozen=True)
-class ReflectionGroup:
-    elements: tuple
-    generated_from: RootSystem
-
-    def __len__(self):
-        return len(self.elements)
-
-    def orbit(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.array([g @ x for g in self.elements])
-
-
-def generate_group(rs: RootSystem) -> ReflectionGroup:
-    """The 2^d sign flips as exact +-1 diagonal matrices, ordered by the
-    number of flipped axes and then as itertools.combinations lists them."""
-    d = rs.dimension
+def sign_flips(d: int) -> np.ndarray:
+    """The 2^d elements of Z_2^d as rows of exact +-1, ordered by the number
+    of flipped axes and then as itertools.combinations lists them."""
     flips = [a for n in range(d + 1) for a in itertools.combinations(range(d), n)]
-    return ReflectionGroup(
-        tuple(np.diag([-1.0 if j in a else 1.0 for j in range(d)]) for a in flips), rs
-    )
+    return np.array([[-1.0 if j in a else 1.0 for j in range(d)] for a in flips])
 
 
 def weight(rs: RootSystem, x) -> np.ndarray:
-    """The measure density prod |<alpha, x>|^(2 k(alpha)); vectorized over x."""
+    """The measure density prod_j |sqrt(2) x_j|^(2 kappa_j); vectorized over x."""
     x = np.asarray(x, dtype=float)
     scalar_in = x.ndim == 1
     pts = np.atleast_2d(x)
     out = np.ones(pts.shape[0])
-    for r in rs.positive_roots:
-        if r.multiplicity == 0.0:
+    for j, kap in enumerate(rs.multiplicities):
+        if kap == 0.0:
             continue
-        out = out * np.abs(pts @ r.vector) ** (2.0 * r.multiplicity)
+        out = out * np.abs(SQRT2 * pts[:, j]) ** (2.0 * kap)
     return float(out[0]) if scalar_in else out
 
 
@@ -106,21 +73,16 @@ def gamma_k(rs: RootSystem) -> float:
     return float(np.sum(rs.multiplicities))
 
 
-def canonical_rep(g: ReflectionGroup, x) -> np.ndarray:
-    """The orbit element inside the closed fundamental chamber."""
-    return np.abs(np.asarray(x, dtype=float))
+def orbit_distance(x, y) -> float:
+    """min over the group of |g.x - y|: the distance of the chamber
+    representatives |x| and |y|."""
+    return float(np.linalg.norm(np.abs(np.asarray(x, float)) - np.abs(np.asarray(y, float))))
 
 
-def orbit_distance(g: ReflectionGroup, x, y) -> float:
-    xp = canonical_rep(g, x)
-    yp = canonical_rep(g, y)
-    return float(np.linalg.norm(xp - yp))
-
-
-def orbit_distance_bruteforce(g: ReflectionGroup, x, y) -> float:
-    """min over the whole group of |g.x - y|; oracle for orbit_distance."""
-    y = np.asarray(y, dtype=float)
-    return float(min(np.linalg.norm(m @ np.asarray(x, float) - y) for m in g.elements))
+def orbit_distance_bruteforce(x, y) -> float:
+    """min over every sign flip s of |s x - y|; oracle for orbit_distance."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return float(min(np.linalg.norm(s * x - y) for s in sign_flips(x.size)))
 
 
 def ball_comparison_quantity(rs: RootSystem, x, r):
@@ -133,9 +95,9 @@ def ball_comparison_quantity(rs: RootSystem, x, r):
     """
     x = np.asarray(x, dtype=float)
     q = r ** rs.dimension
-    for root in rs.positive_roots:
+    for j, kap in enumerate(rs.multiplicities):
         # alpha and -alpha give equal factors
-        q = q * (np.abs(x @ root.vector) + r) ** (2.0 * root.multiplicity)
+        q = q * (np.abs(SQRT2 * x[..., j]) + r) ** (2.0 * kap)
     return float(q) if np.ndim(q) == 0 else q
 
 

@@ -49,7 +49,7 @@ from .grids import QuadratureGrid, SampledFunction, build_grid, kron_apply
 from .heat import heat_apply, heat_axis_tables, heat_kernel_matrix
 from .intertwine import phi_profile
 from .operators import derivative_apply
-from .reflection import ReflectionGroup, RootSystem, gamma_k
+from .reflection import RootSystem, gamma_k
 from .transform import SpectralMatrix
 
 DEFAULT_T0 = 0.1
@@ -641,9 +641,7 @@ def nearest_node_index(grid: QuadratureGrid, y) -> int:
 TAIL_TIMES = (0.05, 0.1, 0.2, 0.4)
 
 
-def weighted_estimate_report(
-    ed: EigenDecomp, group: ReflectionGroup, t_list, y_list, axis: int = 0
-) -> dict:
+def weighted_estimate_report(ed: EigenDecomp, t_list, y_list, axis: int = 0) -> dict:
     """Weighted gradient-kernel quantities for the kernel W_t.
 
     Part one: for each probe y and time t, the weighted integral of
@@ -665,7 +663,7 @@ def weighted_estimate_report(
     for t in t_list:
         xs = grid.nodes[:, 0] / np.sqrt(t)
         for i, (y, ynode) in enumerate(zip(y_list, ynodes)):
-            phiv = phi_profile(grid.rs, group, xs, ynode / np.sqrt(t))
+            phiv = phi_profile(grid.rs, xs, ynode / np.sqrt(t))
             lhs = float(np.sum(grid.mu_weights * TW[t][:, i] ** 2 * phiv))
             normalized[(float(y), float(t))] = t**expo * lhs
     outside = [np.linalg.norm(np.abs(grid.nodes) - np.abs(ynode), axis=1) > 1.0 for ynode in ynodes]

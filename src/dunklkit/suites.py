@@ -39,6 +39,7 @@ from .intertwine import (
     nu_quadrature,
     phi,
     phi_lemma_defect,
+    phi_profile,
     rank_one_measure,
 )
 from .operators import (
@@ -49,16 +50,15 @@ from .operators import (
     spectral_laplacian,
 )
 from .reflection import (
-    ReflectionGroup,
     RootSystem,
     ball_bracket_constants,
     ball_comparison_quantity,
     ball_volumes,
     cube_volumes,
     gamma_k,
-    generate_group,
     orbit_distance,
     orbit_distance_bruteforce,
+    sign_flips,
     unit_ball_cover,
 )
 from .schrodinger import (
@@ -100,10 +100,6 @@ class Scene:
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         self.rs = RootSystem.z2_product(cfg.group["multiplicities"])
-
-    @cached_property
-    def group(self) -> ReflectionGroup:
-        return generate_group(self.rs)
 
     @cached_property
     def grid(self):
@@ -257,15 +253,16 @@ def _l2_norms(grid, values: np.ndarray) -> np.ndarray:
 )
 def suite_reflection_geometry(scene: Scene, rng) -> tuple:
     ck = Checks()
-    rs, grp = scene.rs, scene.group
+    rs = scene.rs
     d = rs.dimension
-    ck.check("group_order", len(grp) == 2**d, len(grp))
+    n_elements = len({tuple(s) for s in sign_flips(d)})
+    ck.check("group_order", n_elements == 2**d, n_elements)
     g2 = RootSystem.z2_product([0.5, 1.5])
     ck.check("gamma_sum", abs(gamma_k(g2) - 2.0) < 1e-14, gamma_k(g2))
     for _ in range(40):
         x = rng.uniform(-4, 4, size=d)
         y = rng.uniform(-4, 4, size=d)
-        gap = abs(orbit_distance(grp, x, y) - orbit_distance_bruteforce(grp, x, y))
+        gap = abs(orbit_distance(x, y) - orbit_distance_bruteforce(x, y))
         ck.at_most("orbit_distance_oracle", gap, 1e-10)
 
     cover_curve = []
@@ -332,15 +329,14 @@ def suite_intertwine_measure(scene: Scene, rng) -> tuple:
     ss = np.linspace(-30.0, 30.0, 601)
     pos = float(np.min(kernel_bessel_1d(ss, max(kap, 0.3))))
     ck.check("kernel_positive", pos > 0.0, pos)
-    grp1 = generate_group(rs1)
-    pe = phi(rs1, grp1, [0.7], [1.2])
+    pe = phi(rs1, [0.7], [1.2])
     ck.metric("phi_at_least_e", pe)  # phi refuses a value below e - 1e-9
     lam = 2.5
-    pl = phi(rs1, grp1, [0.7], [1.2], lam=lam)
+    pl = phi(rs1, [0.7], [1.2], lam=lam)
     ck.at_most("phi_power_rule", abs(pl - pe**lam), 1e-10 * pe**lam)
     for _ in range(20):
         x, y, y0 = rng.uniform(-3, 3, size=3)
-        ck.at_least("phi_translation_lemma", phi_lemma_defect(rs1, grp1, [x], [y], [y0]), -1e-8)
+        ck.at_least("phi_translation_lemma", phi_lemma_defect(rs1, [x], [y], [y0]), -1e-8)
     return ck, {"nu_moment_error_vs_n": curve}
 
 
@@ -462,7 +458,7 @@ def suite_translation_convolution(scene: Scene, rng) -> tuple:
     curve = []
     for xval in (0.5, 1.0, 2.0):
         x = np.full(rs.dimension, xval / math.sqrt(rs.dimension))
-        tau = translate_radial(rs, grid, x, prof)
+        tau = translate_radial(grid, x, prof)
         lhs = dunkl_transform(sm, tau)
         phase = dunkl_kernel(rs, x, 1j * grid.nodes)
         gap = float(
@@ -528,10 +524,7 @@ def suite_operator_identities(scene: Scene, rng) -> tuple:
     )
     ck.at_most("laplacian_spectral_vs_stencil", rel, 1e-3)
 
-    grp1 = generate_group(scene.rank_one)
-    from .intertwine import phi_profile
-
-    phiv = phi_profile(scene.rank_one, grp1, xs, np.array([0.5]))
+    phiv = phi_profile(scene.rank_one, xs, np.array([0.5]))
     pf = SampledFunction(grid, phiv)
     t2 = dunkl_derivative(grid, dunkl_derivative(grid, pf))
     ratio = float(np.max(np.abs(t2.values[interior]) / phiv[interior]))
@@ -855,9 +848,8 @@ def suite_weighted_phi(scene: Scene, rng) -> tuple:
     for kap in (0.0, 1.0):
         rs1 = RootSystem.z2_product([kap])
         grid = build_grid(rs1, 10.0, 128)
-        grp1 = generate_group(rs1)
         ed = resolved_calculus(grid, None)
-        rep = weighted_estimate_report(ed, grp1, t_list, (0.1, 0.3))
+        rep = weighted_estimate_report(ed, t_list, (0.1, 0.3))
         for y in (0.1, 0.3):
             vals = [rep["normalized_lhs"][(y, t)] for t in t_list]
             spread = max(vals) / max(min(vals), 1e-300)
@@ -919,10 +911,10 @@ def suite_kato_class(scene: Scene, rng) -> tuple:
         ck.at_least("sandwich_lower", r["lower_slack"], -1e-8)
         ck.at_least("sandwich_upper", r["upper_slack"], -1e-8)
 
-    # trivial group: the flat integral is 2r, so C = sup 2r/(r+1) stays below 2
+    # classical balls: the flat integral is 2r, so C = sup 2r/(r+1) stays below 2
     gb = kato.growth_bound_check(
         potential_function("constant", c=1.0), (0.5, 1.0, 2.0, 4.0), probes=probes,
-        sign_group=False,
+        form=kato.CLASSICAL,
     )
     ck.at_most("growth_constant_flat", gb["C"], 2.0 + 1e-9)
     gb2 = kato.growth_bound_check(

@@ -83,14 +83,14 @@ def parseval_defect(
     return float(abs(lhs - rhs))
 
 
-def translate_radial(rs: RootSystem, grid: QuadratureGrid, x, f_radial) -> SampledFunction:
+def translate_radial(grid: QuadratureGrid, x, f_radial) -> SampledFunction:
     """Generalized translation of a radial profile to base point x.
 
     Evaluates the profile at sqrt(|y|^2 + |x|^2 + 2 <y, eta>) averaged over
     the intertwining measure of x.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    q = nu_quadrature(rs, x)
+    q = nu_quadrature(grid.rs, x)
     vals, step = [], max(1, 2**16 // len(q.weights))
     for lo in range(0, len(grid), step):  # blocks of 2^16 entries (512 KiB) stay in L2
         y = grid.nodes[lo : lo + step]

@@ -9,6 +9,7 @@ from dunklkit.errors import InputError, RangeError
 from dunklkit.intertwine import (
     KAPPA_MAX,
     _jacobi_rule,
+    averaged_orbit_measure,
     dunkl_kernel,
     e_minus_i,
     kernel_bessel_1d,
@@ -23,7 +24,7 @@ from dunklkit.intertwine import (
     scaled_e_real,
     scaled_nibessel,
 )
-from dunklkit.reflection import RootSystem, generate_group
+from dunklkit.reflection import RootSystem, sign_flips
 
 
 def _mp_scaled(v, kap, dps, even_only=False):
@@ -244,19 +245,43 @@ class TestPhi(unittest.TestCase):
     @classmethod
     def setUpClass(cls):
         cls.rs = RootSystem.z2_product([0.8])
-        cls.g = generate_group(cls.rs)
 
     def test_base_value(self):
         # x = y = 0: integrand is e^{sqrt(1)} identically
-        val = phi(self.rs, self.g, [0.0], [0.0])
+        val = phi(self.rs, [0.0], [0.0])
         self.assertAlmostEqual(val, np.e, places=12)
 
     def test_comparison_inequality(self):
         rng = np.random.default_rng(9)
         for _ in range(30):
             x, y, y0 = rng.uniform(-2.5, 2.5, size=3)
-            d = phi_lemma_defect(self.rs, self.g, [x], [y], [y0])
+            d = phi_lemma_defect(self.rs, [x], [y], [y0])
             self.assertGreaterEqual(d, -1e-10)
+
+    def test_rank_two_sign_invariance(self):
+        # the averaged measure is the same for every point of the orbit of y,
+        # and its nodes are symmetric under the sign flips, so flipping x or y
+        # leaves phi unchanged
+        rs = RootSystem.z2_product([0.5, 1.0])
+        rng = np.random.default_rng(3)
+        for _ in range(4):
+            x, y = rng.uniform(-2.0, 2.0, size=(2, 2))
+            ref = phi(rs, x, y)
+            for s in sign_flips(2):
+                np.testing.assert_allclose(phi(rs, s * x, y), ref, rtol=1e-13, atol=0)
+                np.testing.assert_allclose(phi(rs, x, s * y), ref, rtol=1e-13, atol=0)
+
+    def test_averaged_measure_lists_the_orbit_in_sign_flips_order(self):
+        # the order of the concatenated orbit rules fixes the summation order
+        # of phi, so it is pinned bit for bit
+        for kappas, y in (([0.8], [1.3]), ([0.5, 1.0], [0.7, -1.1])):
+            rs, y = RootSystem.z2_product(kappas), np.array(y)
+            q = averaged_orbit_measure(rs, y)
+            parts = [nu_quadrature(rs, s * y) for s in sign_flips(len(kappas))]
+            np.testing.assert_array_equal(q.nodes, np.concatenate([p.nodes for p in parts]))
+            wts = np.concatenate([p.weights / len(parts) for p in parts])
+            np.testing.assert_array_equal(q.weights, wts)
+            np.testing.assert_array_equal(q.base_point, np.abs(y))
 
 
 if __name__ == "__main__":

@@ -75,8 +75,10 @@ class TestModulus(unittest.TestCase):
         self.assertAlmostEqual(off.value, 4.0 * t, places=9)
 
     def test_trivial_group_collapses_orbit(self):
+        # the trivial group's orbit window is the classical one: 2t off the
+        # origin, where the sign orbit doubles it
         t = 0.5
-        off = kato_modulus(ONE, t, ORBIT, probes=(2.0,), sign_group=False)
+        off = kato_modulus(ONE, t, CLASSICAL, probes=(2.0,))
         self.assertAlmostEqual(off.value, 2.0 * t, places=9)
 
     def test_supercritical_diverges(self):
@@ -404,13 +406,13 @@ class TestNamedBreaks(unittest.TestCase):
 
 class TestGrowthBound(unittest.TestCase):
     def test_constant_trivial_group(self):
-        rep = growth_bound_check(ONE, (0.5, 1.0, 2.0, 4.0), sign_group=False)
+        rep = growth_bound_check(ONE, (0.5, 1.0, 2.0, 4.0), form=CLASSICAL)
         self.assertLess(rep["C"], 2.0)
         self.assertTrue(rep["stable"])
 
     def test_orbit_form_larger(self):
-        flat = growth_bound_check(ONE, (1.0, 2.0), probes=(3.0,), sign_group=False)
-        orbit = growth_bound_check(ONE, (1.0, 2.0), probes=(3.0,), sign_group=True)
+        flat = growth_bound_check(ONE, (1.0, 2.0), probes=(3.0,), form=CLASSICAL)
+        orbit = growth_bound_check(ONE, (1.0, 2.0), probes=(3.0,))
         self.assertGreater(orbit["C"], flat["C"] * 1.5)
 
 

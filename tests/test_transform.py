@@ -116,13 +116,13 @@ class TestTranslation(unittest.TestCase):
         q = nu_quadrature(grid.rs, x)
         arg2 = np.sum(grid.nodes**2, axis=1)[:, None] + (x @ x) + 2.0 * (grid.nodes @ q.nodes.T)
         ref = prof(np.sqrt(np.maximum(arg2, 0.0))) @ q.weights
-        got = translate_radial(grid.rs, grid, x, prof)
+        got = translate_radial(grid, x, prof)
         self.assertTrue(np.array_equal(got.values, ref))
 
     def test_translate_at_origin_is_identity(self):
         sm = _setup(0.7)
         prof = lambda r: np.exp(-(r**2) / 2.0)
-        got = translate_radial(sm.grid.rs, sm.grid, [0.0], prof)
+        got = translate_radial(sm.grid, [0.0], prof)
         xs = np.abs(sm.grid.nodes[:, 0])
         np.testing.assert_allclose(got.values, prof(xs), atol=1e-12)
 
@@ -134,7 +134,7 @@ class TestTranslation(unittest.TestCase):
         prof = lambda r: np.exp(-(r**2) / 2.0)
         f = SampledFunction(sm.grid, prof(np.abs(sm.grid.nodes[:, 0])))
         x = [1.3]
-        tau = translate_radial(sm.grid.rs, sm.grid, x, prof)
+        tau = translate_radial(sm.grid, x, prof)
         lhs = dunkl_transform(sm, tau)
         phase = dunkl_kernel(sm.grid.rs, x, 1j * sm.grid.nodes)
         rhs = phase * dunkl_transform(sm, f).values
