@@ -8,8 +8,8 @@ and operators lift to the grid by index gathers or Kronecker products, and
 the negation x -> -x is the reversed node order, an exact permutation.
 So is the reflection x_j -> -x_j, axis j of the nodes as an (n,) * d array
 reversed; a table that commutes with it splits into parity blocks.
-Per-axis kernel tables (axis_table) take functions symmetric in their two
-arguments and even under the joint sign flip, so half the axis gives all.
+Per-axis kernel tables (axis_table) of an f symmetric and even under the joint
+sign flip take the pairs f(a, b), f(-a, b) at a, b > 0, which give all.
 """
 
 import csv
@@ -101,17 +101,21 @@ class QuadratureGrid:
         return np.arange(len(self))[::-1]
 
     def axis_table(self, fn) -> np.ndarray:
-        """n x n table of fn(a, b) on the axis rule.  fn must satisfy fn(a, b)
-        = fn(b, a) = fn(-a, -b) bit for bit, as any fn of a b, |a| and |b| does:
-        one call on the unordered pairs (xp_i, xp_j) and (-xp_i, xp_j) of the
-        positive half-axis xp, and the mirrored axis gives the other blocks."""
+        """n x n table of f(a, b) on the axis rule, f(a, b) = f(b, a) = f(-a, -b)
+        bit for bit (as any f of a b, |a| and |b| is): fn(a, b), called once on
+        the unordered pairs of the positive half-axis xp, returns f at (a, b)
+        and at (-a, b), each written to its blocks of one n x n array."""
         h = self.n_axis // 2
         xp = self.axis[h:]
         iu, ju = np.triu_indices(h)
-        vals = fn(np.concatenate([xp[iu], -xp[iu]]), np.tile(xp[ju], 2))
-        P, M = b = np.empty((2, h, h), dtype=vals.dtype)
-        b[:, iu, ju] = b[:, ju, iu] = vals.reshape(2, -1)
-        return np.block([[P[::-1, ::-1], M[::-1]], [M[:, ::-1], P]])
+        P, M = fn(xp[iu], xp[ju])
+        T = np.empty((self.n_axis, self.n_axis), dtype=P.dtype)
+        # T[h + i, h + j] = f(xp_i, xp_j) and T[h - 1 - i, h + j] = f(-xp_i, xp_j)
+        for block, vals in ((T[h:, h:], P), (T[h - 1 :: -1, h:], M)):
+            block[iu, ju] = block[ju, iu] = vals
+        T[:h, :h] = T[h:, h:][::-1, ::-1]
+        T[h:, :h] = T[:h, h:].T
+        return T
 
     def mirror_axes(self, a: np.ndarray) -> list:
         """Axes j with a = R_j a bit for bit for node samples a (N,), R_j the

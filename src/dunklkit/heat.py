@@ -10,7 +10,8 @@ under which every kernel row has unit weighted mass, and the axis factor
 E_kappa(x, y/2t) e^{-(x^2+y^2)/4t} written through the overflow-safe scaled
 kernel.  Every kernel evaluation in the package goes through these two;
 even_axis_factor is the part of the axis factor even in y.  A grid table is
-the prefactor times the Kronecker product of the n x n per-axis tables.
+the prefactor times the Kronecker product of the n x n per-axis tables, built
+from axis_factor's pairs at (a, b) and (-a, b), with no formula of their own.
 """
 
 import numpy as np
@@ -28,11 +29,13 @@ def kernel_prefactor(rs: RootSystem, t):
     return 1.0 / (c_k(rs) * (2.0 * np.asarray(t, dtype=float)) ** expo)
 
 
-def axis_factor(x, y, t, kappa: float):
+def axis_factor(x, y, t, kappa: float, mirror: bool = False):
     """One axis of the kernel, E_kappa(x, y/2t) e^{-(x^2+y^2)/4t}, with the
     exponents recombined so it stays finite at large |x y|/t; broadcasts
-    over x, y and t."""
-    return scaled_e_real(x * y / (2.0 * t), kappa) * _gauss(x, y, t)
+    over x, y and t; with mirror, the pair at (x, y) and (-x, y) of one Bessel
+    evaluation."""
+    e, g = scaled_e_real(x * y / (2.0 * t), kappa, mirror), _gauss(x, y, t)
+    return (e[0] * g, e[1] * g) if mirror else e * g
 
 
 def even_axis_factor(x, y, t, kappa: float):
@@ -69,7 +72,7 @@ def heat_axis_tables(grid: QuadratureGrid, t: float) -> tuple:
     """Prefactor and n x n axis tables (QuadratureGrid.axis_table) of the kernel at t."""
     if t <= 0:
         raise InputError("time must be positive")
-    axes = [grid.axis_table(lambda x, y: axis_factor(x, y, t, float(k)))
+    axes = [grid.axis_table(lambda x, y: axis_factor(x, y, t, float(k), mirror=True))
             for k in grid.rs.multiplicities]
     return kernel_prefactor(grid.rs, t), axes
 
@@ -80,8 +83,9 @@ def heat_kernel_matrix(grid: QuadratureGrid, t: float, rows=None) -> np.ndarray:
     any rows are bit for bit those of the full table and of np.kron's chain."""
     c, axes = heat_axis_tables(grid, t)
     index = grid.axis_index if rows is None else grid.axis_index[:, rows]
-    K = np.full((index.shape[1], 1), c)
-    for T, i in zip(axes, index):
+    K = axes[0] if rows is None and grid.dimension == 1 else axes[0][index[0]]
+    K *= c  # in place: in rank one, all rows are the fresh table itself
+    for T, i in zip(axes[1:], index[1:]):
         K = (K[:, :, None] * T[i][:, None, :]).reshape(len(i), -1)
     return K
 

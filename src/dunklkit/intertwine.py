@@ -206,14 +206,16 @@ def scaled_e_even(a, kappa: float) -> np.ndarray:
     return scaled_nibessel(kappa - 0.5, a)
 
 
-def scaled_e_real(s, kappa: float) -> np.ndarray:
-    """Overflow-safe E(x, y) e^{-|xy|} with s = x y, via scaled Bessel I."""
+def scaled_e_real(s, kappa: float, mirror: bool = False):
+    """Overflow-safe E(x, y) e^{-|xy|} with s = x y, via scaled Bessel I; with
+    mirror, the pair at s and -s, even + odd and even - odd of one evaluation."""
     s = np.asarray(s, dtype=float)
-    if kappa == 0.0:
-        return np.exp(s - np.abs(s))
     a = np.abs(s)
-    odd = scaled_nibessel(kappa + 0.5, a)
-    return scaled_e_even(a, kappa) + s / (2.0 * kappa + 1.0) * odd
+    if kappa == 0.0:
+        return (np.exp(s - a), np.exp(-s - a)) if mirror else np.exp(s - a)
+    even = scaled_e_even(a, kappa)
+    odd = s / (2.0 * kappa + 1.0) * scaled_nibessel(kappa + 0.5, a)
+    return (even + odd, even - odd) if mirror else even + odd
 
 
 def kernel_bessel_1d(s, kappa: float) -> np.ndarray:

@@ -51,15 +51,15 @@ from .grids import ROW_BLOCK
 from .heat import even_axis_factor, kernel_prefactor
 from .quadrature import quad
 from .reflection import RootSystem
-from .schrodinger import Potential, _cone_nodes, _quadrants, _wht, splitting_kernel, splitting_steps
+from .schrodinger import Potential, _cone_layout, _cone_nodes, splitting_kernel, splitting_steps
 
 QUAD_TOL = 1e-12
 # Gauss-Laguerre rule in time for the resolvent integrals
 LAGUERRE = laggauss(48)
 # 8-point Gauss-Legendre rule on [-1, 1] of every _time_rule panel
 LEGENDRE = leggauss(8)
-# table entries (nodes x time nodes) of the heat density evaluated at once
-CHUNK = 2**16
+# entries (nodes x time nodes) of one heat density table, 128 KiB a temporary; no value depends on it
+CHUNK = 2**14
 
 CLASSICAL = "classical"
 ORBIT = "orbit"
@@ -407,7 +407,8 @@ def smoothing_norms_of_kernel(grid, W, pq_list, axes=()) -> SmoothingReport:
     1->inf is the sup and 1->1 the max column mass of the cone columns, as
     every other column is a mirror copy; inf->inf is the max row mass, F D 1
     on the cone, F = sum_q A_q the fold of the quadrant tables A_q(r, s) =
-    W(R_q r, s) (_quadrants), as every row is a mirror image of a cone row.
+    W(R_q r, s) (views of W, _cone_layout, summed pairwise in quadrant order),
+    as every row is a mirror image of a cone row.
     Interior (p, q) values are the log-convex corner combination.  The direct
     L2 operator norm is included for the upper-bound cross-check.
 
@@ -422,12 +423,15 @@ def smoothing_norms_of_kernel(grid, W, pq_list, axes=()) -> SmoothingReport:
     n, d, axes = grid.n_axis, grid.dimension, tuple(axes)
     if W.shape != (len(grid), len(grid) >> len(axes)):
         raise InputError(f"kernel of shape {W.shape} is not the cone columns of axes {axes}")
-    A = _quadrants(W, n, d, axes)
+    m = W.shape[1]
+    A = [W.reshape((n,) * d + (m,))[sl] for sl in _cone_layout(n, d, axes)[0]]
     n_1inf = float(np.max(W))
-    if np.min(W) < 0 or max(map(_max_asymmetry, A)) > 1e-12 * n_1inf:
+    if np.min(W) < 0 or max(_max_asymmetry(a.reshape(m, m)) for a in A) > 1e-12 * n_1inf:
         raise InputError("smoothing kernel must be nonnegative and symmetric to 1e-12")
     om = grid.mu_weights[_cone_nodes(grid, axes)]
-    F = _wht(A)[0]
+    while len(A) > 1:
+        A = [p + q for p, q in zip(A[::2], A[1::2])]
+    F = np.ascontiguousarray(A[0]).reshape(m, m)  # C order: the rounding of F @ om follows it
     n_infinf = float(np.max(F @ om))
     n_11 = float(np.max(grid.mu_weights @ W))
     corners = {(1, 1): n_11, ("inf", "inf"): n_infinf, (1, "inf"): n_1inf}

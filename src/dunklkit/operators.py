@@ -47,11 +47,14 @@ def diff_matrix(xs: np.ndarray) -> np.ndarray:
     return D
 
 
-@lru_cache(maxsize=2)  # both axes of a rank-two grid; a larger cache keeps big T alive
+@lru_cache(maxsize=2)  # both axes of a rank-two grid; each entry holds an n x n T
 def _axis_derivative(kappa: float, R: float, n_axis: int) -> np.ndarray:
-    """T = D + kappa (I - J) / x on the axis rule of (R, n_axis); read-only."""
+    """T = D + kappa (I - J) / x on the axis rule of (R, n_axis), the second
+    term added in place on its two diagonals; read-only."""
     x = axis_rule(R, n_axis)[0]
-    T = diff_matrix(x) + kappa * (np.eye(n_axis) - np.eye(n_axis)[::-1]) / x[:, None]
+    T, i = diff_matrix(x), np.arange(n_axis)
+    T[i, i] += kappa / x
+    T[i, i[::-1]] -= kappa / x
     T.flags.writeable = False
     return T
 

@@ -236,14 +236,23 @@ def _axis_free_modes(kappa: float, R: float, n_axis: int, t0: float) -> tuple:
     grid of one axis and each mode's parity (1 odd), memoised per (kappa, R,
     n_axis, t0): one eigh per parity block, the modes exact mirrors."""
     grid = build_grid(RootSystem.z2_product([kappa]), R, n_axis)
-    dh = np.sqrt(grid.mu_weights)
-    Kt = dh[:, None] * heat_kernel_matrix(grid, t0) * dh[None, :]
-    h = n_axis // 2
-    even, odd = (eigh(b) for b in _wht(_quadrants(0.5 * (Kt + Kt.T)[:, h:], n_axis, 1, (0,))))
-    mu, v = (np.hstack(pair) for pair in zip(even, odd))
+    dh, h = np.sqrt(grid.mu_weights), n_axis // 2
+    Kt = heat_kernel_matrix(grid, t0)  # a fresh table, scaled in place
+    Kt *= dh[:, None]
+    Kt *= dh
+    Kt = Kt[:, h:] + Kt[h:].T  # the symmetric part (halved below), columns at x > 0
+    Kt *= 0.5
+    # one eigh per parity block: the rows at x > 0 plus or minus their mirrors
+    even, odd = (eigh(b) for b in (Kt[h:] + Kt[h - 1 :: -1], Kt[h:] - Kt[h - 1 :: -1]))
+    del Kt
+    mu = np.hstack([even[0], odd[0]])
     order = np.argsort(mu, kind="stable")
-    mu, parity, v = mu[order], (order >= h).astype(int), v[:, order] / np.sqrt(2.0)
-    Q = np.vstack([np.where(parity, -1.0, 1.0) * v[::-1], v])
+    mu, parity = mu[order], (order >= h).astype(int)
+    Q = np.empty((n_axis, n_axis))  # the unsorted modes on x > 0 in its top half first
+    Q[:h, :h], Q[:h, h:] = even[1], odd[1]
+    del even, odd
+    np.divide(Q[:h, order], np.sqrt(2.0), out=Q[h:])
+    np.multiply(np.where(parity, -1.0, 1.0), Q[:h - 1 : -1], out=Q[:h])
     mu.flags.writeable = Q.flags.writeable = parity.flags.writeable = False
     return mu, Q, parity
 

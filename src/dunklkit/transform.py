@@ -35,7 +35,8 @@ def _axis_spectral(kappa: float, R: float, n_axis: int) -> tuple:
     """Kernel table E(x_a, -i xi_b), mu-weights and c_k of the rank-one grid
     of one axis; memoised per (kappa, R, n_axis), read-only."""
     grid = build_grid(RootSystem.z2_product([kappa]), R, n_axis)
-    E = grid.axis_table(lambda x, y: e_minus_i(x * y, kappa))
+    # E(-x, -i y) is the conjugate of E(x, -i y)
+    E = grid.axis_table(lambda x, y: (e := e_minus_i(x * y, kappa), e.conj()))
     E.flags.writeable = grid.mu_weights.flags.writeable = False
     return E, grid.mu_weights, c_k(grid.rs)
 

@@ -1,6 +1,7 @@
 """The grid's tensor layout: one axis rule, row-major nodes, exact negation,
 and Kronecker factors applied mode-wise."""
 
+import tracemalloc
 import unittest
 from functools import reduce
 
@@ -10,11 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from numpy.polynomial.legendre import leggauss
 
-from dunklkit import grids
+from dunklkit import grids, operators, schrodinger
 from dunklkit.grids import axis_rule, build_grid, kron_apply, tensor_rule
-from dunklkit.heat import axis_factor
+from dunklkit.heat import axis_factor, heat_axis_tables
 from dunklkit.intertwine import e_minus_i
 from dunklkit.reflection import RootSystem
+from dunklkit.transform import _axis_spectral
 
 GRIDS = (([0.7], 8.0, 64), ([0.5, 1.0], 6.0, 24), ([0.5, 0.0, 1.5], 4.0, 12))
 
@@ -115,20 +117,39 @@ def _all_pairs_table(grid, fn):
     return table
 
 
+def _built_tables(grid, t):
+    """(scalar fn, table) of the heat factor at t and of the transform factor
+    on each axis, as heat_axis_tables and the transform build them."""
+    kappas = [float(k) for k in grid.rs.multiplicities]
+    for k, T in zip(kappas, heat_axis_tables(grid, t)[1]):
+        yield (lambda x, y, k=k: axis_factor(x, y, t, k)), T
+    for k in kappas:
+        yield (lambda x, y, k=k: e_minus_i(x * y, k)), _axis_spectral(k, grid.half_width, grid.n_axis)[0]
+
+
 class TestAxisTable(unittest.TestCase):
+    def test_pairs_fill_their_blocks(self):
+        # fn's two values land where f has them: against f on every pair, an
+        # f of a b, |a| and |b| that tells (a, b) from (-a, b)
+        f = lambda x, y: np.sin(x * y) + np.exp(-np.abs(x) - np.abs(y))
+        for R, n in ((3.0, 2), (6.0, 32), (10.0, 128)):
+            grid = build_grid(RootSystem.z2_product([0.5]), R, n)
+            got = grid.axis_table(lambda a, b: (f(a, b), f(-a, b)))
+            self.assertTrue(np.array_equal(got, _all_pairs_table(grid, f)))
+
     def test_half_axis_equals_all_pairs(self):
-        # the heat factor and the transform factor on the grids the suites build
-        cases = (([0.5], 14.0, 256), ([0.0], 10.0, 128), ([1.5], 10.0, 128),
-                 ([0.5], 4.0, 160), ([0.5, 1.0], 6.0, 32))
+        # the heat factor and the transform factor on the grids the suites
+        # build: the mirrored pair (even - odd, the conjugate) is bit for bit
+        # the factor evaluated at (-a, b)
+        cases = [([k], R, n) for k in (0.0, 0.5, 1.5)
+                 for R, n in ((10.0, 128), (14.0, 256), (10.0, 384), (6.0, 32))]
+        cases += [([0.5], 4.0, 160), ([0.5, 1.0], 6.0, 32)]
         for kappas, R, n in cases:
             grid = build_grid(RootSystem.z2_product(kappas), R, n)
-            for k in kappas:
-                fns = [lambda x, y, t=t: axis_factor(x, y, t, k) for t in (0.02, 0.1, 1.0)]
-                fns.append(lambda x, y: e_minus_i(x * y, k))
-                for fn in fns:
-                    with self.subTest(kappa=k, R=R, n=n):
-                        got = grid.axis_table(fn)
-                        self.assertTrue(np.array_equal(got, _all_pairs_table(grid, fn)))
+            for t in (0.02, 0.1, 1.0):
+                for fn, T in _built_tables(grid, t):
+                    with self.subTest(kappas=kappas, R=R, n=n, t=t):
+                        self.assertTrue(np.array_equal(T, _all_pairs_table(grid, fn)))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -139,10 +160,38 @@ class TestAxisTable(unittest.TestCase):
     )
     def test_table_is_symmetric_and_even(self, half, R, kappa, t):
         grid = build_grid(RootSystem.z2_product([kappa]), R, 2 * half)
-        for fn in (lambda x, y: axis_factor(x, y, t, kappa), lambda x, y: e_minus_i(x * y, kappa)):
-            T = grid.axis_table(fn)
+        for _, T in _built_tables(grid, t):
             self.assertTrue(np.array_equal(T, T.T))
             self.assertTrue(np.array_equal(T, T[::-1, ::-1]))
+
+
+class TestTableMemory(unittest.TestCase):
+    """Cold builds of the n x n tables peak, as traced by tracemalloc, below
+    a stated multiple of one n x n float64 table."""
+
+    def peak_tables(self, build, n):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            build()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        return peak / (8.0 * n * n)
+
+    def test_builds_stay_within_budget(self):
+        grid = build_grid(RootSystem.z2_product([0.5]), 14.0, 256)
+        cases = (
+            # the kernel table, its symmetric half (1/2) and the parity blocks
+            ("free_modes", lambda: schrodinger._axis_free_modes.__wrapped__(0.5, 10.0, 384, 0.1), 384, 1.75),
+            # T and the stencil's windows
+            ("derivative", lambda: operators._axis_derivative.__wrapped__(0.5, 10.0, 384), 384, 1.35),
+            # the table and the temporaries of the Bessel pair on the half-axis pairs
+            ("heat_tables", lambda: heat_axis_tables(grid, 0.1), 256, 1.75),
+        )
+        for name, build, n, budget in cases:
+            with self.subTest(name):
+                self.assertLess(self.peak_tables(build, n), budget)
 
 
 if __name__ == "__main__":

@@ -238,7 +238,9 @@ class TestOriginOracle(unittest.TestCase):
     def test_heat_modulus_at_origin(self):
         # independent of _time_rule and quad; the gap measured is at most
         # 5.4e-12.  inverse_power is left out: the time rule's first panel
-        # [0, t 1e-4] reads it low by 7.7e-6 to 2.2e-5 (ROADMAP item 7)
+        # [0, t 1e-4] reads it low by 7.7e-6 to 2.2e-5 (ROADMAP, "The Kato
+        # layer: which class, one rule that holds at every kappa, and an
+        # exact time rule")
         cases = (
             (potential_function("constant", c=1.0), lambda y: 1),
             (potential_function("soft_coulomb", a=1.0), lambda y: 1 / (1 + y * y)),
@@ -358,6 +360,24 @@ class TestBatches(unittest.TestCase):
         with mock.patch.object(kato, "quad", wraps=kato.quad) as q:
             classify(rs, Vs, (0.0, 0.25, 0.5, 1.0, 2.0))
         self.assertEqual(q.call_count, len(Vs) + 1)
+
+    def test_values_do_not_depend_on_chunk(self):
+        # _flow_density's promise, a value depends only on its y and its
+        # row: values and errors alike at the old CHUNK and the new, which
+        # splits more integrand calls into more tables
+        rs = RootSystem.z2_product([0.5])
+        Vs = [potential_function("inverse_power", beta=0.75), potential_function("soft_coulomb", a=1.0)]
+        probes = (0.0, 0.25, 1.0, 2.0)
+        s, w = _time_rule(0.3)
+        got = {}
+        for chunk in (2**16, 2**14):
+            table = mock.patch.object(kato, "even_axis_factor", wraps=kato.even_axis_factor)
+            with mock.patch.object(kato, "CHUNK", chunk), table as f:
+                got[chunk] = semigroup_abs_potential(rs, Vs, s, probes, w), f.call_count
+        (big, big_calls), (small, small_calls) = got[2**16], got[2**14]
+        self.assertGreater(small_calls, big_calls)
+        self.assertTrue(np.array_equal(big[0], small[0]))
+        self.assertTrue(np.array_equal(big[1], small[1]))
 
     def test_kernel_is_evaluated_once_per_point(self):
         # two copies of one potential share every (kernel row, y) point

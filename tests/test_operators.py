@@ -8,6 +8,7 @@ import numpy as np
 
 from dunklkit.grids import SampledFunction, axis_rule, build_grid
 from dunklkit.operators import (
+    _axis_derivative,
     antisymmetry_defect,
     derivative_apply,
     diff_matrix,
@@ -151,6 +152,16 @@ class TestKroneckerDerivative(unittest.TestCase):
                     dunkl_derivative(grid, f, j).values / scale, ref[:, 0] / scale,
                     rtol=0, atol=1e-14,
                 )
+
+    def test_factor_equals_the_dense_sum(self):
+        # the difference term added in place on the two diagonals, bit for
+        # bit the sum with the dense kappa (I - J) / x
+        for kappa in (0.0, 0.5, 1.5):
+            for R, n in ((10.0, 128), (14.0, 256), (10.0, 384), (6.0, 32)):
+                x = axis_rule(R, n)[0]
+                ref = diff_matrix(x) + kappa * (np.eye(n) - np.eye(n)[::-1]) / x[:, None]
+                with self.subTest(kappa=kappa, R=R, n=n):
+                    self.assertTrue(np.array_equal(_axis_derivative.__wrapped__(kappa, R, n), ref))
 
     def test_factor_is_memoised(self):
         grid = build_grid(RootSystem.z2_product([0.5, 1.0]), 6.0, 24)

@@ -95,7 +95,7 @@ class TestRule(unittest.TestCase):
     @example(beta=0.90625, p=1.0, a=3.0, b=0.07503967481091996)
     def test_break_off_zero_never_converges_wrong(self, beta, p, a, b):
         # |y - p|^-beta on [p - a, p + b]: away from p = 0 quad often ends
-        # unconverged at tol 1e-12 (a known defect, ROADMAP item 8),
+        # unconverged at tol 1e-12 (a known defect, ROADMAP "Latent quad limit"),
         # but it must never claim a wrong or non-finite value
         with np.errstate(divide="ignore", invalid="ignore"):
             (val,), _, (ok,) = quad(lambda y, owner: np.abs(y - p) ** -beta, [p - a], [p + b], (p,), 1e-12)

@@ -14,7 +14,7 @@ from numpy.linalg import eigh
 from dunklkit.errors import IllPosedError, InputError
 from dunklkit.families import hermite_functions
 from dunklkit.grids import SampledFunction, build_grid, kron_apply
-from dunklkit.heat import heat_axis_tables, heat_kernel_matrix
+from dunklkit.heat import axis_factor, heat_axis_tables, heat_kernel_matrix, kernel_prefactor
 from dunklkit.intertwine import e_minus_i
 from dunklkit.kato import _max_asymmetry, smoothing_norms_of_kernel
 from dunklkit.operators import dunkl_derivative, dunkl_derivative_matrix
@@ -23,6 +23,7 @@ from dunklkit.schrodinger import (
     KERNEL_FLOOR,
     _axis_free_modes,
     _quadrants,
+    _wht,
     assemble_L,
     distribution_sup,
     eig,
@@ -323,6 +324,30 @@ class TestParitySplit(unittest.TestCase):
             for k in (1, 10):
                 got, ref = (Q * mu**k) @ Q.T, (Q_d * mu_d**k) @ Q_d.T
                 self.assertLess(np.max(np.abs(got - ref)), 1e-13)
+
+    def test_axis_modes_equal_the_copying_build(self):
+        # the build with a copy per step as the reference, the kernel from
+        # the scalar axis factor on every pair: the in-place build gives the
+        # same mu, Q and parity bit for bit
+        def copying_build(kappa, R, n, t0):
+            grid = build_grid(RootSystem.z2_product([kappa]), R, n)
+            x = grid.axis
+            K = kernel_prefactor(grid.rs, t0) * axis_factor(x[:, None], x[None, :], t0, kappa)
+            dh = np.sqrt(grid.mu_weights)
+            Kt = dh[:, None] * K * dh[None, :]
+            h = n // 2
+            even, odd = (eigh(b) for b in _wht(_quadrants(0.5 * (Kt + Kt.T)[:, h:], n, 1, (0,))))
+            mu, v = (np.hstack(pair) for pair in zip(even, odd))
+            order = np.argsort(mu, kind="stable")
+            mu, parity, v = mu[order], (order >= h).astype(int), v[:, order] / np.sqrt(2.0)
+            return mu, np.vstack([np.where(parity, -1.0, 1.0) * v[::-1], v]), parity
+
+        for kappa in (0.0, 0.5, 1.5):
+            for R, n in ((10.0, 128), (14.0, 256), (10.0, 384), (6.0, 32)):
+                with self.subTest(kappa=kappa, R=R, n=n):
+                    got = _axis_free_modes.__wrapped__(kappa, R, n, 0.1)
+                    for a, b in zip(got, copying_build(kappa, R, n, 0.1)):
+                        self.assertTrue(np.array_equal(a, b))
 
     def test_galerkin_blocks_match_dense_galerkin(self):
         def dense(grid, V, t):  # one eigh on the whole resolved basis
