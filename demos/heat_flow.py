@@ -9,13 +9,14 @@ up directly in the printed table.
 
 import numpy as np
 
-from dunklkit import RootSystem, build_grid, build_spectral_matrix
-from dunklkit.grids import SampledFunction
+from dunklkit.grids import SampledFunction, build_grid
 from dunklkit.heat import (
     gaussian_bound_report,
     heat_apply,
     heat_kernel_matrix,
 )
+from dunklkit.reflection import RootSystem
+from dunklkit.transform import build_spectral_matrix
 
 
 def main():

@@ -8,8 +8,8 @@ values behind each verdict.  The failing case is an inverse power at
 or past the integrability threshold.
 """
 
-from dunklkit import RootSystem
 from dunklkit import kato
+from dunklkit.reflection import RootSystem
 from dunklkit.schrodinger import potential_function
 
 

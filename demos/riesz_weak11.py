@@ -10,9 +10,9 @@ shrink toward points.
 
 import numpy as np
 
-from dunklkit import RootSystem, build_grid
 from dunklkit.families import random_band_limited
-from dunklkit.grids import SampledFunction
+from dunklkit.grids import SampledFunction, build_grid
+from dunklkit.reflection import RootSystem
 from dunklkit.schrodinger import (
     potential_preset,
     resolved_calculus,

@@ -8,9 +8,9 @@ first-order Trotter splitting error halving as the step count doubles.
 
 import numpy as np
 
-from dunklkit import RootSystem, build_grid, build_spectral_matrix
-from dunklkit.grids import SampledFunction
+from dunklkit.grids import SampledFunction, build_grid
 from dunklkit.heat import heat_kernel_matrix
+from dunklkit.reflection import RootSystem
 from dunklkit.schrodinger import (
     potential_preset,
     resolved_calculus,
@@ -18,6 +18,7 @@ from dunklkit.schrodinger import (
     semigroup_apply,
     semigroup_trotter,
 )
+from dunklkit.transform import build_spectral_matrix
 
 
 def main():

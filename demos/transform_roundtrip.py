@@ -11,10 +11,10 @@ import time
 
 import numpy as np
 
-from dunklkit import RootSystem, build_grid, build_spectral_matrix
 from dunklkit.families import band_limited_family
-from dunklkit.grids import SampledFunction
-from dunklkit.transform import dunkl_transform, inverse_transform, parseval_defect
+from dunklkit.grids import SampledFunction, build_grid
+from dunklkit.reflection import RootSystem
+from dunklkit.transform import build_spectral_matrix, dunkl_transform, inverse_transform, parseval_defect
 
 
 def main():

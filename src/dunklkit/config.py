@@ -22,6 +22,9 @@ DEFAULT_SWEEPS = {
 }
 # L^p exponents, numbers >= 1 or "inf": accepted and checked, read by no suite yet
 EXPONENT_SWEEPS = ("p_list", "q_list")
+# the largest rank a scene may have: in rank three the kernel grid has 32^3
+# nodes and each smoothing splitting table takes 1 GiB
+MAX_RANK = 2
 
 
 @dataclass(frozen=True)
@@ -61,6 +64,9 @@ def _validate_group(g: dict):
     _known(g, ("kind", "multiplicities"), "group")
     mult = g.get("multiplicities", [0.5])
     _require(isinstance(mult, list) and len(mult) >= 1, "multiplicities must be a nonempty list")
+    _require(len(mult) <= MAX_RANK,
+             f"a scene takes at most MAX_RANK = {MAX_RANK} multiplicities, the largest rank whose "
+             f"tables fit in memory, not {len(mult)}")
     return {"kind": kind, "multiplicities": [_kappa(m, "multiplicities") for m in mult]}
 
 

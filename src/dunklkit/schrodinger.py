@@ -70,8 +70,6 @@ PRESET_PARAMS = {
 
 @dataclass(frozen=True)
 class Potential:
-    name: str
-    params: dict
     values: np.ndarray
 
     def __post_init__(self):
@@ -128,12 +126,12 @@ def potential_function(name: str, **params) -> Callable:
 def potential_preset(grid: QuadratureGrid, name: str, **params) -> Potential:
     fn = potential_function(name, **params)
     radii = np.linalg.norm(grid.nodes, axis=1)
-    return Potential(name, dict(params), fn(radii))
+    return Potential(fn(radii))
 
 
 def potential_from_csv(grid: QuadratureGrid, path) -> Potential:
     sampled = SampledFunction.from_csv(grid, path)
-    return Potential("csv", {"path": str(path)}, sampled.values)
+    return Potential(sampled.values)
 
 
 # ---------------------------------------------------------------------------
@@ -708,8 +706,8 @@ def scaling_identity_gap(rs, R: float, n_axis: int, V_fn: Callable, t: float) ->
         free_resolved_modes(grid1, DEFAULT_T0)[0].max(),
         free_resolved_modes(grid2, DEFAULT_T0 / t)[0].max() / t,
     )
-    V1 = Potential("scaled", {}, V_fn(np.linalg.norm(grid1.nodes, axis=1)))
-    V2 = Potential("scaled", {}, t * V_fn(rt * np.linalg.norm(grid2.nodes, axis=1)))
+    V1 = Potential(V_fn(np.linalg.norm(grid1.nodes, axis=1)))
+    V2 = Potential(t * V_fn(rt * np.linalg.norm(grid2.nodes, axis=1)))
     W1 = schrodinger_kernel(resolved_calculus(grid1, V1, lam_limit=cap), t)
     W2 = schrodinger_kernel(resolved_calculus(grid2, V2, DEFAULT_T0 / t, lam_limit=cap * t), 1.0)
     expo = grid1.dimension / 2.0 + gamma_k(rs)

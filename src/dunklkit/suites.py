@@ -153,7 +153,7 @@ class Scene:
             spec = self.cfg.potential
             if "csv" in spec:
                 vals = self.V_fn(np.linalg.norm(self.kernel_grid.nodes, axis=1))
-                return Potential("csv", dict(spec), vals)
+                return Potential(vals)
             preset, params = spec["preset"], spec["params"]
         return potential_preset(self.kernel_grid, preset, **params)
 

@@ -41,12 +41,6 @@ def _axis_spectral(kappa: float, R: float, n_axis: int) -> tuple:
     return E, grid.mu_weights, c_k(grid.rs)
 
 
-def axis_tables(grid: QuadratureGrid) -> list:
-    """(E_j, w_j, c_j) per axis: the kernel table, mu-weights and c_k of the
-    axis's rank-one grid."""
-    return [_axis_spectral(float(k), grid.half_width, grid.n_axis) for k in grid.rs.multiplicities]
-
-
 @dataclass(frozen=True, eq=False)  # hashed by identity: the fields are arrays
 class SpectralMatrix:
     """The transform on a grid as one n x n forward factor per axis."""
@@ -58,7 +52,8 @@ class SpectralMatrix:
 
 def build_spectral_matrix(grid: QuadratureGrid) -> SpectralMatrix:
     """The per-axis forward factors (E_j w_j).T / c_j of the transform."""
-    factors = np.stack([(E * w[:, None]).T / c for E, w, c in axis_tables(grid)])
+    tables = [_axis_spectral(float(k), grid.half_width, grid.n_axis) for k in grid.rs.multiplicities]
+    factors = np.stack([(E * w[:, None]).T / c for E, w, c in tables])
     factors.flags.writeable = False
     return SpectralMatrix(grid, factors, c_k(grid.rs))
 

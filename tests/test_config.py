@@ -105,6 +105,7 @@ class TestLoadConfig(unittest.TestCase):
             {"group": {"kind": "bogus"}},
             {"group": {"kind": "z2_product", "multiplicities": []}},
             {"group": {"kind": "z2_product", "multiplicities": [-0.5]}},
+            {"group": {"kind": "z2_product", "multiplicities": [0.5, 0.5, 0.5]}},
             {"group": {"kind": "dihedral", "m": 1}},
             {"grid": {"R": -1.0}},
             {"grid": {"N": 33}},

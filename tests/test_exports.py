@@ -1,14 +1,16 @@
-"""Every name in the package's lazy export map resolves.
+"""What importing the package loads, and the version it reports.
 
-`dunklkit.__getattr__` imports a name only when it is first accessed, so a
-stale entry in `_EXPORTS` would otherwise fail only at that access.
+The package root holds only the docstring and `__version__`: every name is
+imported from the submodule that defines it.  Importing the root and the
+command line must load no numerics, so `--threads` can set the BLAS
+variables first.
 """
 
-import importlib
 import os
 import subprocess
 import sys
 import unittest
+from pathlib import Path
 
 import dunklkit
 
@@ -47,11 +49,21 @@ class TestExports(unittest.TestCase):
                 "print('numpy.ma' in sys.modules)")
         self.assertEqual(_run(code), "False")
 
-    def test_every_export_resolves(self):
-        for name, module in dunklkit._EXPORTS.items():
-            mod = importlib.import_module(module, dunklkit.__name__)
-            self.assertTrue(hasattr(mod, name), f"{name} missing from {mod.__name__}")
-            self.assertIs(getattr(dunklkit, name), getattr(mod, name), name)
+    def test_root_and_cli_import_no_numpy(self):
+        # the CLI's --threads sets the BLAS thread variables, which numpy
+        # reads only when it loads
+        code = "import dunklkit, dunklkit.cli, sys; print('numpy' in sys.modules)"
+        self.assertEqual(_run(code), "False")
+
+    @unittest.skipIf(sys.version_info < (3, 11), "tomllib is new in Python 3.11")
+    def test_version_matches_pyproject(self):
+        # the benchmark records dunklkit.__version__ as provenance
+        import tomllib
+
+        pyproject = Path(dunklkit.__file__).resolve().parents[2] / "pyproject.toml"
+        with open(pyproject, "rb") as fh:
+            version = tomllib.load(fh)["project"]["version"]
+        self.assertEqual(dunklkit.__version__, version)
 
 
 if __name__ == "__main__":
